@@ -65,6 +65,7 @@ from .sampler import (
 )
 from .schatten import (
     SchattenEstimate,
+    difference_mixture,
     estimate_difference_norm,
     quantum_schatten2_estimate,
     sampling_circuit,
@@ -76,6 +77,7 @@ from .similarity import (
     decide_similarity,
     estimate_tau,
     fidelity,
+    haar_fidelities,
     haar_random_state,
     monte_carlo_similarity,
     rotation_perturbed_pair,

@@ -32,21 +32,14 @@ from .learn import LearnConfig, ansatz_from_dict, learn_circuit, learn_square_ro
 from .qsim import (
     CircuitFormatError,
     DenseUnitary,
-    MixedOperation,
-    apply_circuit,
     circuit_from_dict,
     exact_schatten2,
     haar_random_unitary,
     mixed_operation_from_dict,
 )
-from .sampler import derive_seed, derived_rng, sample_thetas
-from .schatten import schatten2_estimate_from_thetas
-from .similarity import (
-    decide_similarity,
-    fidelity,
-    haar_random_state,
-    rotation_perturbed_pair,
-)
+from .sampler import derive_seed, sample_thetas
+from .schatten import difference_mixture, schatten2_estimate_from_thetas
+from .similarity import decide_similarity, haar_fidelities, rotation_perturbed_pair
 
 DEFAULT_M_LIST = (10, 100, 1000, 10000)
 
@@ -100,6 +93,12 @@ def _merge_config(args: argparse.Namespace, schema: dict) -> dict:
     return settings
 
 
+def _json_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _require(settings: dict, *keys: str) -> None:
     for key in keys:
         if settings[key] is None:
@@ -144,12 +143,14 @@ def cmd_fig2(args: argparse.Namespace) -> int:
     m_values = sorted(int(v) for v in str(cfg["m_list"]).split(","))
     if not m_values or m_values[0] < 1:
         raise ValueError(f"m values must be positive, got {cfg['m_list']!r}")
+    if cfg["seeds"] < 1:
+        raise ValueError(f"need at least one seed, got {cfg['seeds']}")
     half = 1.0 / math.sqrt(2.0)
     errors = np.empty((cfg["seeds"], len(m_values)))
     for s in range(cfg["seeds"]):
         u1 = haar_random_unitary(cfg["n"], derive_seed(cfg["seed"], s, 0))
         u2 = haar_random_unitary(cfg["n"], derive_seed(cfg["seed"], s, 1))
-        mixed = _difference_mixture(cfg["n"], u1, u2)
+        mixed = difference_mixture(DenseUnitary(cfg["n"], u1), DenseUnitary(cfg["n"], u2))
         exact = exact_schatten2(half * (u1 - u2))
         thetas = sample_thetas(derive_seed(cfg["seed"], s, 2), m_values[-1])
         for j, m in enumerate(m_values):
@@ -163,11 +164,6 @@ def cmd_fig2(args: argparse.Namespace) -> int:
         rows.append([m, repr(float(column.mean())), repr(stderr)])
     _write_text(cfg["out"], _csv_dump(["m", "mean_error", "std_error"], rows))
     return 0
-
-
-def _difference_mixture(n: int, u1: np.ndarray, u2: np.ndarray) -> MixedOperation:
-    half = 1.0 / math.sqrt(2.0)
-    return MixedOperation(((half, DenseUnitary(n, u1)), (-half, DenseUnitary(n, u2))))
 
 
 def cmd_similarity(args: argparse.Namespace) -> int:
@@ -191,11 +187,7 @@ def cmd_similarity(args: argparse.Namespace) -> int:
         u1, u2 = rotation_perturbed_pair(cfg["n"], float(dist), derive_seed(cfg["seed"], k))
         schatten = exact_schatten2(u1.matrix - u2.matrix)
         epsilon = factor * schatten
-        state_seed = derive_seed(cfg["seed"], k, 1)
-        fidelities = np.empty(cfg["states"])
-        for i in range(cfg["states"]):
-            psi = haar_random_state(cfg["n"], derived_rng(state_seed, i))
-            fidelities[i] = fidelity(apply_circuit(psi, u1), apply_circuit(psi, u2))
+        fidelities = haar_fidelities(u1, u2, cfg["states"], derive_seed(cfg["seed"], k, 1))
         frac = float((fidelities >= 1.0 - epsilon).mean())
         rows.append([k, repr(schatten), repr(float(fidelities.mean())), repr(frac)])
         print(f"similarity: pair {k + 1}/{cfg['pairs']} done", file=sys.stderr)
@@ -207,7 +199,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     schema = {
         "ansatz": (None, str),
         "target": (None, str),
-        "sqrt": (False, bool),
+        "sqrt": (False, _json_bool),
         "samples": (64, int),
         "eta": (0.1, float),
         "fd_eps": (1e-3, float),

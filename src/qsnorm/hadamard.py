@@ -10,14 +10,15 @@ probability straight from statevectors; the full-circuit path simulates
 the literal (n+1)-qubit circuit and takes the marginal of the ancilla.
 They agree to rounding and cross-check each other in the tests. Shot mode
 draws Bernoulli outcomes at the exact probability to reintroduce
-measurement noise deliberately.
+measurement noise deliberately. The estimators run every test of a mixture
+for a batch of angles at once, in :func:`mixed_quadratic_form`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Literal
 
 import numpy as np
@@ -28,8 +29,10 @@ from .qsim import (
     STATE_QUBIT_CAP,
     adjoint,
     apply_operation_amplitudes,
+    row_chunks,
     zero_state,
 )
+from .sampler import check_eps_delta, derived_rng, probe_rows
 
 Part = Literal["real", "imaginary"]
 
@@ -124,10 +127,7 @@ def hadamard_shot_estimate(spec: HadamardTestSpec, rng: np.random.Generator) -> 
 def hadamard_shot_budget(epsilon: float, delta: float) -> int:
     """Shots so one test is within epsilon with probability 1 - delta:
     ceil(2 ln(2/delta) / epsilon^2)."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check_eps_delta(epsilon, delta)
     return math.ceil(2.0 * math.log(2.0 / delta) / epsilon**2)
 
 
@@ -138,10 +138,7 @@ def measurement_budget_mixed(epsilon: float, delta: float, num_terms: int) -> in
     precision eps/(4 K^2) at confidence 1 - delta/(2 K^2), which is enough
     for the weighted sum because the coefficient weights are at most 2.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check_eps_delta(epsilon, delta)
     if num_terms < 1:
         raise ValueError(f"need at least one term, got {num_terms}")
     k = num_terms
@@ -150,51 +147,58 @@ def measurement_budget_mixed(epsilon: float, delta: float, num_terms: int) -> in
 
 def mixed_quadratic_form(
     mixed: MixedOperation,
-    theta: float,
+    thetas: np.ndarray,
     shots_per_test: int = 0,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """<x(theta)| U~ U~^dagger |x(theta)> for a mixture U~ = sum_k a_k U_k.
+    seed: int = 0,
+) -> np.ndarray:
+    """<x(theta_i)| U~ U~^dagger |x(theta_i)> per angle, for U~ = sum_k a_k U_k.
 
-    Expands into sum_k |a_k|^2 plus cross terms, each obtained from a
-    Hadamard test with state prep S(theta) and controlled chain
-    (U_k2^dagger, U_k1). Analytic when ``shots_per_test`` is 0; otherwise
-    every cross test draws ``shots_per_test`` Bernoulli outcomes from
-    ``rng``.
+    Expands into sum_k |a_k|^2 plus cross terms in <x|U_a U_b^dag|x> =
+    <U_a^dag x|U_b^dag x>; each chunk of probe rows gets every U_k^dag in
+    one batched apply. Analytic when ``shots_per_test`` is 0, with every
+    ordered pair (a, b) computed by the same float operations however the
+    terms are listed and one fsum per angle, so the result is permutation
+    invariant bit for bit. Otherwise each pair k1 < k2 runs the real- and
+    imaginary-part Hadamard tests with chain (U_k2^dagger, U_k1), drawing
+    ``shots_per_test`` outcomes each from ``derived_rng(seed, i, 1)``.
     """
-    from .sampler import probe_vector
-    from .schatten import sampling_circuit
-
+    n = mixed.n
+    if n > STATE_QUBIT_CAP:
+        raise ValueError(f"statevector qubit count {n} outside [1, {STATE_QUBIT_CAP}]")
+    if shots_per_test < 0:
+        raise ValueError(f"shots must be nonnegative, got {shots_per_test}")
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     coeffs = [coeff for coeff, _ in mixed.terms]
-    terms = [abs(c) ** 2 for c in coeffs]
-
+    squares = [abs(c) ** 2 for c in coeffs]
+    back_ops = [adjoint(op) for _, op in mixed.terms]
     if shots_per_test == 0:
-        # The prepared state S(theta)|0...0> is the probe vector, so the
-        # analytic path builds it directly. Each cross bracket is evaluated
-        # as <x|U_a U_b^dag|x> = <U_a^dag x|U_b^dag x>, and every ordered
-        # pair is summed exactly: the contribution of (a, b) is computed by
-        # the same float operations regardless of how the mixture terms are
-        # listed, so the result is permutation invariant bit for bit.
-        x = probe_vector(theta, mixed.n, 1 << mixed.n).astype(complex)
-        back_applied = [apply_operation_amplitudes(x, adjoint(op)) for _, op in mixed.terms]
-        for a in range(mixed.num_terms):
-            for b in range(mixed.num_terms):
-                if a == b:
-                    continue
-                overlap = complex(np.vdot(back_applied[a], back_applied[b]))
-                terms.append((coeffs[a] * coeffs[b].conjugate() * overlap).real)
-        return math.fsum(terms)
-
-    if rng is None:
-        raise ValueError("shot mode needs a generator; pass rng or use shots_per_test=0")
-    prep = sampling_circuit(mixed.n, theta)
-    for k1, k2 in combinations(range(mixed.num_terms), 2):
-        weight = coeffs[k1] * coeffs[k2].conjugate()
-        ops = (adjoint(mixed.terms[k2][1]), mixed.terms[k1][1])
-        if weight.real != 0.0:
-            spec = HadamardTestSpec(prep, ops, part="real", shots=shots_per_test)
-            terms.append(2.0 * weight.real * hadamard_shot_estimate(spec, rng).estimate)
-        if weight.imag != 0.0:
-            spec = HadamardTestSpec(prep, ops, part="imaginary", shots=shots_per_test)
-            terms.append(-2.0 * weight.imag * hadamard_shot_estimate(spec, rng).estimate)
-    return math.fsum(terms)
+        pairs = list(permutations(range(mixed.num_terms), 2))
+    else:
+        pairs = list(combinations(range(mixed.num_terms), 2))
+    values = np.empty(thetas.size)
+    for chunk in row_chunks(thetas.size, n):
+        x = probe_rows(thetas[chunk], n, 1 << n).astype(complex)
+        back = [apply_operation_amplitudes(x, op) for op in back_ops]
+        # Row-wise <back_a|back_b> as stacked (1, N) @ (N, 1) products, which round like np.vdot.
+        overlaps = [(back[a].conj()[:, None, :] @ back[b][:, :, None])[:, 0, 0] for a, b in pairs]
+        if shots_per_test == 0:
+            terms = [np.full(x.shape[0], sq) for sq in squares]
+            terms += [(coeffs[a] * coeffs[b].conjugate() * ov).real for (a, b), ov in zip(pairs, overlaps)]
+            values[chunk] = [math.fsum(row) for row in np.array(terms).T.tolist()]
+            continue
+        # (scale, Pr(ancilla = 1) per row) for each test, in drawing order.
+        tests = []
+        for (k1, k2), overlap in zip(pairs, overlaps):
+            weight = coeffs[k1] * coeffs[k2].conjugate()
+            if weight.real != 0.0:
+                tests.append((2.0 * weight.real, np.clip((1.0 - overlap.real) / 2.0, 0.0, 1.0)))
+            if weight.imag != 0.0:
+                tests.append((-2.0 * weight.imag, np.clip((1.0 - overlap.imag) / 2.0, 0.0, 1.0)))
+        for r, i in enumerate(range(chunk.start, chunk.stop)):
+            rng = derived_rng(seed, i, 1)
+            terms = list(squares)
+            for scale, p1 in tests:
+                p1_hat = int(rng.binomial(shots_per_test, p1[r])) / shots_per_test
+                terms.append(scale * (1.0 - 2.0 * p1_hat))
+            values[i] = math.fsum(terms)
+    return values

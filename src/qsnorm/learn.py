@@ -25,18 +25,17 @@ from typing import Callable
 
 import numpy as np
 
-from .hadamard import HadamardTestSpec, hadamard_probability, hadamard_shot_estimate
 from .qsim import (
-    MATRIX_QUBIT_CAP,
     Circuit,
     CircuitFormatError,
     GateOp,
     Operation,
+    _gateop_from_dict,
+    _number_param,
     adjoint,
-    circuit_matrix,
 )
-from .sampler import derived_rng, probe_rows, sample_thetas
-from .schatten import sampling_circuit
+from .sampler import derived_rng, sample_thetas
+from .schatten import difference_mixture, schatten2_estimate_from_thetas
 
 
 @dataclass(frozen=True)
@@ -131,37 +130,16 @@ def loss(
 ) -> float:
     """Sampled squared-distance objective between U(xi) (with repeats) and V.
 
-    Each term is the real-part interference test with state prep S(theta_i)
-    and controlled chain (U(xi), V^dagger); with shots = 0 the test value
-    Re<x|V^dag U|x> is taken exactly. Values lie in [0, 4].
+    Each term 2 - 2 Re<x|V^dag U|x> equals 2 <x|D D^dag|x> for the mixture
+    D = (V^dag - U^dag)/sqrt(2), so the objective is twice the mean of the
+    Schatten-2 pipeline's per-angle values for D. With shots > 0 that
+    pipeline runs the real-part interference test with state prep
+    S(theta_i) and controlled chain (U(xi), V^dagger), drawing from
+    ``derived_rng(seed, i, 1)``. Values lie in [0, 4].
     """
-    if ansatz.n != target.n:
-        raise ValueError(f"ansatz has n={ansatz.n} but target has n={target.n}")
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.size == 0:
-        raise ValueError("empty sample list")
-    bound = ansatz.bind_repeated(xi)
-
-    if shots == 0 and target.n <= MATRIX_QUBIT_CAP:
-        total = circuit_matrix(adjoint(target)) @ circuit_matrix(bound)
-        rows = probe_rows(thetas, target.n, 1 << target.n)
-        values = np.einsum("si,ij,sj->s", rows, total, rows).real
-        return 2.0 - 2.0 * math.fsum(values) / thetas.size
-
-    values = []
-    target_adj = adjoint(target)
-    for i, theta in enumerate(thetas):
-        spec = HadamardTestSpec(
-            sampling_circuit(target.n, float(theta)),
-            (bound, target_adj),
-            part="real",
-            shots=shots,
-        )
-        if shots == 0:
-            values.append(1.0 - 2.0 * hadamard_probability(spec))
-        else:
-            values.append(hadamard_shot_estimate(spec, derived_rng(seed, i, 1)).estimate)
-    return 2.0 - 2.0 * math.fsum(values) / thetas.size
+    mixture = difference_mixture(adjoint(target), adjoint(ansatz.bind_repeated(xi)))
+    estimate = schatten2_estimate_from_thetas(mixture, thetas, shots, seed)
+    return 2.0 * math.fsum(estimate.per_sample_values) / estimate.m
 
 
 def finite_diff_gradient(
@@ -247,24 +225,17 @@ def ansatz_from_dict(doc: dict) -> Ansatz:
         raise CircuitFormatError(f"unknown ansatz keys {sorted(unknown)}")
     slots: set[int] = set()
 
-    def convert(p):
+    def slot_or_number(p):
         if isinstance(p, dict):
             if set(p) != {"slot"} or not isinstance(p["slot"], int) or p["slot"] < 0:
                 raise CircuitFormatError(f"parameter object must be {{'slot': k}} with k >= 0, got {p!r}")
             slots.add(p["slot"])
             return ParamSlot(p["slot"])
-        if isinstance(p, (int, float)):
-            return float(p)
-        raise CircuitFormatError(f"parameter must be a number or a slot, got {p!r}")
+        return _number_param(p)
 
-    ops = []
     try:
-        for entry in doc.get("ops", []):
-            if not isinstance(entry, dict) or "gate" not in entry:
-                raise CircuitFormatError(f"gate entry must be an object with a 'gate' field, got {entry!r}")
-            params = tuple(convert(p) for p in entry.get("params", []))
-            ops.append(GateOp(str(entry["gate"]), tuple(entry.get("qubits", [])), params))
-        template = Circuit(int(doc["n"]), tuple(ops))
+        ops = tuple(_gateop_from_dict(entry, slot_or_number) for entry in doc.get("ops", []))
+        template = Circuit(int(doc["n"]), ops)
         repeat = int(doc.get("repeat", 1))
         num_params = max(slots) + 1 if slots else 0
         return Ansatz(template, num_params=num_params, repeat=repeat)

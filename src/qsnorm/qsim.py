@@ -17,15 +17,17 @@ threads.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
 MATRIX_QUBIT_CAP = 10
 STATE_QUBIT_CAP = 20
 ATOL = 1e-10
+CHUNK_BYTES = 1 << 16  # per (rows, 2^n) batch, see row_chunks
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -77,6 +79,8 @@ class GateOp:
             raise ValueError(f"{kind} takes {npar} parameter(s), got {self.params}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"{kind} qubits must be distinct, got {self.qubits}")
+        if any(isinstance(p, (int, float)) and not math.isfinite(p) for p in self.params):
+            raise ValueError(f"{kind} parameters must be finite, got {self.params}")
 
     def dagger(self) -> "GateOp":
         """The Hermitian conjugate of this gate."""
@@ -195,31 +199,38 @@ def _apply_gateop(amps: np.ndarray, op: GateOp, n: int) -> np.ndarray:
         return amps * np.exp(1j * op.params[0])
     if op.kind == "cnot":
         control, target = op.qubits
-        view = amps.reshape((2,) * n)
+        view = amps.reshape(amps.shape[:-1] + (2,) * n)
         out = view.copy()
         i10 = [slice(None)] * n
         i11 = [slice(None)] * n
         i10[control], i10[target] = 1, 0
         i11[control], i11[target] = 1, 1
-        out[tuple(i10)] = view[tuple(i11)]
-        out[tuple(i11)] = view[tuple(i10)]
-        return out.reshape(-1)
+        out[(Ellipsis, *i10)] = view[(Ellipsis, *i11)]
+        out[(Ellipsis, *i11)] = view[(Ellipsis, *i10)]
+        return out.reshape(amps.shape)
     q = op.qubits[0]
     pre = 1 << q
     post = 1 << (n - q - 1)
     mat = gate_matrix(op)
-    reshaped = amps.reshape(pre, 2, post)
-    return np.einsum("ab,pbq->paq", mat, reshaped).reshape(-1)
+    reshaped = amps.reshape(amps.shape[:-1] + (pre, 2, post))
+    return np.einsum("ab,...pbq->...paq", mat, reshaped).reshape(amps.shape)
 
 
 def apply_operation_amplitudes(amps: np.ndarray, op: Operation) -> np.ndarray:
-    """Apply a circuit or dense unitary to a raw amplitude array."""
+    """Apply a circuit or dense unitary along the last axis of an amplitude
+    array, so a ``(rows, 2^n)`` stack is transformed row by row."""
     if isinstance(op, DenseUnitary):
-        return op.matrix @ amps
+        return amps @ op.matrix.T
     out = amps
     for gate in op.ops:
         out = _apply_gateop(out, gate, op.n)
     return out
+
+
+def row_chunks(rows: int, n: int) -> Iterator[slice]:
+    """Slices of ``range(rows)`` whose 2^n-amplitude batches fit CHUNK_BYTES."""
+    step = max(1, CHUNK_BYTES // (16 << n))
+    return (slice(start, min(start + step, rows)) for start in range(0, rows, step))
 
 
 def apply_circuit(state: StateVector, c: Operation) -> StateVector:
@@ -240,13 +251,9 @@ def circuit_matrix(c: Operation, max_qubits: int = MATRIX_QUBIT_CAP) -> np.ndarr
     """Materialize the full 2^n x 2^n matrix of an operation."""
     if c.n > max_qubits:
         raise ValueError(f"matrix build capped at {max_qubits} qubits, got n={c.n}")
-    if isinstance(c, DenseUnitary):
-        return c.matrix.copy()
-    dim = 1 << c.n
-    mat = np.eye(dim, dtype=complex)
-    for k in range(dim):
-        mat[:, k] = apply_operation_amplitudes(np.ascontiguousarray(mat[:, k]), c)
-    return mat
+    # Row k of the batch is U|k>, i.e. column k of the matrix.
+    columns = apply_operation_amplitudes(np.eye(1 << c.n, dtype=complex), c)
+    return np.ascontiguousarray(columns.T)
 
 
 def haar_random_unitary(n: int, seed: int, max_qubits: int = MATRIX_QUBIT_CAP) -> np.ndarray:
@@ -304,6 +311,8 @@ class MixedOperation:
         n = terms[0][1].n
         if any(op.n != n for _, op in terms):
             raise ValueError("all terms of a mixed operation must share one qubit count")
+        if not all(cmath.isfinite(coeff) for coeff, _ in terms):
+            raise ValueError("mixture coefficients must be finite")
         weight = sum(abs(coeff) for coeff, _ in terms)
         if weight > math.sqrt(2.0) + 1e-12:
             raise ValueError(f"sum of coefficient magnitudes {weight} exceeds sqrt(2)")
@@ -342,17 +351,26 @@ def circuit_to_dict(c: Circuit) -> dict:
     return {"n": c.n, "ops": ops}
 
 
-def _gateop_from_dict(entry: dict) -> GateOp:
+def _is_finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def _number_param(p) -> float:
+    if not _is_finite_number(p):
+        raise CircuitFormatError(f"gate params must be finite numbers, got {p!r}")
+    return float(p)
+
+
+def _gateop_from_dict(entry: dict, param=_number_param) -> GateOp:
+    """Parse one gate entry; ``param`` converts each parameter."""
     if not isinstance(entry, dict) or "gate" not in entry:
         raise CircuitFormatError(f"gate entry must be an object with a 'gate' field, got {entry!r}")
     unknown = set(entry) - {"gate", "qubits", "params"}
     if unknown:
         raise CircuitFormatError(f"unknown gate entry keys {sorted(unknown)}")
-    params = entry.get("params", [])
-    if not all(isinstance(p, (int, float)) for p in params):
-        raise CircuitFormatError(f"gate params must be numbers, got {params!r}")
+    params = tuple(param(p) for p in entry.get("params", []))
     try:
-        return GateOp(str(entry["gate"]), tuple(entry.get("qubits", [])), tuple(float(p) for p in params))
+        return GateOp(str(entry["gate"]), tuple(entry.get("qubits", [])), params)
     except (TypeError, ValueError) as exc:
         raise CircuitFormatError(str(exc)) from exc
 
@@ -391,8 +409,8 @@ def mixed_operation_from_dict(doc: dict) -> MixedOperation:
         if not isinstance(entry, dict) or set(entry) != {"coeff", "circuit"}:
             raise CircuitFormatError(f"mixture term must have exactly 'coeff' and 'circuit', got {entry!r}")
         coeff = entry["coeff"]
-        if not (isinstance(coeff, list) and len(coeff) == 2 and all(isinstance(v, (int, float)) for v in coeff)):
-            raise CircuitFormatError(f"coeff must be a [re, im] pair, got {coeff!r}")
+        if not (isinstance(coeff, list) and len(coeff) == 2 and all(_is_finite_number(v) for v in coeff)):
+            raise CircuitFormatError(f"coeff must be a [re, im] pair of finite numbers, got {coeff!r}")
         terms.append((complex(coeff[0], coeff[1]), circuit_from_dict(entry["circuit"])))
     if not terms:
         raise CircuitFormatError("mixture document has no terms")

@@ -67,8 +67,8 @@ def exactness_grid(n: int) -> np.ndarray:
     return np.linspace(-math.pi, math.pi, size, endpoint=False)
 
 
-def probe_vector(theta: float, n: int, size: int) -> np.ndarray:
-    """The length-``size`` probe vector x(theta); requires 2^(n-1) < size <= 2^n.
+def probe_rows(thetas: np.ndarray, n: int, size: int) -> np.ndarray:
+    """Probe vectors x(theta), one row per angle; requires 2^(n-1) < size <= 2^n.
 
     Index 0 is the all-cosine entry; for size < 2^n the trailing entries of
     the full 2^n tensor product are dropped. The norm is 1 exactly when
@@ -77,16 +77,17 @@ def probe_vector(theta: float, n: int, size: int) -> np.ndarray:
     full = 1 << n
     if not (full // 2) < size <= full:
         raise ValueError(f"size {size} not in (2^{n - 1}, 2^{n}]")
-    vec = np.ones(1)
-    for omega in frequency_ladder(n):
-        factor = np.array([math.cos(omega * theta), math.sin(omega * theta)])
-        vec = (vec[:, None] * factor).ravel()
-    return math.sqrt(full / size) * vec[:size]
+    angles = np.asarray(thetas, dtype=float).reshape(-1, 1) * frequency_ladder(n)
+    factors = np.stack((np.cos(angles), np.sin(angles)), axis=-1)
+    rows = np.ones((angles.shape[0], 1))
+    for j in range(n):
+        rows = (rows[:, :, None] * factors[:, None, j, :]).reshape(angles.shape[0], -1)
+    return math.sqrt(full / size) * rows[:, :size]
 
 
-def probe_rows(thetas: np.ndarray, n: int, size: int) -> np.ndarray:
-    """Stack of probe vectors, one row per angle."""
-    return np.stack([probe_vector(float(t), n, size) for t in np.asarray(thetas)])
+def probe_vector(theta: float, n: int, size: int) -> np.ndarray:
+    """The length-``size`` probe vector x(theta): one row of :func:`probe_rows`."""
+    return probe_rows([theta], n, size)[0]
 
 
 def classical_trace_estimate(a: np.ndarray, thetas: np.ndarray) -> complex:
@@ -139,7 +140,8 @@ class SampleBudget:
             raise ValueError(f"sample count must be positive, got {self.m}")
 
 
-def _check_eps_delta(epsilon: float, delta: float) -> None:
+def check_eps_delta(epsilon: float, delta: float) -> None:
+    """Reject a precision that is not positive or a confidence outside (0, 1)."""
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not 0 < delta < 1:
@@ -152,7 +154,7 @@ def sample_budget_trace(epsilon: float, delta: float) -> SampleBudget:
     Real and imaginary parts are each held to epsilon/sqrt(2), which is
     where the 1/4 constant comes from.
     """
-    _check_eps_delta(epsilon, delta)
+    check_eps_delta(epsilon, delta)
     m = math.ceil(math.log(2.0 / delta) / (4.0 * epsilon**2))
     return SampleBudget(m=m, epsilon=epsilon, delta=delta)
 
@@ -164,7 +166,7 @@ def sample_budget_schatten2(epsilon: float, delta: float, norm_hint: float = 0.0
     ``norm_hint`` is a prior guess of the norm being estimated; 0 means
     unknown, in which case the eps^-2 branch is used.
     """
-    _check_eps_delta(epsilon, delta)
+    check_eps_delta(epsilon, delta)
     if norm_hint < 0:
         raise ValueError(f"norm_hint must be nonnegative, got {norm_hint}")
     if norm_hint == 0.0:

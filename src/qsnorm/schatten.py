@@ -16,7 +16,7 @@ import numpy as np
 
 from .hadamard import mixed_quadratic_form
 from .qsim import Circuit, GateOp, MixedOperation, Operation
-from .sampler import SampleBudget, derived_rng, frequency_ladder, sample_thetas
+from .sampler import SampleBudget, frequency_ladder, sample_thetas
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,7 @@ def schatten2_estimate_from_thetas(
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if thetas.size == 0:
         raise ValueError("empty sample list")
-    values = np.empty(thetas.size)
-    for i, theta in enumerate(thetas):
-        rng = derived_rng(seed, i, 1) if shots_per_test > 0 else None
-        values[i] = mixed_quadratic_form(mixed, float(theta), shots_per_test, rng)
+    values = mixed_quadratic_form(mixed, thetas, shots_per_test, seed)
     mean = math.fsum(values) / thetas.size
     return SchattenEstimate(
         value=math.sqrt(max(0.0, mean)),
@@ -80,6 +77,18 @@ def quantum_schatten2_estimate(
     return schatten2_estimate_from_thetas(mixed, thetas, shots_per_test, seed)
 
 
+def difference_mixture(u1: Operation, u2: Operation) -> MixedOperation:
+    """The mixture (U1 - U2)/sqrt(2): its squared norm is ||U1 - U2||^2 / 2.
+
+    The coefficient budget of a mixture forbids weights (1, -1) directly,
+    which is why the difference is scaled down by sqrt(2).
+    """
+    if u1.n != u2.n:
+        raise ValueError(f"operations act on different registers: n={u1.n} vs n={u2.n}")
+    half = 1.0 / math.sqrt(2.0)
+    return MixedOperation(((half, u1), (-half, u2)))
+
+
 def estimate_difference_norm(
     u1: Operation,
     u2: Operation,
@@ -89,15 +98,10 @@ def estimate_difference_norm(
 ) -> SchattenEstimate:
     """Estimate ||U1 - U2|| (normalized Schatten 2) in [0, 2].
 
-    The coefficient budget of a mixture forbids weights (1, -1) directly,
-    so the pipeline runs on (U1 - U2)/sqrt(2) and the result is rescaled
-    by sqrt(2); per-sample values are rescaled by 2 to match.
+    The pipeline runs on :func:`difference_mixture` and the result is
+    rescaled by sqrt(2); per-sample values are rescaled by 2 to match.
     """
-    if u1.n != u2.n:
-        raise ValueError(f"operations act on different registers: n={u1.n} vs n={u2.n}")
-    half = 1.0 / math.sqrt(2.0)
-    mixed = MixedOperation(((half, u1), (-half, u2)))
-    base = quantum_schatten2_estimate(mixed, budget, shots_per_test, seed)
+    base = quantum_schatten2_estimate(difference_mixture(u1, u2), budget, shots_per_test, seed)
     return SchattenEstimate(
         value=math.sqrt(2.0) * base.value,
         m=base.m,

@@ -28,11 +28,12 @@ from .qsim import (
     MixedOperation,
     Operation,
     StateVector,
-    apply_circuit,
+    apply_operation_amplitudes,
     circuit_matrix,
     haar_random_unitary,
+    row_chunks,
 )
-from .sampler import SampleBudget, derive_seed, derived_rng
+from .sampler import SampleBudget, check_eps_delta, derive_seed, derived_rng
 from .schatten import estimate_difference_norm, quantum_schatten2_estimate
 
 ESTIMATE_FLOOR = 1e-6
@@ -74,17 +75,10 @@ def haar_random_state(n: int, rng: np.random.Generator) -> StateVector:
     return StateVector(n, amps / np.linalg.norm(amps))
 
 
-def _check_eps_delta(epsilon: float, delta: float) -> None:
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-
-
 def similarity_bound_unitary(epsilon: float, delta: float) -> float:
     """Distance below which two unitaries are (epsilon, delta)-similar:
     epsilon / (1 + sqrt(2 (1/delta - 1)))."""
-    _check_eps_delta(epsilon, delta)
+    check_eps_delta(epsilon, delta)
     return epsilon / (1.0 + math.sqrt(2.0 * (1.0 / delta - 1.0)))
 
 
@@ -96,7 +90,7 @@ def similarity_bound_mixed(epsilon: float, delta: float, tau: float) -> float | 
     Shrinking tau (operations far from unitary) weakens the bound until it
     disappears.
     """
-    _check_eps_delta(epsilon, delta)
+    check_eps_delta(epsilon, delta)
     if not 0 < tau <= 1:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
     spread = 1.0 / delta - 1.0
@@ -127,6 +121,19 @@ def estimate_tau(
     return TauEstimate(tau=min(1.0, max(TAU_FLOOR, tau)), m=budget.m)
 
 
+def haar_fidelities(u1: Operation, u2: Operation, num_states: int, seed: int = 0) -> np.ndarray:
+    """|<U1 psi_i|U2 psi_i>|^2 for Haar states psi_i drawn from
+    ``derived_rng(seed, i)``; each operation acts on a chunk of states at once."""
+    if num_states < 1:
+        raise ValueError(f"need at least one state, got {num_states}")
+    n, fidelities = u1.n, np.empty(num_states)
+    for chunk in row_chunks(num_states, n):
+        states = np.stack([haar_random_state(n, derived_rng(seed, i)).amplitudes for i in range(num_states)[chunk]])
+        pairs = zip(apply_operation_amplitudes(states, u1), apply_operation_amplitudes(states, u2))
+        fidelities[chunk] = [fidelity(StateVector(n, a), StateVector(n, b)) for a, b in pairs]
+    return fidelities
+
+
 def monte_carlo_similarity(
     u1: Operation,
     u2: Operation,
@@ -135,14 +142,8 @@ def monte_carlo_similarity(
     seed: int = 0,
 ) -> float:
     """Fraction of Haar states whose processed fidelity is >= 1 - epsilon."""
-    if num_states < 1:
-        raise ValueError(f"need at least one state, got {num_states}")
-    hits = 0
-    for i in range(num_states):
-        psi = haar_random_state(u1.n, derived_rng(seed, i))
-        if fidelity(apply_circuit(psi, u1), apply_circuit(psi, u2)) >= 1.0 - epsilon:
-            hits += 1
-    return hits / num_states
+    fidelities = haar_fidelities(u1, u2, num_states, seed)
+    return int(np.count_nonzero(fidelities >= 1.0 - epsilon)) / num_states
 
 
 def similarity_slack(m: int, delta_hat: float, estimate: float) -> float:
@@ -177,7 +178,7 @@ def decide_similarity(
     confidence slack stays below the unitary similarity bound; a positive
     verdict is then correct with probability at least 1 - delta_hat.
     """
-    _check_eps_delta(epsilon, delta)
+    check_eps_delta(epsilon, delta)
     if epsilon > 2:
         raise ValueError(f"epsilon above 2 is vacuous for unit vectors, got {epsilon}")
     if not 0 < delta_hat < 1:

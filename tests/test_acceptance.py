@@ -120,7 +120,7 @@ def test_03_mixture_expansion_equivalence():
         mat = mixed_operation_matrix(mixed)
         x = probe_vector(theta, n, 1 << n)
         dense = (x @ (mat @ mat.conj().T) @ x).real
-        worst = max(worst, abs(mixed_quadratic_form(mixed, theta) - dense))
+        worst = max(worst, abs(mixed_quadratic_form(mixed, [theta])[0] - dense))
     report(f"acceptance 03 mixture expansion equivalence: PASS (worst dev {worst:.2e})")
     assert worst <= 1e-9
 

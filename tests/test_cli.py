@@ -81,6 +81,20 @@ class TestEstimate:
         assert result.returncode == 1
         assert "exceeds 1" in result.stderr
 
+    def test_nan_coefficient_exits_2(self, tmp_path):
+        """A NaN weight used to pass the weight check and print 0.0."""
+        mixture = tmp_path / "m.json"
+        mixture.write_text('{"terms": [{"coeff": [NaN, 0], "circuit": {"n": 1, "ops": []}}]}')
+        result = run_cli("estimate", "--mixed", mixture, "--samples", 5)
+        assert result.returncode == 2
+        assert "finite" in result.stderr
+
+    def test_register_above_state_cap_exits_1(self, tmp_path):
+        doc = {"terms": [{"coeff": [0.5, 0.0], "circuit": {"n": 21, "ops": []}}]}
+        result = run_cli("estimate", "--mixed", write_json(tmp_path / "m.json", doc), "--samples", 1)
+        assert result.returncode == 1
+        assert "qubit count 21" in result.stderr
+
 
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path):
@@ -183,6 +197,15 @@ class TestLearn:
         report = json.loads(out.read_text())
         assert report["converged"] is True and report["final_cost"] <= 1e-3
 
+    def test_sqrt_config_needs_a_json_boolean(self, tmp_path):
+        """The string "false" is not a boolean, so it must not turn --sqrt on."""
+        ansatz = write_json(tmp_path / "a.json", RY_ANSATZ)
+        target = write_json(tmp_path / "t.json", {"n": 1, "ops": []})
+        config = write_json(tmp_path / "cfg.json", {"sqrt": "false"})
+        result = run_cli("learn", "--ansatz", ansatz, "--target", target, "--config", config)
+        assert result.returncode == 2
+        assert "sqrt" in result.stderr
+
     def test_sqrt_needs_repeat_two(self, tmp_path):
         ansatz = write_json(tmp_path / "a.json", RY_ANSATZ)
         target = write_json(tmp_path / "t.json", {"n": 1, "ops": []})
@@ -209,6 +232,12 @@ class TestFig2:
         assert rows[0] == ["m", "mean_error", "std_error"]
         assert [r[0] for r in rows[1:]] == ["10", "50"]
         assert float(rows[1][1]) >= 0.0
+
+    def test_zero_seeds_exits_1(self, tmp_path):
+        out = tmp_path / "f.csv"
+        result = run_cli("fig2", "--n", 1, "--seeds", 0, "--m-list", "5", "--out", out)
+        assert result.returncode == 1
+        assert not out.exists()
 
     def test_rfc4180_line_endings(self, tmp_path):
         out = tmp_path / "f.csv"

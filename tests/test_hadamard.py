@@ -11,7 +11,10 @@ from qsnorm import (
     GateOp,
     HadamardTestSpec,
     MixedOperation,
+    SampleBudget,
+    adjoint,
     derived_rng,
+    estimate_difference_norm,
     hadamard_full_circuit_probability,
     hadamard_probability,
     hadamard_shot_budget,
@@ -21,7 +24,9 @@ from qsnorm import (
     mixed_quadratic_form,
     probe_vector,
     sample_thetas,
+    sampling_circuit,
 )
+from qsnorm import qsim
 
 SQRT2_INV = 1 / math.sqrt(2)
 
@@ -163,8 +168,7 @@ class TestBudgets:
 class TestMixedQuadraticForm:
     def test_single_unitary_is_exactly_one(self):
         mixed = MixedOperation(((1.0, random_circuit(3, 6, np.random.default_rng(0))),))
-        for theta in sample_thetas(4, 5):
-            assert mixed_quadratic_form(mixed, float(theta)) == 1.0
+        assert np.all(mixed_quadratic_form(mixed, sample_thetas(4, 5)) == 1.0)
 
     def test_two_term_difference_identity(self):
         """(U1 - U2)/sqrt(2) collapses to 1 - Re<x|U1 U2^dag|x>."""
@@ -178,7 +182,7 @@ class TestMixedQuadraticForm:
             theta = float(rng.uniform(-math.pi, math.pi))
             x = probe_vector(theta, n, 1 << n)
             direct = 1.0 - (x @ circuit_matrix(u1) @ circuit_matrix(u2).conj().T @ x).real
-            assert abs(mixed_quadratic_form(mixed, theta) - direct) <= 1e-10
+            assert abs(mixed_quadratic_form(mixed, [theta])[0] - direct) <= 1e-10
 
     def test_matches_dense_quadratic_form(self):
         rng = np.random.default_rng(63)
@@ -189,36 +193,91 @@ class TestMixedQuadraticForm:
             mat = mixed_operation_matrix(mixed)
             x = probe_vector(theta, n, 1 << n)
             dense = (x @ (mat @ mat.conj().T) @ x).real
-            assert abs(mixed_quadratic_form(mixed, theta) - dense) <= 1e-9
+            assert abs(mixed_quadratic_form(mixed, [theta])[0] - dense) <= 1e-9
 
     def test_value_is_nonnegative(self):
         rng = np.random.default_rng(64)
         for _ in range(50):
             mixed = random_mixture(int(rng.integers(1, 4)), int(rng.integers(1, 5)), rng)
-            assert mixed_quadratic_form(mixed, float(rng.uniform(-math.pi, math.pi))) >= -1e-9
+            assert mixed_quadratic_form(mixed, [rng.uniform(-math.pi, math.pi)])[0] >= -1e-9
 
     def test_term_permutation_is_bit_exact(self):
         rng = np.random.default_rng(65)
         mixed = random_mixture(3, 4, rng)
         shuffled = MixedOperation(tuple(mixed.terms[i] for i in (2, 0, 3, 1)))
-        for theta in sample_thetas(66, 10):
-            assert mixed_quadratic_form(mixed, float(theta)) == mixed_quadratic_form(shuffled, float(theta))
-
-    def test_shot_mode_needs_rng(self):
-        mixed = random_mixture(2, 2, np.random.default_rng(1))
-        with pytest.raises(ValueError, match="rng"):
-            mixed_quadratic_form(mixed, 0.3, shots_per_test=10)
+        thetas = sample_thetas(66, 10)
+        np.testing.assert_array_equal(mixed_quadratic_form(mixed, thetas), mixed_quadratic_form(shuffled, thetas))
 
     def test_shot_mode_approaches_analytic_value(self):
         rng = np.random.default_rng(67)
         mixed = random_mixture(2, 3, rng)
         theta = 0.83
-        exact = mixed_quadratic_form(mixed, theta)
-        sampled = mixed_quadratic_form(mixed, theta, shots_per_test=200_000, rng=derived_rng(8))
+        exact = mixed_quadratic_form(mixed, [theta])[0]
+        sampled = mixed_quadratic_form(mixed, [theta], shots_per_test=200_000, seed=8)[0]
         assert abs(sampled - exact) <= 0.05
 
     def test_shot_mode_determinism(self):
         mixed = random_mixture(2, 3, np.random.default_rng(68))
-        a = mixed_quadratic_form(mixed, 0.5, shots_per_test=100, rng=derived_rng(9))
-        b = mixed_quadratic_form(mixed, 0.5, shots_per_test=100, rng=derived_rng(9))
+        a = mixed_quadratic_form(mixed, [0.5], shots_per_test=100, seed=9)
+        b = mixed_quadratic_form(mixed, [0.5], shots_per_test=100, seed=9)
         assert a == b
+
+    def test_batched_values_are_reference_test_probabilities(self):
+        """With coefficients (1/2, -1/2) the value at an angle is Pr(1) of the
+        real-part test with prep S(theta) and chain (U2^dag, U1); with
+        (1/2, -i/2) it is Pr(1) of the imaginary-part test."""
+        rng = np.random.default_rng(69)
+        for _ in range(10):
+            n = int(rng.integers(1, 5))
+            u1, u2 = random_circuit(n, 6, rng), random_circuit(n, 6, rng)
+            thetas = sample_thetas(int(rng.integers(1000)), 7)
+            for part, c2 in (("real", -0.5), ("imaginary", -0.5j)):
+                values = mixed_quadratic_form(MixedOperation(((0.5, u1), (c2, u2))), thetas)
+                for theta, value in zip(thetas, values):
+                    spec = HadamardTestSpec(sampling_circuit(n, float(theta)), (adjoint(u2), u1), part=part)
+                    assert abs(value - hadamard_probability(spec)) <= 1e-12
+                    assert abs(value - hadamard_full_circuit_probability(spec)) <= 1e-12
+
+    def test_shot_values_match_reference_shot_tests(self):
+        """Each angle's shot value is the weighted sum of the reference shot
+        estimates, drawn in pair then real-before-imaginary order from
+        derived_rng(seed, i, 1)."""
+        rng = np.random.default_rng(70)
+        mixed = random_mixture(3, 3, rng)
+        thetas = sample_thetas(71, 12)
+        values = mixed_quadratic_form(mixed, thetas, shots_per_test=40, seed=5)
+        coeffs = [c for c, _ in mixed.terms]
+        for i, theta in enumerate(thetas):
+            draws = derived_rng(5, i, 1)
+            terms = [abs(c) ** 2 for c in coeffs]
+            prep = sampling_circuit(3, float(theta))
+            for k1 in range(3):
+                for k2 in range(k1 + 1, 3):
+                    weight = coeffs[k1] * coeffs[k2].conjugate()
+                    chain = (adjoint(mixed.terms[k2][1]), mixed.terms[k1][1])
+                    for part, scale in (("real", 2.0 * weight.real), ("imaginary", -2.0 * weight.imag)):
+                        spec = HadamardTestSpec(prep, chain, part=part, shots=40)
+                        terms.append(scale * hadamard_shot_estimate(spec, draws).estimate)
+            assert abs(values[i] - math.fsum(terms)) <= 1e-12
+
+    @pytest.mark.parametrize("shots", [0, 30])
+    def test_rows_do_not_depend_on_chunking(self, monkeypatch, shots):
+        """Per-angle values are bit-identical for any chunk size, and a
+        prefix of the angles gives a prefix of the values."""
+        mixed = random_mixture(3, 3, np.random.default_rng(72))
+        thetas = sample_thetas(73, 1300)  # not a multiple of the 512-row chunks at n = 3
+        whole = mixed_quadratic_form(mixed, thetas, shots, seed=6)
+        np.testing.assert_array_equal(mixed_quadratic_form(mixed, thetas[:700], shots, seed=6), whole[:700])
+        monkeypatch.setattr(qsim, "CHUNK_BYTES", 3 * 16 * 8)
+        np.testing.assert_array_equal(mixed_quadratic_form(mixed, thetas, shots, seed=6), whole)
+
+    def test_qubit_cap_checked_before_allocation(self):
+        """A 21-qubit request fails at once instead of building probe rows."""
+        with pytest.raises(ValueError, match="qubit count 21"):
+            mixed_quadratic_form(MixedOperation(((1.0, Circuit(21)),)), [0.1])
+        with pytest.raises(ValueError, match="qubit count 21"):
+            estimate_difference_norm(Circuit(21), Circuit(21), SampleBudget(m=1))
+
+    def test_negative_shots_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            mixed_quadratic_form(random_mixture(1, 2, np.random.default_rng(2)), [0.1], shots_per_test=-1)

@@ -127,6 +127,26 @@ class TestLoss:
         direct = 2.0 - 2.0 * math.fsum(per_angle) / len(per_angle)
         assert abs(loss(ansatz, xi, target, thetas) - direct) <= 1e-12
 
+    def test_shot_mode_matches_per_angle_shot_tests(self):
+        """With shots, angle i's term is the real-part shot estimate with
+        chain (U(xi), V^dag), drawn from derived_rng(seed, i, 1)."""
+        from qsnorm import HadamardTestSpec, adjoint, derived_rng, hadamard_shot_estimate, sampling_circuit
+
+        ansatz = two_qubit_ansatz()
+        xi = np.array([0.5, -0.3, 0.9, -1.2])
+        target = random_circuit(2, 6, np.random.default_rng(85))
+        thetas = sample_thetas(5, 16)
+        bound = ansatz.bind_repeated(xi)
+        per_angle = [
+            hadamard_shot_estimate(
+                HadamardTestSpec(sampling_circuit(2, float(t)), (bound, adjoint(target)), shots=50),
+                derived_rng(13, i, 1),
+            ).estimate
+            for i, t in enumerate(thetas)
+        ]
+        direct = 2.0 - 2.0 * math.fsum(per_angle) / len(per_angle)
+        assert abs(loss(ansatz, xi, target, thetas, shots=50, seed=13) - direct) <= 1e-12
+
     def test_register_mismatch(self):
         with pytest.raises(ValueError):
             loss(single_ry_ansatz(), np.array([0.1]), Circuit(2), sample_thetas(1, 4))
@@ -323,6 +343,8 @@ class TestAnsatzDocuments:
             {"n": 1, "ops": [{"gate": "rz", "qubits": [0], "params": [{"slots": 0}]}]},
             {"n": 1, "ops": [{"gate": "rz", "qubits": [0], "params": ["x"]}]},
             {"n": 1, "ops": [], "repeat": 1, "extra": True},
+            {"n": 1, "ops": [{"gate": "rz", "qubits": [0], "params": [{"slot": 0}], "bogus": 1}]},
+            {"n": 1, "ops": [{"gate": "rz", "qubits": [0], "params": [math.nan]}]},
         ],
     )
     def test_malformed_documents(self, doc):

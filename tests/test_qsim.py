@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_circuit
 from qsnorm import (
@@ -14,6 +16,8 @@ from qsnorm import (
     MixedOperation,
     StateVector,
     adjoint,
+    ansatz_from_dict,
+    ansatz_to_dict,
     apply_circuit,
     circuit_from_dict,
     circuit_matrix,
@@ -26,8 +30,69 @@ from qsnorm import (
     mixed_operation_to_dict,
     zero_state,
 )
+from qsnorm.qsim import GATE_ARITY, _apply_gateop, apply_operation_amplitudes
 
 SQRT2_INV = 1 / math.sqrt(2)
+
+# Generated documents for the parser property test.
+
+_NUMBERS = st.one_of(st.integers(-4, 4), st.floats(allow_nan=True, allow_infinity=True))
+_COEFFS = st.one_of(st.floats(-0.25, 0.25), st.sampled_from([math.nan, math.inf, -math.inf]))
+_SLOTS = st.integers(0, 3).map(lambda k: {"slot": k})
+
+
+def _gate_entries(param):
+    """Gate entries of the right arity on 3 qubits, sometimes with an unknown key."""
+
+    def entry(kind):
+        nq, npar = GATE_ARITY[kind]
+        return st.fixed_dictionaries(
+            {
+                "gate": st.just(kind),
+                "qubits": st.permutations([0, 1, 2]).map(lambda qs: list(qs[:nq])),
+                "params": st.lists(param, min_size=npar, max_size=npar),
+            },
+            optional={"bogus": st.just(0)},
+        )
+
+    return st.sampled_from(sorted(GATE_ARITY)).flatmap(entry)
+
+
+def _circuit_docs(param=_NUMBERS):
+    return st.fixed_dictionaries({"n": st.just(3), "ops": st.lists(_gate_entries(param), max_size=4)})
+
+
+DOCUMENTS = {
+    "circuit": _circuit_docs(),
+    "mixture": st.fixed_dictionaries({
+        "terms": st.lists(
+            st.fixed_dictionaries({"coeff": st.lists(_COEFFS, min_size=2, max_size=2), "circuit": _circuit_docs()}),
+            min_size=1,
+            max_size=2,
+        )
+    }),
+    "ansatz": _circuit_docs(st.one_of(_NUMBERS, _SLOTS)).map(lambda doc: {**doc, "repeat": 1}),
+}
+PARSERS = {
+    "circuit": (circuit_from_dict, circuit_to_dict),
+    "mixture": (mixed_operation_from_dict, mixed_operation_to_dict),
+    "ansatz": (ansatz_from_dict, ansatz_to_dict),
+}
+
+
+def _keys_and_numbers(doc):
+    keys, numbers = set(), []
+    stack = [doc]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            keys.update(item)
+            stack.extend(item.values())
+        elif isinstance(item, list):
+            stack.extend(item)
+        elif isinstance(item, float):
+            numbers.append(item)
+    return keys, numbers
 
 
 class TestGateMatrices:
@@ -106,6 +171,27 @@ class TestApplyCircuit:
         psi = haar_random_state(2, np.random.default_rng(4))
         out = apply_circuit(psi, DenseUnitary(2, mat))
         np.testing.assert_allclose(out.amplitudes, mat @ psi.amplitudes, atol=1e-14)
+
+    def test_batch_equals_row_by_row(self):
+        """Gates act on the last axis, so a stack of states is transformed
+        exactly as its rows would be one at a time."""
+        rng = np.random.default_rng(14)
+        batch = rng.standard_normal((2, 5, 8)) + 1j * rng.standard_normal((2, 5, 8))
+        rows = batch.reshape(10, 8)
+        gates = [
+            GateOp("cnot", (2, 0)),
+            GateOp("cnot", (0, 1)),
+            GateOp("globalphase", (), (0.3,)),
+            GateOp("h", (1,)),
+            GateOp("t", (2,)),
+            GateOp("rx", (0,), (0.7,)),
+        ]
+        for gate in gates:
+            one_by_one = np.array([_apply_gateop(row, gate, 3) for row in rows])
+            np.testing.assert_array_equal(_apply_gateop(batch, gate, 3).reshape(10, 8), one_by_one)
+        dense = DenseUnitary(3, haar_random_unitary(3, 5))
+        one_by_one = np.array([apply_operation_amplitudes(row, dense) for row in rows])
+        np.testing.assert_allclose(apply_operation_amplitudes(rows, dense), one_by_one, atol=1e-14)
 
 
 class TestAdjoint:
@@ -248,6 +334,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             MixedOperation(((0.5, Circuit(1)), (0.5, Circuit(2))))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            GateOp("ry", (0,), (value,))
+        with pytest.raises(ValueError, match="finite"):
+            MixedOperation(((complex(0.5, value), Circuit(1)),))
+
     def test_mixture_weight_cap(self):
         MixedOperation(((SQRT2_INV, Circuit(1)), (-SQRT2_INV, Circuit(1))))
         with pytest.raises(ValueError):
@@ -291,11 +384,34 @@ class TestDocuments:
             {"n": 2, "ops": [{"gate": "nope", "qubits": [0]}]},
             {"n": 2, "ops": [{"gate": "ry", "qubits": [0], "params": ["x"]}]},
             {"n": 2, "extra": 1},
+            {"n": 2, "ops": [{"gate": "ry", "qubits": [0], "params": [math.nan]}]},
         ],
     )
     def test_malformed_circuit_documents(self, doc):
         with pytest.raises(CircuitFormatError):
             circuit_from_dict(doc)
+
+    @pytest.mark.parametrize("coeff", [[math.nan, 0.0], [0.5, math.inf]])
+    def test_mixture_loader_rejects_non_finite_coefficients(self, coeff):
+        doc = {"terms": [{"coeff": coeff, "circuit": {"n": 1, "ops": []}}]}
+        with pytest.raises(CircuitFormatError, match="finite"):
+            mixed_operation_from_dict(doc)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=st.sampled_from(sorted(DOCUMENTS)).flatmap(lambda kind: st.tuples(st.just(kind), DOCUMENTS[kind])))
+    def test_parsers_accept_exactly_finite_well_formed_documents(self, case):
+        """A gate, mixture or ansatz document with a non-finite number or an
+        unknown gate key is rejected as malformed; any other document parses
+        and survives a round trip."""
+        kind, doc = case
+        parse, dump = PARSERS[kind]
+        keys, numbers = _keys_and_numbers(doc)
+        if "bogus" in keys or not all(math.isfinite(v) for v in numbers):
+            with pytest.raises(CircuitFormatError):
+                parse(doc)
+        else:
+            parsed = parse(doc)
+            assert parse(dump(parsed)) == parsed
 
     def test_mixture_loader_enforces_unit_weight(self):
         doc = {

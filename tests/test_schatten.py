@@ -13,6 +13,7 @@ from qsnorm import (
     MixedOperation,
     SampleBudget,
     apply_circuit,
+    difference_mixture,
     estimate_difference_norm,
     exact_schatten2,
     exactness_grid,
@@ -155,6 +156,12 @@ class TestDifferenceNorm:
     def test_register_mismatch_rejected(self):
         with pytest.raises(ValueError):
             estimate_difference_norm(Circuit(1), Circuit(2), SampleBudget(m=5))
+
+    def test_difference_mixture_halves_the_squared_distance(self):
+        u1, u2 = Circuit(1), Circuit(1, (GateOp("x", (0,)),))
+        mixed = difference_mixture(u1, u2)
+        assert mixed.terms == ((SQRT2_INV, u1), (-SQRT2_INV, u2))
+        assert exact_schatten2(mixed_operation_matrix(mixed)) ** 2 == pytest.approx(1.0, abs=1e-15)
 
     def test_against_dense_oracle_on_grid(self):
         rng = np.random.default_rng(78)

@@ -15,10 +15,12 @@ from qsnorm import (
     StateVector,
     apply_circuit,
     decide_similarity,
+    derived_rng,
     estimate_tau,
     exact_schatten2,
     exactness_grid,
     fidelity,
+    haar_fidelities,
     haar_random_state,
     haar_random_unitary,
     mixed_operation_matrix,
@@ -178,6 +180,18 @@ class TestMonteCarloSimilarity:
     def test_needs_states(self):
         with pytest.raises(ValueError):
             monte_carlo_similarity(Circuit(1), Circuit(1), 0.1, 0)
+
+    def test_batched_fidelities_match_per_state_loop(self):
+        """The stacked application gives each Haar state's fidelity from the
+        same derived_rng(seed, i) draw, for dense and gate operations."""
+        u1, u2 = rotation_perturbed_pair(3, 0.3, seed=5)
+        gates = random_circuit(3, 8, np.random.default_rng(6))
+        for first, second in ((u1, u2), (gates, u2)):
+            expected = [
+                fidelity(apply_circuit(psi, first), apply_circuit(psi, second))
+                for psi in (haar_random_state(3, derived_rng(9, i)) for i in range(40))
+            ]
+            np.testing.assert_allclose(haar_fidelities(first, second, 40, seed=9), expected, atol=1e-12)
 
 
 class TestSimilaritySlack:
