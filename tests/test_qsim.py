@@ -166,6 +166,21 @@ class TestApplyCircuit:
             via_matrix = circuit_matrix(circuit) @ psi.amplitudes
             np.testing.assert_allclose(direct, via_matrix, atol=1e-10)
 
+    @pytest.mark.parametrize("kind", ["x", "y", "h", "t", "rx", "ry", "rz"])
+    def test_single_qubit_gate_at_every_position_matches_kron(self, kind):
+        """A gate on qubit q of n acts as I_(2^q) (x) G (x) I_(2^(n-q-1)) on
+        every row of a batch, real or complex, at every q."""
+        from qsnorm.qsim import gate_matrix
+
+        n = 5
+        rng = np.random.default_rng(15)
+        complex_rows = rng.standard_normal((3, 1 << n)) + 1j * rng.standard_normal((3, 1 << n))
+        for rows in (complex_rows, complex_rows.real.copy()):
+            for q in range(n):
+                gate = GateOp(kind, (q,), (0.37,) if GATE_ARITY[kind][1] else ())
+                full = np.kron(np.kron(np.eye(1 << q), gate_matrix(gate)), np.eye(1 << (n - q - 1)))
+                np.testing.assert_allclose(_apply_gateop(rows, gate, n), rows @ full.T, atol=1e-14)
+
     def test_dense_unitary_application(self):
         mat = haar_random_unitary(2, 3)
         psi = haar_random_state(2, np.random.default_rng(4))
