@@ -26,7 +26,6 @@ from .learn import (
     ansatz_to_dict,
     finite_diff_gradient,
     learn_circuit,
-    learn_square_root,
     loss,
 )
 from .qsim import (

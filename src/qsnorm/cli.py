@@ -7,13 +7,19 @@ Subcommands
     learn       gradient-descent circuit learning from ansatz/target files
     decide      similarity verdict for two circuit files
 
+Every setting is declared once, in ``COMMANDS``, as a (name, type,
+default, help) row. The rows give each subcommand its flags and their help
+text, the keys a --config JSON file may hold, and the JSON type each key's
+value must have. Settings merge as defaults < config file < explicit flags.
+A flag and a config value pass through the same converter, so a float must
+be finite either way.
+
 Machine-readable results go to --out (or stdout); progress goes to stderr.
 Every command honors --seed: identical invocations produce byte-identical
-outputs. --threads is accepted everywhere and never affects results. A
---config JSON file supplies defaults; explicit flags override it.
+outputs. --threads is accepted everywhere and never affects results.
 
 Exit codes: 0 success, 1 domain or constraint violation, 2 I/O or parse
-error.
+error, including a malformed flag or config value.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .learn import LearnConfig, ansatz_from_dict, learn_circuit, learn_square_root
+from .learn import LearnConfig, ansatz_from_dict, learn_circuit
 from .qsim import (
     CircuitFormatError,
     DenseUnitary,
@@ -39,9 +45,25 @@ from .qsim import (
 )
 from .sampler import derive_seed, sample_thetas
 from .schatten import difference_mixture, schatten2_estimate_from_thetas
-from .similarity import decide_similarity, haar_fidelities, rotation_perturbed_pair
+from .similarity import check_distance, decide_similarity, haar_fidelities, rotation_perturbed_pair
 
-DEFAULT_M_LIST = (10, 100, 1000, 10000)
+
+def finite(value) -> float:
+    """A finite float, from flag text or a JSON number."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
+def int_list(text: str) -> list[int]:
+    """Comma-separated integers, in ascending order."""
+    return sorted(int(v) for v in text.split(","))
+
+
+# The JSON type a config value needs, per setting type. A JSON boolean
+# counts as a bool setting's value only, although Python's bool is an int.
+JSON_TYPES = {int: int, finite: (int, float), str: str, bool: bool, int_list: str}
 
 
 def _load_json(path: str):
@@ -71,32 +93,27 @@ def _csv_dump(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _merge_config(args: argparse.Namespace, schema: dict) -> dict:
-    """Defaults < config file < explicit flags; unknown config keys rejected."""
-    settings = {key: default for key, (default, _) in schema.items()}
-    if getattr(args, "config", None) is not None:
+def _merge_settings(args: argparse.Namespace, rows: tuple) -> dict:
+    """Defaults < config file < explicit flags; config keys and types checked."""
+    settings = {name: None if default is None else kind(default) for name, kind, default, _ in rows}
+    kinds = {name: kind for name, kind, _, _ in rows}
+    if args.config is not None:
         doc = _load_json(args.config)
         if not isinstance(doc, dict):
             raise CircuitFormatError(f"{args.config}: config must be a JSON object")
-        unknown = set(doc) - set(schema)
+        unknown = set(doc) - set(kinds)
         if unknown:
             raise CircuitFormatError(f"{args.config}: unknown config keys {sorted(unknown)}")
         for key, value in doc.items():
+            kind = kinds[key]
             try:
-                settings[key] = schema[key][1](value)
-            except (TypeError, ValueError) as exc:
-                raise CircuitFormatError(f"{args.config}: bad value for {key!r}: {value!r}") from exc
-    for key in schema:
-        value = getattr(args, key, None)
-        if value is not None and value is not False:
-            settings[key] = value
+                if isinstance(value, bool) != (kind is bool) or not isinstance(value, JSON_TYPES[kind]):
+                    raise TypeError(f"wrong JSON type {type(value).__name__}")
+                settings[key] = kind(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise CircuitFormatError(f"{args.config}: bad value for {key!r}: {value!r} ({exc})") from exc
+    settings.update((name, getattr(args, name)) for name in kinds if getattr(args, name) is not None)
     return settings
-
-
-def _json_bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
 
 
 def _require(settings: dict, *keys: str) -> None:
@@ -105,15 +122,7 @@ def _require(settings: dict, *keys: str) -> None:
             raise CircuitFormatError(f"missing required setting --{key.replace('_', '-')}")
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
-    schema = {
-        "mixed": (None, str),
-        "samples": (1000, int),
-        "shots": (0, int),
-        "seed": (0, int),
-        "out": (None, str),
-    }
-    cfg = _merge_config(args, schema)
+def cmd_estimate(cfg: dict) -> int:
     _require(cfg, "mixed")
     mixed = mixed_operation_from_dict(_load_json(cfg["mixed"]))
     thetas = sample_thetas(cfg["seed"], cfg["samples"])
@@ -131,18 +140,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fig2(args: argparse.Namespace) -> int:
-    schema = {
-        "n": (6, int),
-        "seeds": (30, int),
-        "m_list": (",".join(map(str, DEFAULT_M_LIST)), str),
-        "seed": (0, int),
-        "out": (None, str),
-    }
-    cfg = _merge_config(args, schema)
-    m_values = sorted(int(v) for v in str(cfg["m_list"]).split(","))
-    if not m_values or m_values[0] < 1:
-        raise ValueError(f"m values must be positive, got {cfg['m_list']!r}")
+def cmd_fig2(cfg: dict) -> int:
+    m_values = cfg["m_list"]
+    if m_values[0] < 1:
+        raise ValueError(f"m values must be positive, got {m_values}")
     if cfg["seeds"] < 1:
         raise ValueError(f"need at least one seed, got {cfg['seeds']}")
     half = 1.0 / math.sqrt(2.0)
@@ -166,20 +167,13 @@ def cmd_fig2(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_similarity(args: argparse.Namespace) -> int:
-    schema = {
-        "n": (6, int),
-        "pairs": (20, int),
-        "states": (1000, int),
-        "dist_min": (0.02, float),
-        "dist_max": (0.5, float),
-        "delta": (0.2, float),
-        "seed": (0, int),
-        "out": (None, str),
-    }
-    cfg = _merge_config(args, schema)
+def cmd_similarity(cfg: dict) -> int:
     if not 0 < cfg["delta"] < 1:
         raise ValueError(f"delta must lie in (0, 1), got {cfg['delta']}")
+    if cfg["pairs"] < 1:
+        raise ValueError(f"need at least one pair, got {cfg['pairs']}")
+    check_distance(cfg["dist_min"])
+    check_distance(cfg["dist_max"])
     factor = 1.0 + math.sqrt(2.0 * (1.0 / cfg["delta"] - 1.0))
     distances = np.linspace(cfg["dist_min"], cfg["dist_max"], cfg["pairs"])
     rows = []
@@ -195,25 +189,12 @@ def cmd_similarity(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_learn(args: argparse.Namespace) -> int:
-    schema = {
-        "ansatz": (None, str),
-        "target": (None, str),
-        "sqrt": (False, _json_bool),
-        "samples": (64, int),
-        "eta": (0.1, float),
-        "fd_eps": (1e-3, float),
-        "max_iters": (1000, int),
-        "tol": (1e-4, float),
-        "shots": (0, int),
-        "seed": (0, int),
-        "out": (None, str),
-        "history_out": (None, str),
-    }
-    cfg = _merge_config(args, schema)
+def cmd_learn(cfg: dict) -> int:
     _require(cfg, "ansatz", "target")
     ansatz = ansatz_from_dict(_load_json(cfg["ansatz"]))
     target = circuit_from_dict(_load_json(cfg["target"]))
+    if cfg["sqrt"] and ansatz.repeat != 2:
+        raise ValueError(f"square-root learning needs repeat == 2, got {ansatz.repeat}")
     config = LearnConfig(
         m=cfg["samples"],
         eta=cfg["eta"],
@@ -223,10 +204,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         shots_per_test=cfg["shots"],
         seed=cfg["seed"],
     )
-    if cfg["sqrt"]:
-        result = learn_square_root(target, ansatz, config)
-    else:
-        result = learn_circuit(ansatz, target, config)
+    result = learn_circuit(ansatz, target, config)
     print(
         f"learn: {'converged' if result.converged else 'stopped'} after "
         f"{len(result.cost_history) - 1} iterations at cost {result.final_cost:.3e}",
@@ -246,19 +224,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_decide(args: argparse.Namespace) -> int:
-    schema = {
-        "u1": (None, str),
-        "u2": (None, str),
-        "epsilon": (None, float),
-        "delta": (None, float),
-        "delta_hat": (None, float),
-        "samples": (1000, int),
-        "shots": (0, int),
-        "seed": (0, int),
-        "out": (None, str),
-    }
-    cfg = _merge_config(args, schema)
+def cmd_decide(cfg: dict) -> int:
     _require(cfg, "u1", "u2", "epsilon", "delta", "delta_hat")
     first = circuit_from_dict(_load_json(cfg["u1"]))
     second = circuit_from_dict(_load_json(cfg["u2"]))
@@ -288,77 +254,80 @@ def cmd_decide(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, help="base seed; identical seeds give byte-identical output")
-    sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--threads", type=int, default=1, help="accepted for compatibility; never affects results")
-    sub.add_argument("--config", help="JSON file of defaults; explicit flags override")
+# Settings every subcommand has, after its own.
+COMMON = (
+    ("seed", int, 0, "base seed; identical seeds give byte-identical output"),
+    ("out", str, None, "output path (default: stdout)"),
+)
+
+# subcommand: (handler, summary, settings as (name, type, default, help)).
+# The flag is the name with dashes; a str setting is a path.
+COMMANDS = {
+    "estimate": (cmd_estimate, "Schatten-2 norm of a mixture file", (
+        ("mixed", str, None, "mixture JSON file"),
+        ("samples", int, 1000, "number of probe angles"),
+        ("shots", int, 0, "shots per interference test; 0 = analytic"),
+    )),
+    "fig2": (cmd_fig2, "estimation error vs sample count", (
+        ("n", int, 6, "qubit count"),
+        ("seeds", int, 30, "number of random pairs"),
+        ("m_list", int_list, "10,100,1000,10000", "comma-separated sample counts"),
+    )),
+    "similarity": (cmd_similarity, "fidelity statistics for perturbed pairs", (
+        ("n", int, 6, "qubit count"),
+        ("pairs", int, 20, "number of pairs"),
+        ("states", int, 1000, "Haar states per pair"),
+        ("dist_min", finite, 0.02, "smallest pair distance"),
+        ("dist_max", finite, 0.5, "largest pair distance"),
+        ("delta", finite, 0.2, "similarity failure probability"),
+    )),
+    "learn": (cmd_learn, "learn a circuit from ansatz/target files", (
+        ("ansatz", str, None, "ansatz JSON file"),
+        ("target", str, None, "target circuit JSON file"),
+        ("sqrt", bool, False, "learn a square root (needs repeat=2 ansatz)"),
+        ("samples", int, 64, "probe angles m"),
+        ("eta", finite, 0.1, "learning rate"),
+        ("fd_eps", finite, 1e-3, "finite-difference step"),
+        ("max_iters", int, 1000, "iteration cap"),
+        ("tol", finite, 1e-4, "stop when cost falls below this"),
+        ("shots", int, 0, "shots per test; 0 = analytic"),
+        ("history_out", str, None, "CSV path for the cost history"),
+    )),
+    "decide": (cmd_decide, "similarity verdict for two circuit files", (
+        ("u1", str, None, "first circuit JSON file"),
+        ("u2", str, None, "second circuit JSON file"),
+        ("epsilon", finite, None, "fidelity deficit epsilon"),
+        ("delta", finite, None, "similarity failure probability delta"),
+        ("delta_hat", finite, None, "verdict failure probability"),
+        ("samples", int, 1000, "probe angles m"),
+        ("shots", int, 0, "shots per test; 0 = analytic"),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qsnorm", description=__doc__.strip().splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
-
-    est = commands.add_parser("estimate", help="Schatten-2 norm of a mixture file")
-    est.add_argument("--mixed", help="mixture JSON file")
-    est.add_argument("--samples", type=int, help="number of probe angles (default 1000)")
-    est.add_argument("--shots", type=int, help="shots per interference test; 0 = analytic (default)")
-    _add_common(est)
-    est.set_defaults(func=cmd_estimate)
-
-    fig = commands.add_parser("fig2", help="estimation error vs sample count")
-    fig.add_argument("--n", type=int, help="qubit count (default 6)")
-    fig.add_argument("--seeds", type=int, help="number of random pairs (default 30)")
-    fig.add_argument("--m-list", dest="m_list", help="comma-separated sample counts (default 10,100,1000,10000)")
-    _add_common(fig)
-    fig.set_defaults(func=cmd_fig2)
-
-    sim = commands.add_parser("similarity", help="fidelity statistics for perturbed pairs")
-    sim.add_argument("--n", type=int, help="qubit count (default 6)")
-    sim.add_argument("--pairs", type=int, help="number of pairs (default 20)")
-    sim.add_argument("--states", type=int, help="Haar states per pair (default 1000)")
-    sim.add_argument("--dist-min", dest="dist_min", type=float, help="smallest pair distance (default 0.02)")
-    sim.add_argument("--dist-max", dest="dist_max", type=float, help="largest pair distance (default 0.5)")
-    sim.add_argument("--delta", type=float, help="similarity failure probability (default 0.2)")
-    _add_common(sim)
-    sim.set_defaults(func=cmd_similarity)
-
-    lrn = commands.add_parser("learn", help="learn a circuit from ansatz/target files")
-    lrn.add_argument("--ansatz", help="ansatz JSON file")
-    lrn.add_argument("--target", help="target circuit JSON file")
-    lrn.add_argument("--sqrt", action="store_true", default=None, help="learn a square root (needs repeat=2 ansatz)")
-    lrn.add_argument("--samples", type=int, help="probe angles m (default 64)")
-    lrn.add_argument("--eta", type=float, help="learning rate (default 0.1)")
-    lrn.add_argument("--fd-eps", dest="fd_eps", type=float, help="finite-difference step (default 1e-3)")
-    lrn.add_argument("--max-iters", dest="max_iters", type=int, help="iteration cap (default 1000)")
-    lrn.add_argument("--tol", type=float, help="stop when cost falls below this (default 1e-4)")
-    lrn.add_argument("--shots", type=int, help="shots per test; 0 = analytic (default)")
-    lrn.add_argument("--history-out", dest="history_out", help="CSV path for the cost history")
-    _add_common(lrn)
-    lrn.set_defaults(func=cmd_learn)
-
-    dec = commands.add_parser("decide", help="similarity verdict for two circuit files")
-    dec.add_argument("--u1", help="first circuit JSON file")
-    dec.add_argument("--u2", help="second circuit JSON file")
-    dec.add_argument("--epsilon", type=float, help="fidelity deficit epsilon")
-    dec.add_argument("--delta", type=float, help="similarity failure probability delta")
-    dec.add_argument("--delta-hat", dest="delta_hat", type=float, help="verdict failure probability")
-    dec.add_argument("--samples", type=int, help="probe angles m (default 1000)")
-    dec.add_argument("--shots", type=int, help="shots per test; 0 = analytic (default)")
-    _add_common(dec)
-    dec.set_defaults(func=cmd_decide)
-
+    for command, (handler, summary, own) in COMMANDS.items():
+        sub = commands.add_parser(command, help=summary)
+        for name, kind, default, text in own + COMMON:
+            flag = "--" + name.replace("_", "-")
+            if kind is bool:
+                sub.add_argument(flag, action="store_true", default=None, help=text)
+            else:
+                suffix = "" if default is None else f" (default {default})"
+                sub.add_argument(flag, type=kind, help=text + suffix)
+        sub.add_argument("--threads", type=int, default=1, help="accepted for compatibility; never affects results")
+        sub.add_argument("--config", help="JSON file of defaults; explicit flags override")
+        sub.set_defaults(handler=handler, settings=own + COMMON)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CircuitFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return args.handler(_merge_settings(args, args.settings))
+    except (CircuitFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -110,6 +110,8 @@ class LearnConfig:
             raise ValueError("m, eta, fd_eps and max_iters must all be positive")
         if self.tol < 0 or self.shots_per_test < 0:
             raise ValueError("tol and shots_per_test must be nonnegative")
+        if not all(math.isfinite(v) for v in (self.eta, self.fd_eps, self.tol)):
+            raise ValueError("eta, fd_eps and tol must be finite")
 
 
 @dataclass
@@ -191,13 +193,6 @@ def learn_circuit(ansatz: Ansatz, target: Operation, config: LearnConfig) -> Lea
         converged=history[-1] <= config.tol,
         final_cost=history[-1],
     )
-
-
-def learn_square_root(target: Operation, ansatz: Ansatz, config: LearnConfig) -> LearnResult:
-    """Learn xi with U(xi) U(xi) approximating the target."""
-    if ansatz.repeat != 2:
-        raise ValueError(f"square-root learning needs repeat == 2, got {ansatz.repeat}")
-    return learn_circuit(ansatz, target, config)
 
 
 # --- ansatz documents -------------------------------------------------------

@@ -146,10 +146,10 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
 
 
-def zero_state(n: int, max_qubits: int = STATE_QUBIT_CAP) -> StateVector:
+def zero_state(n: int) -> StateVector:
     """The all-zeros basis state |0...0>."""
-    if n < 1 or n > max_qubits:
-        raise ValueError(f"statevector qubit count {n} outside [1, {max_qubits}]")
+    if n < 1 or n > STATE_QUBIT_CAP:
+        raise ValueError(f"statevector qubit count {n} outside [1, {STATE_QUBIT_CAP}]")
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = 1.0
     return StateVector(n, amps)
@@ -251,24 +251,24 @@ def adjoint(c: Operation) -> Operation:
     return Circuit(c.n, tuple(op.dagger() for op in reversed(c.ops)))
 
 
-def circuit_matrix(c: Operation, max_qubits: int = MATRIX_QUBIT_CAP) -> np.ndarray:
+def circuit_matrix(c: Operation) -> np.ndarray:
     """Materialize the full 2^n x 2^n matrix of an operation."""
-    if c.n > max_qubits:
-        raise ValueError(f"matrix build capped at {max_qubits} qubits, got n={c.n}")
+    if c.n > MATRIX_QUBIT_CAP:
+        raise ValueError(f"matrix build capped at {MATRIX_QUBIT_CAP} qubits, got n={c.n}")
     # Row k of the batch is U|k>, i.e. column k of the matrix.
     columns = apply_operation_amplitudes(np.eye(1 << c.n, dtype=complex), c)
     return np.ascontiguousarray(columns.T)
 
 
-def haar_random_unitary(n: int, seed: int, max_qubits: int = MATRIX_QUBIT_CAP) -> np.ndarray:
+def haar_random_unitary(n: int, seed: int) -> np.ndarray:
     """Draw a Haar-distributed 2^n x 2^n unitary.
 
     QR-decomposes a complex Ginibre matrix and absorbs the phases of R's
     diagonal into Q, which makes the distribution exactly Haar rather than
     merely unitary. Deterministic for a fixed seed.
     """
-    if n > max_qubits:
-        raise ValueError(f"matrix build capped at {max_qubits} qubits, got n={n}")
+    if n > MATRIX_QUBIT_CAP:
+        raise ValueError(f"matrix build capped at {MATRIX_QUBIT_CAP} qubits, got n={n}")
     rng = np.random.default_rng(seed)
     dim = 1 << n
     ginibre = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
@@ -330,11 +330,11 @@ class MixedOperation:
         return len(self.terms)
 
 
-def mixed_operation_matrix(mixed: MixedOperation, max_qubits: int = MATRIX_QUBIT_CAP) -> np.ndarray:
+def mixed_operation_matrix(mixed: MixedOperation) -> np.ndarray:
     """Dense matrix of the weighted sum; test/oracle helper."""
     total = np.zeros((1 << mixed.n, 1 << mixed.n), dtype=complex)
     for coeff, op in mixed.terms:
-        total += coeff * circuit_matrix(op, max_qubits)
+        total += coeff * circuit_matrix(op)
     return total
 
 

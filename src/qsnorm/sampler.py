@@ -141,9 +141,10 @@ class SampleBudget:
 
 
 def check_eps_delta(epsilon: float, delta: float) -> None:
-    """Reject a precision that is not positive or a confidence outside (0, 1)."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    """Reject a precision that is not positive and finite, or a confidence
+    outside (0, 1); NaN fails both."""
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
 

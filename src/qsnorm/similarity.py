@@ -197,6 +197,12 @@ def decide_similarity(
     )
 
 
+def check_distance(distance: float) -> None:
+    """Reject a pair distance that no rotated copy can reach."""
+    if not 0 < distance < math.sqrt(2.0):
+        raise ValueError(f"distance must lie in (0, sqrt(2)), got {distance}")
+
+
 def rotation_perturbed_pair(n: int, distance: float, seed: int) -> tuple[DenseUnitary, DenseUnitary]:
     """A Haar unitary and a rotated copy at an exact Schatten-2 distance.
 
@@ -204,8 +210,7 @@ def rotation_perturbed_pair(n: int, distance: float, seed: int) -> tuple[DenseUn
     invariance ||U - R U|| = ||I - R|| = sqrt(2 - 2 cos(a/2)^n), which is
     inverted for the rotation angle a. Valid for 0 < distance < sqrt(2).
     """
-    if not 0 < distance < math.sqrt(2.0):
-        raise ValueError(f"distance must lie in (0, sqrt(2)), got {distance}")
+    check_distance(distance)
     angle = 2.0 * math.acos((1.0 - distance**2 / 2.0) ** (1.0 / n))
     u1 = haar_random_unitary(n, seed)
     layer = Circuit(n, tuple(GateOp("ry", (q,), (angle,)) for q in range(n)))

@@ -38,7 +38,6 @@ from qsnorm import (
     hadamard_shot_budget,
     hadamard_shot_estimate,
     learn_circuit,
-    learn_square_root,
     loss,
     mixed_operation_matrix,
     mixed_quadratic_form,
@@ -262,7 +261,7 @@ def test_10_square_root_of_phase_gate():
     doubled = Ansatz(template, num_params=2, repeat=2)
     rooted = loss(doubled, np.array([math.pi / 8, math.pi / 4]), target, exactness_grid(1))
 
-    result = learn_square_root(target, doubled, LearnConfig(m=64, eta=0.1, max_iters=1000, tol=1e-6, seed=0))
+    result = learn_circuit(doubled, target, LearnConfig(m=64, eta=0.1, max_iters=1000, tol=1e-6, seed=0))
     learned_distance = exact_schatten2(circuit_matrix(doubled.bind_repeated(result.xi)) - target_matrix)
     report(f"acceptance 10 square root learning: PASS (||U^2 - S|| {learned_distance:.2e}, "
            f"closed-form costs {direct:.2e} / {rooted:.2e})")

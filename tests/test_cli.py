@@ -5,6 +5,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from qsnorm.cli import COMMANDS, COMMON
+
 IDENTITY_MIXTURE = {"terms": [{"coeff": [1.0, 0.0], "circuit": {"n": 1, "ops": []}}]}
 RY_ANSATZ = {"n": 1, "ops": [{"gate": "ry", "qubits": [0], "params": [{"slot": 0}]}]}
 
@@ -110,6 +114,55 @@ class TestConfigFile:
         assert result.returncode == 2
         assert "bogus" in result.stderr
 
+    def test_accepted_config_keys(self):
+        """Every setting has a flag and a config key; --threads and --config have no key."""
+        expected = {
+            "estimate": {"mixed", "samples", "shots"},
+            "fig2": {"n", "seeds", "m_list"},
+            "similarity": {"n", "pairs", "states", "dist_min", "dist_max", "delta"},
+            "learn": {"ansatz", "target", "sqrt", "samples", "eta", "fd_eps", "max_iters", "tol", "shots",
+                      "history_out"},
+            "decide": {"u1", "u2", "epsilon", "delta", "delta_hat", "samples", "shots"},
+        }
+        keys = {command: {row[0] for row in rows + COMMON} for command, (_, _, rows) in COMMANDS.items()}
+        assert keys == {command: names | {"seed", "out"} for command, names in expected.items()}
+
+    def test_threads_is_not_a_config_key(self, tmp_path):
+        mixture = write_json(tmp_path / "m.json", IDENTITY_MIXTURE)
+        config = write_json(tmp_path / "cfg.json", {"mixed": mixture, "threads": 2})
+        result = run_cli("estimate", "--config", config, "--samples", 5)
+        assert result.returncode == 2
+        assert "threads" in result.stderr
+
+    @pytest.mark.parametrize("samples", [3.7, "12", True])
+    def test_config_value_needs_its_json_type(self, tmp_path, samples):
+        """int() used to turn 3.7 into 3, "12" into 12 and true into 1."""
+        mixture = write_json(tmp_path / "m.json", IDENTITY_MIXTURE)
+        config = write_json(tmp_path / "cfg.json", {"mixed": mixture, "samples": samples})
+        result = run_cli("estimate", "--config", config)
+        assert result.returncode == 2
+        assert "samples" in result.stderr
+
+    def test_config_nan_exits_2(self, tmp_path):
+        u1 = write_json(tmp_path / "u1.json", {"n": 1, "ops": []})
+        config = write_json(tmp_path / "cfg.json", {"u1": u1, "u2": u1, "epsilon": float("nan"), "delta": 0.2, "delta_hat": 0.05})
+        result = run_cli("decide", "--config", config, "--samples", 10)
+        assert result.returncode == 2
+        assert "epsilon" in result.stderr
+
+    def test_config_of_defaults_matches_no_config(self, tmp_path):
+        ansatz = write_json(tmp_path / "a.json", RY_ANSATZ)
+        target = write_json(tmp_path / "t.json", {"n": 1, "ops": [{"gate": "ry", "qubits": [0], "params": [0.9]}]})
+        defaults = {
+            "ansatz": ansatz, "target": target, "sqrt": False, "samples": 64, "eta": 0.1, "fd_eps": 1e-3,
+            "max_iters": 1000, "tol": 1e-4, "shots": 0, "seed": 0,
+        }
+        config = write_json(tmp_path / "cfg.json", defaults)
+        plain = run_cli("learn", "--ansatz", ansatz, "--target", target)
+        configured = run_cli("learn", "--config", config)
+        assert plain.returncode == 0, plain.stderr
+        assert configured.stdout == plain.stdout
+
 
 class TestDecide:
     def test_identical_circuits_similar(self, tmp_path):
@@ -144,6 +197,16 @@ class TestDecide:
             "--delta-hat", 0.05,
         )
         assert result.returncode == 1
+
+    def test_nan_epsilon_exits_2(self, tmp_path):
+        """A NaN epsilon used to exit 0 with "threshold": NaN."""
+        u1 = write_json(tmp_path / "u1.json", {"n": 1, "ops": []})
+        result = run_cli(
+            "decide", "--u1", u1, "--u2", u1, "--epsilon", "nan", "--delta", 0.2,
+            "--delta-hat", 0.05, "--samples", 10,
+        )
+        assert result.returncode == 2
+        assert "--epsilon" in result.stderr
 
 
 class TestLearn:
@@ -212,6 +275,15 @@ class TestLearn:
         result = run_cli("learn", "--ansatz", ansatz, "--target", target, "--sqrt")
         assert result.returncode == 1
 
+    @pytest.mark.parametrize("flag,value", [("--tol", "nan"), ("--eta", "inf"), ("--fd-eps", "inf")])
+    def test_non_finite_float_flag_exits_2(self, tmp_path, flag, value):
+        """--tol nan used to exit 0 after 0 iterations."""
+        ansatz = write_json(tmp_path / "a.json", RY_ANSATZ)
+        target = write_json(tmp_path / "t.json", {"n": 1, "ops": []})
+        result = run_cli("learn", "--ansatz", ansatz, "--target", target, "--samples", 4, "--max-iters", 2, flag, value)
+        assert result.returncode == 2
+        assert flag in result.stderr
+
     def test_register_mismatch_exits_1(self, tmp_path):
         ansatz = write_json(tmp_path / "a.json", RY_ANSATZ)
         target = write_json(tmp_path / "t.json", {"n": 2, "ops": []})
@@ -239,6 +311,17 @@ class TestFig2:
         assert result.returncode == 1
         assert not out.exists()
 
+    def test_malformed_m_list_exits_2(self, tmp_path):
+        result = run_cli("fig2", "--n", 1, "--seeds", 1, "--m-list", "10,abc")
+        assert result.returncode == 2
+        config = write_json(tmp_path / "cfg.json", {"m_list": "10,abc"})
+        result = run_cli("fig2", "--n", 1, "--seeds", 1, "--config", config)
+        assert result.returncode == 2
+        assert "m_list" in result.stderr
+
+    def test_nonpositive_m_exits_1(self):
+        assert run_cli("fig2", "--n", 1, "--seeds", 1, "--m-list", "0,10").returncode == 1
+
     def test_rfc4180_line_endings(self, tmp_path):
         out = tmp_path / "f.csv"
         assert run_cli("fig2", "--n", 1, "--seeds", 2, "--m-list", "5", "--out", out).returncode == 0
@@ -264,6 +347,20 @@ class TestSimilarityCommand:
     def test_bad_delta_exits_1(self, tmp_path):
         result = run_cli("similarity", "--n", 1, "--pairs", 1, "--states", 10, "--delta", 2.0)
         assert result.returncode == 1
+
+    def test_unreachable_distance_exits_1_before_any_pair(self):
+        """The range used to be checked pair by pair, after pair 1 was done."""
+        result = run_cli("similarity", "--n", 1, "--pairs", 2, "--states", 10, "--dist-max", 3)
+        assert result.returncode == 1
+        assert "distance" in result.stderr
+        assert "pair 1" not in result.stderr
+
+    def test_zero_pairs_exits_1(self, tmp_path):
+        """Zero pairs used to write a header-only CSV and exit 0."""
+        out = tmp_path / "s.csv"
+        result = run_cli("similarity", "--n", 1, "--pairs", 0, "--states", 10, "--out", out)
+        assert result.returncode == 1
+        assert not out.exists()
 
 
 class TestUsage:

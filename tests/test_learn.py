@@ -21,7 +21,6 @@ from qsnorm import (
     exactness_grid,
     finite_diff_gradient,
     learn_circuit,
-    learn_square_root,
     loss,
     sample_thetas,
 )
@@ -240,17 +239,22 @@ class TestLearnCircuit:
         assert a.cost_history == b.cost_history
 
 
-class TestLearnSquareRoot:
-    def test_repeat_validation(self):
-        with pytest.raises(ValueError):
-            learn_square_root(Circuit(1), single_ry_ansatz(), LearnConfig())
+class TestLearnConfig:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["eta", "fd_eps", "tol"])
+    def test_non_finite_settings_rejected(self, field, value):
+        """A NaN tolerance used to stop learning after 0 iterations."""
+        with pytest.raises(ValueError, match="finite"):
+            LearnConfig(**{field: value})
 
+
+class TestLearnSquareRoot:
     def test_phase_root(self):
         """Squaring diag(1, e^(i xi)) gives diag(1, e^(2i xi)): xi tends to phi/2."""
         phi = 0.9
         target = Circuit(1, (GateOp("phase", (0,), (phi,)),))
         ansatz = Ansatz(Circuit(1, (GateOp("phase", (0,), (ParamSlot(0),)),)), num_params=1, repeat=2)
-        result = learn_square_root(target, ansatz, LearnConfig(m=64, eta=0.3, max_iters=1000, tol=1e-8, seed=1))
+        result = learn_circuit(ansatz, target, LearnConfig(m=64, eta=0.3, max_iters=1000, tol=1e-8, seed=1))
         assert result.converged and result.final_cost <= 1e-6
         folded = (result.xi[0] - phi / 2) % math.pi
         assert min(folded, math.pi - folded) <= 1e-3

@@ -26,7 +26,7 @@ from qsnorm import (
     sample_thetas,
     sqrt_error_propagation_holds,
 )
-from qsnorm.sampler import probe_rows
+from qsnorm.sampler import check_eps_delta, probe_rows
 
 
 class TestFrequencyLadder:
@@ -194,6 +194,13 @@ class TestBudgets:
             sample_budget_trace(eps, delta)
         with pytest.raises(ValueError):
             sample_budget_schatten2(eps, delta)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_epsilon_rejected(self, eps):
+        """NaN used to pass, because nan <= 0 is False; the budgets then
+        failed only by accident, inside ceil() or SampleBudget."""
+        with pytest.raises(ValueError, match="epsilon"):
+            check_eps_delta(eps, 0.1)
 
     def test_budget_requires_positive_m(self):
         with pytest.raises(ValueError):

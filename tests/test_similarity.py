@@ -240,6 +240,11 @@ class TestDecideSimilarity:
         )
         assert verdict.similar == (verdict.estimate + verdict.slack_term <= verdict.threshold)
 
+    def test_nan_epsilon_rejected(self):
+        """NaN used to pass every check and give threshold = nan."""
+        with pytest.raises(ValueError, match="epsilon"):
+            decide_similarity(Circuit(1), Circuit(1), epsilon=math.nan, delta=0.2, delta_hat=0.1, m=10)
+
     def test_epsilon_cap(self):
         with pytest.raises(ValueError):
             decide_similarity(Circuit(1), Circuit(1), epsilon=2.5, delta=0.2, delta_hat=0.1, m=10)
