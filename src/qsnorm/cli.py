@@ -36,6 +36,7 @@ import numpy as np
 
 from .learn import LearnConfig, ansatz_from_dict, learn_circuit
 from .qsim import (
+    MATRIX_QUBIT_CAP,
     CircuitFormatError,
     DenseUnitary,
     circuit_from_dict,
@@ -43,8 +44,8 @@ from .qsim import (
     haar_random_unitary,
     mixed_operation_from_dict,
 )
-from .sampler import derive_seed, sample_thetas
-from .schatten import difference_mixture, schatten2_estimate_from_thetas
+from .sampler import SampleBudget, derive_seed, sample_thetas
+from .schatten import difference_mixture, quantum_schatten2_estimate, schatten2_estimate_from_thetas
 from .similarity import check_distance, decide_similarity, haar_fidelities, rotation_perturbed_pair
 
 
@@ -125,8 +126,7 @@ def _require(settings: dict, *keys: str) -> None:
 def cmd_estimate(cfg: dict) -> int:
     _require(cfg, "mixed")
     mixed = mixed_operation_from_dict(_load_json(cfg["mixed"]))
-    thetas = sample_thetas(cfg["seed"], cfg["samples"])
-    est = schatten2_estimate_from_thetas(mixed, thetas, cfg["shots"], cfg["seed"])
+    est = quantum_schatten2_estimate(mixed, SampleBudget(m=cfg["samples"]), cfg["shots"], cfg["seed"])
     report = {
         "value": est.value,
         "m": est.m,
@@ -170,8 +170,12 @@ def cmd_fig2(cfg: dict) -> int:
 def cmd_similarity(cfg: dict) -> int:
     if not 0 < cfg["delta"] < 1:
         raise ValueError(f"delta must lie in (0, 1), got {cfg['delta']}")
+    if not 1 <= cfg["n"] <= MATRIX_QUBIT_CAP:
+        raise ValueError(f"qubit count {cfg['n']} outside [1, {MATRIX_QUBIT_CAP}]")
     if cfg["pairs"] < 1:
         raise ValueError(f"need at least one pair, got {cfg['pairs']}")
+    if cfg["states"] < 1:
+        raise ValueError(f"need at least one state, got {cfg['states']}")
     check_distance(cfg["dist_min"])
     check_distance(cfg["dist_max"])
     factor = 1.0 + math.sqrt(2.0 * (1.0 / cfg["delta"] - 1.0))

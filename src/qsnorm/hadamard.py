@@ -11,14 +11,16 @@ the literal (n+1)-qubit circuit and takes the marginal of the ancilla.
 They agree to rounding and cross-check each other in the tests. Shot mode
 draws Bernoulli outcomes at the exact probability to reintroduce
 measurement noise deliberately. The estimators run every test of a mixture
-for a batch of angles at once, in :func:`mixed_quadratic_form`.
+for a batch of angles at once, in :func:`mixed_quadratic_form`: one real-
+and one imaginary-part test per unordered pair of terms, with the row-wise
+overlaps of a whole chunk of probe rows taken by :func:`qsim.row_overlaps`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Literal
 
 import numpy as np
@@ -30,6 +32,7 @@ from .qsim import (
     adjoint,
     apply_operation_amplitudes,
     row_chunks,
+    row_overlaps,
     zero_state,
 )
 from .sampler import check_eps_delta, derived_rng, probe_rows
@@ -153,13 +156,13 @@ def mixed_quadratic_form(
 ) -> np.ndarray:
     """<x(theta_i)| U~ U~^dagger |x(theta_i)> per angle, for U~ = sum_k a_k U_k.
 
-    Expands into sum_k |a_k|^2 plus cross terms in <x|U_a U_b^dag|x> =
-    <U_a^dag x|U_b^dag x>; each chunk of probe rows gets every U_k^dag in
-    one batched apply. Analytic when ``shots_per_test`` is 0, with every
-    ordered pair (a, b) computed by the same float operations however the
-    terms are listed and one fsum per angle, so the result is permutation
-    invariant bit for bit. Otherwise each pair k1 < k2 runs the real- and
-    imaginary-part Hadamard tests with chain (U_k2^dagger, U_k1), drawing
+    Expands into sum_k |a_k|^2 plus, per unordered pair a < b, the cross
+    term 2 Re(a_a conj(a_b) <U_a^dag x|U_b^dag x>); each chunk of probe rows
+    gets every U_k^dag in one batched apply, then :func:`qsim.row_overlaps`.
+    Analytic when ``shots_per_test`` is 0, with one fsum per angle; a
+    swapped pair's overlap is the exact conjugate, so the result is
+    permutation invariant bit for bit. Otherwise each pair runs the real-
+    and imaginary-part Hadamard tests with chain (U_b^dagger, U_a), drawing
     ``shots_per_test`` outcomes each from ``derived_rng(seed, i, 1)``.
     """
     n = mixed.n
@@ -168,22 +171,20 @@ def mixed_quadratic_form(
     if shots_per_test < 0:
         raise ValueError(f"shots must be nonnegative, got {shots_per_test}")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    if thetas.size == 0:
+        raise ValueError("empty sample list")
     coeffs = [coeff for coeff, _ in mixed.terms]
     squares = [abs(c) ** 2 for c in coeffs]
     back_ops = [adjoint(op) for _, op in mixed.terms]
-    if shots_per_test == 0:
-        pairs = list(permutations(range(mixed.num_terms), 2))
-    else:
-        pairs = list(combinations(range(mixed.num_terms), 2))
+    pairs = list(combinations(range(mixed.num_terms), 2))
     values = np.empty(thetas.size)
     for chunk in row_chunks(thetas.size, n):
         x = probe_rows(thetas[chunk], n, 1 << n).astype(complex)
         back = [apply_operation_amplitudes(x, op) for op in back_ops]
-        # Row-wise <back_a|back_b> as stacked (1, N) @ (N, 1) products, which round like np.vdot.
-        overlaps = [(back[a].conj()[:, None, :] @ back[b][:, :, None])[:, 0, 0] for a, b in pairs]
+        overlaps = [row_overlaps(back[a], back[b]) for a, b in pairs]
         if shots_per_test == 0:
             terms = [np.full(x.shape[0], sq) for sq in squares]
-            terms += [(coeffs[a] * coeffs[b].conjugate() * ov).real for (a, b), ov in zip(pairs, overlaps)]
+            terms += [2.0 * (coeffs[a] * coeffs[b].conjugate() * ov).real for (a, b), ov in zip(pairs, overlaps)]
             values[chunk] = [math.fsum(row) for row in np.array(terms).T.tolist()]
             continue
         # (scale, Pr(ancilla = 1) per row) for each test, in drawing order.

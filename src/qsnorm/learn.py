@@ -25,17 +25,19 @@ from typing import Callable
 
 import numpy as np
 
+from .hadamard import mixed_quadratic_form
 from .qsim import (
     Circuit,
     CircuitFormatError,
     GateOp,
     Operation,
-    _gateop_from_dict,
     _number_param,
     adjoint,
+    circuit_from_dict,
+    circuit_to_dict,
 )
 from .sampler import derived_rng, sample_thetas
-from .schatten import difference_mixture, schatten2_estimate_from_thetas
+from .schatten import difference_mixture
 
 
 @dataclass(frozen=True)
@@ -134,14 +136,15 @@ def loss(
 
     Each term 2 - 2 Re<x|V^dag U|x> equals 2 <x|D D^dag|x> for the mixture
     D = (V^dag - U^dag)/sqrt(2), so the objective is twice the mean of the
-    Schatten-2 pipeline's per-angle values for D. With shots > 0 that
-    pipeline runs the real-part interference test with state prep
-    S(theta_i) and controlled chain (U(xi), V^dagger), drawing from
-    ``derived_rng(seed, i, 1)``. Values lie in [0, 4].
+    per-angle values :func:`hadamard.mixed_quadratic_form` gives for D.
+    With shots > 0 that kernel runs the real-part interference test with
+    state prep S(theta_i) and controlled chain (U(xi), V^dagger), drawing
+    from ``derived_rng(seed, i, 1)``. Values lie in [0, 4]; an empty angle
+    list raises ValueError.
     """
     mixture = difference_mixture(adjoint(target), adjoint(ansatz.bind_repeated(xi)))
-    estimate = schatten2_estimate_from_thetas(mixture, thetas, shots, seed)
-    return 2.0 * math.fsum(estimate.per_sample_values) / estimate.m
+    values = mixed_quadratic_form(mixture, thetas, shots, seed)
+    return 2.0 * math.fsum(values) / values.size
 
 
 def finite_diff_gradient(
@@ -201,23 +204,15 @@ def learn_circuit(ansatz: Ansatz, target: Operation, config: LearnConfig) -> Lea
 # {"slot": k} instead of a number, plus a top-level "repeat".
 
 def ansatz_to_dict(ansatz: Ansatz) -> dict:
-    ops = []
-    for op in ansatz.template.ops:
-        entry: dict = {"gate": op.kind, "qubits": list(op.qubits)}
-        if op.params:
-            entry["params"] = [
-                {"slot": p.index} if isinstance(p, ParamSlot) else float(p) for p in op.params
-            ]
-        ops.append(entry)
-    return {"n": ansatz.template.n, "ops": ops, "repeat": ansatz.repeat}
+    def slot_or_float(p):
+        return {"slot": p.index} if isinstance(p, ParamSlot) else float(p)
+
+    return {**circuit_to_dict(ansatz.template, slot_or_float), "repeat": ansatz.repeat}
 
 
 def ansatz_from_dict(doc: dict) -> Ansatz:
-    if not isinstance(doc, dict) or "n" not in doc:
+    if not isinstance(doc, dict):
         raise CircuitFormatError("ansatz document must be an object with an 'n' field")
-    unknown = set(doc) - {"n", "ops", "repeat"}
-    if unknown:
-        raise CircuitFormatError(f"unknown ansatz keys {sorted(unknown)}")
     slots: set[int] = set()
 
     def slot_or_number(p):
@@ -228,13 +223,8 @@ def ansatz_from_dict(doc: dict) -> Ansatz:
             return ParamSlot(p["slot"])
         return _number_param(p)
 
+    template = circuit_from_dict({k: v for k, v in doc.items() if k != "repeat"}, slot_or_number)
     try:
-        ops = tuple(_gateop_from_dict(entry, slot_or_number) for entry in doc.get("ops", []))
-        template = Circuit(int(doc["n"]), ops)
-        repeat = int(doc.get("repeat", 1))
-        num_params = max(slots) + 1 if slots else 0
-        return Ansatz(template, num_params=num_params, repeat=repeat)
-    except CircuitFormatError:
-        raise
+        return Ansatz(template, num_params=max(slots, default=-1) + 1, repeat=int(doc.get("repeat", 1)))
     except (TypeError, ValueError) as exc:
         raise CircuitFormatError(str(exc)) from exc

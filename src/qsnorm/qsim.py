@@ -237,6 +237,12 @@ def row_chunks(rows: int, n: int) -> Iterator[slice]:
     return (slice(start, min(start + step, rows)) for start in range(0, rows, step))
 
 
+def row_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_i|b_i> for each row i of two (rows, N) batches, taken as stacked
+    (1, N) @ (N, 1) products, which round like np.vdot."""
+    return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def apply_circuit(state: StateVector, c: Operation) -> StateVector:
     """Apply ``c`` to ``state``; returns a fresh state, norm preserved."""
     if state.n != c.n:
@@ -345,12 +351,13 @@ def mixed_operation_matrix(mixed: MixedOperation) -> np.ndarray:
 # Mixture document:  {"terms": [{"coeff": [re, im], "circuit": {...}}, ...]}
 # Gate names are lowercase, angles in radians.
 
-def circuit_to_dict(c: Circuit) -> dict:
+def circuit_to_dict(c: Circuit, param=float) -> dict:
+    """The circuit document of ``c``; ``param`` converts each parameter."""
     ops = []
     for op in c.ops:
         entry: dict = {"gate": op.kind, "qubits": list(op.qubits)}
         if op.params:
-            entry["params"] = [float(p) for p in op.params]
+            entry["params"] = [param(p) for p in op.params]
         ops.append(entry)
     return {"n": c.n, "ops": ops}
 
@@ -379,14 +386,15 @@ def _gateop_from_dict(entry: dict, param=_number_param) -> GateOp:
         raise CircuitFormatError(str(exc)) from exc
 
 
-def circuit_from_dict(doc: dict) -> Circuit:
+def circuit_from_dict(doc: dict, param=_number_param) -> Circuit:
+    """Parse a circuit document; ``param`` converts each gate parameter."""
     if not isinstance(doc, dict) or "n" not in doc:
         raise CircuitFormatError("circuit document must be an object with an 'n' field")
     unknown = set(doc) - {"n", "ops"}
     if unknown:
         raise CircuitFormatError(f"unknown circuit keys {sorted(unknown)}")
     try:
-        return Circuit(int(doc["n"]), tuple(_gateop_from_dict(e) for e in doc.get("ops", [])))
+        return Circuit(int(doc["n"]), tuple(_gateop_from_dict(e, param) for e in doc.get("ops", [])))
     except CircuitFormatError:
         raise
     except (TypeError, ValueError) as exc:

@@ -10,7 +10,7 @@ squared normalized Schatten 2-norm of the mixture U~.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,14 +50,11 @@ def schatten2_estimate_from_thetas(
     seed: int = 0,
 ) -> SchattenEstimate:
     """Estimate from an explicit angle set (grid mode, prefix reuse, tests)."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    if thetas.size == 0:
-        raise ValueError("empty sample list")
     values = mixed_quadratic_form(mixed, thetas, shots_per_test, seed)
-    mean = math.fsum(values) / thetas.size
+    mean = math.fsum(values) / values.size
     return SchattenEstimate(
         value=math.sqrt(max(0.0, mean)),
-        m=int(thetas.size),
+        m=values.size,
         shots_per_test=shots_per_test,
         per_sample_values=values,
         seed=seed,
@@ -102,11 +99,4 @@ def estimate_difference_norm(
     rescaled by sqrt(2); per-sample values are rescaled by 2 to match.
     """
     base = quantum_schatten2_estimate(difference_mixture(u1, u2), budget, shots_per_test, seed)
-    return SchattenEstimate(
-        value=math.sqrt(2.0) * base.value,
-        m=base.m,
-        shots_per_test=base.shots_per_test,
-        per_sample_values=2.0 * base.per_sample_values,
-        seed=base.seed,
-        clamped=base.clamped,
-    )
+    return replace(base, value=math.sqrt(2.0) * base.value, per_sample_values=2.0 * base.per_sample_values)

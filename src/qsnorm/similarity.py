@@ -32,6 +32,7 @@ from .qsim import (
     circuit_matrix,
     haar_random_unitary,
     row_chunks,
+    row_overlaps,
 )
 from .sampler import SampleBudget, check_eps_delta, derive_seed, derived_rng
 from .schatten import estimate_difference_norm, quantum_schatten2_estimate
@@ -129,8 +130,8 @@ def haar_fidelities(u1: Operation, u2: Operation, num_states: int, seed: int = 0
     n, fidelities = u1.n, np.empty(num_states)
     for chunk in row_chunks(num_states, n):
         states = np.stack([haar_random_state(n, derived_rng(seed, i)).amplitudes for i in range(num_states)[chunk]])
-        pairs = zip(apply_operation_amplitudes(states, u1), apply_operation_amplitudes(states, u2))
-        fidelities[chunk] = [fidelity(StateVector(n, a), StateVector(n, b)) for a, b in pairs]
+        overlaps = row_overlaps(apply_operation_amplitudes(states, u1), apply_operation_amplitudes(states, u2))
+        fidelities[chunk] = [abs(z) ** 2 for z in overlaps.tolist()]
     return fidelities
 
 

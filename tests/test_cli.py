@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from qsnorm import cli
 from qsnorm.cli import COMMANDS, COMMON
 
 IDENTITY_MIXTURE = {"terms": [{"coeff": [1.0, 0.0], "circuit": {"n": 1, "ops": []}}]}
@@ -361,6 +362,20 @@ class TestSimilarityCommand:
         result = run_cli("similarity", "--n", 1, "--pairs", 0, "--states", 10, "--out", out)
         assert result.returncode == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--n=0", "--n=-1", "--states=0"])
+    def test_impossible_scan_exits_1_before_any_pair(self, monkeypatch, capsys, flag):
+        """n = 0 used to end in a ZeroDivisionError traceback and a negative n
+        in numpy's "negative shift count"; zero states were rejected only
+        after the first pair was built."""
+
+        def no_pair(*args):
+            raise AssertionError("a pair was built")
+
+        monkeypatch.setattr(cli, "rotation_perturbed_pair", no_pair)
+        assert cli.main(["similarity", "--n=1", "--pairs=2", "--states=10", flag]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "pair 1" not in err
 
 
 class TestUsage:

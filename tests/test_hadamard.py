@@ -1,6 +1,7 @@
 """Interference-test and mixture quadratic-form tests."""
 
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -207,6 +208,26 @@ class TestMixedQuadraticForm:
         shuffled = MixedOperation(tuple(mixed.terms[i] for i in (2, 0, 3, 1)))
         thetas = sample_thetas(66, 10)
         np.testing.assert_array_equal(mixed_quadratic_form(mixed, thetas), mixed_quadratic_form(shuffled, thetas))
+
+    @pytest.mark.parametrize("n, num_terms", [(3, 3), (4, 4)])
+    def test_unordered_pairs_equal_ordered_pair_reference(self, n, num_terms):
+        """Each unordered pair's doubled cross term gives, bit for bit, the
+        value of summing every ordered pair's np.vdot term in one fsum. The
+        weights multiply whole arrays of overlaps, as in the kernel, because
+        numpy's complex product of arrays can round differently in the last
+        bit from that of scalars."""
+        rng = np.random.default_rng(74 + num_terms)
+        mixed = random_mixture(n, num_terms, rng)
+        coeffs = [c for c, _ in mixed.terms]
+        thetas = sample_thetas(75, 20)
+        probes = [probe_vector(float(theta), n, 1 << n).astype(complex) for theta in thetas]
+        back = [[qsim.apply_operation_amplitudes(x, adjoint(op)) for x in probes] for _, op in mixed.terms]
+        terms = [np.full(thetas.size, abs(c) ** 2) for c in coeffs]
+        for a, b in permutations(range(num_terms), 2):
+            overlaps = np.array([np.vdot(u, v) for u, v in zip(back[a], back[b])])
+            terms.append((coeffs[a] * coeffs[b].conjugate() * overlaps).real)
+        expected = [math.fsum(row) for row in zip(*terms)]
+        np.testing.assert_array_equal(mixed_quadratic_form(mixed, thetas), expected)
 
     def test_shot_mode_approaches_analytic_value(self):
         rng = np.random.default_rng(67)

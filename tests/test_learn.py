@@ -150,6 +150,10 @@ class TestLoss:
         with pytest.raises(ValueError):
             loss(single_ry_ansatz(), np.array([0.1]), Circuit(2), sample_thetas(1, 4))
 
+    def test_empty_angle_list_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            loss(single_ry_ansatz(), np.array([0.1]), Circuit(1), thetas=[])
+
 
 class TestFiniteDiffGradient:
     def test_constant_function(self):
