@@ -36,7 +36,6 @@ import numpy as np
 
 from .learn import LearnConfig, ansatz_from_dict, learn_circuit
 from .qsim import (
-    MATRIX_QUBIT_CAP,
     CircuitFormatError,
     DenseUnitary,
     circuit_from_dict,
@@ -46,7 +45,13 @@ from .qsim import (
 )
 from .sampler import SampleBudget, derive_seed, sample_thetas
 from .schatten import difference_mixture, quantum_schatten2_estimate, schatten2_estimate_from_thetas
-from .similarity import check_distance, decide_similarity, haar_fidelities, rotation_perturbed_pair
+from .similarity import (
+    check_distance,
+    check_pair_qubits,
+    decide_similarity,
+    haar_fidelities,
+    rotation_perturbed_pair,
+)
 
 
 def finite(value) -> float:
@@ -170,8 +175,7 @@ def cmd_fig2(cfg: dict) -> int:
 def cmd_similarity(cfg: dict) -> int:
     if not 0 < cfg["delta"] < 1:
         raise ValueError(f"delta must lie in (0, 1), got {cfg['delta']}")
-    if not 1 <= cfg["n"] <= MATRIX_QUBIT_CAP:
-        raise ValueError(f"qubit count {cfg['n']} outside [1, {MATRIX_QUBIT_CAP}]")
+    check_pair_qubits(cfg["n"])
     if cfg["pairs"] < 1:
         raise ValueError(f"need at least one pair, got {cfg['pairs']}")
     if cfg["states"] < 1:

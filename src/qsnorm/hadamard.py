@@ -35,7 +35,7 @@ from .qsim import (
     row_overlaps,
     zero_state,
 )
-from .sampler import check_eps_delta, derived_rng, probe_rows
+from .sampler import check_eps_delta, derived_rngs, probe_rows
 
 Part = Literal["real", "imaginary"]
 
@@ -163,7 +163,8 @@ def mixed_quadratic_form(
     swapped pair's overlap is the exact conjugate, so the result is
     permutation invariant bit for bit. Otherwise each pair runs the real-
     and imaginary-part Hadamard tests with chain (U_b^dagger, U_a), drawing
-    ``shots_per_test`` outcomes each from ``derived_rng(seed, i, 1)``.
+    ``shots_per_test`` outcomes each from ``derived_rng(seed, i, 1)``
+    (through :func:`sampler.derived_rngs`).
     """
     n = mixed.n
     if n > STATE_QUBIT_CAP:
@@ -178,6 +179,8 @@ def mixed_quadratic_form(
     back_ops = [adjoint(op) for _, op in mixed.terms]
     pairs = list(combinations(range(mixed.num_terms), 2))
     values = np.empty(thetas.size)
+    # Lazy: analytic mode never advances it, so it makes no Generator.
+    rngs = derived_rngs(seed, thetas.size, 1)
     for chunk in row_chunks(thetas.size, n):
         x = probe_rows(thetas[chunk], n, 1 << n).astype(complex)
         back = [apply_operation_amplitudes(x, op) for op in back_ops]
@@ -195,11 +198,10 @@ def mixed_quadratic_form(
                 tests.append((2.0 * weight.real, np.clip((1.0 - overlap.real) / 2.0, 0.0, 1.0)))
             if weight.imag != 0.0:
                 tests.append((-2.0 * weight.imag, np.clip((1.0 - overlap.imag) / 2.0, 0.0, 1.0)))
-        for r, i in enumerate(range(chunk.start, chunk.stop)):
-            rng = derived_rng(seed, i, 1)
+        for i, rng in zip(range(chunk.start, chunk.stop), rngs):
             terms = list(squares)
             for scale, p1 in tests:
-                p1_hat = int(rng.binomial(shots_per_test, p1[r])) / shots_per_test
+                p1_hat = int(rng.binomial(shots_per_test, p1[i - chunk.start])) / shots_per_test
                 terms.append(scale * (1.0 - 2.0 * p1_hat))
             values[i] = math.fsum(terms)
     return values

@@ -14,6 +14,16 @@ are trig polynomials of frequency below 2^(n+2), averaging over
 2^(n+2) + 1 equally spaced angles reproduces the expectations exactly;
 that grid is the quadrature oracle used by the tests.
 
+Randomness is keyed: item i of a run seeded with s draws from the numpy
+generator ``derived_rng(s, i, ...)``, i.e. ``default_rng(SeedSequence([s,
+i, ...]))``. Building one SeedSequence and one Generator per key costs tens
+of microseconds, so the hot paths compute numpy's seeding arithmetic for a
+block of keys at once, in uint32/uint64 arrays: :func:`sample_thetas` takes
+each angle from the first PCG64 output, and :func:`derived_rngs` sets the
+seeded PCG64 state on one reused Generator per key. Both give the same bits
+as ``derived_rng``, which stays the scalar reference the tests compare
+against.
+
 Sample budgets spell out the Hoeffding constants hidden behind the
 asymptotic bounds so they are reproducible exactly.
 """
@@ -22,8 +32,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
+
+# SeedSequence's hashing constants, from numpy/random/bit_generator.pyx.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+# PCG64's 128-bit LCG multiplier, as high and low 64-bit halves.
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_M32 = 0xFFFFFFFF
+# Keys seeded in one vectorized pass; bounds the pass's scratch arrays.
+KEY_BLOCK = 1024
 
 
 def frequency_ladder(n: int) -> np.ndarray:
@@ -38,9 +60,128 @@ def derived_rng(seed: int, *path: int) -> np.random.Generator:
 
     This is the splittable-randomness contract: work item i of a run seeded
     with s always draws from ``derived_rng(s, i, ...)``, so results do not
-    depend on evaluation order or thread count.
+    depend on evaluation order or thread count. It is the scalar reference
+    for the vectorized derivation behind :func:`sample_thetas` and
+    :func:`derived_rngs`, which the estimators use for many keys.
     """
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, path)]))
+
+
+def _entropy_words(value: int) -> list[int]:
+    """The uint32 words SeedSequence reads from a nonnegative integer, least
+    significant first."""
+    value = int(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _M32]
+    while value := value >> 32:
+        words.append(value & _M32)
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix over arrays: each call xors in, then multiplies
+    by, the next constant of the sequence init * mult^k (mod 2^32)."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _M32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * b, from 32-bit limbs."""
+    a0, a1 = a & _M32, a >> 32
+    b0, b1 = np.uint64(b & _M32), np.uint64(b >> 32)
+    cross0, cross1 = a1 * b0, a0 * b1
+    carry = ((a0 * b0) >> 32) + (cross0 & _M32) + (cross1 & _M32)
+    return a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + (carry >> 32)
+
+
+def _add128(a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _pcg64_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
+    """PCG64's LCG step, state * MULT + inc (mod 2^128), in 64-bit halves."""
+    prod_hi = _mulhi64(lo, _PCG_MULT_LO) + lo * np.uint64(_PCG_MULT_HI) + hi * np.uint64(_PCG_MULT_LO)
+    return _add128(prod_hi, lo * np.uint64(_PCG_MULT_LO), inc_hi, inc_lo)
+
+
+def _seeded_pcg64(seed: int, keys: range, suffix: tuple) -> tuple[np.ndarray, ...]:
+    """PCG64 (state_hi, state_lo, inc_hi, inc_lo) of ``derived_rng(seed, i,
+    *suffix)`` for every i in ``keys``, as uint64 arrays.
+
+    Follows numpy's SeedSequence (pool mixing, then ``generate_state(4,
+    uint64)``) and PCG64's ``set_seed`` with every key in one array lane.
+    """
+    size = len(keys)
+    words = [np.full(size, w, np.uint32) for w in _entropy_words(seed)]
+    words.append(np.arange(keys.start, keys.stop, dtype=np.uint32))
+    words += [np.full(size, w, np.uint32) for s in suffix for w in _entropy_words(s)]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(words[k] if k < len(words) else np.zeros(size, np.uint32)) for k in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight words cycling over the pool, paired little-endian.
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    halves = [hashmix(pool[k % _POOL_SIZE]).astype(np.uint64) for k in range(8)]
+    seed_hi, seed_lo, seq_hi, seq_lo = (halves[2 * k] | halves[2 * k + 1] << 32 for k in range(4))
+    # set_seed: inc = 2 seq + 1; state = (inc + seed) * MULT + inc.
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    state_hi, state_lo = _pcg64_step(*_add128(inc_hi, inc_lo, seed_hi, seed_lo), inc_hi, inc_lo)
+    return state_hi, state_lo, inc_hi, inc_lo
+
+
+def _key_blocks(count: int) -> Iterator[range]:
+    """``range(count)`` in blocks of at most KEY_BLOCK keys; a key is one
+    SeedSequence word, so it must stay below 2^32."""
+    if count > 1 << 32:
+        raise ValueError(f"at most 2^32 keys per seed, got {count}")
+    return (range(start, min(start + KEY_BLOCK, count)) for start in range(0, count, KEY_BLOCK))
+
+
+def derived_rngs(seed: int, count: int, *suffix: int) -> Iterator[np.random.Generator]:
+    """For i in range(count), one reused Generator in the state of
+    ``derived_rng(seed, i, *suffix)``; draw from it before advancing.
+
+    The Generator is made on the first step and set to each key's seeded
+    PCG64 state in turn, so no SeedSequence is built per key.
+    """
+    rng = np.random.default_rng(0)
+    bit_generator = rng.bit_generator
+    for keys in _key_blocks(count):
+        state_hi, state_lo, inc_hi, inc_lo = _seeded_pcg64(seed, keys, suffix)
+        # Per key, the 128-bit state and increment as 16 little-endian bytes
+        # each; read one key at a time, so the block holds no Python ints.
+        packed = np.stack((state_lo, state_hi, inc_lo, inc_hi), axis=1).astype("<u8").tobytes()
+        for at in range(0, len(packed), 32):
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {
+                    "state": int.from_bytes(packed[at : at + 16], "little"),
+                    "inc": int.from_bytes(packed[at + 16 : at + 32], "little"),
+                },
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
 
 
 def derive_seed(seed: int, *path: int) -> int:
@@ -50,10 +191,25 @@ def derive_seed(seed: int, *path: int) -> int:
 
 
 def sample_thetas(seed: int, m: int) -> np.ndarray:
-    """m angles uniform on [-pi, pi], theta_i keyed by (seed, i)."""
+    """m angles uniform on [-pi, pi]: theta_i is
+    ``derived_rng(seed, i).uniform(-pi, pi)``, computed for a block of keys
+    at once from each key's first PCG64 output."""
     if m < 1:
         raise ValueError(f"need at least one sample, got m={m}")
-    return np.array([derived_rng(seed, i).uniform(-math.pi, math.pi) for i in range(m)])
+    blocks = _key_blocks(m)  # checks m before thetas is allocated
+    thetas = np.empty(m)
+    for keys in blocks:
+        state_hi, state_lo, inc_hi, inc_lo = _seeded_pcg64(seed, keys, ())
+        # The first output, computed here rather than drawn from derived_rngs:
+        # same bits, at about a tenth of the cost per key.
+        hi, lo = _pcg64_step(state_hi, state_lo, inc_hi, inc_lo)
+        # XSL-RR output: xor the halves, rotate right by the top six bits.
+        word, rot = hi ^ lo, hi >> 58
+        word = word >> rot | word << ((64 - rot) & 63)
+        # next_double, then Generator.uniform's low + (high - low) * u.
+        unit = (word >> 11).astype(float) * 2.0**-53
+        thetas[keys.start : keys.stop] = -math.pi + (math.pi - -math.pi) * unit
+    return thetas
 
 
 def exactness_grid(n: int) -> np.ndarray:

@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .qsim import (
+    MATRIX_QUBIT_CAP,
     Circuit,
     DenseUnitary,
     GateOp,
@@ -34,7 +36,7 @@ from .qsim import (
     row_chunks,
     row_overlaps,
 )
-from .sampler import SampleBudget, check_eps_delta, derive_seed, derived_rng
+from .sampler import SampleBudget, check_eps_delta, derive_seed, derived_rngs
 from .schatten import estimate_difference_norm, quantum_schatten2_estimate
 
 ESTIMATE_FLOOR = 1e-6
@@ -124,12 +126,16 @@ def estimate_tau(
 
 def haar_fidelities(u1: Operation, u2: Operation, num_states: int, seed: int = 0) -> np.ndarray:
     """|<U1 psi_i|U2 psi_i>|^2 for Haar states psi_i drawn from
-    ``derived_rng(seed, i)``; each operation acts on a chunk of states at once."""
+    ``derived_rng(seed, i)`` (through :func:`sampler.derived_rngs`); each
+    operation acts on a chunk of states at once."""
     if num_states < 1:
         raise ValueError(f"need at least one state, got {num_states}")
+    if u1.n != u2.n:
+        raise ValueError(f"operations act on different registers: n={u1.n} vs n={u2.n}")
     n, fidelities = u1.n, np.empty(num_states)
+    rngs = derived_rngs(seed, num_states)
     for chunk in row_chunks(num_states, n):
-        states = np.stack([haar_random_state(n, derived_rng(seed, i)).amplitudes for i in range(num_states)[chunk]])
+        states = np.stack([haar_random_state(n, rng).amplitudes for rng in islice(rngs, chunk.stop - chunk.start)])
         overlaps = row_overlaps(apply_operation_amplitudes(states, u1), apply_operation_amplitudes(states, u2))
         fidelities[chunk] = [abs(z) ** 2 for z in overlaps.tolist()]
     return fidelities
@@ -198,6 +204,13 @@ def decide_similarity(
     )
 
 
+def check_pair_qubits(n: int) -> None:
+    """Reject a qubit count outside [1, MATRIX_QUBIT_CAP]; a pair is built
+    as dense matrices."""
+    if not 1 <= n <= MATRIX_QUBIT_CAP:
+        raise ValueError(f"qubit count {n} outside [1, {MATRIX_QUBIT_CAP}]")
+
+
 def check_distance(distance: float) -> None:
     """Reject a pair distance that no rotated copy can reach."""
     if not 0 < distance < math.sqrt(2.0):
@@ -209,8 +222,10 @@ def rotation_perturbed_pair(n: int, distance: float, seed: int) -> tuple[DenseUn
 
     The copy is R U with R a layer of equal-angle y-rotations; by unitary
     invariance ||U - R U|| = ||I - R|| = sqrt(2 - 2 cos(a/2)^n), which is
-    inverted for the rotation angle a. Valid for 0 < distance < sqrt(2).
+    inverted for the rotation angle a. Valid for 0 < distance < sqrt(2) and
+    1 <= n <= MATRIX_QUBIT_CAP.
     """
+    check_pair_qubits(n)
     check_distance(distance)
     angle = 2.0 * math.acos((1.0 - distance**2 / 2.0) ** (1.0 / n))
     u1 = haar_random_unitary(n, seed)

@@ -64,6 +64,13 @@ class TestEstimate:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("shots", [0, 5])
+    def test_negative_seed_exits_1(self, tmp_path, capsys, shots):
+        mixture = write_json(tmp_path / "m.json", IDENTITY_MIXTURE)
+        argv = ["estimate", "--mixed", mixture, "--samples", "5", "--shots", str(shots), "--seed", "-1"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "error: expected non-negative integer\n"
+
     def test_malformed_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -384,3 +391,11 @@ class TestUsage:
 
     def test_unknown_command_exits_2(self):
         assert run_cli("frobnicate").returncode == 2
+
+    def test_import_does_not_load_numpy_random(self):
+        """Every invocation pays the import; numpy.random loads only when a
+        command first draws from a Generator."""
+        code = "import sys, qsnorm.cli; print('numpy.random' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"

@@ -10,6 +10,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsnorm import (
     SampleBudget,
@@ -26,7 +28,7 @@ from qsnorm import (
     sample_thetas,
     sqrt_error_propagation_holds,
 )
-from qsnorm.sampler import check_eps_delta, probe_rows
+from qsnorm.sampler import KEY_BLOCK, check_eps_delta, derived_rngs, probe_rows
 
 
 class TestFrequencyLadder:
@@ -254,3 +256,47 @@ class TestSeedContract:
     def test_derive_seed_stable(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
         assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
+
+
+def per_key_thetas(seed: int, m: int) -> np.ndarray:
+    """The scalar reference: one SeedSequence and Generator per angle."""
+    return np.array([derived_rng(seed, i).uniform(-math.pi, math.pi) for i in range(m)])
+
+
+class TestVectorizedSeeding:
+    """``sample_thetas`` and ``derived_rngs`` compute numpy's SeedSequence and
+    PCG64 seeding for a block of keys at once. These tests pin them to
+    numpy's own per-key derivation, and fail if numpy's seeding changes."""
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**100])
+    def test_thetas_equal_per_key_loop_at_word_boundaries(self, seed):
+        m = KEY_BLOCK + 200
+        assert sample_thetas(seed, m).tobytes() == per_key_thetas(seed, m).tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**140), m=st.integers(1, 12))
+    def test_thetas_equal_per_key_loop(self, seed, m):
+        assert sample_thetas(seed, m).tobytes() == per_key_thetas(seed, m).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 5])
+    def test_generators_equal_per_key_streams(self, seed):
+        """Binomial draws by inversion (n p <= 30) and by BTPE, then normals."""
+        count = KEY_BLOCK + 100
+        for i, rng in enumerate(derived_rngs(seed, count, 1)):
+            ref = derived_rng(seed, i, 1)
+            for trials, p in ((40, 0.3), (1000, 0.45)):
+                assert rng.binomial(trials, p, 3).tolist() == ref.binomial(trials, p, 3).tolist()
+            assert rng.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes()
+        assert i == count - 1
+
+    def test_negative_seed_rejected(self):
+        for draw in (lambda: derived_rng(-1, 0), lambda: sample_thetas(-1, 5), lambda: next(derived_rngs(-1, 5))):
+            with pytest.raises(ValueError, match="non-negative"):
+                draw()
+
+    def test_keys_stay_below_one_seed_word(self):
+        """A key is one SeedSequence word; refused before anything is allocated."""
+        with pytest.raises(ValueError, match="keys per seed"):
+            sample_thetas(0, 2**32 + 1)
+        with pytest.raises(ValueError, match="keys per seed"):
+            next(derived_rngs(0, 2**32 + 1))

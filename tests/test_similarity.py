@@ -31,7 +31,8 @@ from qsnorm import (
     similarity_slack,
     zero_state,
 )
-from qsnorm.qsim import apply_operation_amplitudes
+from qsnorm import similarity
+from qsnorm.qsim import MATRIX_QUBIT_CAP, DenseUnitary, apply_operation_amplitudes
 from qsnorm.schatten import schatten2_estimate_from_thetas
 
 SQRT2_INV = 1 / math.sqrt(2)
@@ -182,6 +183,18 @@ class TestMonteCarloSimilarity:
         with pytest.raises(ValueError):
             monte_carlo_similarity(Circuit(1), Circuit(1), 0.1, 0)
 
+    def test_register_mismatch_rejected_before_any_state(self, monkeypatch):
+        """Operations on different registers used to give a similarity of 1.0."""
+
+        def no_state(*args):
+            raise AssertionError("a state was drawn")
+
+        monkeypatch.setattr(similarity, "haar_random_state", no_state)
+        with pytest.raises(ValueError, match="registers"):
+            monte_carlo_similarity(Circuit(1), Circuit(2), 0.1, 5)
+        with pytest.raises(ValueError, match="registers"):
+            haar_fidelities(DenseUnitary(2, np.eye(4)), Circuit(1), 3)
+
     def test_batched_fidelities_match_per_state_loop(self):
         """Each Haar state's fidelity comes from the same derived_rng(seed, i)
         draw and equals ``fidelity`` bit for bit, for dense and gate
@@ -319,3 +332,9 @@ class TestRotationPerturbedPair:
             rotation_perturbed_pair(3, 0.0, seed=0)
         with pytest.raises(ValueError):
             rotation_perturbed_pair(3, 1.5, seed=0)
+
+    @pytest.mark.parametrize("n", [0, -1, MATRIX_QUBIT_CAP + 1])
+    def test_qubit_count_domain(self, n):
+        """n = 0 used to raise ZeroDivisionError; only the CLI checked n."""
+        with pytest.raises(ValueError, match="qubit count"):
+            rotation_perturbed_pair(n, 0.1, 1)
