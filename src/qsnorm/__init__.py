@@ -8,12 +8,7 @@ independent of system size.
 """
 
 from .hadamard import (
-    HadamardTestSpec,
-    ShotResult,
-    hadamard_full_circuit_probability,
-    hadamard_probability,
     hadamard_shot_budget,
-    hadamard_shot_estimate,
     measurement_budget_mixed,
     mixed_quadratic_form,
 )
@@ -56,7 +51,6 @@ from .sampler import (
     derived_rng,
     exactness_grid,
     frequency_ladder,
-    probe_vector,
     sample_budget_schatten2,
     sample_budget_trace,
     sample_thetas,

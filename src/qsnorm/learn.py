@@ -31,6 +31,7 @@ from .qsim import (
     CircuitFormatError,
     GateOp,
     Operation,
+    _json_int,
     _number_param,
     adjoint,
     circuit_from_dict,
@@ -217,14 +218,15 @@ def ansatz_from_dict(doc: dict) -> Ansatz:
 
     def slot_or_number(p):
         if isinstance(p, dict):
-            if set(p) != {"slot"} or not isinstance(p["slot"], int) or p["slot"] < 0:
+            if set(p) != {"slot"} or _json_int(p["slot"], "slot") < 0:
                 raise CircuitFormatError(f"parameter object must be {{'slot': k}} with k >= 0, got {p!r}")
             slots.add(p["slot"])
             return ParamSlot(p["slot"])
         return _number_param(p)
 
     template = circuit_from_dict({k: v for k, v in doc.items() if k != "repeat"}, slot_or_number)
+    repeat = _json_int(doc.get("repeat", 1), "repeat")
     try:
-        return Ansatz(template, num_params=max(slots, default=-1) + 1, repeat=int(doc.get("repeat", 1)))
+        return Ansatz(template, num_params=max(slots, default=-1) + 1, repeat=repeat)
     except (TypeError, ValueError) as exc:
         raise CircuitFormatError(str(exc)) from exc

@@ -363,7 +363,15 @@ def circuit_to_dict(c: Circuit, param=float) -> dict:
 
 
 def _is_finite_number(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)
+    """A JSON number that is finite; a JSON boolean is not a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer, not a float, string or boolean."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise CircuitFormatError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _number_param(p) -> float:
@@ -379,9 +387,10 @@ def _gateop_from_dict(entry: dict, param=_number_param) -> GateOp:
     unknown = set(entry) - {"gate", "qubits", "params"}
     if unknown:
         raise CircuitFormatError(f"unknown gate entry keys {sorted(unknown)}")
+    qubits = tuple(_json_int(q, "a gate qubit") for q in entry.get("qubits", []))
     params = tuple(param(p) for p in entry.get("params", []))
     try:
-        return GateOp(str(entry["gate"]), tuple(entry.get("qubits", [])), params)
+        return GateOp(str(entry["gate"]), qubits, params)
     except (TypeError, ValueError) as exc:
         raise CircuitFormatError(str(exc)) from exc
 
@@ -394,7 +403,7 @@ def circuit_from_dict(doc: dict, param=_number_param) -> Circuit:
     if unknown:
         raise CircuitFormatError(f"unknown circuit keys {sorted(unknown)}")
     try:
-        return Circuit(int(doc["n"]), tuple(_gateop_from_dict(e, param) for e in doc.get("ops", [])))
+        return Circuit(_json_int(doc["n"], "n"), tuple(_gateop_from_dict(e, param) for e in doc.get("ops", [])))
     except CircuitFormatError:
         raise
     except (TypeError, ValueError) as exc:

@@ -241,11 +241,6 @@ def probe_rows(thetas: np.ndarray, n: int, size: int) -> np.ndarray:
     return math.sqrt(full / size) * rows[:, :size]
 
 
-def probe_vector(theta: float, n: int, size: int) -> np.ndarray:
-    """The length-``size`` probe vector x(theta): one row of :func:`probe_rows`."""
-    return probe_rows([theta], n, size)[0]
-
-
 def classical_trace_estimate(a: np.ndarray, thetas: np.ndarray) -> complex:
     """Mean of <x(theta_i)|A|x(theta_i)>; unbiased for Tr(A)/N.
 

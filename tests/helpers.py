@@ -1,8 +1,12 @@
-"""Shared randomized constructors for the test suite."""
+"""Shared randomized constructors and the interference-test oracle for the
+test suite."""
+
+import math
 
 import numpy as np
 
 from qsnorm import Circuit, GateOp, MixedOperation
+from qsnorm.qsim import apply_operation_amplitudes
 
 FIXED_KINDS = ["h", "x", "y", "z", "s", "sdg", "t", "tdg"]
 PARAM_KINDS = ["rx", "ry", "rz", "phase"]
@@ -30,3 +34,25 @@ def random_mixture(n: int, num_terms: int, rng: np.random.Generator, depth: int 
     coeffs = rng.standard_normal(num_terms) + 1j * rng.standard_normal(num_terms)
     coeffs /= np.sum(np.abs(coeffs)) * float(rng.uniform(1.0, 2.0))
     return MixedOperation(tuple((complex(c), random_circuit(n, depth, rng)) for c in coeffs))
+
+
+def circuit_probability(prep, chain, part: str) -> float:
+    """Pr(ancilla = 1) of the Hadamard test with state prep ``prep`` and
+    controlled ``chain`` (first listed applied first), from simulating the
+    literal (n+1)-qubit circuit; ``part`` is "real" or "imaginary".
+
+    The ancilla is qubit 0 of the enlarged register; the joint state is
+    kept as two data-register rows indexed by the ancilla bit, and a
+    controlled operation acts on the ancilla-1 row only.
+    """
+    rows = np.zeros((2, 1 << prep.n), dtype=complex)
+    rows[0, 0] = 1.0
+    rows = apply_operation_amplitudes(rows, prep)
+    # H on the ancilla
+    rows = np.stack((rows[0] + rows[1], rows[0] - rows[1])) / math.sqrt(2)
+    if part == "imaginary":
+        rows[1] *= -1j
+    for op in chain:
+        rows[1] = apply_operation_amplitudes(rows[1], op)
+    rows = np.stack((rows[0] + rows[1], rows[0] - rows[1])) / math.sqrt(2)
+    return float(np.linalg.norm(rows[1]) ** 2)

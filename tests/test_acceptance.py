@@ -13,16 +13,16 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_circuit, random_mixture
+from helpers import circuit_probability, random_circuit, random_mixture
 from qsnorm import (
     Ansatz,
     Circuit,
     DenseUnitary,
     GateOp,
-    HadamardTestSpec,
     LearnConfig,
     MixedOperation,
     ParamSlot,
+    adjoint,
     apply_circuit,
     circuit_matrix,
     classical_trace_estimate,
@@ -33,17 +33,14 @@ from qsnorm import (
     fidelity,
     haar_random_state,
     haar_random_unitary,
-    hadamard_full_circuit_probability,
-    hadamard_probability,
     hadamard_shot_budget,
-    hadamard_shot_estimate,
     learn_circuit,
     loss,
     mixed_operation_matrix,
     mixed_quadratic_form,
-    probe_vector,
     rotation_perturbed_pair,
     sample_thetas,
+    sampling_circuit,
     schatten2_estimate_from_thetas,
     sqrt_error_propagation_holds,
 )
@@ -117,7 +114,7 @@ def test_03_mixture_expansion_equivalence():
         mixed = random_mixture(n, int(rng.integers(1, 5)), rng)
         theta = float(rng.uniform(-math.pi, math.pi))
         mat = mixed_operation_matrix(mixed)
-        x = probe_vector(theta, n, 1 << n)
+        x = probe_rows([theta], n, 1 << n)[0]
         dense = (x @ (mat @ mat.conj().T) @ x).real
         worst = max(worst, abs(mixed_quadratic_form(mixed, [theta])[0] - dense))
     report(f"acceptance 03 mixture expansion equivalence: PASS (worst dev {worst:.2e})")
@@ -125,34 +122,37 @@ def test_03_mixture_expansion_equivalence():
 
 
 def test_04_interference_cross_oracle():
-    """Analytic and full-register ancilla probabilities agree to 1e-10 on
-    1000 random tests, each checked in both parts, n <= 5."""
+    """The kernel's per-angle test probabilities and those of the literal
+    (n+1)-qubit circuit with state prep S(theta) agree to 1e-10 on 1000
+    random draws, each checked in both parts, n <= 5."""
     rng = np.random.default_rng(404)
     worst = 0.0
     for _ in range(1000):
         n = int(rng.integers(1, 6))
-        prep = random_circuit(n, 6, rng)
-        chain = tuple(random_circuit(n, 5, rng) for _ in range(int(rng.integers(1, 3))))
-        for part in ("real", "imaginary"):
-            spec = HadamardTestSpec(prep, chain, part=part)
-            worst = max(worst, abs(hadamard_probability(spec) - hadamard_full_circuit_probability(spec)))
+        u1, u2 = random_circuit(n, 6, rng), random_circuit(n, 5, rng)
+        theta = float(rng.uniform(-math.pi, math.pi))
+        prep = sampling_circuit(n, theta)
+        # (U1/2, -U2/2) gives Pr(1) of the real-part test with chain
+        # (U2^dag, U1); (U1/2, -i U2/2) that of the imaginary-part test.
+        for part, c2 in (("real", -0.5), ("imaginary", -0.5j)):
+            value = mixed_quadratic_form(MixedOperation(((0.5, u1), (c2, u2))), [theta])[0]
+            worst = max(worst, abs(value - circuit_probability(prep, (adjoint(u2), u1), part)))
     report(f"acceptance 04 interference cross-oracle: PASS (worst dev {worst:.2e})")
     assert worst <= 1e-10
 
 
 def test_05_shot_concentration():
     """738 shots (the eps=0.1, delta=0.05 budget) hold the estimate within
-    0.1 of truth in at least 186 of 200 trials, at the hardest p = 1/2."""
+    0.1 of truth in at least 186 of 200 trials, at the hardest p = 1/2.
+
+    The kernel runs one real-part test per angle for (I/2, -Y/2); as x is
+    real, Re<x|Y|x> = 0, so p = 1/2 exactly at every angle, and each value
+    is the fraction of ones, so the test's estimate is 1 - 2 value."""
     shots = hadamard_shot_budget(0.1, 0.05)
     assert shots == 738
-    prep = Circuit(1, (GateOp("h", (0,)),))
-    chain = (Circuit(1, (GateOp("z", (0,)),)),)
-    spec = HadamardTestSpec(prep, chain, part="real", shots=shots)
-    truth = 1.0 - 2.0 * hadamard_probability(HadamardTestSpec(prep, chain))
-    hits = sum(
-        abs(hadamard_shot_estimate(spec, derived_rng(505, trial)).estimate - truth) <= 0.1
-        for trial in range(200)
-    )
+    mixture = MixedOperation(((0.5, Circuit(1)), (-0.5, Circuit(1, (GateOp("y", (0,)),)))))
+    values = mixed_quadratic_form(mixture, sample_thetas(505, 200), shots_per_test=shots, seed=505)
+    hits = int(np.count_nonzero(np.abs(1.0 - 2.0 * values) <= 0.1))
     report(f"acceptance 05 shot concentration: PASS ({hits}/200 within 0.1)")
     assert hits >= 186
 

@@ -9,6 +9,7 @@ import pytest
 
 from qsnorm import cli
 from qsnorm.cli import COMMANDS, COMMON
+from test_golden import check_error
 
 IDENTITY_MIXTURE = {"terms": [{"coeff": [1.0, 0.0], "circuit": {"n": 1, "ops": []}}]}
 RY_ANSATZ = {"n": 1, "ops": [{"gate": "ry", "qubits": [0], "params": [{"slot": 0}]}]}
@@ -64,48 +65,26 @@ class TestEstimate:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("shots", [0, 5])
-    def test_negative_seed_exits_1(self, tmp_path, capsys, shots):
-        mixture = write_json(tmp_path / "m.json", IDENTITY_MIXTURE)
-        argv = ["estimate", "--mixed", mixture, "--samples", "5", "--shots", str(shots), "--seed", "-1"]
-        assert cli.main(argv) == 1
-        assert capsys.readouterr().err == "error: expected non-negative integer\n"
+    @pytest.mark.parametrize("case", ["estimate_negative_seed", "estimate_negative_seed_shots"], ids=["0", "5"])
+    def test_negative_seed_exits_1(self, tmp_path, case):
+        """Analytic (0 shots) and shot mode (5 shots) reject a negative seed alike."""
+        check_error(case, tmp_path)
 
     def test_malformed_file_exits_2(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        result = run_cli("estimate", "--mixed", bad)
-        assert result.returncode == 2
-        assert result.stderr.strip()
+        check_error("estimate_malformed_file", tmp_path)
 
     def test_missing_file_exits_2(self, tmp_path):
-        result = run_cli("estimate", "--mixed", tmp_path / "absent.json")
-        assert result.returncode == 2
+        check_error("estimate_missing_file", tmp_path)
 
     def test_overweight_mixture_exits_1(self, tmp_path):
-        doc = {
-            "terms": [
-                {"coeff": [0.8, 0.0], "circuit": {"n": 1, "ops": []}},
-                {"coeff": [0.4, 0.0], "circuit": {"n": 1, "ops": []}},
-            ]
-        }
-        result = run_cli("estimate", "--mixed", write_json(tmp_path / "m.json", doc))
-        assert result.returncode == 1
-        assert "exceeds 1" in result.stderr
+        check_error("estimate_overweight_mixture", tmp_path)
 
     def test_nan_coefficient_exits_2(self, tmp_path):
         """A NaN weight used to pass the weight check and print 0.0."""
-        mixture = tmp_path / "m.json"
-        mixture.write_text('{"terms": [{"coeff": [NaN, 0], "circuit": {"n": 1, "ops": []}}]}')
-        result = run_cli("estimate", "--mixed", mixture, "--samples", 5)
-        assert result.returncode == 2
-        assert "finite" in result.stderr
+        check_error("estimate_nan_coefficient", tmp_path)
 
     def test_register_above_state_cap_exits_1(self, tmp_path):
-        doc = {"terms": [{"coeff": [0.5, 0.0], "circuit": {"n": 21, "ops": []}}]}
-        result = run_cli("estimate", "--mixed", write_json(tmp_path / "m.json", doc), "--samples", 1)
-        assert result.returncode == 1
-        assert "qubit count 21" in result.stderr
+        check_error("estimate_above_state_cap", tmp_path)
 
 
 class TestConfigFile:
@@ -117,10 +96,7 @@ class TestConfigFile:
         assert json.loads(result.stdout)["m"] == 9
 
     def test_unknown_config_key_exits_2(self, tmp_path):
-        config = write_json(tmp_path / "cfg.json", {"samples": 5, "bogus": 1})
-        result = run_cli("estimate", "--config", config)
-        assert result.returncode == 2
-        assert "bogus" in result.stderr
+        check_error("config_unknown_key", tmp_path)
 
     def test_accepted_config_keys(self):
         """Every setting has a flag and a config key; --threads and --config have no key."""
@@ -136,27 +112,17 @@ class TestConfigFile:
         assert keys == {command: names | {"seed", "out"} for command, names in expected.items()}
 
     def test_threads_is_not_a_config_key(self, tmp_path):
-        mixture = write_json(tmp_path / "m.json", IDENTITY_MIXTURE)
-        config = write_json(tmp_path / "cfg.json", {"mixed": mixture, "threads": 2})
-        result = run_cli("estimate", "--config", config, "--samples", 5)
-        assert result.returncode == 2
-        assert "threads" in result.stderr
+        check_error("config_threads_key", tmp_path)
 
-    @pytest.mark.parametrize("samples", [3.7, "12", True])
-    def test_config_value_needs_its_json_type(self, tmp_path, samples):
+    @pytest.mark.parametrize(
+        "case", ["config_float_for_int", "config_string_for_int", "config_bool_for_int"], ids=["3.7", "12", "True"]
+    )
+    def test_config_value_needs_its_json_type(self, tmp_path, case):
         """int() used to turn 3.7 into 3, "12" into 12 and true into 1."""
-        mixture = write_json(tmp_path / "m.json", IDENTITY_MIXTURE)
-        config = write_json(tmp_path / "cfg.json", {"mixed": mixture, "samples": samples})
-        result = run_cli("estimate", "--config", config)
-        assert result.returncode == 2
-        assert "samples" in result.stderr
+        check_error(case, tmp_path)
 
     def test_config_nan_exits_2(self, tmp_path):
-        u1 = write_json(tmp_path / "u1.json", {"n": 1, "ops": []})
-        config = write_json(tmp_path / "cfg.json", {"u1": u1, "u2": u1, "epsilon": float("nan"), "delta": 0.2, "delta_hat": 0.05})
-        result = run_cli("decide", "--config", config, "--samples", 10)
-        assert result.returncode == 2
-        assert "epsilon" in result.stderr
+        check_error("config_nan", tmp_path)
 
     def test_config_of_defaults_matches_no_config(self, tmp_path):
         ansatz = write_json(tmp_path / "a.json", RY_ANSATZ)
@@ -199,22 +165,16 @@ class TestDecide:
         assert json.loads(result.stdout)["similar"] is False
 
     def test_domain_violation_exits_1(self, tmp_path):
-        u1 = write_json(tmp_path / "u1.json", {"n": 1, "ops": []})
-        result = run_cli(
-            "decide", "--u1", u1, "--u2", u1, "--epsilon", 0.1, "--delta", 1.5,
-            "--delta-hat", 0.05,
-        )
-        assert result.returncode == 1
+        check_error("decide_domain_violation", tmp_path)
+
+    def test_coerced_document_integer_exits_2(self, tmp_path):
+        """int() used to read a circuit's "n": 2.7 as 2 and "qubits": ["1"] as [1]."""
+        check_error("decide_coerced_register", tmp_path)
+        check_error("decide_coerced_qubit", tmp_path)
 
     def test_nan_epsilon_exits_2(self, tmp_path):
         """A NaN epsilon used to exit 0 with "threshold": NaN."""
-        u1 = write_json(tmp_path / "u1.json", {"n": 1, "ops": []})
-        result = run_cli(
-            "decide", "--u1", u1, "--u2", u1, "--epsilon", "nan", "--delta", 0.2,
-            "--delta-hat", 0.05, "--samples", 10,
-        )
-        assert result.returncode == 2
-        assert "--epsilon" in result.stderr
+        check_error("decide_nan_epsilon", tmp_path)
 
 
 class TestLearn:
@@ -270,33 +230,20 @@ class TestLearn:
 
     def test_sqrt_config_needs_a_json_boolean(self, tmp_path):
         """The string "false" is not a boolean, so it must not turn --sqrt on."""
-        ansatz = write_json(tmp_path / "a.json", RY_ANSATZ)
-        target = write_json(tmp_path / "t.json", {"n": 1, "ops": []})
-        config = write_json(tmp_path / "cfg.json", {"sqrt": "false"})
-        result = run_cli("learn", "--ansatz", ansatz, "--target", target, "--config", config)
-        assert result.returncode == 2
-        assert "sqrt" in result.stderr
+        check_error("learn_sqrt_config_string", tmp_path)
 
     def test_sqrt_needs_repeat_two(self, tmp_path):
-        ansatz = write_json(tmp_path / "a.json", RY_ANSATZ)
-        target = write_json(tmp_path / "t.json", {"n": 1, "ops": []})
-        result = run_cli("learn", "--ansatz", ansatz, "--target", target, "--sqrt")
-        assert result.returncode == 1
+        check_error("learn_sqrt_needs_repeat_two", tmp_path)
 
-    @pytest.mark.parametrize("flag,value", [("--tol", "nan"), ("--eta", "inf"), ("--fd-eps", "inf")])
-    def test_non_finite_float_flag_exits_2(self, tmp_path, flag, value):
+    @pytest.mark.parametrize(
+        "case", ["learn_nan_tol", "learn_inf_eta", "learn_inf_fd_eps"], ids=["--tol-nan", "--eta-inf", "--fd-eps-inf"]
+    )
+    def test_non_finite_float_flag_exits_2(self, tmp_path, case):
         """--tol nan used to exit 0 after 0 iterations."""
-        ansatz = write_json(tmp_path / "a.json", RY_ANSATZ)
-        target = write_json(tmp_path / "t.json", {"n": 1, "ops": []})
-        result = run_cli("learn", "--ansatz", ansatz, "--target", target, "--samples", 4, "--max-iters", 2, flag, value)
-        assert result.returncode == 2
-        assert flag in result.stderr
+        check_error(case, tmp_path)
 
     def test_register_mismatch_exits_1(self, tmp_path):
-        ansatz = write_json(tmp_path / "a.json", RY_ANSATZ)
-        target = write_json(tmp_path / "t.json", {"n": 2, "ops": []})
-        result = run_cli("learn", "--ansatz", ansatz, "--target", target)
-        assert result.returncode == 1
+        check_error("learn_register_mismatch", tmp_path)
 
 
 class TestFig2:
@@ -314,21 +261,15 @@ class TestFig2:
         assert float(rows[1][1]) >= 0.0
 
     def test_zero_seeds_exits_1(self, tmp_path):
-        out = tmp_path / "f.csv"
-        result = run_cli("fig2", "--n", 1, "--seeds", 0, "--m-list", "5", "--out", out)
-        assert result.returncode == 1
-        assert not out.exists()
+        check_error("fig2_zero_seeds", tmp_path)
+        assert not (tmp_path / "out.csv").exists()
 
     def test_malformed_m_list_exits_2(self, tmp_path):
-        result = run_cli("fig2", "--n", 1, "--seeds", 1, "--m-list", "10,abc")
-        assert result.returncode == 2
-        config = write_json(tmp_path / "cfg.json", {"m_list": "10,abc"})
-        result = run_cli("fig2", "--n", 1, "--seeds", 1, "--config", config)
-        assert result.returncode == 2
-        assert "m_list" in result.stderr
+        check_error("fig2_malformed_m_list", tmp_path)
+        check_error("fig2_malformed_m_list_config", tmp_path)
 
-    def test_nonpositive_m_exits_1(self):
-        assert run_cli("fig2", "--n", 1, "--seeds", 1, "--m-list", "0,10").returncode == 1
+    def test_nonpositive_m_exits_1(self, tmp_path):
+        check_error("fig2_nonpositive_m", tmp_path)
 
     def test_rfc4180_line_endings(self, tmp_path):
         out = tmp_path / "f.csv"
@@ -353,25 +294,22 @@ class TestSimilarityCommand:
             assert float(row[3]) >= 0.8
 
     def test_bad_delta_exits_1(self, tmp_path):
-        result = run_cli("similarity", "--n", 1, "--pairs", 1, "--states", 10, "--delta", 2.0)
-        assert result.returncode == 1
+        check_error("similarity_bad_delta", tmp_path)
 
-    def test_unreachable_distance_exits_1_before_any_pair(self):
+    def test_unreachable_distance_exits_1_before_any_pair(self, tmp_path):
         """The range used to be checked pair by pair, after pair 1 was done."""
-        result = run_cli("similarity", "--n", 1, "--pairs", 2, "--states", 10, "--dist-max", 3)
-        assert result.returncode == 1
-        assert "distance" in result.stderr
-        assert "pair 1" not in result.stderr
+        check_error("similarity_unreachable_distance", tmp_path)
 
     def test_zero_pairs_exits_1(self, tmp_path):
         """Zero pairs used to write a header-only CSV and exit 0."""
-        out = tmp_path / "s.csv"
-        result = run_cli("similarity", "--n", 1, "--pairs", 0, "--states", 10, "--out", out)
-        assert result.returncode == 1
-        assert not out.exists()
+        check_error("similarity_zero_pairs", tmp_path)
+        assert not (tmp_path / "out.csv").exists()
 
-    @pytest.mark.parametrize("flag", ["--n=0", "--n=-1", "--states=0"])
-    def test_impossible_scan_exits_1_before_any_pair(self, monkeypatch, capsys, flag):
+    @pytest.mark.parametrize(
+        "case", ["similarity_zero_qubits", "similarity_negative_qubits", "similarity_zero_states"],
+        ids=["--n=0", "--n=-1", "--states=0"],
+    )
+    def test_impossible_scan_exits_1_before_any_pair(self, monkeypatch, tmp_path, case):
         """n = 0 used to end in a ZeroDivisionError traceback and a negative n
         in numpy's "negative shift count"; zero states were rejected only
         after the first pair was built."""
@@ -380,16 +318,15 @@ class TestSimilarityCommand:
             raise AssertionError("a pair was built")
 
         monkeypatch.setattr(cli, "rotation_perturbed_pair", no_pair)
-        assert cli.main(["similarity", "--n=1", "--pairs=2", "--states=10", flag]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "pair 1" not in err
+        check_error(case, tmp_path)
 
 
 class TestUsage:
-    def test_missing_required_setting_exits_2(self):
-        assert run_cli("estimate").returncode == 2
+    def test_missing_required_setting_exits_2(self, tmp_path):
+        check_error("estimate_missing_setting", tmp_path)
 
-    def test_unknown_command_exits_2(self):
+    def test_unknown_command_exits_2(self, tmp_path):
+        check_error("unknown_command", tmp_path)
         assert run_cli("frobnicate").returncode == 2
 
     def test_import_does_not_load_numpy_random(self):

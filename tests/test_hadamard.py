@@ -6,139 +6,127 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from helpers import random_circuit, random_mixture
+from helpers import circuit_probability, random_circuit, random_mixture
 from qsnorm import (
     Circuit,
     GateOp,
-    HadamardTestSpec,
     MixedOperation,
     SampleBudget,
     adjoint,
+    circuit_matrix,
     derived_rng,
     estimate_difference_norm,
-    hadamard_full_circuit_probability,
-    hadamard_probability,
     hadamard_shot_budget,
-    hadamard_shot_estimate,
     measurement_budget_mixed,
     mixed_operation_matrix,
     mixed_quadratic_form,
-    probe_vector,
     sample_thetas,
     sampling_circuit,
 )
 from qsnorm import qsim
+from qsnorm.sampler import probe_rows
 
 SQRT2_INV = 1 / math.sqrt(2)
+# One-qubit probe angles: x(pi/8) = |+> and x(pi/4) = |1>.
+PLUS, ONE = math.pi / 8, math.pi / 4
+IDENTITY, Z, S = Circuit(1), Circuit(1, (GateOp("z", (0,)),)), Circuit(1, (GateOp("s", (0,)),))
 
 
 def _plus_prep():
     return Circuit(1, (GateOp("h", (0,)),))
 
 
+def _test_values(u1, u2, part, thetas, shots=0, seed=0):
+    """Kernel values of (U1/2, -U2/2), or (U1/2, -i U2/2) for the imaginary
+    part: per angle, Pr(1) of the test with prep S(theta) and chain
+    (U2^dagger, U1), or its shot estimate ones/shots."""
+    mixture = MixedOperation(((0.5, u1), (-0.5 if part == "real" else -0.5j, u2)))
+    return mixed_quadratic_form(mixture, thetas, shots, seed)
+
+
 class TestHadamardProbability:
+    """Known test probabilities, read off the batched kernel."""
+
     def test_identity_real_part(self):
-        spec = HadamardTestSpec(_plus_prep(), (Circuit(1),), part="real")
-        assert hadamard_probability(spec) == pytest.approx(0.0, abs=1e-15)
+        values = _test_values(IDENTITY, IDENTITY, "real", sample_thetas(1, 5))
+        np.testing.assert_allclose(values, 0.0, rtol=0, atol=1e-15)
 
     def test_sigma_z_on_plus_state(self):
         """<+|Z|+> = 0, so Pr(1) = 1/2."""
-        spec = HadamardTestSpec(_plus_prep(), (Circuit(1, (GateOp("z", (0,)),)),), part="real")
-        assert hadamard_probability(spec) == pytest.approx(0.5, abs=1e-15)
+        assert _test_values(Z, IDENTITY, "real", [PLUS])[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_phase_gate_imaginary_part(self):
         """<1|S|1> = i, so the imaginary-part test sees Pr(1) = 0."""
-        prep = Circuit(1, (GateOp("x", (0,)),))
-        spec = HadamardTestSpec(prep, (Circuit(1, (GateOp("s", (0,)),)),), part="imaginary")
-        assert hadamard_probability(spec) == pytest.approx(0.0, abs=1e-15)
+        assert _test_values(S, IDENTITY, "imaginary", [ONE])[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_controlled_chain_order(self):
-        """The chain (A, B) evaluates <psi|B A|psi>, first listed applied first."""
+        """The oracle's chain (A, B) evaluates <psi|B A|psi>, first listed
+        applied first."""
         prep = _plus_prep()
-        a, b = Circuit(1, (GateOp("s", (0,)),)), Circuit(1, (GateOp("h", (0,)),))
-        spec = HadamardTestSpec(prep, (a, b), part="real")
+        a, b = S, Circuit(1, (GateOp("h", (0,)),))
         psi = np.array([SQRT2_INV, SQRT2_INV])
-        from qsnorm import circuit_matrix
-
         expected = (1 - (psi.conj() @ circuit_matrix(b) @ circuit_matrix(a) @ psi).real) / 2
-        assert hadamard_probability(spec) == pytest.approx(expected, abs=1e-14)
-
-    def test_part_validation(self):
-        with pytest.raises(ValueError):
-            HadamardTestSpec(_plus_prep(), (), part="both")
+        assert circuit_probability(prep, (a, b), "real") == pytest.approx(expected, abs=1e-14)
 
     def test_register_mismatch(self):
         with pytest.raises(ValueError):
-            HadamardTestSpec(_plus_prep(), (Circuit(2),))
+            MixedOperation(((0.5, _plus_prep()), (0.5, Circuit(2))))
 
 
 class TestFullCircuitOracle:
     def test_identity_gives_zero(self):
-        spec = HadamardTestSpec(_plus_prep(), (Circuit(1),), part="real")
-        assert hadamard_full_circuit_probability(spec) == pytest.approx(0.0, abs=1e-15)
+        assert circuit_probability(_plus_prep(), (IDENTITY,), "real") == pytest.approx(0.0, abs=1e-15)
 
     def test_agrees_with_analytic_path(self):
+        """The literal circuit gives (1 - Re or Im <psi|V|psi>)/2 from dense
+        matrices."""
         rng = np.random.default_rng(61)
         for _ in range(100):
             n = int(rng.integers(1, 6))
             prep = random_circuit(n, 5, rng)
             ops = tuple(random_circuit(n, 4, rng) for _ in range(int(rng.integers(1, 3))))
-            for part in ("real", "imaginary"):
-                spec = HadamardTestSpec(prep, ops, part=part)
-                assert abs(
-                    hadamard_probability(spec) - hadamard_full_circuit_probability(spec)
-                ) <= 1e-10
+            psi = circuit_matrix(prep)[:, 0]
+            chain = np.eye(1 << n)
+            for op in ops:
+                chain = circuit_matrix(op) @ chain
+            z = np.vdot(psi, chain @ psi)
+            for part, value in (("real", z.real), ("imaginary", z.imag)):
+                assert abs(circuit_probability(prep, ops, part) - (1.0 - value) / 2.0) <= 1e-10
 
     def test_imaginary_part_phase_example(self):
         prep = Circuit(1, (GateOp("x", (0,)),))
-        spec = HadamardTestSpec(prep, (Circuit(1, (GateOp("s", (0,)),)),), part="imaginary")
-        assert hadamard_full_circuit_probability(spec) == pytest.approx(0.0, abs=1e-14)
-
-    def test_register_cap(self):
-        spec = HadamardTestSpec(Circuit(20), (Circuit(20),))
-        with pytest.raises(ValueError):
-            hadamard_full_circuit_probability(spec)
+        assert circuit_probability(prep, (S,), "imaginary") == pytest.approx(0.0, abs=1e-14)
 
 
 class TestShotEstimate:
     def test_zero_probability_is_noiseless(self):
-        spec = HadamardTestSpec(_plus_prep(), (Circuit(1),), part="real", shots=100)
-        result = hadamard_shot_estimate(spec, derived_rng(0))
-        assert result.estimate == 1.0 and result.p1_hat == 0.0
+        values = _test_values(IDENTITY, IDENTITY, "real", sample_thetas(2, 20), shots=100)
+        assert np.all(values == 0.0)
 
     def test_estimate_matches_p1_hat(self):
-        spec = HadamardTestSpec(_plus_prep(), (Circuit(1, (GateOp("z", (0,)),)),), shots=500)
-        result = hadamard_shot_estimate(spec, derived_rng(1))
-        assert result.estimate == 1.0 - 2.0 * result.p1_hat
-        assert result.shots_used == 500
+        """A shot value of the (U1/2, -U2/2) mixture is the fraction of ones."""
+        ones = 500 * _test_values(Z, IDENTITY, "real", np.full(20, PLUS), shots=500, seed=1)
+        np.testing.assert_allclose(ones, np.round(ones), rtol=0, atol=1e-9)
+        assert 0 < ones.min() and ones.max() < 500
 
     def test_seed_determinism(self):
-        spec = HadamardTestSpec(_plus_prep(), (Circuit(1, (GateOp("z", (0,)),)),), shots=500)
-        assert hadamard_shot_estimate(spec, derived_rng(7)) == hadamard_shot_estimate(spec, derived_rng(7))
-
-    def test_zero_shots_rejected(self):
-        spec = HadamardTestSpec(_plus_prep(), (Circuit(1),), shots=0)
-        with pytest.raises(ValueError):
-            hadamard_shot_estimate(spec, derived_rng(0))
+        """One seed gives the same draws; another seed gives other draws."""
+        thetas = np.full(20, PLUS)
+        first = _test_values(Z, IDENTITY, "real", thetas, shots=500, seed=7)
+        np.testing.assert_array_equal(first, _test_values(Z, IDENTITY, "real", thetas, shots=500, seed=7))
+        assert np.any(first != _test_values(Z, IDENTITY, "real", thetas, shots=500, seed=8))
 
     def test_error_scaling_with_shots(self):
-        """Mean |estimate - truth| falls like shots^(-1/2) (log-log slope)."""
-        prep = Circuit(1, (GateOp("ry", (0,), (0.9,)),))
-        chain = (Circuit(1, (GateOp("rz", (0,), (0.7,)),)),)
-        truth = 1.0 - 2.0 * hadamard_probability(HadamardTestSpec(prep, chain))
+        """Mean |estimate - truth| falls like shots^(-1/2) (log-log slope);
+        30 copies of one angle draw 30 independent shot estimates."""
+        rz = Circuit(1, (GateOp("rz", (0,), (0.7,)),))
+        thetas = np.full(30, 0.45)
+        truth = _test_values(rz, IDENTITY, "real", thetas[:1])[0]
         levels = [100, 1000, 10_000, 100_000]
-        means = []
-        for level, shots in enumerate(levels):
-            errors = [
-                abs(
-                    hadamard_shot_estimate(
-                        HadamardTestSpec(prep, chain, shots=shots), derived_rng(3, level, seed)
-                    ).estimate
-                    - truth
-                )
-                for seed in range(30)
-            ]
-            means.append(np.mean(errors))
+        means = [
+            np.mean(np.abs(_test_values(rz, IDENTITY, "real", thetas, shots=shots, seed=3 + level) - truth))
+            for level, shots in enumerate(levels)
+        ]
         slope = np.polyfit(np.log10(levels), np.log10(means), 1)[0]
         assert -0.65 <= slope <= -0.35
 
@@ -174,14 +162,12 @@ class TestMixedQuadraticForm:
     def test_two_term_difference_identity(self):
         """(U1 - U2)/sqrt(2) collapses to 1 - Re<x|U1 U2^dag|x>."""
         rng = np.random.default_rng(62)
-        from qsnorm import circuit_matrix
-
         for _ in range(100):
             n = int(rng.integers(1, 4))
             u1, u2 = random_circuit(n, 5, rng), random_circuit(n, 5, rng)
             mixed = MixedOperation(((SQRT2_INV, u1), (-SQRT2_INV, u2)))
             theta = float(rng.uniform(-math.pi, math.pi))
-            x = probe_vector(theta, n, 1 << n)
+            x = probe_rows([theta], n, 1 << n)[0]
             direct = 1.0 - (x @ circuit_matrix(u1) @ circuit_matrix(u2).conj().T @ x).real
             assert abs(mixed_quadratic_form(mixed, [theta])[0] - direct) <= 1e-10
 
@@ -192,7 +178,7 @@ class TestMixedQuadraticForm:
             mixed = random_mixture(n, int(rng.integers(1, 5)), rng)
             theta = float(rng.uniform(-math.pi, math.pi))
             mat = mixed_operation_matrix(mixed)
-            x = probe_vector(theta, n, 1 << n)
+            x = probe_rows([theta], n, 1 << n)[0]
             dense = (x @ (mat @ mat.conj().T) @ x).real
             assert abs(mixed_quadratic_form(mixed, [theta])[0] - dense) <= 1e-9
 
@@ -220,7 +206,7 @@ class TestMixedQuadraticForm:
         mixed = random_mixture(n, num_terms, rng)
         coeffs = [c for c, _ in mixed.terms]
         thetas = sample_thetas(75, 20)
-        probes = [probe_vector(float(theta), n, 1 << n).astype(complex) for theta in thetas]
+        probes = list(probe_rows(thetas, n, 1 << n).astype(complex))
         back = [[qsim.apply_operation_amplitudes(x, adjoint(op)) for x in probes] for _, op in mixed.terms]
         terms = [np.full(thetas.size, abs(c) ** 2) for c in coeffs]
         for a, b in permutations(range(num_terms), 2):
@@ -245,24 +231,22 @@ class TestMixedQuadraticForm:
 
     def test_batched_values_are_reference_test_probabilities(self):
         """With coefficients (1/2, -1/2) the value at an angle is Pr(1) of the
-        real-part test with prep S(theta) and chain (U2^dag, U1); with
-        (1/2, -i/2) it is Pr(1) of the imaginary-part test."""
+        literal real-part test circuit with prep S(theta) and chain
+        (U2^dag, U1); with (1/2, -i/2) it is Pr(1) of the imaginary-part test."""
         rng = np.random.default_rng(69)
         for _ in range(10):
             n = int(rng.integers(1, 5))
             u1, u2 = random_circuit(n, 6, rng), random_circuit(n, 6, rng)
             thetas = sample_thetas(int(rng.integers(1000)), 7)
-            for part, c2 in (("real", -0.5), ("imaginary", -0.5j)):
-                values = mixed_quadratic_form(MixedOperation(((0.5, u1), (c2, u2))), thetas)
-                for theta, value in zip(thetas, values):
-                    spec = HadamardTestSpec(sampling_circuit(n, float(theta)), (adjoint(u2), u1), part=part)
-                    assert abs(value - hadamard_probability(spec)) <= 1e-12
-                    assert abs(value - hadamard_full_circuit_probability(spec)) <= 1e-12
+            for part in ("real", "imaginary"):
+                for theta, value in zip(thetas, _test_values(u1, u2, part, thetas)):
+                    p1 = circuit_probability(sampling_circuit(n, float(theta)), (adjoint(u2), u1), part)
+                    assert abs(value - p1) <= 1e-12
 
     def test_shot_values_match_reference_shot_tests(self):
-        """Each angle's shot value is the weighted sum of the reference shot
-        estimates, drawn in pair then real-before-imaginary order from
-        derived_rng(seed, i, 1)."""
+        """Each angle's shot value is the weighted sum of the shot estimates
+        1 - 2 ones/shots, with the ones drawn at the literal circuit's Pr(1)
+        in pair then real-before-imaginary order from derived_rng(seed, i, 1)."""
         rng = np.random.default_rng(70)
         mixed = random_mixture(3, 3, rng)
         thetas = sample_thetas(71, 12)
@@ -277,8 +261,8 @@ class TestMixedQuadraticForm:
                     weight = coeffs[k1] * coeffs[k2].conjugate()
                     chain = (adjoint(mixed.terms[k2][1]), mixed.terms[k1][1])
                     for part, scale in (("real", 2.0 * weight.real), ("imaginary", -2.0 * weight.imag)):
-                        spec = HadamardTestSpec(prep, chain, part=part, shots=40)
-                        terms.append(scale * hadamard_shot_estimate(spec, draws).estimate)
+                        ones = draws.binomial(40, circuit_probability(prep, chain, part))
+                        terms.append(scale * (1.0 - 2.0 * ones / 40))
             assert abs(values[i] - math.fsum(terms)) <= 1e-12
 
     @pytest.mark.parametrize("shots", [0, 30])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_circuit
+from helpers import circuit_probability, random_circuit
 from qsnorm import (
     Ansatz,
     Circuit,
@@ -13,16 +13,19 @@ from qsnorm import (
     GateOp,
     LearnConfig,
     ParamSlot,
+    adjoint,
     ansatz_from_dict,
     ansatz_to_dict,
     circuit_matrix,
     derive_seed,
+    derived_rng,
     exact_schatten2,
     exactness_grid,
     finite_diff_gradient,
     learn_circuit,
     loss,
     sample_thetas,
+    sampling_circuit,
 )
 
 
@@ -109,40 +112,27 @@ class TestLoss:
         assert loss(ansatz, xi, target, thetas) == loss(ansatz, xi, target, shuffled)
 
     def test_matrix_path_matches_interference_path(self):
-        """The vectorized analytic objective equals the per-angle test values."""
-        from qsnorm import HadamardTestSpec, adjoint, hadamard_probability, sampling_circuit
-
+        """The objective equals the mean of the per-angle values of the
+        literal real-part test circuits."""
         ansatz = two_qubit_ansatz()
         xi = np.array([0.2, -0.4, 0.8, 1.1])
         target = random_circuit(2, 6, np.random.default_rng(84))
         thetas = sample_thetas(4, 8)
-        bound = ansatz.bind_repeated(xi)
-        per_angle = [
-            1.0 - 2.0 * hadamard_probability(
-                HadamardTestSpec(sampling_circuit(2, float(t)), (bound, adjoint(target)), part="real")
-            )
-            for t in thetas
-        ]
+        chain = (ansatz.bind_repeated(xi), adjoint(target))
+        per_angle = [1.0 - 2.0 * circuit_probability(sampling_circuit(2, float(t)), chain, "real") for t in thetas]
         direct = 2.0 - 2.0 * math.fsum(per_angle) / len(per_angle)
         assert abs(loss(ansatz, xi, target, thetas) - direct) <= 1e-12
 
     def test_shot_mode_matches_per_angle_shot_tests(self):
         """With shots, angle i's term is the real-part shot estimate with
         chain (U(xi), V^dag), drawn from derived_rng(seed, i, 1)."""
-        from qsnorm import HadamardTestSpec, adjoint, derived_rng, hadamard_shot_estimate, sampling_circuit
-
         ansatz = two_qubit_ansatz()
         xi = np.array([0.5, -0.3, 0.9, -1.2])
         target = random_circuit(2, 6, np.random.default_rng(85))
         thetas = sample_thetas(5, 16)
-        bound = ansatz.bind_repeated(xi)
-        per_angle = [
-            hadamard_shot_estimate(
-                HadamardTestSpec(sampling_circuit(2, float(t)), (bound, adjoint(target)), shots=50),
-                derived_rng(13, i, 1),
-            ).estimate
-            for i, t in enumerate(thetas)
-        ]
+        chain = (ansatz.bind_repeated(xi), adjoint(target))
+        p1 = [circuit_probability(sampling_circuit(2, float(t)), chain, "real") for t in thetas]
+        per_angle = [1.0 - 2.0 * derived_rng(13, i, 1).binomial(50, p) / 50 for i, p in enumerate(p1)]
         direct = 2.0 - 2.0 * math.fsum(per_angle) / len(per_angle)
         assert abs(loss(ansatz, xi, target, thetas, shots=50, seed=13) - direct) <= 1e-12
 
@@ -353,6 +343,9 @@ class TestAnsatzDocuments:
             {"n": 1, "ops": [], "repeat": 1, "extra": True},
             {"n": 1, "ops": [{"gate": "rz", "qubits": [0], "params": [{"slot": 0}], "bogus": 1}]},
             {"n": 1, "ops": [{"gate": "rz", "qubits": [0], "params": [math.nan]}]},
+            {"n": 1, "ops": [], "repeat": 2.7},
+            {"n": 1, "ops": [], "repeat": "2"},
+            {"n": 1, "ops": [{"gate": "rz", "qubits": [0], "params": [{"slot": True}]}]},
         ],
     )
     def test_malformed_documents(self, doc):

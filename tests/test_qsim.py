@@ -400,13 +400,20 @@ class TestDocuments:
             {"n": 2, "ops": [{"gate": "ry", "qubits": [0], "params": ["x"]}]},
             {"n": 2, "extra": 1},
             {"n": 2, "ops": [{"gate": "ry", "qubits": [0], "params": [math.nan]}]},
+            {"n": 2.7},
+            {"n": "3"},
+            {"n": True},
+            {"n": 2, "ops": [{"gate": "h", "qubits": [1.9]}]},
+            {"n": 2, "ops": [{"gate": "h", "qubits": ["1"]}]},
+            {"n": 2, "ops": [{"gate": "h", "qubits": [True]}]},
+            {"n": 2, "ops": [{"gate": "ry", "qubits": [0], "params": [True]}]},
         ],
     )
     def test_malformed_circuit_documents(self, doc):
         with pytest.raises(CircuitFormatError):
             circuit_from_dict(doc)
 
-    @pytest.mark.parametrize("coeff", [[math.nan, 0.0], [0.5, math.inf]])
+    @pytest.mark.parametrize("coeff", [[math.nan, 0.0], [0.5, math.inf], [True, False]])
     def test_mixture_loader_rejects_non_finite_coefficients(self, coeff):
         doc = {"terms": [{"coeff": coeff, "circuit": {"n": 1, "ops": []}}]}
         with pytest.raises(CircuitFormatError, match="finite"):

@@ -22,7 +22,6 @@ from qsnorm import (
     exactness_grid,
     frequency_ladder,
     haar_random_unitary,
-    probe_vector,
     sample_budget_schatten2,
     sample_budget_trace,
     sample_thetas,
@@ -47,10 +46,10 @@ class TestFrequencyLadder:
 class TestProbeVector:
     def test_single_qubit_quarter_turn(self):
         """omega_1 = 2, so theta = pi/4 gives (cos pi/2, sin pi/2) = (0, 1)."""
-        np.testing.assert_allclose(probe_vector(math.pi / 4, 1, 2), [0, 1], atol=1e-15)
+        np.testing.assert_allclose(probe_rows([math.pi / 4], 1, 2)[0], [0, 1], atol=1e-15)
 
     def test_zero_angle_hits_first_basis_vector(self):
-        np.testing.assert_allclose(probe_vector(0.0, 2, 4), [1, 0, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(probe_rows([0.0], 2, 4)[0], [1, 0, 0, 0], atol=1e-15)
 
     def test_entry_ordering_cos_first(self):
         """Entries follow (cc, cs, sc, ss) with frequencies (2, 4)."""
@@ -58,19 +57,19 @@ class TestProbeVector:
         c1, s1 = math.cos(2 * theta), math.sin(2 * theta)
         c2, s2 = math.cos(4 * theta), math.sin(4 * theta)
         np.testing.assert_allclose(
-            probe_vector(theta, 2, 4), [c1 * c2, c1 * s2, s1 * c2, s1 * s2], atol=1e-15
+            probe_rows([theta], 2, 4)[0], [c1 * c2, c1 * s2, s1 * c2, s1 * s2], atol=1e-15
         )
 
     def test_unit_norm_at_full_size(self):
         rng = np.random.default_rng(7)
         for theta in rng.uniform(-math.pi, math.pi, 20):
-            assert abs(np.linalg.norm(probe_vector(float(theta), 4, 16)) - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(probe_rows([float(theta)], 4, 16)[0]) - 1.0) <= 1e-12
 
     def test_size_bounds(self):
         with pytest.raises(ValueError):
-            probe_vector(0.1, 2, 2)
+            probe_rows([0.1], 2, 2)
         with pytest.raises(ValueError):
-            probe_vector(0.1, 2, 5)
+            probe_rows([0.1], 2, 5)
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_grid_second_moments_are_identity_over_size(self, n):

@@ -19,13 +19,13 @@ from qsnorm import (
     exactness_grid,
     haar_random_unitary,
     mixed_operation_matrix,
-    probe_vector,
     quantum_schatten2_estimate,
     sample_thetas,
     sampling_circuit,
     schatten2_estimate_from_thetas,
     zero_state,
 )
+from qsnorm.sampler import probe_rows
 
 SQRT2_INV = 1 / math.sqrt(2)
 
@@ -52,7 +52,7 @@ class TestSamplingCircuit:
             n = int(rng.integers(1, 7))
             theta = float(rng.uniform(-math.pi, math.pi))
             state = apply_circuit(zero_state(n), sampling_circuit(n, theta))
-            np.testing.assert_allclose(state.amplitudes, probe_vector(theta, n, 1 << n), atol=1e-12)
+            np.testing.assert_allclose(state.amplitudes, probe_rows([theta], n, 1 << n)[0], atol=1e-12)
 
 
 class TestQuantumEstimate:

@@ -15,6 +15,7 @@ from qsnorm import (
     StateVector,
     apply_circuit,
     decide_similarity,
+    derive_seed,
     derived_rng,
     estimate_tau,
     exact_schatten2,
@@ -264,6 +265,50 @@ class TestDecideSimilarity:
     def test_epsilon_cap(self):
         with pytest.raises(ValueError):
             decide_similarity(Circuit(1), Circuit(1), epsilon=2.5, delta=0.2, delta_hat=0.1, m=10)
+
+
+def binomial_upper_quantile(trials: int, p: float, alpha: float) -> int:
+    """Smallest k with Pr(Binomial(trials, p) > k) <= alpha."""
+    k, cdf = 0, (1.0 - p) ** trials
+    while 1.0 - cdf > alpha:
+        k += 1
+        cdf += math.comb(trials, k) * p**k * (1.0 - p) ** (trials - k)
+    return k
+
+
+class TestVerdictCalibration:
+    """The verdict's promise as a promise, over seeded rotation-perturbed
+    pairs on 1-3 qubits: a pair just farther apart than the similarity bound
+    is called similar at most at rate delta_hat, and a pair well inside it
+    is called similar at a fixed minimum rate."""
+
+    EPSILON, DELTA, DELTA_HAT, M, TRIALS = 1.5, 0.5, 0.05, 400, 200
+    # The false-verdict count may exceed the (1 - ALPHA) quantile of
+    # Binomial(TRIALS, DELTA_HAT) only with probability ALPHA.
+    ALPHA = 1e-3
+    MIN_POWER = 0.9
+
+    def similar_count(self, distance, shots, seed):
+        similar = 0
+        for t in range(self.TRIALS):
+            u1, u2 = rotation_perturbed_pair(1 + t % 3, distance, derive_seed(seed, t))
+            verdict = decide_similarity(
+                u1, u2, self.EPSILON, self.DELTA, self.DELTA_HAT, self.M, shots, derive_seed(seed, t, 1)
+            )
+            similar += verdict.similar
+        return similar
+
+    @pytest.mark.parametrize("shots", [0, 10])
+    def test_false_similar_rate_at_most_delta_hat(self, shots):
+        """With shots, dropping the slack gives 66 false verdicts of 200."""
+        distance = 1.01 * similarity_bound_unitary(self.EPSILON, self.DELTA)
+        false_similar = self.similar_count(distance, shots, seed=1201)
+        assert false_similar <= binomial_upper_quantile(self.TRIALS, self.DELTA_HAT, self.ALPHA)
+
+    def test_pairs_well_inside_the_bound_are_similar(self):
+        """A decider that never says "similar" would pass the test above."""
+        distance = similarity_bound_unitary(self.EPSILON, self.DELTA) / 4
+        assert self.similar_count(distance, 0, seed=1202) >= self.MIN_POWER * self.TRIALS
 
 
 class TestFidelityChain:
