@@ -11,6 +11,8 @@ Layers, each through the public function the CLI calls:
 - ``operator_application``: ``apply_operation_amplitudes`` of a depth-20
   gate circuit on one kernel chunk of probe rows at n = 10 (4 rows of
   2^10 amplitudes).
+- ``gate_construction``: ``adjoint`` of the same depth-20 circuit, which
+  builds and validates one ``GateOp`` per gate.
 - ``quadratic_form``: the analytic ``mixed_quadratic_form`` of the
   difference mixture of two n = 6 Haar unitaries over 1000 angles, the
   reduction a fig2 estimate runs.
@@ -23,8 +25,8 @@ Layers, each through the public function the CLI calls:
 
 Each layer is called once to warm up, then timed REPEATS times; the
 record gives the median and quartiles in seconds and the median per key
-(an angle, a probe row or a state) in microseconds. The file lands in the
-repository root, next to the other BENCH_*.json files, and records the
+(an angle, a probe row, a gate or a state) in microseconds. The file lands
+in the repository root, next to the other BENCH_*.json files, and records the
 host's usable CPU count (nproc). To compare two commits, run this script
 against each one's ``src`` on the same host, alternating between them.
 """
@@ -46,6 +48,7 @@ from qsnorm import (
     DenseUnitary,
     GateOp,
     MixedOperation,
+    adjoint,
     difference_mixture,
     haar_fidelities,
     haar_random_unitary,
@@ -70,6 +73,7 @@ def layers() -> dict:
         GateOp("ry", (k % 10,), (0.1 * k,)) if k % 2 else GateOp("cnot", (k % 10, (k + 1) % 10)) for k in range(20)
     ))
     cases["operator_application.n10.depth20"] = (lambda: apply_operation_amplitudes(rows, circuit), rows.shape[0])
+    cases["gate_construction.n10.depth20"] = (lambda: adjoint(circuit), len(circuit))
     pair = difference_mixture(*(DenseUnitary(6, haar_random_unitary(6, seed)) for seed in (1, 2)))
     cases["quadratic_form.n6.m1000"] = (lambda: mixed_quadratic_form(pair, thetas), 1000)
     cases["haar_states.n6.states1000"] = (lambda: haar_fidelities(Circuit(6), Circuit(6), 1000, seed=7), 1000)

@@ -146,6 +146,7 @@ def cmd_estimate(cfg: dict) -> int:
 
 
 def cmd_fig2(cfg: dict) -> int:
+    check_pair_qubits(cfg["n"])
     m_values = cfg["m_list"]
     if m_values[0] < 1:
         raise ValueError(f"m values must be positive, got {m_values}")

@@ -31,11 +31,11 @@ from .qsim import (
     CircuitFormatError,
     GateOp,
     Operation,
-    _json_int,
     _number_param,
     adjoint,
     circuit_from_dict,
     circuit_to_dict,
+    require_int,
 )
 from .sampler import derived_rng, sample_thetas
 from .schatten import difference_mixture
@@ -46,6 +46,9 @@ class ParamSlot:
     """Placeholder for parameter ``index`` inside an ansatz template."""
 
     index: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", require_int(self.index, "slot"))
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,7 @@ class Ansatz:
     repeat: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "repeat", require_int(self.repeat, "repeat"))
         if self.repeat < 1:
             raise ValueError(f"repeat must be at least 1, got {self.repeat}")
         used = {
@@ -217,16 +221,16 @@ def ansatz_from_dict(doc: dict) -> Ansatz:
     slots: set[int] = set()
 
     def slot_or_number(p):
-        if isinstance(p, dict):
-            if set(p) != {"slot"} or _json_int(p["slot"], "slot") < 0:
-                raise CircuitFormatError(f"parameter object must be {{'slot': k}} with k >= 0, got {p!r}")
-            slots.add(p["slot"])
-            return ParamSlot(p["slot"])
-        return _number_param(p)
+        if not isinstance(p, dict):
+            return _number_param(p)
+        slot = ParamSlot(p["slot"]) if set(p) == {"slot"} else None
+        if slot is None or slot.index < 0:
+            raise CircuitFormatError(f"parameter object must be {{'slot': k}} with k >= 0, got {p!r}")
+        slots.add(slot.index)
+        return slot
 
     template = circuit_from_dict({k: v for k, v in doc.items() if k != "repeat"}, slot_or_number)
-    repeat = _json_int(doc.get("repeat", 1), "repeat")
     try:
-        return Ansatz(template, num_params=max(slots, default=-1) + 1, repeat=repeat)
+        return Ansatz(template, num_params=max(slots, default=-1) + 1, repeat=doc.get("repeat", 1))
     except (TypeError, ValueError) as exc:
         raise CircuitFormatError(str(exc)) from exc

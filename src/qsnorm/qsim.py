@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -31,26 +31,50 @@ CHUNK_BYTES = 1 << 16  # per (rows, 2^n) batch, see row_chunks
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
-# kind -> (number of qubit arguments, number of angle parameters)
-GATE_ARITY = {
-    "x": (1, 0),
-    "y": (1, 0),
-    "z": (1, 0),
-    "h": (1, 0),
-    "s": (1, 0),
-    "sdg": (1, 0),
-    "t": (1, 0),
-    "tdg": (1, 0),
-    "phase": (1, 1),
-    "rx": (1, 1),
-    "ry": (1, 1),
-    "rz": (1, 1),
-    "cnot": (2, 0),
-    "globalphase": (0, 1),
-}
 
-_SELF_ADJOINT = {"x", "y", "z", "h", "cnot"}
-_ADJOINT_SWAP = {"s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t"}
+def require_int(value, what: str) -> int:
+    """``value`` as an int if it is an integer, numpy integers included; a
+    float, a string or a boolean raises TypeError."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+@dataclass(frozen=True)
+class GateKind:
+    """One row of ``GATES``: the qubits and angles a gate takes, its matrix
+    as a function of the angles, and the kind of its adjoint (None: the same
+    kind), which takes the negated angles."""
+
+    qubits: int
+    params: int
+    matrix: Callable[..., np.ndarray]
+    adjoint: str | None = None
+
+
+# Every gate kind is declared here and only here.
+GATES = {
+    "x": GateKind(1, 0, lambda: np.array([[0, 1], [1, 0]], dtype=complex)),
+    "y": GateKind(1, 0, lambda: np.array([[0, -1j], [1j, 0]], dtype=complex)),
+    "z": GateKind(1, 0, lambda: np.array([[1, 0], [0, -1]], dtype=complex)),
+    "h": GateKind(1, 0, lambda: np.array([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=complex)),
+    "s": GateKind(1, 0, lambda: np.array([[1, 0], [0, 1j]], dtype=complex), "sdg"),
+    "sdg": GateKind(1, 0, lambda: np.array([[1, 0], [0, -1j]], dtype=complex), "s"),
+    "t": GateKind(1, 0, lambda: np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex), "tdg"),
+    "tdg": GateKind(1, 0, lambda: np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex), "t"),
+    "phase": GateKind(1, 1, lambda a: np.array([[1, 0], [0, np.exp(1j * a)]], dtype=complex)),
+    "rx": GateKind(1, 1, lambda a: np.array(
+        [[math.cos(a / 2), -1j * math.sin(a / 2)], [-1j * math.sin(a / 2), math.cos(a / 2)]], dtype=complex
+    )),
+    "ry": GateKind(1, 1, lambda a: np.array(
+        [[math.cos(a / 2), -math.sin(a / 2)], [math.sin(a / 2), math.cos(a / 2)]], dtype=complex
+    )),
+    "rz": GateKind(1, 1, lambda a: np.array([[np.exp(-1j * (a / 2)), 0], [0, np.exp(1j * (a / 2))]], dtype=complex)),
+    "cnot": GateKind(2, 0, lambda: np.array(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+    )),
+    "globalphase": GateKind(0, 1, lambda a: np.array([[np.exp(1j * a)]], dtype=complex)),
+}
 
 
 class CircuitFormatError(ValueError):
@@ -59,7 +83,7 @@ class CircuitFormatError(ValueError):
 
 @dataclass(frozen=True)
 class GateOp:
-    """One gate: a kind from ``GATE_ARITY``, its qubits and its angles."""
+    """One gate: a kind from ``GATES``, its qubits and its angles."""
 
     kind: str
     qubits: tuple = ()
@@ -68,15 +92,15 @@ class GateOp:
     def __post_init__(self):
         kind = self.kind.lower()
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits", tuple(require_int(q, "a gate qubit") for q in self.qubits))
         object.__setattr__(self, "params", tuple(self.params))
-        if kind not in GATE_ARITY:
+        if kind not in GATES:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        nq, npar = GATE_ARITY[kind]
-        if len(self.qubits) != nq:
-            raise ValueError(f"{kind} takes {nq} qubit(s), got {self.qubits}")
-        if len(self.params) != npar:
-            raise ValueError(f"{kind} takes {npar} parameter(s), got {self.params}")
+        row = GATES[kind]
+        if len(self.qubits) != row.qubits:
+            raise ValueError(f"{kind} takes {row.qubits} qubit(s), got {self.qubits}")
+        if len(self.params) != row.params:
+            raise ValueError(f"{kind} takes {row.params} parameter(s), got {self.params}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"{kind} qubits must be distinct, got {self.qubits}")
         if any(isinstance(p, (int, float)) and not math.isfinite(p) for p in self.params):
@@ -84,11 +108,10 @@ class GateOp:
 
     def dagger(self) -> "GateOp":
         """The Hermitian conjugate of this gate."""
-        if self.kind in _SELF_ADJOINT:
+        partner = GATES[self.kind].adjoint
+        if partner is None and not self.params:
             return self
-        if self.kind in _ADJOINT_SWAP:
-            return GateOp(_ADJOINT_SWAP[self.kind], self.qubits)
-        return GateOp(self.kind, self.qubits, tuple(-p for p in self.params))
+        return GateOp(partner or self.kind, self.qubits, tuple(-p for p in self.params))
 
 
 @dataclass(frozen=True)
@@ -99,6 +122,7 @@ class Circuit:
     ops: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "n", require_int(self.n, "n"))
         if self.n < 1:
             raise ValueError(f"need at least one qubit, got n={self.n}")
         object.__setattr__(self, "ops", tuple(self.ops))
@@ -157,41 +181,7 @@ def zero_state(n: int) -> StateVector:
 
 def gate_matrix(op: GateOp) -> np.ndarray:
     """The defining matrix of a gate (2x2, 4x4 for cnot, 1x1 for globalphase)."""
-    kind = op.kind
-    if kind == "x":
-        return np.array([[0, 1], [1, 0]], dtype=complex)
-    if kind == "y":
-        return np.array([[0, -1j], [1j, 0]], dtype=complex)
-    if kind == "z":
-        return np.array([[1, 0], [0, -1]], dtype=complex)
-    if kind == "h":
-        return np.array([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=complex)
-    if kind == "s":
-        return np.array([[1, 0], [0, 1j]], dtype=complex)
-    if kind == "sdg":
-        return np.array([[1, 0], [0, -1j]], dtype=complex)
-    if kind == "t":
-        return np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex)
-    if kind == "tdg":
-        return np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex)
-    if kind == "phase":
-        return np.array([[1, 0], [0, np.exp(1j * op.params[0])]], dtype=complex)
-    if kind == "rx":
-        t = op.params[0] / 2
-        return np.array([[math.cos(t), -1j * math.sin(t)], [-1j * math.sin(t), math.cos(t)]], dtype=complex)
-    if kind == "ry":
-        t = op.params[0] / 2
-        return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]], dtype=complex)
-    if kind == "rz":
-        t = op.params[0] / 2
-        return np.array([[np.exp(-1j * t), 0], [0, np.exp(1j * t)]], dtype=complex)
-    if kind == "cnot":
-        return np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-        )
-    if kind == "globalphase":
-        return np.array([[np.exp(1j * op.params[0])]], dtype=complex)
-    raise ValueError(f"unknown gate kind {kind!r}")
+    return GATES[op.kind].matrix(*op.params)
 
 
 def _apply_gateop(amps: np.ndarray, op: GateOp, n: int) -> np.ndarray:
@@ -273,8 +263,8 @@ def haar_random_unitary(n: int, seed: int) -> np.ndarray:
     diagonal into Q, which makes the distribution exactly Haar rather than
     merely unitary. Deterministic for a fixed seed.
     """
-    if n > MATRIX_QUBIT_CAP:
-        raise ValueError(f"matrix build capped at {MATRIX_QUBIT_CAP} qubits, got n={n}")
+    if not 1 <= n <= MATRIX_QUBIT_CAP:
+        raise ValueError(f"qubit count {n} outside [1, {MATRIX_QUBIT_CAP}]")
     rng = np.random.default_rng(seed)
     dim = 1 << n
     ginibre = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
@@ -367,13 +357,6 @@ def _is_finite_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def _json_int(value, what: str) -> int:
-    """``value`` if it is a JSON integer, not a float, string or boolean."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise CircuitFormatError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _number_param(p) -> float:
     if not _is_finite_number(p):
         raise CircuitFormatError(f"gate params must be finite numbers, got {p!r}")
@@ -387,12 +370,7 @@ def _gateop_from_dict(entry: dict, param=_number_param) -> GateOp:
     unknown = set(entry) - {"gate", "qubits", "params"}
     if unknown:
         raise CircuitFormatError(f"unknown gate entry keys {sorted(unknown)}")
-    qubits = tuple(_json_int(q, "a gate qubit") for q in entry.get("qubits", []))
-    params = tuple(param(p) for p in entry.get("params", []))
-    try:
-        return GateOp(str(entry["gate"]), qubits, params)
-    except (TypeError, ValueError) as exc:
-        raise CircuitFormatError(str(exc)) from exc
+    return GateOp(str(entry["gate"]), tuple(entry.get("qubits", [])), tuple(param(p) for p in entry.get("params", [])))
 
 
 def circuit_from_dict(doc: dict, param=_number_param) -> Circuit:
@@ -403,9 +381,7 @@ def circuit_from_dict(doc: dict, param=_number_param) -> Circuit:
     if unknown:
         raise CircuitFormatError(f"unknown circuit keys {sorted(unknown)}")
     try:
-        return Circuit(_json_int(doc["n"], "n"), tuple(_gateop_from_dict(e, param) for e in doc.get("ops", [])))
-    except CircuitFormatError:
-        raise
+        return Circuit(doc["n"], tuple(_gateop_from_dict(e, param) for e in doc.get("ops", [])))
     except (TypeError, ValueError) as exc:
         raise CircuitFormatError(str(exc)) from exc
 

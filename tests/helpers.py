@@ -36,6 +36,15 @@ def random_mixture(n: int, num_terms: int, rng: np.random.Generator, depth: int 
     return MixedOperation(tuple((complex(c), random_circuit(n, depth, rng)) for c in coeffs))
 
 
+def binomial_upper_quantile(trials: int, p: float, alpha: float) -> int:
+    """Smallest k with Pr(Binomial(trials, p) > k) <= alpha."""
+    k, cdf = 0, (1.0 - p) ** trials
+    while 1.0 - cdf > alpha:
+        k += 1
+        cdf += math.comb(trials, k) * p**k * (1.0 - p) ** (trials - k)
+    return k
+
+
 def circuit_probability(prep, chain, part: str) -> float:
     """Pr(ancilla = 1) of the Hadamard test with state prep ``prep`` and
     controlled ``chain`` (first listed applied first), from simulating the

@@ -4,6 +4,7 @@ Each test prints one PASS line with the measured quantities (visible with
 ``pytest -s``); tolerances are fixed here, not tuned at runtime.
 """
 
+import csv
 import json
 import math
 import subprocess
@@ -17,7 +18,6 @@ from helpers import circuit_probability, random_circuit, random_mixture
 from qsnorm import (
     Ansatz,
     Circuit,
-    DenseUnitary,
     GateOp,
     LearnConfig,
     MixedOperation,
@@ -41,9 +41,9 @@ from qsnorm import (
     rotation_perturbed_pair,
     sample_thetas,
     sampling_circuit,
-    schatten2_estimate_from_thetas,
     sqrt_error_propagation_holds,
 )
+from qsnorm import cli
 from qsnorm.sampler import probe_rows
 
 SQRT2_INV = 1 / math.sqrt(2)
@@ -77,23 +77,18 @@ def test_01_probe_moment_exactness():
     assert elapsed < 30.0
 
 
-def test_02_error_scaling_with_samples():
-    """Error of the sampled norm of (U1 - U2)/sqrt(2) at n = 6 falls like
-    m^(-1/2): slope within -0.5 +- 0.15 and monotone over four decades;
-    runs in under 5 min."""
+def test_02_error_scaling_with_samples(tmp_path):
+    """Error of the sampled norm of (U1 - U2)/sqrt(2) at n = 6, as the CLI's
+    fig2 reports it over 30 seeds, falls like m^(-1/2): slope within
+    -0.5 +- 0.15 and monotone over four decades; runs in under 5 min."""
     start = time.perf_counter()
     m_values = [10, 100, 1000, 10_000]
-    num_seeds = 30
-    errors = np.zeros((num_seeds, len(m_values)))
-    for s in range(num_seeds):
-        u1 = haar_random_unitary(6, derive_seed(202, s, 0))
-        u2 = haar_random_unitary(6, derive_seed(202, s, 1))
-        mixed = MixedOperation(((SQRT2_INV, DenseUnitary(6, u1)), (-SQRT2_INV, DenseUnitary(6, u2))))
-        exact = exact_schatten2(SQRT2_INV * (u1 - u2))
-        thetas = sample_thetas(derive_seed(202, s, 2), m_values[-1])
-        for j, m in enumerate(m_values):
-            errors[s, j] = abs(schatten2_estimate_from_thetas(mixed, thetas[:m]).value - exact)
-    means = errors.mean(axis=0)
+    out = tmp_path / "fig2.csv"
+    argv = ["fig2", "--n", "6", "--seeds", "30", "--seed", "202", "--m-list", ",".join(map(str, m_values))]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [int(row["m"]) for row in rows] == m_values
+    means = np.array([float(row["mean_error"]) for row in rows])
     slope = float(np.polyfit(np.log10(m_values), np.log10(means), 1)[0])
     monotone = bool(np.all(np.diff(means) < 0))
     elapsed = time.perf_counter() - start

@@ -271,6 +271,17 @@ class TestFig2:
     def test_nonpositive_m_exits_1(self, tmp_path):
         check_error("fig2_nonpositive_m", tmp_path)
 
+    @pytest.mark.parametrize("case", ["fig2_zero_qubits", "fig2_negative_qubits"], ids=["--n 0", "--n -2"])
+    def test_impossible_register_exits_1_before_any_pair(self, monkeypatch, tmp_path, case):
+        """n = 0 used to draw a pair and its angles before failing, and a
+        negative n to end in numpy's "negative shift count"."""
+
+        def no_pair(*args):
+            raise AssertionError("a pair was drawn")
+
+        monkeypatch.setattr(cli, "haar_random_unitary", no_pair)
+        check_error(case, tmp_path)
+
     def test_rfc4180_line_endings(self, tmp_path):
         out = tmp_path / "f.csv"
         assert run_cli("fig2", "--n", 1, "--seeds", 2, "--m-list", "5", "--out", out).returncode == 0

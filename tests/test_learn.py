@@ -64,6 +64,16 @@ class TestAnsatz:
         with pytest.raises(ValueError):
             Ansatz(single_ry_ansatz().template, num_params=0)
 
+    @pytest.mark.parametrize("index", [1.5, True, "1"])
+    def test_non_integer_slot_rejected(self, index):
+        with pytest.raises(TypeError, match="slot must be an integer"):
+            ParamSlot(index)
+
+    @pytest.mark.parametrize("repeat", [2.5, True, "2"])
+    def test_non_integer_repeat_rejected(self, repeat):
+        with pytest.raises(TypeError, match="repeat must be an integer"):
+            Ansatz(single_ry_ansatz().template, num_params=1, repeat=repeat)
+
 
 class TestLoss:
     def test_zero_at_exact_match(self):

@@ -1,6 +1,8 @@
 """Simulator tests: gate algebra, circuit application, oracles, documents."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from qsnorm import (
     mixed_operation_to_dict,
     zero_state,
 )
-from qsnorm.qsim import GATE_ARITY, _apply_gateop, apply_operation_amplitudes
+from qsnorm.qsim import GATES, _apply_gateop, apply_operation_amplitudes
 
 SQRT2_INV = 1 / math.sqrt(2)
 
@@ -45,7 +47,7 @@ def _gate_entries(param):
     """Gate entries of the right arity on 3 qubits, sometimes with an unknown key."""
 
     def entry(kind):
-        nq, npar = GATE_ARITY[kind]
+        nq, npar = GATES[kind].qubits, GATES[kind].params
         return st.fixed_dictionaries(
             {
                 "gate": st.just(kind),
@@ -55,7 +57,7 @@ def _gate_entries(param):
             optional={"bogus": st.just(0)},
         )
 
-    return st.sampled_from(sorted(GATE_ARITY)).flatmap(entry)
+    return st.sampled_from(sorted(GATES)).flatmap(entry)
 
 
 def _circuit_docs(param=_NUMBERS):
@@ -118,6 +120,11 @@ class TestGateMatrices:
             atol=1e-15,
         )
 
+    def test_readme_lists_every_gate_kind(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        listed = re.search(r"^Gates: `([^`]*)`", readme, re.MULTILINE).group(1).split()
+        assert sorted(listed) == sorted(GATES)
+
     def test_cnot_matrix(self):
         """Control on the first listed qubit, target flipped when control is 1."""
         mat = circuit_matrix(Circuit(2, (GateOp("cnot", (0, 1)),)))
@@ -177,7 +184,7 @@ class TestApplyCircuit:
         complex_rows = rng.standard_normal((3, 1 << n)) + 1j * rng.standard_normal((3, 1 << n))
         for rows in (complex_rows, complex_rows.real.copy()):
             for q in range(n):
-                gate = GateOp(kind, (q,), (0.37,) if GATE_ARITY[kind][1] else ())
+                gate = GateOp(kind, (q,), (0.37,) if GATES[kind].params else ())
                 full = np.kron(np.kron(np.eye(1 << q), gate_matrix(gate)), np.eye(1 << (n - q - 1)))
                 np.testing.assert_allclose(_apply_gateop(rows, gate, n), rows @ full.T, atol=1e-14)
 
@@ -268,6 +275,13 @@ class TestHaarRandomUnitary:
     def test_seed_determinism(self):
         np.testing.assert_array_equal(haar_random_unitary(2, 123), haar_random_unitary(2, 123))
 
+    @pytest.mark.parametrize("n", [0, -1, 11])
+    def test_qubit_count_outside_range_rejected(self, n):
+        """n = -1 used to fail in numpy's shift ("negative shift count") and
+        n = 0 to return a 1 x 1 matrix."""
+        with pytest.raises(ValueError, match=f"qubit count {n} outside"):
+            haar_random_unitary(n, 0)
+
     def test_trace_second_moment(self):
         """Haar average of |Tr U|^2 is 1; Monte Carlo oracle at n=2."""
         values = [abs(np.trace(haar_random_unitary(2, seed))) ** 2 for seed in range(1000)]
@@ -332,6 +346,23 @@ class TestValidation:
     def test_duplicate_qubits(self):
         with pytest.raises(ValueError):
             GateOp("cnot", (1, 1))
+
+    @pytest.mark.parametrize("qubit", [1.9, True, "1", np.float64(1.0)])
+    def test_non_integer_qubit_rejected(self, qubit):
+        """The constructor used to coerce these with int(), to qubit 1."""
+        with pytest.raises(TypeError, match="a gate qubit must be an integer"):
+            GateOp("h", (qubit,))
+
+    def test_numpy_integer_qubit_accepted(self):
+        op = GateOp("cnot", (np.int64(1), np.uint8(0)))
+        assert op.qubits == (1, 0)
+        assert all(type(q) is int for q in op.qubits)
+        assert circuit_to_dict(Circuit(2, (op,)))["ops"][0]["qubits"] == [1, 0]
+
+    @pytest.mark.parametrize("n", [2.7, True, "3"])
+    def test_non_integer_register_rejected(self, n):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            Circuit(n)
 
     def test_qubit_out_of_range(self):
         with pytest.raises(ValueError):

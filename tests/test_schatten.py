@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_mixture
+from helpers import binomial_upper_quantile, random_mixture
 from qsnorm import (
     Circuit,
     DenseUnitary,
@@ -13,6 +13,7 @@ from qsnorm import (
     MixedOperation,
     SampleBudget,
     apply_circuit,
+    derive_seed,
     difference_mixture,
     estimate_difference_norm,
     exact_schatten2,
@@ -20,6 +21,7 @@ from qsnorm import (
     haar_random_unitary,
     mixed_operation_matrix,
     quantum_schatten2_estimate,
+    sample_budget_schatten2,
     sample_thetas,
     sampling_circuit,
     schatten2_estimate_from_thetas,
@@ -125,6 +127,30 @@ class TestQuantumEstimate:
         mixed = random_mixture(2, 2, np.random.default_rng(77))
         with pytest.raises(ValueError, match="empty"):
             schatten2_estimate_from_thetas(mixed, np.array([]))
+
+
+class TestBudgetCalibration:
+    """The Schatten-2 budget's promise as a promise: at
+    sample_budget_schatten2(EPSILON, DELTA) angles, an estimate lands within
+    EPSILON of the exact norm with probability at least 1 - DELTA.
+
+    Over TRIALS seeded runs the failure count may exceed the (1 - ALPHA)
+    quantile of Binomial(TRIALS, DELTA) only with probability ALPHA. The
+    mixture (I - CNOT)/2 has norm 1/2 and per-angle values spread over
+    [0, 0.88]; one estimate in two misses EPSILON at m = 1 and about one in
+    seven at m = 3."""
+
+    EPSILON, DELTA, TRIALS, ALPHA = 0.25, 0.01, 200, 1e-3
+
+    def test_success_rate_at_budget_is_at_least_one_minus_delta(self):
+        mixed = MixedOperation(((0.5, Circuit(2)), (-0.5, Circuit(2, (GateOp("cnot", (0, 1)),)))))
+        exact = exact_schatten2(mixed_operation_matrix(mixed))
+        budget = sample_budget_schatten2(self.EPSILON, self.DELTA)
+        within = sum(
+            abs(quantum_schatten2_estimate(mixed, budget, seed=derive_seed(1301, t)).value - exact) <= self.EPSILON
+            for t in range(self.TRIALS)
+        )
+        assert within >= self.TRIALS - binomial_upper_quantile(self.TRIALS, self.DELTA, self.ALPHA)
 
 
 class TestDifferenceNorm:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_circuit, random_mixture
+from helpers import binomial_upper_quantile, random_circuit, random_mixture
 from qsnorm import (
     Circuit,
     DenseUnitary,
@@ -265,15 +265,6 @@ class TestDecideSimilarity:
     def test_epsilon_cap(self):
         with pytest.raises(ValueError):
             decide_similarity(Circuit(1), Circuit(1), epsilon=2.5, delta=0.2, delta_hat=0.1, m=10)
-
-
-def binomial_upper_quantile(trials: int, p: float, alpha: float) -> int:
-    """Smallest k with Pr(Binomial(trials, p) > k) <= alpha."""
-    k, cdf = 0, (1.0 - p) ** trials
-    while 1.0 - cdf > alpha:
-        k += 1
-        cdf += math.comb(trials, k) * p**k * (1.0 - p) ** (trials - k)
-    return k
 
 
 class TestVerdictCalibration:
