@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -36,21 +37,23 @@ import numpy as np
 
 from .learn import LearnConfig, ansatz_from_dict, learn_circuit
 from .qsim import (
+    MATRIX_QUBIT_CAP,
     CircuitFormatError,
     DenseUnitary,
     circuit_from_dict,
     exact_schatten2,
     haar_random_unitary,
     mixed_operation_from_dict,
+    require_qubits,
 )
 from .sampler import SampleBudget, derive_seed, sample_thetas
 from .schatten import difference_mixture, quantum_schatten2_estimate, schatten2_estimate_from_thetas
 from .similarity import (
     check_distance,
-    check_pair_qubits,
     decide_similarity,
     haar_fidelities,
     rotation_perturbed_pair,
+    similarity_factor,
 )
 
 
@@ -146,7 +149,7 @@ def cmd_estimate(cfg: dict) -> int:
 
 
 def cmd_fig2(cfg: dict) -> int:
-    check_pair_qubits(cfg["n"])
+    require_qubits(cfg["n"], MATRIX_QUBIT_CAP)
     m_values = cfg["m_list"]
     if m_values[0] < 1:
         raise ValueError(f"m values must be positive, got {m_values}")
@@ -174,16 +177,14 @@ def cmd_fig2(cfg: dict) -> int:
 
 
 def cmd_similarity(cfg: dict) -> int:
-    if not 0 < cfg["delta"] < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {cfg['delta']}")
-    check_pair_qubits(cfg["n"])
+    factor = similarity_factor(cfg["delta"])
+    require_qubits(cfg["n"], MATRIX_QUBIT_CAP)
     if cfg["pairs"] < 1:
         raise ValueError(f"need at least one pair, got {cfg['pairs']}")
     if cfg["states"] < 1:
         raise ValueError(f"need at least one state, got {cfg['states']}")
     check_distance(cfg["dist_min"])
     check_distance(cfg["dist_max"])
-    factor = 1.0 + math.sqrt(2.0 * (1.0 / cfg["delta"] - 1.0))
     distances = np.linspace(cfg["dist_min"], cfg["dist_max"], cfg["pairs"])
     rows = []
     for k, dist in enumerate(distances):
@@ -247,18 +248,7 @@ def cmd_decide(cfg: dict) -> int:
         shots_per_test=cfg["shots"],
         seed=cfg["seed"],
     )
-    report = {
-        "similar": verdict.similar,
-        "epsilon": verdict.epsilon,
-        "delta": verdict.delta,
-        "delta_hat": verdict.delta_hat,
-        "estimate": verdict.estimate,
-        "slack_term": verdict.slack_term,
-        "threshold": verdict.threshold,
-        "m": cfg["samples"],
-        "shots_per_test": cfg["shots"],
-        "seed": cfg["seed"],
-    }
+    report = {**dataclasses.asdict(verdict), "m": cfg["samples"], "shots_per_test": cfg["shots"], "seed": cfg["seed"]}
     _write_text(cfg["out"], _json_dump(report))
     return 0
 

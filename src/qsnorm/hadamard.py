@@ -26,6 +26,7 @@ from .qsim import (
     STATE_QUBIT_CAP,
     adjoint,
     apply_operation_amplitudes,
+    require_qubits,
     row_chunks,
     row_overlaps,
 )
@@ -71,9 +72,7 @@ def mixed_quadratic_form(
     ``shots_per_test`` outcomes each from ``derived_rng(seed, i, 1)``
     (through :func:`sampler.derived_rngs`).
     """
-    n = mixed.n
-    if n > STATE_QUBIT_CAP:
-        raise ValueError(f"statevector qubit count {n} outside [1, {STATE_QUBIT_CAP}]")
+    n = require_qubits(mixed.n, STATE_QUBIT_CAP, "statevector qubit count")
     if shots_per_test < 0:
         raise ValueError(f"shots must be nonnegative, got {shots_per_test}")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))

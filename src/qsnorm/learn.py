@@ -43,12 +43,14 @@ from .schatten import difference_mixture
 
 @dataclass(frozen=True)
 class ParamSlot:
-    """Placeholder for parameter ``index`` inside an ansatz template."""
+    """Placeholder for parameter ``index`` >= 0 inside an ansatz template."""
 
     index: int
 
     def __post_init__(self):
         object.__setattr__(self, "index", require_int(self.index, "slot"))
+        if self.index < 0:
+            raise ValueError(f"slot must be nonnegative, got {self.index}")
 
 
 @dataclass(frozen=True)
@@ -57,25 +59,20 @@ class Ansatz:
 
     ``template`` is a circuit whose params may contain :class:`ParamSlot`
     markers; ``repeat`` applies the bound circuit that many times, which is
-    how square roots are learned.
+    how square roots are learned. ``num_params`` is the highest slot index
+    plus one (0 without slots).
     """
 
     template: Circuit
-    num_params: int
     repeat: int = 1
+    num_params: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "repeat", require_int(self.repeat, "repeat"))
         if self.repeat < 1:
             raise ValueError(f"repeat must be at least 1, got {self.repeat}")
-        used = {
-            p.index
-            for op in self.template.ops
-            for p in op.params
-            if isinstance(p, ParamSlot)
-        }
-        if used and (min(used) < 0 or max(used) >= self.num_params):
-            raise ValueError(f"slot indices {sorted(used)} out of range for num_params={self.num_params}")
+        slots = [p.index for op in self.template.ops for p in op.params if isinstance(p, ParamSlot)]
+        object.__setattr__(self, "num_params", max(slots, default=-1) + 1)
 
     @property
     def n(self) -> int:
@@ -113,6 +110,8 @@ class LearnConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("m", "max_iters", "shots_per_test", "seed"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
         if self.m < 1 or self.eta <= 0 or self.fd_eps <= 0 or self.max_iters < 1:
             raise ValueError("m, eta, fd_eps and max_iters must all be positive")
         if self.tol < 0 or self.shots_per_test < 0:
@@ -218,19 +217,16 @@ def ansatz_to_dict(ansatz: Ansatz) -> dict:
 def ansatz_from_dict(doc: dict) -> Ansatz:
     if not isinstance(doc, dict):
         raise CircuitFormatError("ansatz document must be an object with an 'n' field")
-    slots: set[int] = set()
 
     def slot_or_number(p):
         if not isinstance(p, dict):
             return _number_param(p)
-        slot = ParamSlot(p["slot"]) if set(p) == {"slot"} else None
-        if slot is None or slot.index < 0:
+        if set(p) != {"slot"}:
             raise CircuitFormatError(f"parameter object must be {{'slot': k}} with k >= 0, got {p!r}")
-        slots.add(slot.index)
-        return slot
+        return ParamSlot(p["slot"])
 
     template = circuit_from_dict({k: v for k, v in doc.items() if k != "repeat"}, slot_or_number)
     try:
-        return Ansatz(template, num_params=max(slots, default=-1) + 1, repeat=doc.get("repeat", 1))
+        return Ansatz(template, repeat=doc.get("repeat", 1))
     except (TypeError, ValueError) as exc:
         raise CircuitFormatError(str(exc)) from exc

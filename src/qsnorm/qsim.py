@@ -40,6 +40,25 @@ def require_int(value, what: str) -> int:
     return int(value)
 
 
+def require_qubits(n, cap: float = math.inf, what: str = "qubit count") -> int:
+    """``n`` as a register size: an integer in [1, cap]. Every type that
+    holds a register checks its size here; code about to allocate a state or
+    a matrix passes STATE_QUBIT_CAP or MATRIX_QUBIT_CAP as ``cap``."""
+    n = require_int(n, "n")
+    if not 1 <= n <= cap:
+        raise ValueError(f"{what} {n} outside [1, {cap}]")
+    return n
+
+
+def same_register(*operands) -> int:
+    """The qubit count ``n`` that all operands share; ValueError if two differ."""
+    n = operands[0].n
+    for op in operands[1:]:
+        if op.n != n:
+            raise ValueError(f"operations act on different registers: n={n} vs n={op.n}")
+    return n
+
+
 @dataclass(frozen=True)
 class GateKind:
     """One row of ``GATES``: the qubits and angles a gate takes, its matrix
@@ -122,9 +141,7 @@ class Circuit:
     ops: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "n", require_int(self.n, "n"))
-        if self.n < 1:
-            raise ValueError(f"need at least one qubit, got n={self.n}")
+        object.__setattr__(self, "n", require_qubits(self.n))
         object.__setattr__(self, "ops", tuple(self.ops))
         for op in self.ops:
             if any(q >= self.n or q < 0 for q in op.qubits):
@@ -147,6 +164,7 @@ class DenseUnitary:
     matrix: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n", require_qubits(self.n))
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (1 << self.n, 1 << self.n):
             raise ValueError(f"matrix shape {mat.shape} does not match n={self.n}")
@@ -164,6 +182,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n", require_qubits(self.n))
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (1 << self.n,):
             raise ValueError(f"amplitude vector shape {amps.shape} does not match n={self.n}")
@@ -172,8 +191,7 @@ class StateVector:
 
 def zero_state(n: int) -> StateVector:
     """The all-zeros basis state |0...0>."""
-    if n < 1 or n > STATE_QUBIT_CAP:
-        raise ValueError(f"statevector qubit count {n} outside [1, {STATE_QUBIT_CAP}]")
+    n = require_qubits(n, STATE_QUBIT_CAP, "statevector qubit count")
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = 1.0
     return StateVector(n, amps)
@@ -235,9 +253,7 @@ def row_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def apply_circuit(state: StateVector, c: Operation) -> StateVector:
     """Apply ``c`` to ``state``; returns a fresh state, norm preserved."""
-    if state.n != c.n:
-        raise ValueError(f"state has n={state.n} but operation has n={c.n}")
-    return StateVector(c.n, apply_operation_amplitudes(state.amplitudes, c))
+    return StateVector(same_register(state, c), apply_operation_amplitudes(state.amplitudes, c))
 
 
 def adjoint(c: Operation) -> Operation:
@@ -249,8 +265,7 @@ def adjoint(c: Operation) -> Operation:
 
 def circuit_matrix(c: Operation) -> np.ndarray:
     """Materialize the full 2^n x 2^n matrix of an operation."""
-    if c.n > MATRIX_QUBIT_CAP:
-        raise ValueError(f"matrix build capped at {MATRIX_QUBIT_CAP} qubits, got n={c.n}")
+    require_qubits(c.n, MATRIX_QUBIT_CAP)
     # Row k of the batch is U|k>, i.e. column k of the matrix.
     columns = apply_operation_amplitudes(np.eye(1 << c.n, dtype=complex), c)
     return np.ascontiguousarray(columns.T)
@@ -263,8 +278,7 @@ def haar_random_unitary(n: int, seed: int) -> np.ndarray:
     diagonal into Q, which makes the distribution exactly Haar rather than
     merely unitary. Deterministic for a fixed seed.
     """
-    if not 1 <= n <= MATRIX_QUBIT_CAP:
-        raise ValueError(f"qubit count {n} outside [1, {MATRIX_QUBIT_CAP}]")
+    n = require_qubits(n, MATRIX_QUBIT_CAP)
     rng = np.random.default_rng(seed)
     dim = 1 << n
     ginibre = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
@@ -308,9 +322,7 @@ class MixedOperation:
         object.__setattr__(self, "terms", terms)
         if not terms:
             raise ValueError("a mixed operation needs at least one term")
-        n = terms[0][1].n
-        if any(op.n != n for _, op in terms):
-            raise ValueError("all terms of a mixed operation must share one qubit count")
+        same_register(*(op for _, op in terms))
         if not all(cmath.isfinite(coeff) for coeff, _ in terms):
             raise ValueError("mixture coefficients must be finite")
         weight = sum(abs(coeff) for coeff, _ in terms)
@@ -328,6 +340,7 @@ class MixedOperation:
 
 def mixed_operation_matrix(mixed: MixedOperation) -> np.ndarray:
     """Dense matrix of the weighted sum; test/oracle helper."""
+    require_qubits(mixed.n, MATRIX_QUBIT_CAP)
     total = np.zeros((1 << mixed.n, 1 << mixed.n), dtype=complex)
     for coeff, op in mixed.terms:
         total += coeff * circuit_matrix(op)

@@ -36,6 +36,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .qsim import require_int, require_qubits
+
 # SeedSequence's hashing constants, from numpy/random/bit_generator.pyx.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -50,9 +52,7 @@ KEY_BLOCK = 1024
 
 def frequency_ladder(n: int) -> np.ndarray:
     """Frequencies 2, 4, ..., 2^n; entry j-1 drives qubit j-1 / bit j."""
-    if n < 1:
-        raise ValueError(f"need at least one frequency, got n={n}")
-    return 2 ** np.arange(1, n + 1, dtype=np.int64)
+    return 2 ** np.arange(1, require_qubits(n) + 1, dtype=np.int64)
 
 
 def derived_rng(seed: int, *path: int) -> np.random.Generator:
@@ -241,36 +241,33 @@ def probe_rows(thetas: np.ndarray, n: int, size: int) -> np.ndarray:
     return math.sqrt(full / size) * rows[:, :size]
 
 
+def _classical_probes(a: np.ndarray, thetas: np.ndarray, square: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` as a complex matrix (square if asked) and the probe rows of
+    ``thetas`` at its row count N."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or square and a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a {'square ' if square else ''}matrix, got shape {a.shape}")
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.size == 0:
+        raise ValueError("empty sample list")
+    size = a.shape[0]
+    return a, probe_rows(thetas, max(1, math.ceil(math.log2(size))), size)
+
+
 def classical_trace_estimate(a: np.ndarray, thetas: np.ndarray) -> complex:
     """Mean of <x(theta_i)|A|x(theta_i)>; unbiased for Tr(A)/N.
 
     ``a`` must be square; unbiasedness additionally needs it unitarily
     diagonalizable, which is the caller's responsibility.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"trace estimation needs a square matrix, got shape {a.shape}")
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.size == 0:
-        raise ValueError("empty sample list")
-    size = a.shape[0]
-    n = max(1, math.ceil(math.log2(size)))
-    rows = probe_rows(thetas, n, size)
+    a, rows = _classical_probes(a, thetas, square=True)
     values = np.einsum("si,ij,sj->s", rows, a, rows)
     return complex(values.mean())
 
 
 def classical_schatten2_estimate(a: np.ndarray, thetas: np.ndarray) -> float:
     """sqrt of the trace estimate of A A^dagger / N; radicand clamped at 0."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {a.shape}")
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.size == 0:
-        raise ValueError("empty sample list")
-    size = a.shape[0]
-    n = max(1, math.ceil(math.log2(size)))
-    rows = probe_rows(thetas, n, size)
+    a, rows = _classical_probes(a, thetas, square=False)
     # <x|A A^dag|x> = ||A^dag x||^2, computed directly so it is real >= 0
     values = np.abs(rows @ a.conj()) ** 2
     radicand = max(0.0, float(values.sum(axis=1).mean()))
@@ -287,6 +284,7 @@ class SampleBudget:
     delta: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "m", require_int(self.m, "m"))
         if self.m < 1:
             raise ValueError(f"sample count must be positive, got {self.m}")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hadamard import mixed_quadratic_form
-from .qsim import Circuit, GateOp, MixedOperation, Operation
+from .qsim import Circuit, GateOp, MixedOperation, Operation, same_register
 from .sampler import SampleBudget, frequency_ladder, sample_thetas
 
 
@@ -80,8 +80,7 @@ def difference_mixture(u1: Operation, u2: Operation) -> MixedOperation:
     The coefficient budget of a mixture forbids weights (1, -1) directly,
     which is why the difference is scaled down by sqrt(2).
     """
-    if u1.n != u2.n:
-        raise ValueError(f"operations act on different registers: n={u1.n} vs n={u2.n}")
+    same_register(u1, u2)
     half = 1.0 / math.sqrt(2.0)
     return MixedOperation(((half, u1), (-half, u2)))
 

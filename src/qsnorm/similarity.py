@@ -33,8 +33,10 @@ from .qsim import (
     apply_operation_amplitudes,
     circuit_matrix,
     haar_random_unitary,
+    require_qubits,
     row_chunks,
     row_overlaps,
+    same_register,
 )
 from .sampler import SampleBudget, check_eps_delta, derive_seed, derived_rngs
 from .schatten import estimate_difference_norm, quantum_schatten2_estimate
@@ -66,8 +68,7 @@ class TauEstimate:
 
 def fidelity(psi1: StateVector, psi2: StateVector) -> float:
     """Squared overlap |<psi1|psi2>|^2 of two states on the same register."""
-    if psi1.n != psi2.n:
-        raise ValueError(f"states act on different registers: n={psi1.n} vs n={psi2.n}")
+    same_register(psi1, psi2)
     return float(abs(np.vdot(psi1.amplitudes, psi2.amplitudes)) ** 2)
 
 
@@ -78,11 +79,19 @@ def haar_random_state(n: int, rng: np.random.Generator) -> StateVector:
     return StateVector(n, amps / np.linalg.norm(amps))
 
 
+def similarity_factor(delta: float) -> float:
+    """1 + sqrt(2 (1/delta - 1)): epsilon over the distance below which two
+    unitaries are (epsilon, delta)-similar."""
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    return 1.0 + math.sqrt(2.0 * (1.0 / delta - 1.0))
+
+
 def similarity_bound_unitary(epsilon: float, delta: float) -> float:
     """Distance below which two unitaries are (epsilon, delta)-similar:
     epsilon / (1 + sqrt(2 (1/delta - 1)))."""
     check_eps_delta(epsilon, delta)
-    return epsilon / (1.0 + math.sqrt(2.0 * (1.0 / delta - 1.0)))
+    return epsilon / similarity_factor(delta)
 
 
 def similarity_bound_mixed(epsilon: float, delta: float, tau: float) -> float | None:
@@ -116,8 +125,7 @@ def estimate_tau(
     normalized Schatten 2-norm, so each mixture is sized by the sampling
     pipeline independently.
     """
-    if u1.n != u2.n:
-        raise ValueError(f"mixtures act on different registers: n={u1.n} vs n={u2.n}")
+    same_register(u1, u2)
     v1 = quantum_schatten2_estimate(u1, budget, shots_per_test, derive_seed(seed, 0)).value
     v2 = quantum_schatten2_estimate(u2, budget, shots_per_test, derive_seed(seed, 1)).value
     tau = (v1**2 + v2**2) / 2.0
@@ -130,9 +138,7 @@ def haar_fidelities(u1: Operation, u2: Operation, num_states: int, seed: int = 0
     operation acts on a chunk of states at once."""
     if num_states < 1:
         raise ValueError(f"need at least one state, got {num_states}")
-    if u1.n != u2.n:
-        raise ValueError(f"operations act on different registers: n={u1.n} vs n={u2.n}")
-    n, fidelities = u1.n, np.empty(num_states)
+    n, fidelities = same_register(u1, u2), np.empty(num_states)
     rngs = derived_rngs(seed, num_states)
     for chunk in row_chunks(num_states, n):
         states = np.stack([haar_random_state(n, rng).amplitudes for rng in islice(rngs, chunk.stop - chunk.start)])
@@ -204,13 +210,6 @@ def decide_similarity(
     )
 
 
-def check_pair_qubits(n: int) -> None:
-    """Reject a qubit count outside [1, MATRIX_QUBIT_CAP]; a pair is built
-    as dense matrices."""
-    if not 1 <= n <= MATRIX_QUBIT_CAP:
-        raise ValueError(f"qubit count {n} outside [1, {MATRIX_QUBIT_CAP}]")
-
-
 def check_distance(distance: float) -> None:
     """Reject a pair distance that no rotated copy can reach."""
     if not 0 < distance < math.sqrt(2.0):
@@ -225,7 +224,7 @@ def rotation_perturbed_pair(n: int, distance: float, seed: int) -> tuple[DenseUn
     inverted for the rotation angle a. Valid for 0 < distance < sqrt(2) and
     1 <= n <= MATRIX_QUBIT_CAP.
     """
-    check_pair_qubits(n)
+    require_qubits(n, MATRIX_QUBIT_CAP)
     check_distance(distance)
     angle = 2.0 * math.acos((1.0 - distance**2 / 2.0) ** (1.0 / n))
     u1 = haar_random_unitary(n, seed)

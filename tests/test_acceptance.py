@@ -216,7 +216,7 @@ def _learning_ansatz() -> Ansatz:
         GateOp("ry", (0,), (ParamSlot(2),)),
         GateOp("ry", (1,), (ParamSlot(3),)),
     ))
-    return Ansatz(template, num_params=4)
+    return Ansatz(template)
 
 
 def test_09_learning_convergence():
@@ -251,9 +251,9 @@ def test_10_square_root_of_phase_gate():
     target = Circuit(1, (GateOp("s", (0,)),))
     target_matrix = circuit_matrix(target)
 
-    base = Ansatz(template, num_params=2, repeat=1)
+    base = Ansatz(template, repeat=1)
     direct = loss(base, np.array([math.pi / 4, math.pi / 2]), target, exactness_grid(1))
-    doubled = Ansatz(template, num_params=2, repeat=2)
+    doubled = Ansatz(template, repeat=2)
     rooted = loss(doubled, np.array([math.pi / 8, math.pi / 4]), target, exactness_grid(1))
 
     result = learn_circuit(doubled, target, LearnConfig(m=64, eta=0.1, max_iters=1000, tol=1e-6, seed=0))

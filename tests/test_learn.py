@@ -37,11 +37,11 @@ def two_qubit_ansatz() -> Ansatz:
         GateOp("ry", (0,), (ParamSlot(2),)),
         GateOp("ry", (1,), (ParamSlot(3),)),
     ))
-    return Ansatz(template, num_params=4)
+    return Ansatz(template)
 
 
 def single_ry_ansatz() -> Ansatz:
-    return Ansatz(Circuit(1, (GateOp("ry", (0,), (ParamSlot(0),)),)), num_params=1)
+    return Ansatz(Circuit(1, (GateOp("ry", (0,), (ParamSlot(0),)),)))
 
 
 class TestAnsatz:
@@ -56,13 +56,22 @@ class TestAnsatz:
             two_qubit_ansatz().bind(np.array([0.1, 0.2]))
 
     def test_bind_repeated_doubles_ops(self):
-        ansatz = Ansatz(single_ry_ansatz().template, num_params=1, repeat=2)
+        ansatz = Ansatz(single_ry_ansatz().template, repeat=2)
         bound = ansatz.bind_repeated(np.array([0.5]))
         assert bound.ops == (GateOp("ry", (0,), (0.5,)), GateOp("ry", (0,), (0.5,)))
 
     def test_slot_out_of_range(self):
-        with pytest.raises(ValueError):
-            Ansatz(single_ry_ansatz().template, num_params=0)
+        with pytest.raises(ValueError, match="slot must be nonnegative"):
+            ParamSlot(-1)
+
+    def test_num_params_is_highest_slot_plus_one(self):
+        template = Circuit(2, (
+            GateOp("ry", (0,), (ParamSlot(3),)),
+            GateOp("rz", (1,), (0.5,)),
+            GateOp("ry", (1,), (ParamSlot(1),)),
+        ))
+        assert Ansatz(template).num_params == 4
+        assert Ansatz(Circuit(1, (GateOp("h", (0,)),))).num_params == 0
 
     @pytest.mark.parametrize("index", [1.5, True, "1"])
     def test_non_integer_slot_rejected(self, index):
@@ -72,7 +81,7 @@ class TestAnsatz:
     @pytest.mark.parametrize("repeat", [2.5, True, "2"])
     def test_non_integer_repeat_rejected(self, repeat):
         with pytest.raises(TypeError, match="repeat must be an integer"):
-            Ansatz(single_ry_ansatz().template, num_params=1, repeat=repeat)
+            Ansatz(single_ry_ansatz().template, repeat=repeat)
 
 
 class TestLoss:
@@ -106,7 +115,7 @@ class TestLoss:
             if slots == 0:
                 template_ops.append(GateOp("ry", (0,), (ParamSlot(0),)))
                 slots = 1
-            ansatz = Ansatz(Circuit(n, tuple(template_ops)), num_params=slots)
+            ansatz = Ansatz(Circuit(n, tuple(template_ops)))
             xi = rng.uniform(-math.pi, math.pi, slots)
             target = random_circuit(n, 6, rng)
             value = loss(ansatz, xi, target, exactness_grid(n))
@@ -219,7 +228,7 @@ class TestLearnCircuit:
 
     def test_unreachable_target_reports_nonconvergence(self):
         """An Rz-only family cannot produce H; the flag says so, no exception."""
-        ansatz = Ansatz(Circuit(1, (GateOp("rz", (0,), (ParamSlot(0),)),)), num_params=1)
+        ansatz = Ansatz(Circuit(1, (GateOp("rz", (0,), (ParamSlot(0),)),)))
         target = Circuit(1, (GateOp("h", (0,)),))
         result = learn_circuit(ansatz, target, LearnConfig(m=16, max_iters=30, tol=1e-4, seed=2))
         assert not result.converged
@@ -251,20 +260,32 @@ class TestLearnConfig:
         with pytest.raises(ValueError, match="finite"):
             LearnConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [True, False, 2.5, "3"])
+    @pytest.mark.parametrize("field", ["m", "max_iters", "shots_per_test", "seed"])
+    def test_integer_settings_rejected_unless_integers(self, field, value):
+        """LearnConfig(m=True, max_iters=True, shots_per_test=False) used to
+        construct."""
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            LearnConfig(**{field: value})
+
+    def test_numpy_integer_settings_stored_as_int(self):
+        config = LearnConfig(m=np.int64(8), max_iters=np.int32(5), shots_per_test=np.uint8(0), seed=np.int64(3))
+        assert all(type(getattr(config, f)) is int for f in ("m", "max_iters", "shots_per_test", "seed"))
+
 
 class TestLearnSquareRoot:
     def test_phase_root(self):
         """Squaring diag(1, e^(i xi)) gives diag(1, e^(2i xi)): xi tends to phi/2."""
         phi = 0.9
         target = Circuit(1, (GateOp("phase", (0,), (phi,)),))
-        ansatz = Ansatz(Circuit(1, (GateOp("phase", (0,), (ParamSlot(0),)),)), num_params=1, repeat=2)
+        ansatz = Ansatz(Circuit(1, (GateOp("phase", (0,), (ParamSlot(0),)),)), repeat=2)
         result = learn_circuit(ansatz, target, LearnConfig(m=64, eta=0.3, max_iters=1000, tol=1e-8, seed=1))
         assert result.converged and result.final_cost <= 1e-6
         folded = (result.xi[0] - phi / 2) % math.pi
         assert min(folded, math.pi - folded) <= 1e-3
 
     def test_identity_root_is_reachable(self):
-        ansatz = Ansatz(Circuit(1, (GateOp("rz", (0,), (ParamSlot(0),)),)), num_params=1, repeat=2)
+        ansatz = Ansatz(Circuit(1, (GateOp("rz", (0,), (ParamSlot(0),)),)), repeat=2)
         assert abs(loss(ansatz, np.array([0.0]), Circuit(1), sample_thetas(2, 16))) <= 1e-12
 
     def test_phase_rotation_family_contains_s_and_its_root(self):
@@ -272,10 +293,10 @@ class TestLearnSquareRoot:
         parameters give its square root under repeat = 2."""
         template = Circuit(1, (GateOp("globalphase", (), (ParamSlot(0),)), GateOp("rz", (0,), (ParamSlot(1),))))
         s_gate = Circuit(1, (GateOp("s", (0,)),))
-        base = Ansatz(template, num_params=2, repeat=1)
+        base = Ansatz(template, repeat=1)
         direct = loss(base, np.array([math.pi / 4, math.pi / 2]), s_gate, exactness_grid(1))
         assert abs(direct) < 1e-12
-        doubled = Ansatz(template, num_params=2, repeat=2)
+        doubled = Ansatz(template, repeat=2)
         rooted = loss(doubled, np.array([math.pi / 8, math.pi / 4]), s_gate, exactness_grid(1))
         assert abs(rooted) < 1e-12
 
@@ -325,7 +346,6 @@ class TestAnsatzDocuments:
                 GateOp("rz", (1,), (0.25,)),
                 GateOp("cnot", (0, 1)),
             )),
-            num_params=1,
             repeat=3,
         )
         again = ansatz_from_dict(ansatz_to_dict(ansatz))

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from qsnorm import (
     DenseUnitary,
     GateOp,
     MixedOperation,
+    SampleBudget,
     StateVector,
     adjoint,
     ansatz_from_dict,
@@ -24,11 +26,16 @@ from qsnorm import (
     circuit_from_dict,
     circuit_matrix,
     circuit_to_dict,
+    difference_mixture,
+    estimate_tau,
     exact_normalized_trace,
     exact_schatten2,
+    fidelity,
+    haar_fidelities,
     haar_random_state,
     haar_random_unitary,
     mixed_operation_from_dict,
+    mixed_operation_matrix,
     mixed_operation_to_dict,
     zero_state,
 )
@@ -262,8 +269,20 @@ class TestCircuitMatrix:
             np.testing.assert_allclose(mat @ mat.conj().T, np.eye(1 << n), atol=1e-10)
 
     def test_qubit_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("qubit count 11 outside [1, 10]")):
             circuit_matrix(Circuit(11))
+
+    def test_mixture_matrix_cap_checked_before_allocation(self):
+        """An 11-qubit mixture used to allocate its 64 MiB sum before the
+        first term's circuit_matrix refused it."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape("qubit count 11 outside [1, 10]")):
+                mixed_operation_matrix(MixedOperation(((1.0, Circuit(11)),)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestHaarRandomUnitary:
@@ -363,6 +382,45 @@ class TestValidation:
     def test_non_integer_register_rejected(self, n):
         with pytest.raises(TypeError, match="n must be an integer"):
             Circuit(n)
+
+    @pytest.mark.parametrize("n", [1.0, True, "1"])
+    def test_dense_and_state_registers_must_be_integers(self, n):
+        """DenseUnitary(True, ...) used to keep n = True and DenseUnitary(1.0,
+        ...) to fail in Python's shift."""
+        with pytest.raises(TypeError, match="n must be an integer"):
+            DenseUnitary(n, np.eye(2))
+        with pytest.raises(TypeError, match="n must be an integer"):
+            StateVector(n, np.ones(2))
+
+    @pytest.mark.parametrize(
+        "make", [Circuit, lambda n: DenseUnitary(n, np.eye(1)), lambda n: StateVector(n, np.ones(1))]
+    )
+    def test_empty_register_rejected(self, make):
+        """DenseUnitary(0, np.eye(1)) and StateVector(0, ...) used to construct."""
+        with pytest.raises(ValueError, match="qubit count 0 outside"):
+            make(0)
+
+    def test_numpy_integer_register_stored_as_int(self):
+        assert type(StateVector(np.int64(1), np.ones(2)).n) is int
+        assert type(DenseUnitary(np.uint8(1), np.eye(2)).n) is int
+        assert type(Circuit(np.int32(2)).n) is int
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: apply_circuit(zero_state(2), Circuit(1)),
+            lambda: MixedOperation(((0.5, Circuit(2)), (0.5, Circuit(1)))),
+            lambda: difference_mixture(Circuit(2), Circuit(1)),
+            lambda: fidelity(zero_state(2), zero_state(1)),
+            lambda: haar_fidelities(Circuit(2), Circuit(1), 3),
+            lambda: estimate_tau(
+                MixedOperation(((1.0, Circuit(2)),)), MixedOperation(((1.0, Circuit(1)),)), SampleBudget(m=1)
+            ),
+        ],
+    )
+    def test_register_mismatch_message(self, call):
+        with pytest.raises(ValueError, match=re.escape("operations act on different registers: n=2 vs n=1")):
+            call()
 
     def test_qubit_out_of_range(self):
         with pytest.raises(ValueError):

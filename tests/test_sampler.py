@@ -207,6 +207,15 @@ class TestBudgets:
         with pytest.raises(ValueError):
             SampleBudget(m=0)
 
+    @pytest.mark.parametrize("m", [True, 2.5, "3"])
+    def test_budget_requires_integer_m(self, m):
+        """m=True used to run one angle and m=2.5 to fail inside range()."""
+        with pytest.raises(TypeError, match="m must be an integer"):
+            SampleBudget(m=m)
+
+    def test_budget_stores_numpy_integer_as_int(self):
+        assert type(SampleBudget(m=np.int64(4)).m) is int
+
 
 class TestSqrtErrorPropagation:
     def test_exact_square(self):
