@@ -18,7 +18,6 @@ from .learn import (
     LearnResult,
     ParamSlot,
     ansatz_from_dict,
-    ansatz_to_dict,
     finite_diff_gradient,
     learn_circuit,
     loss,
@@ -34,17 +33,13 @@ from .qsim import (
     apply_circuit,
     circuit_from_dict,
     circuit_matrix,
-    circuit_to_dict,
-    exact_normalized_trace,
     exact_schatten2,
     haar_random_unitary,
     mixed_operation_from_dict,
     mixed_operation_matrix,
-    mixed_operation_to_dict,
     zero_state,
 )
 from .sampler import (
-    SampleBudget,
     classical_schatten2_estimate,
     classical_trace_estimate,
     derive_seed,
@@ -66,13 +61,11 @@ from .schatten import (
 )
 from .similarity import (
     SimilarityVerdict,
-    TauEstimate,
     decide_similarity,
     estimate_tau,
     fidelity,
     haar_fidelities,
     haar_random_state,
-    monte_carlo_similarity,
     rotation_perturbed_pair,
     similarity_bound_mixed,
     similarity_bound_unitary,

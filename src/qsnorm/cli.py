@@ -46,7 +46,7 @@ from .qsim import (
     mixed_operation_from_dict,
     require_qubits,
 )
-from .sampler import SampleBudget, derive_seed, sample_thetas
+from .sampler import derive_seed, sample_thetas
 from .schatten import difference_mixture, quantum_schatten2_estimate, schatten2_estimate_from_thetas
 from .similarity import (
     check_distance,
@@ -134,12 +134,12 @@ def _require(settings: dict, *keys: str) -> None:
 def cmd_estimate(cfg: dict) -> int:
     _require(cfg, "mixed")
     mixed = mixed_operation_from_dict(_load_json(cfg["mixed"]))
-    est = quantum_schatten2_estimate(mixed, SampleBudget(m=cfg["samples"]), cfg["shots"], cfg["seed"])
+    est = quantum_schatten2_estimate(mixed, cfg["samples"], cfg["shots"], cfg["seed"])
     report = {
         "value": est.value,
-        "m": est.m,
-        "shots_per_test": est.shots_per_test,
-        "seed": est.seed,
+        "m": cfg["samples"],
+        "shots_per_test": cfg["shots"],
+        "seed": cfg["seed"],
         "clamped": est.clamped,
         "per_sample_mean": float(np.mean(est.per_sample_values)),
         "per_sample_variance": float(np.var(est.per_sample_values)),

@@ -26,11 +26,12 @@ from .qsim import (
     STATE_QUBIT_CAP,
     adjoint,
     apply_operation_amplitudes,
+    require_int,
     require_qubits,
     row_chunks,
     row_overlaps,
 )
-from .sampler import check_eps_delta, derived_rngs, probe_rows
+from .sampler import check_eps_delta, check_thetas, derived_rngs, probe_rows
 
 
 def hadamard_shot_budget(epsilon: float, delta: float) -> int:
@@ -48,9 +49,9 @@ def measurement_budget_mixed(epsilon: float, delta: float, num_terms: int) -> in
     for the weighted sum because the coefficient weights are at most 2.
     """
     check_eps_delta(epsilon, delta)
-    if num_terms < 1:
-        raise ValueError(f"need at least one term, got {num_terms}")
-    k = num_terms
+    k = require_int(num_terms, "num_terms")
+    if k < 1:
+        raise ValueError(f"need at least one term, got {k}")
     return math.ceil(32.0 * k**4 * math.log(4.0 * k**2 / delta) / epsilon**2)
 
 
@@ -73,11 +74,10 @@ def mixed_quadratic_form(
     (through :func:`sampler.derived_rngs`).
     """
     n = require_qubits(mixed.n, STATE_QUBIT_CAP, "statevector qubit count")
+    shots_per_test = require_int(shots_per_test, "shots_per_test")
     if shots_per_test < 0:
         raise ValueError(f"shots must be nonnegative, got {shots_per_test}")
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    if thetas.size == 0:
-        raise ValueError("empty sample list")
+    thetas = check_thetas(thetas)
     coeffs = [coeff for coeff, _ in mixed.terms]
     squares = [abs(c) ** 2 for c in coeffs]
     back_ops = [adjoint(op) for _, op in mixed.terms]

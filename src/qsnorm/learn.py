@@ -34,7 +34,6 @@ from .qsim import (
     _number_param,
     adjoint,
     circuit_from_dict,
-    circuit_to_dict,
     require_int,
 )
 from .sampler import derived_rng, sample_thetas
@@ -206,13 +205,6 @@ def learn_circuit(ansatz: Ansatz, target: Operation, config: LearnConfig) -> Lea
 #
 # An ansatz document is a circuit document where any param may be
 # {"slot": k} instead of a number, plus a top-level "repeat".
-
-def ansatz_to_dict(ansatz: Ansatz) -> dict:
-    def slot_or_float(p):
-        return {"slot": p.index} if isinstance(p, ParamSlot) else float(p)
-
-    return {**circuit_to_dict(ansatz.template, slot_or_float), "repeat": ansatz.repeat}
-
 
 def ansatz_from_dict(doc: dict) -> Ansatz:
     if not isinstance(doc, dict):

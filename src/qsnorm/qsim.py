@@ -297,14 +297,6 @@ def exact_schatten2(m: np.ndarray) -> float:
     return float(np.linalg.norm(m) / math.sqrt(m.shape[0]))
 
 
-def exact_normalized_trace(m: np.ndarray) -> complex:
-    """Trace divided by dimension; input must be square."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"normalized trace needs a square matrix, got shape {m.shape}")
-    return complex(np.trace(m) / m.shape[0])
-
-
 @dataclass(frozen=True)
 class MixedOperation:
     """Coefficient-weighted sum of unitaries.
@@ -347,23 +339,12 @@ def mixed_operation_matrix(mixed: MixedOperation) -> np.ndarray:
     return total
 
 
-# --- JSON-friendly dict conversion -----------------------------------------
+# --- JSON documents ---------------------------------------------------------
 #
 # Circuit document:  {"n": 3, "ops": [{"gate": "ry", "qubits": [0],
 #                     "params": [1.5707963267948966]}, ...]}
 # Mixture document:  {"terms": [{"coeff": [re, im], "circuit": {...}}, ...]}
 # Gate names are lowercase, angles in radians.
-
-def circuit_to_dict(c: Circuit, param=float) -> dict:
-    """The circuit document of ``c``; ``param`` converts each parameter."""
-    ops = []
-    for op in c.ops:
-        entry: dict = {"gate": op.kind, "qubits": list(op.qubits)}
-        if op.params:
-            entry["params"] = [param(p) for p in op.params]
-        ops.append(entry)
-    return {"n": c.n, "ops": ops}
-
 
 def _is_finite_number(value) -> bool:
     """A JSON number that is finite; a JSON boolean is not a number."""
@@ -397,15 +378,6 @@ def circuit_from_dict(doc: dict, param=_number_param) -> Circuit:
         return Circuit(doc["n"], tuple(_gateop_from_dict(e, param) for e in doc.get("ops", [])))
     except (TypeError, ValueError) as exc:
         raise CircuitFormatError(str(exc)) from exc
-
-
-def mixed_operation_to_dict(mixed: MixedOperation) -> dict:
-    terms = []
-    for coeff, op in mixed.terms:
-        if not isinstance(op, Circuit):
-            raise ValueError("only gate circuits can be serialized in a mixture document")
-        terms.append({"coeff": [coeff.real, coeff.imag], "circuit": circuit_to_dict(op)})
-    return {"terms": terms}
 
 
 def mixed_operation_from_dict(doc: dict) -> MixedOperation:

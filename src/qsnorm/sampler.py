@@ -31,7 +31,6 @@ asymptotic bounds so they are reproducible exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -64,13 +63,13 @@ def derived_rng(seed: int, *path: int) -> np.random.Generator:
     for the vectorized derivation behind :func:`sample_thetas` and
     :func:`derived_rngs`, which the estimators use for many keys.
     """
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, path)]))
+    return np.random.default_rng(np.random.SeedSequence([require_int(v, "seed") for v in (seed, *path)]))
 
 
 def _entropy_words(value: int) -> list[int]:
     """The uint32 words SeedSequence reads from a nonnegative integer, least
     significant first."""
-    value = int(value)
+    value = require_int(value, "seed")
     if value < 0:
         raise ValueError("expected non-negative integer")
     words = [value & _M32]
@@ -186,7 +185,7 @@ def derived_rngs(seed: int, count: int, *suffix: int) -> Iterator[np.random.Gene
 
 def derive_seed(seed: int, *path: int) -> int:
     """A child integer seed keyed by (seed, path), for nested pipelines."""
-    ss = np.random.SeedSequence([int(seed), *map(int, path)])
+    ss = np.random.SeedSequence([require_int(v, "seed") for v in (seed, *path)])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -194,6 +193,7 @@ def sample_thetas(seed: int, m: int) -> np.ndarray:
     """m angles uniform on [-pi, pi]: theta_i is
     ``derived_rng(seed, i).uniform(-pi, pi)``, computed for a block of keys
     at once from each key's first PCG64 output."""
+    m = require_int(m, "m")
     if m < 1:
         raise ValueError(f"need at least one sample, got m={m}")
     blocks = _key_blocks(m)  # checks m before thetas is allocated
@@ -223,6 +223,17 @@ def exactness_grid(n: int) -> np.ndarray:
     return np.linspace(-math.pi, math.pi, size, endpoint=False)
 
 
+def check_thetas(thetas) -> np.ndarray:
+    """The probe angles as a 1-D float array; ValueError if there are none or
+    one is not finite. Estimators check the whole angle set once, up front."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    if thetas.size == 0:
+        raise ValueError("empty sample list")
+    if not np.isfinite(thetas).all():
+        raise ValueError("probe angles must be finite")
+    return thetas
+
+
 def probe_rows(thetas: np.ndarray, n: int, size: int) -> np.ndarray:
     """Probe vectors x(theta), one row per angle; requires 2^(n-1) < size <= 2^n.
 
@@ -247,11 +258,8 @@ def _classical_probes(a: np.ndarray, thetas: np.ndarray, square: bool) -> tuple[
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or square and a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a {'square ' if square else ''}matrix, got shape {a.shape}")
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.size == 0:
-        raise ValueError("empty sample list")
     size = a.shape[0]
-    return a, probe_rows(thetas, max(1, math.ceil(math.log2(size))), size)
+    return a, probe_rows(check_thetas(thetas), max(1, math.ceil(math.log2(size))), size)
 
 
 def classical_trace_estimate(a: np.ndarray, thetas: np.ndarray) -> complex:
@@ -274,21 +282,6 @@ def classical_schatten2_estimate(a: np.ndarray, thetas: np.ndarray) -> float:
     return math.sqrt(radicand)
 
 
-@dataclass(frozen=True)
-class SampleBudget:
-    """Number of probe angles promised to reach precision epsilon with
-    failure probability delta."""
-
-    m: int
-    epsilon: float | None = None
-    delta: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", require_int(self.m, "m"))
-        if self.m < 1:
-            raise ValueError(f"sample count must be positive, got {self.m}")
-
-
 def check_eps_delta(epsilon: float, delta: float) -> None:
     """Reject a precision that is not positive and finite, or a confidence
     outside (0, 1); NaN fails both."""
@@ -298,18 +291,17 @@ def check_eps_delta(epsilon: float, delta: float) -> None:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
-def sample_budget_trace(epsilon: float, delta: float) -> SampleBudget:
+def sample_budget_trace(epsilon: float, delta: float) -> int:
     """Angles needed for the normalized-trace estimate: ceil(ln(2/delta)/(4 eps^2)).
 
     Real and imaginary parts are each held to epsilon/sqrt(2), which is
     where the 1/4 constant comes from.
     """
     check_eps_delta(epsilon, delta)
-    m = math.ceil(math.log(2.0 / delta) / (4.0 * epsilon**2))
-    return SampleBudget(m=m, epsilon=epsilon, delta=delta)
+    return math.ceil(math.log(2.0 / delta) / (4.0 * epsilon**2))
 
 
-def sample_budget_schatten2(epsilon: float, delta: float, norm_hint: float = 0.0) -> SampleBudget:
+def sample_budget_schatten2(epsilon: float, delta: float, norm_hint: float = 0.0) -> int:
     """Angles for the Schatten-2 estimate:
     ceil(ln(2/delta)/(2 eps^2) * min(eps^-2, norm_hint^-2)).
 
@@ -323,8 +315,7 @@ def sample_budget_schatten2(epsilon: float, delta: float, norm_hint: float = 0.0
         factor = epsilon**-2
     else:
         factor = min(epsilon**-2, norm_hint**-2)
-    m = math.ceil(math.log(2.0 / delta) / (2.0 * epsilon**2) * factor)
-    return SampleBudget(m=m, epsilon=epsilon, delta=delta)
+    return math.ceil(math.log(2.0 / delta) / (2.0 * epsilon**2) * factor)
 
 
 def sqrt_error_propagation_holds(m_hat: float, s: float, epsilon: float) -> bool:

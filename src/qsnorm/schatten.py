@@ -10,13 +10,13 @@ squared normalized Schatten 2-norm of the mixture U~.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .hadamard import mixed_quadratic_form
 from .qsim import Circuit, GateOp, MixedOperation, Operation, same_register
-from .sampler import SampleBudget, frequency_ladder, sample_thetas
+from .sampler import frequency_ladder, sample_thetas
 
 
 @dataclass(frozen=True)
@@ -24,10 +24,7 @@ class SchattenEstimate:
     """Estimate report: value = sqrt(clamped mean of the per-angle values)."""
 
     value: float
-    m: int
-    shots_per_test: int
     per_sample_values: np.ndarray
-    seed: int
     clamped: bool = False
 
 
@@ -54,23 +51,20 @@ def schatten2_estimate_from_thetas(
     mean = math.fsum(values) / values.size
     return SchattenEstimate(
         value=math.sqrt(max(0.0, mean)),
-        m=values.size,
-        shots_per_test=shots_per_test,
         per_sample_values=values,
-        seed=seed,
         clamped=mean < 0.0,
     )
 
 
 def quantum_schatten2_estimate(
     mixed: MixedOperation,
-    budget: SampleBudget,
+    m: int,
     shots_per_test: int = 0,
     seed: int = 0,
 ) -> SchattenEstimate:
-    """Draw budget.m angles uniform on [-pi, pi] and average the quadratic
-    form; deterministic given the seed."""
-    thetas = sample_thetas(seed, budget.m)
+    """Draw m angles uniform on [-pi, pi] and average the quadratic form;
+    deterministic given the seed."""
+    thetas = sample_thetas(seed, m)
     return schatten2_estimate_from_thetas(mixed, thetas, shots_per_test, seed)
 
 
@@ -88,14 +82,12 @@ def difference_mixture(u1: Operation, u2: Operation) -> MixedOperation:
 def estimate_difference_norm(
     u1: Operation,
     u2: Operation,
-    budget: SampleBudget,
+    m: int,
     shots_per_test: int = 0,
     seed: int = 0,
-) -> SchattenEstimate:
-    """Estimate ||U1 - U2|| (normalized Schatten 2) in [0, 2].
-
-    The pipeline runs on :func:`difference_mixture` and the result is
-    rescaled by sqrt(2); per-sample values are rescaled by 2 to match.
+) -> float:
+    """Estimate ||U1 - U2|| (normalized Schatten 2) in [0, 2]: the pipeline
+    runs on :func:`difference_mixture` and its value is rescaled by sqrt(2).
     """
-    base = quantum_schatten2_estimate(difference_mixture(u1, u2), budget, shots_per_test, seed)
-    return replace(base, value=math.sqrt(2.0) * base.value, per_sample_values=2.0 * base.per_sample_values)
+    base = quantum_schatten2_estimate(difference_mixture(u1, u2), m, shots_per_test, seed)
+    return math.sqrt(2.0) * base.value

@@ -33,12 +33,13 @@ from .qsim import (
     apply_operation_amplitudes,
     circuit_matrix,
     haar_random_unitary,
+    require_int,
     require_qubits,
     row_chunks,
     row_overlaps,
     same_register,
 )
-from .sampler import SampleBudget, check_eps_delta, derive_seed, derived_rngs
+from .sampler import check_eps_delta, derive_seed, derived_rngs
 from .schatten import estimate_difference_norm, quantum_schatten2_estimate
 
 ESTIMATE_FLOOR = 1e-6
@@ -56,14 +57,6 @@ class SimilarityVerdict:
     estimate: float
     slack_term: float
     threshold: float
-
-
-@dataclass(frozen=True)
-class TauEstimate:
-    """Estimated mean squared size (tau) of a pair of mixtures, in (0, 1]."""
-
-    tau: float
-    m: int
 
 
 def fidelity(psi1: StateVector, psi2: StateVector) -> float:
@@ -115,10 +108,10 @@ def similarity_bound_mixed(epsilon: float, delta: float, tau: float) -> float | 
 def estimate_tau(
     u1: MixedOperation,
     u2: MixedOperation,
-    budget: SampleBudget,
+    m: int,
     shots_per_test: int = 0,
     seed: int = 0,
-) -> TauEstimate:
+) -> float:
     """Estimate tau = (||U~1||^2 + ||U~2||^2) / 2, clamped to (0, 1].
 
     Uses that the Haar mean of <psi|U~ U~^dag|psi> equals the squared
@@ -126,16 +119,16 @@ def estimate_tau(
     pipeline independently.
     """
     same_register(u1, u2)
-    v1 = quantum_schatten2_estimate(u1, budget, shots_per_test, derive_seed(seed, 0)).value
-    v2 = quantum_schatten2_estimate(u2, budget, shots_per_test, derive_seed(seed, 1)).value
-    tau = (v1**2 + v2**2) / 2.0
-    return TauEstimate(tau=min(1.0, max(TAU_FLOOR, tau)), m=budget.m)
+    v1 = quantum_schatten2_estimate(u1, m, shots_per_test, derive_seed(seed, 0)).value
+    v2 = quantum_schatten2_estimate(u2, m, shots_per_test, derive_seed(seed, 1)).value
+    return min(1.0, max(TAU_FLOOR, (v1**2 + v2**2) / 2.0))
 
 
 def haar_fidelities(u1: Operation, u2: Operation, num_states: int, seed: int = 0) -> np.ndarray:
     """|<U1 psi_i|U2 psi_i>|^2 for Haar states psi_i drawn from
     ``derived_rng(seed, i)`` (through :func:`sampler.derived_rngs`); each
     operation acts on a chunk of states at once."""
+    num_states = require_int(num_states, "num_states")
     if num_states < 1:
         raise ValueError(f"need at least one state, got {num_states}")
     n, fidelities = same_register(u1, u2), np.empty(num_states)
@@ -147,18 +140,6 @@ def haar_fidelities(u1: Operation, u2: Operation, num_states: int, seed: int = 0
     return fidelities
 
 
-def monte_carlo_similarity(
-    u1: Operation,
-    u2: Operation,
-    epsilon: float,
-    num_states: int,
-    seed: int = 0,
-) -> float:
-    """Fraction of Haar states whose processed fidelity is >= 1 - epsilon."""
-    fidelities = haar_fidelities(u1, u2, num_states, seed)
-    return int(np.count_nonzero(fidelities >= 1.0 - epsilon)) / num_states
-
-
 def similarity_slack(m: int, delta_hat: float, estimate: float) -> float:
     """Confidence slack added to a sampled distance estimate:
     min((2 ln(2/delta_hat)/m)^(1/4), sqrt(2 ln(2/delta_hat)/m)/max(estimate, floor)).
@@ -167,6 +148,7 @@ def similarity_slack(m: int, delta_hat: float, estimate: float) -> float:
     for it (floored), and the first branch dominates whenever the distance
     is small, where no truth is needed.
     """
+    m = require_int(m, "m")
     if m < 1:
         raise ValueError(f"need at least one sample, got m={m}")
     if not 0 < delta_hat < 1:
@@ -196,7 +178,7 @@ def decide_similarity(
         raise ValueError(f"epsilon above 2 is vacuous for unit vectors, got {epsilon}")
     if not 0 < delta_hat < 1:
         raise ValueError(f"delta_hat must lie in (0, 1), got {delta_hat}")
-    estimate = estimate_difference_norm(u1, u2, SampleBudget(m=m), shots_per_test, seed).value
+    estimate = estimate_difference_norm(u1, u2, m, shots_per_test, seed)
     slack = similarity_slack(m, delta_hat, estimate)
     threshold = similarity_bound_unitary(epsilon, delta)
     return SimilarityVerdict(

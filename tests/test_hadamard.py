@@ -11,7 +11,6 @@ from qsnorm import (
     Circuit,
     GateOp,
     MixedOperation,
-    SampleBudget,
     adjoint,
     circuit_matrix,
     derived_rng,
@@ -153,6 +152,12 @@ class TestBudgets:
         with pytest.raises(ValueError):
             measurement_budget_mixed(0.1, 0.05, 0)
 
+    @pytest.mark.parametrize("num_terms", [2.5, True])
+    def test_mixed_budget_needs_integer_term_count(self, num_terms):
+        """2.5 terms used to give 690183 shots and True the 1-term budget."""
+        with pytest.raises(TypeError, match="num_terms must be an integer"):
+            measurement_budget_mixed(0.1, 0.1, num_terms)
+
 
 class TestMixedQuadraticForm:
     def test_single_unitary_is_exactly_one(self):
@@ -281,7 +286,31 @@ class TestMixedQuadraticForm:
         with pytest.raises(ValueError, match="qubit count 21"):
             mixed_quadratic_form(MixedOperation(((1.0, Circuit(21)),)), [0.1])
         with pytest.raises(ValueError, match="qubit count 21"):
-            estimate_difference_norm(Circuit(21), Circuit(21), SampleBudget(m=1))
+            estimate_difference_norm(Circuit(21), Circuit(21), 1)
+
+    @pytest.mark.parametrize("shots", [2.5, True])
+    def test_non_integer_shots_rejected(self, shots):
+        """2.5 shots used to draw 2 and divide by 2.5, giving values in
+        {0, 0.8, 1.6} for (I - X)/sqrt(2) instead of {0, 1, 2}."""
+        mixed = MixedOperation(((SQRT2_INV, Circuit(1)), (-SQRT2_INV, Circuit(1, (GateOp("x", (0,)),)))))
+        with pytest.raises(TypeError, match="shots_per_test must be an integer"):
+            mixed_quadratic_form(mixed, sample_thetas(1, 20), shots)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("shots", [0, 10])
+    def test_non_finite_angle_rejected_before_any_work(self, monkeypatch, bad, shots):
+        """A NaN angle used to give a NaN value. The whole angle set is
+        checked once, so a bad angle in the last chunk is caught before the
+        first chunk's probe rows are built."""
+        mixed = random_mixture(3, 2, np.random.default_rng(3))
+        thetas = np.append(sample_thetas(5, 1200), bad)
+
+        def no_rows(*args):
+            raise AssertionError("probe rows were built")
+
+        monkeypatch.setattr("qsnorm.hadamard.probe_rows", no_rows)
+        with pytest.raises(ValueError, match="angles must be finite"):
+            mixed_quadratic_form(mixed, thetas, shots)
 
     def test_negative_shots_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -15,7 +15,6 @@ from qsnorm import (
     ParamSlot,
     adjoint,
     ansatz_from_dict,
-    ansatz_to_dict,
     circuit_matrix,
     derive_seed,
     derived_rng,
@@ -162,6 +161,12 @@ class TestLoss:
     def test_empty_angle_list_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             loss(single_ry_ansatz(), np.array([0.1]), Circuit(1), thetas=[])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_angle_rejected(self, bad):
+        """An inf angle used to give a NaN loss."""
+        with pytest.raises(ValueError, match="angles must be finite"):
+            loss(single_ry_ansatz(), np.array([0.1]), Circuit(1), thetas=[0.3, bad])
 
 
 class TestFiniteDiffGradient:
@@ -340,6 +345,16 @@ class TestShotNoiseGradient:
 
 class TestAnsatzDocuments:
     def test_round_trip(self):
+        """A document and the ansatz it describes agree gate for gate."""
+        doc = {
+            "n": 2,
+            "ops": [
+                {"gate": "ry", "qubits": [0], "params": [{"slot": 0}]},
+                {"gate": "rz", "qubits": [1], "params": [0.25]},
+                {"gate": "cnot", "qubits": [0, 1]},
+            ],
+            "repeat": 3,
+        }
         ansatz = Ansatz(
             Circuit(2, (
                 GateOp("ry", (0,), (ParamSlot(0),)),
@@ -348,8 +363,7 @@ class TestAnsatzDocuments:
             )),
             repeat=3,
         )
-        again = ansatz_from_dict(ansatz_to_dict(ansatz))
-        assert again == ansatz
+        assert ansatz_from_dict(doc) == ansatz
 
     def test_documented_form(self):
         doc = {

@@ -17,18 +17,15 @@ from qsnorm import (
     DenseUnitary,
     GateOp,
     MixedOperation,
-    SampleBudget,
+    ParamSlot,
     StateVector,
     adjoint,
     ansatz_from_dict,
-    ansatz_to_dict,
     apply_circuit,
     circuit_from_dict,
     circuit_matrix,
-    circuit_to_dict,
     difference_mixture,
     estimate_tau,
-    exact_normalized_trace,
     exact_schatten2,
     fidelity,
     haar_fidelities,
@@ -36,7 +33,6 @@ from qsnorm import (
     haar_random_unitary,
     mixed_operation_from_dict,
     mixed_operation_matrix,
-    mixed_operation_to_dict,
     zero_state,
 )
 from qsnorm.qsim import GATES, _apply_gateop, apply_operation_amplitudes
@@ -82,11 +78,47 @@ DOCUMENTS = {
     }),
     "ansatz": _circuit_docs(st.one_of(_NUMBERS, _SLOTS)).map(lambda doc: {**doc, "repeat": 1}),
 }
+
+
+def _check_circuit(circuit, doc, param=float):
+    """``circuit`` has the register and, gate for gate, the kinds, qubits and
+    parameters of ``doc``; ``param`` maps a document parameter to its value."""
+    entries = doc.get("ops", [])
+    assert circuit.n == doc["n"] and len(circuit.ops) == len(entries)
+    for op, entry in zip(circuit.ops, entries):
+        assert (op.kind, op.qubits) == (entry["gate"], tuple(entry.get("qubits", [])))
+        assert op.params == tuple(param(p) for p in entry.get("params", []))
+
+
+def _check_mixture(mixed, doc):
+    assert len(mixed.terms) == len(doc["terms"])
+    for (coeff, circuit), term in zip(mixed.terms, doc["terms"]):
+        assert coeff == complex(*term["coeff"])
+        _check_circuit(circuit, term["circuit"])
+
+
+def _check_ansatz(ansatz, doc):
+    assert ansatz.repeat == doc.get("repeat", 1)
+    _check_circuit(ansatz.template, doc, lambda p: ParamSlot(p["slot"]) if isinstance(p, dict) else float(p))
+
+
+# Per document kind: its parser, and a check of a parsed object against the document.
 PARSERS = {
-    "circuit": (circuit_from_dict, circuit_to_dict),
-    "mixture": (mixed_operation_from_dict, mixed_operation_to_dict),
-    "ansatz": (ansatz_from_dict, ansatz_to_dict),
+    "circuit": (circuit_from_dict, _check_circuit),
+    "mixture": (mixed_operation_from_dict, _check_mixture),
+    "ansatz": (ansatz_from_dict, _check_ansatz),
 }
+
+
+def _random_circuit_doc(n, depth, rng):
+    """A well-formed circuit document of ``depth`` random gates on ``n`` qubits."""
+    kinds = [kind for kind in sorted(GATES) if GATES[kind].qubits <= n]
+    ops = []
+    for kind in rng.choice(kinds, depth).tolist():
+        row = GATES[kind]
+        qubits = rng.permutation(n)[: row.qubits].tolist()
+        ops.append({"gate": kind, "qubits": qubits, "params": rng.uniform(-4, 4, row.params).tolist()})
+    return {"n": n, "ops": ops}
 
 
 def _keys_and_numbers(doc):
@@ -336,19 +368,6 @@ class TestExactNorms:
             svals = np.linalg.svd(mat, compute_uv=False)
             assert exact_schatten2(mat) == pytest.approx(math.sqrt(np.sum(svals**2) / 8), rel=1e-12)
 
-    def test_normalized_trace(self):
-        assert exact_normalized_trace(np.eye(4)) == pytest.approx(1.0)
-        assert exact_normalized_trace(np.diag([1, -1])) == pytest.approx(0.0)
-
-    def test_normalized_trace_of_rz(self):
-        """Tr Rz(t)/2 = (exp(-it/2) + exp(it/2))/2 = cos(t/2)."""
-        t = 1.234
-        mat = circuit_matrix(Circuit(1, (GateOp("rz", (0,), (t,)),)))
-        assert exact_normalized_trace(mat) == pytest.approx(math.cos(t / 2), abs=1e-12)
-
-    def test_normalized_trace_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            exact_normalized_trace(np.zeros((2, 3)))
 
 
 class TestValidation:
@@ -376,7 +395,6 @@ class TestValidation:
         op = GateOp("cnot", (np.int64(1), np.uint8(0)))
         assert op.qubits == (1, 0)
         assert all(type(q) is int for q in op.qubits)
-        assert circuit_to_dict(Circuit(2, (op,)))["ops"][0]["qubits"] == [1, 0]
 
     @pytest.mark.parametrize("n", [2.7, True, "3"])
     def test_non_integer_register_rejected(self, n):
@@ -414,7 +432,7 @@ class TestValidation:
             lambda: fidelity(zero_state(2), zero_state(1)),
             lambda: haar_fidelities(Circuit(2), Circuit(1), 3),
             lambda: estimate_tau(
-                MixedOperation(((1.0, Circuit(2)),)), MixedOperation(((1.0, Circuit(1)),)), SampleBudget(m=1)
+                MixedOperation(((1.0, Circuit(2)),)), MixedOperation(((1.0, Circuit(1)),)), 1
             ),
         ],
     )
@@ -466,18 +484,22 @@ class TestDocuments:
         assert circuit.ops[1] == GateOp("cnot", (0, 1))
 
     def test_circuit_round_trip(self):
+        """Random circuit documents, over every gate kind, parse to circuits
+        with the document's fields."""
         rng = np.random.default_rng(51)
         for _ in range(20):
-            circuit = random_circuit(int(rng.integers(1, 5)), 6, rng)
-            assert circuit_from_dict(circuit_to_dict(circuit)) == circuit
+            doc = _random_circuit_doc(int(rng.integers(1, 5)), 6, rng)
+            _check_circuit(circuit_from_dict(doc), doc)
 
     def test_mixture_round_trip(self):
         rng = np.random.default_rng(52)
-        mixed = MixedOperation(
-            ((0.5 + 0.1j, random_circuit(2, 4, rng)), (-0.2, random_circuit(2, 4, rng)))
-        )
-        again = mixed_operation_from_dict(mixed_operation_to_dict(mixed))
-        assert again == mixed
+        doc = {
+            "terms": [
+                {"coeff": [0.5, 0.1], "circuit": _random_circuit_doc(2, 4, rng)},
+                {"coeff": [-0.2, 0], "circuit": _random_circuit_doc(2, 4, rng)},
+            ]
+        }
+        _check_mixture(mixed_operation_from_dict(doc), doc)
 
     @pytest.mark.parametrize(
         "doc",
@@ -513,16 +535,15 @@ class TestDocuments:
     def test_parsers_accept_exactly_finite_well_formed_documents(self, case):
         """A gate, mixture or ansatz document with a non-finite number or an
         unknown gate key is rejected as malformed; any other document parses
-        and survives a round trip."""
+        to an object with the document's fields."""
         kind, doc = case
-        parse, dump = PARSERS[kind]
+        parse, check = PARSERS[kind]
         keys, numbers = _keys_and_numbers(doc)
         if "bogus" in keys or not all(math.isfinite(v) for v in numbers):
             with pytest.raises(CircuitFormatError):
                 parse(doc)
         else:
-            parsed = parse(doc)
-            assert parse(dump(parsed)) == parsed
+            check(parse(doc), doc)
 
     def test_mixture_loader_enforces_unit_weight(self):
         doc = {

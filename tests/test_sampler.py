@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsnorm import (
-    SampleBudget,
     classical_schatten2_estimate,
     classical_trace_estimate,
     derive_seed,
@@ -120,6 +119,14 @@ class TestClassicalTraceEstimate:
         with pytest.raises(ValueError, match="empty"):
             classical_trace_estimate(np.eye(2), np.array([]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, bad):
+        """A NaN angle used to give (nan+nanj)."""
+        with pytest.raises(ValueError, match="angles must be finite"):
+            classical_trace_estimate(np.eye(2), [0.1, bad])
+        with pytest.raises(ValueError, match="angles must be finite"):
+            classical_schatten2_estimate(np.eye(2), [bad])
+
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
             classical_trace_estimate(np.zeros((2, 3)), np.array([0.1]))
@@ -128,9 +135,9 @@ class TestClassicalTraceEstimate:
         """369 angles hold a 6-qubit unitary trace to 0.05 in >= 95 of 100 runs."""
         mat = haar_random_unitary(6, 99)
         truth = np.trace(mat) / 64
-        budget = sample_budget_trace(0.05, 0.05)
+        m = sample_budget_trace(0.05, 0.05)
         hits = sum(
-            abs(classical_trace_estimate(mat, sample_thetas(derive_seed(11, rep), budget.m)) - truth) <= 0.05
+            abs(classical_trace_estimate(mat, sample_thetas(derive_seed(11, rep), m)) - truth) <= 0.05
             for rep in range(100)
         )
         assert hits >= 95
@@ -164,30 +171,30 @@ class TestClassicalSchatten2Estimate:
 
 class TestBudgets:
     def test_trace_budget_reference_point(self):
-        assert sample_budget_trace(0.05, 0.05).m == 369
+        assert sample_budget_trace(0.05, 0.05) == 369
 
     def test_trace_budget_weakest_request(self):
-        assert sample_budget_trace(1.0, 0.99).m == 1
+        assert sample_budget_trace(1.0, 0.99) == 1
 
     def test_halving_epsilon_quadruples_m(self):
-        coarse = sample_budget_trace(0.02, 0.1).m
-        fine = sample_budget_trace(0.01, 0.1).m
+        coarse = sample_budget_trace(0.02, 0.1)
+        fine = sample_budget_trace(0.01, 0.1)
         assert abs(fine - 4 * coarse) <= 4
 
     def test_schatten_budget_reference_point(self):
-        assert sample_budget_schatten2(0.1, 0.05, norm_hint=1.0).m == 185
+        assert sample_budget_schatten2(0.1, 0.05, norm_hint=1.0) == 185
 
     def test_schatten_budget_small_hint_uses_epsilon_branch(self):
         """min(eps^-2, hint^-2) picks eps^-2 = 100 when the hint is tiny."""
         assert (
-            sample_budget_schatten2(0.1, 0.05, norm_hint=0.01).m
-            == sample_budget_schatten2(0.1, 0.05, norm_hint=0.0).m
+            sample_budget_schatten2(0.1, 0.05, norm_hint=0.01)
+            == sample_budget_schatten2(0.1, 0.05, norm_hint=0.0)
         )
 
     def test_schatten_budget_crossover_at_hint_equal_epsilon(self):
-        at_eps = sample_budget_schatten2(0.1, 0.05, norm_hint=0.1).m
-        assert at_eps == sample_budget_schatten2(0.1, 0.05, norm_hint=0.05).m
-        assert sample_budget_schatten2(0.1, 0.05, norm_hint=0.5).m < at_eps
+        at_eps = sample_budget_schatten2(0.1, 0.05, norm_hint=0.1)
+        assert at_eps == sample_budget_schatten2(0.1, 0.05, norm_hint=0.05)
+        assert sample_budget_schatten2(0.1, 0.05, norm_hint=0.5) < at_eps
 
     @pytest.mark.parametrize("eps,delta", [(0.0, 0.1), (-1, 0.1), (0.1, 0.0), (0.1, 1.0)])
     def test_domain_violations(self, eps, delta):
@@ -199,22 +206,26 @@ class TestBudgets:
     @pytest.mark.parametrize("eps", [math.nan, math.inf])
     def test_non_finite_epsilon_rejected(self, eps):
         """NaN used to pass, because nan <= 0 is False; the budgets then
-        failed only by accident, inside ceil() or SampleBudget."""
+        failed only by accident, inside ceil() or at a zero sample count."""
         with pytest.raises(ValueError, match="epsilon"):
             check_eps_delta(eps, 0.1)
 
     def test_budget_requires_positive_m(self):
-        with pytest.raises(ValueError):
-            SampleBudget(m=0)
+        """A sample count is checked where the angles are drawn."""
+        with pytest.raises(ValueError, match="at least one sample"):
+            sample_thetas(0, 0)
 
     @pytest.mark.parametrize("m", [True, 2.5, "3"])
     def test_budget_requires_integer_m(self, m):
         """m=True used to run one angle and m=2.5 to fail inside range()."""
         with pytest.raises(TypeError, match="m must be an integer"):
-            SampleBudget(m=m)
+            sample_thetas(0, m)
 
     def test_budget_stores_numpy_integer_as_int(self):
-        assert type(SampleBudget(m=np.int64(4)).m) is int
+        """Every budget is a plain int, and a numpy integer count is accepted."""
+        assert type(sample_budget_trace(0.05, 0.05)) is int
+        assert type(sample_budget_schatten2(0.1, 0.05)) is int
+        assert sample_thetas(0, np.int64(4)).tobytes() == sample_thetas(0, 4).tobytes()
 
 
 class TestSqrtErrorPropagation:
@@ -301,6 +312,25 @@ class TestVectorizedSeeding:
         for draw in (lambda: derived_rng(-1, 0), lambda: sample_thetas(-1, 5), lambda: next(derived_rngs(-1, 5))):
             with pytest.raises(ValueError, match="non-negative"):
                 draw()
+
+    @pytest.mark.parametrize("seed", [2.5, 2.9, True, np.float64(2.0)])
+    def test_non_integer_seed_rejected(self, seed):
+        """Seeds used to be truncated with int(), so sample_thetas(2.5, 3)
+        equalled sample_thetas(2, 3)."""
+        draws = (
+            lambda: sample_thetas(seed, 3),
+            lambda: derive_seed(seed),
+            lambda: derived_rng(seed),
+            lambda: derived_rng(1, seed),
+            lambda: next(derived_rngs(seed, 3)),
+        )
+        for draw in draws:
+            with pytest.raises(TypeError, match="seed must be an integer"):
+                draw()
+
+    def test_numpy_integer_seed_accepted(self):
+        assert sample_thetas(np.int64(7), 3).tobytes() == sample_thetas(7, 3).tobytes()
+        assert derive_seed(np.uint32(7), np.int8(1)) == derive_seed(7, 1)
 
     def test_keys_stay_below_one_seed_word(self):
         """A key is one SeedSequence word; refused before anything is allocated."""

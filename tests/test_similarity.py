@@ -11,7 +11,6 @@ from qsnorm import (
     DenseUnitary,
     GateOp,
     MixedOperation,
-    SampleBudget,
     StateVector,
     apply_circuit,
     decide_similarity,
@@ -25,7 +24,6 @@ from qsnorm import (
     haar_random_state,
     haar_random_unitary,
     mixed_operation_matrix,
-    monte_carlo_similarity,
     rotation_perturbed_pair,
     similarity_bound_mixed,
     similarity_bound_unitary,
@@ -130,14 +128,12 @@ class TestEstimateTau:
     def test_unitary_pair_is_exactly_one(self):
         u1 = MixedOperation(((1.0, random_circuit(2, 5, np.random.default_rng(4))),))
         u2 = MixedOperation(((1.0, random_circuit(2, 5, np.random.default_rng(5))),))
-        result = estimate_tau(u1, u2, SampleBudget(m=10), seed=1)
-        assert result.tau == 1.0
+        assert estimate_tau(u1, u2, 10, seed=1) == 1.0
 
     def test_half_identity_pair(self):
         """||0.5 I||^2 = 0.25 for each side, so tau is exactly 1/4."""
         half = MixedOperation(((0.5, Circuit(1)),))
-        result = estimate_tau(half, half, SampleBudget(m=7), seed=2)
-        assert result.tau == pytest.approx(0.25, abs=1e-12)
+        assert estimate_tau(half, half, 7, seed=2) == pytest.approx(0.25, abs=1e-12)
 
     def test_matches_dense_oracle_on_grid(self):
         rng = np.random.default_rng(6)
@@ -158,18 +154,18 @@ class TestEstimateTau:
             estimate_tau(
                 MixedOperation(((1.0, Circuit(1)),)),
                 MixedOperation(((1.0, Circuit(2)),)),
-                SampleBudget(m=5),
+                5,
             )
 
 
 class TestMonteCarloSimilarity:
     def test_identical_operations(self):
         circuit = random_circuit(3, 6, np.random.default_rng(7))
-        assert monte_carlo_similarity(circuit, circuit, 0.01, 200, seed=1) == 1.0
+        assert (haar_fidelities(circuit, circuit, 200, seed=1) >= 0.99).all()
 
     def test_orthogonalizing_pair(self):
         """|<psi|X|psi>|^2 is rarely near 1, so I vs X almost never passes."""
-        frac = monte_carlo_similarity(Circuit(1), Circuit(1, (GateOp("x", (0,)),)), 0.01, 2000, seed=2)
+        frac = np.mean(haar_fidelities(Circuit(1), Circuit(1, (GateOp("x", (0,)),)), 2000, seed=2) >= 0.99)
         assert frac <= 0.02
 
     def test_guaranteed_fraction_at_inverted_bound(self):
@@ -177,12 +173,17 @@ class TestMonteCarloSimilarity:
         for k, distance in enumerate((0.05, 0.2, 0.4)):
             u1, u2 = rotation_perturbed_pair(4, distance, seed=k)
             eps = (1 + math.sqrt(8)) * exact_schatten2(u1.matrix - u2.matrix)
-            frac = monte_carlo_similarity(u1, u2, eps, 500, seed=k)
+            frac = np.mean(haar_fidelities(u1, u2, 500, seed=k) >= 1 - eps)
             assert frac >= 0.8
 
     def test_needs_states(self):
         with pytest.raises(ValueError):
-            monte_carlo_similarity(Circuit(1), Circuit(1), 0.1, 0)
+            haar_fidelities(Circuit(1), Circuit(1), 0)
+
+    @pytest.mark.parametrize("num_states", [2.5, True])
+    def test_state_count_must_be_an_integer(self, num_states):
+        with pytest.raises(TypeError, match="num_states must be an integer"):
+            haar_fidelities(Circuit(1), Circuit(1), num_states)
 
     def test_register_mismatch_rejected_before_any_state(self, monkeypatch):
         """Operations on different registers used to give a similarity of 1.0."""
@@ -192,7 +193,7 @@ class TestMonteCarloSimilarity:
 
         monkeypatch.setattr(similarity, "haar_random_state", no_state)
         with pytest.raises(ValueError, match="registers"):
-            monte_carlo_similarity(Circuit(1), Circuit(2), 0.1, 5)
+            haar_fidelities(Circuit(1), Circuit(2), 5)
         with pytest.raises(ValueError, match="registers"):
             haar_fidelities(DenseUnitary(2, np.eye(4)), Circuit(1), 3)
 
@@ -230,6 +231,11 @@ class TestSimilaritySlack:
             similarity_slack(0, 0.05, 0.1)
         with pytest.raises(ValueError):
             similarity_slack(10, 1.0, 0.1)
+
+    @pytest.mark.parametrize("m", [2.5, True])
+    def test_non_integer_sample_count_rejected(self, m):
+        with pytest.raises(TypeError, match="m must be an integer"):
+            similarity_slack(m, 0.05, 0.1)
 
 
 class TestDecideSimilarity:
