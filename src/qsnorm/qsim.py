@@ -26,7 +26,7 @@ import numpy as np
 
 MATRIX_QUBIT_CAP = 10
 STATE_QUBIT_CAP = 20
-ATOL = 1e-10
+ATOL = 1e-10  # largest |U U^dag - I| entry a DenseUnitary may have
 CHUNK_BYTES = 1 << 16  # per (rows, 2^n) batch, see row_chunks
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
@@ -153,7 +153,8 @@ class Circuit:
 
 @dataclass(frozen=True)
 class DenseUnitary:
-    """A unitary given directly as a 2^n x 2^n matrix.
+    """A unitary given directly as a finite 2^n x 2^n matrix whose
+    ``U U^dag`` is the identity to within ATOL in every entry.
 
     Interchangeable with :class:`Circuit` everywhere an operation is
     applied, adjointed or materialized; used for e.g. QR-sampled random
@@ -168,6 +169,11 @@ class DenseUnitary:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (1 << self.n, 1 << self.n):
             raise ValueError(f"matrix shape {mat.shape} does not match n={self.n}")
+        if not np.isfinite(mat).all():
+            raise ValueError("DenseUnitary matrix entries must be finite")
+        deviation = np.abs(mat @ mat.conj().T - np.eye(mat.shape[0])).max()
+        if deviation > ATOL:
+            raise ValueError(f"DenseUnitary matrix is not unitary: max |U U^dag - I| = {deviation:.3g}")
         object.__setattr__(self, "matrix", mat)
 
 

@@ -253,11 +253,13 @@ def probe_rows(thetas: np.ndarray, n: int, size: int) -> np.ndarray:
 
 
 def _classical_probes(a: np.ndarray, thetas: np.ndarray, square: bool) -> tuple[np.ndarray, np.ndarray]:
-    """``a`` as a complex matrix (square if asked) and the probe rows of
-    ``thetas`` at its row count N."""
+    """``a`` as a finite complex matrix (square if asked) and the probe rows
+    of ``thetas`` at its row count N."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or square and a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a {'square ' if square else ''}matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     size = a.shape[0]
     return a, probe_rows(check_thetas(thetas), max(1, math.ceil(math.log2(size))), size)
 
@@ -305,12 +307,14 @@ def sample_budget_schatten2(epsilon: float, delta: float, norm_hint: float = 0.0
     """Angles for the Schatten-2 estimate:
     ceil(ln(2/delta)/(2 eps^2) * min(eps^-2, norm_hint^-2)).
 
-    ``norm_hint`` is a prior guess of the norm being estimated; 0 means
-    unknown, in which case the eps^-2 branch is used.
+    ``norm_hint`` is a prior guess of the norm being estimated, nonnegative
+    and finite; 0 means unknown, in which case the eps^-2 branch is used.
     """
     check_eps_delta(epsilon, delta)
     if norm_hint < 0:
         raise ValueError(f"norm_hint must be nonnegative, got {norm_hint}")
+    if not math.isfinite(norm_hint):
+        raise ValueError(f"norm_hint must be finite, got {norm_hint}")
     if norm_hint == 0.0:
         factor = epsilon**-2
     else:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from typing import Iterable
 
 import numpy as np
 
@@ -65,11 +65,31 @@ def fidelity(psi1: StateVector, psi2: StateVector) -> float:
     return float(abs(np.vdot(psi1.amplitudes, psi2.amplitudes)) ** 2)
 
 
+def _haar_amplitudes(n: int, rows: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
+    """``rows`` Haar states as a (rows, 2^n) array; row r is drawn from the
+    r-th generator of ``rngs`` before the next one is taken, so the reused
+    generator of :func:`sampler.derived_rngs` may be passed.
+
+    Row r is the normalized vector of complex standard Gaussians ``a / ||a||``
+    with ``a = g.standard_normal(2^n) + 1j * g.standard_normal(2^n)``, bit
+    for bit: numpy fills Gaussians sequentially, so one draw of 2 * 2^n is
+    the two draws, and the squared norms are the stacked products of the
+    strided real and imaginary views, which is how ``np.linalg.norm`` sums
+    a complex vector.
+    """
+    dim = 1 << n
+    g = np.empty((rows, 2 * dim))
+    for row, rng in zip(g, rngs):  # g first: stops without taking a generator too many
+        rng.standard_normal(out=row)
+    amps = g[:, :dim] + 1j * g[:, dim:]
+    re, im = amps.real, amps.imag
+    sq = (re[:, None, :] @ re[:, :, None])[:, 0, 0] + (im[:, None, :] @ im[:, :, None])[:, 0, 0]
+    return amps / np.sqrt(sq)[:, None]
+
+
 def haar_random_state(n: int, rng: np.random.Generator) -> StateVector:
     """Uniform pure state: normalized vector of complex standard Gaussians."""
-    dim = 1 << n
-    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(n, amps / np.linalg.norm(amps))
+    return StateVector(n, _haar_amplitudes(n, 1, [rng])[0])
 
 
 def similarity_factor(delta: float) -> float:
@@ -134,7 +154,7 @@ def haar_fidelities(u1: Operation, u2: Operation, num_states: int, seed: int = 0
     n, fidelities = same_register(u1, u2), np.empty(num_states)
     rngs = derived_rngs(seed, num_states)
     for chunk in row_chunks(num_states, n):
-        states = np.stack([haar_random_state(n, rng).amplitudes for rng in islice(rngs, chunk.stop - chunk.start)])
+        states = _haar_amplitudes(n, chunk.stop - chunk.start, rngs)
         overlaps = row_overlaps(apply_operation_amplitudes(states, u1), apply_operation_amplitudes(states, u2))
         fidelities[chunk] = [abs(z) ** 2 for z in overlaps.tolist()]
     return fidelities

@@ -463,6 +463,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             MixedOperation(((complex(0.5, value), Circuit(1)),))
 
+    @pytest.mark.parametrize(
+        "matrix, match",
+        [
+            (np.full((2, 2), math.nan), "finite"),
+            (np.array([[1, 0], [0, math.inf]]), "finite"),
+            (3 * np.eye(2), "not unitary"),
+            (np.array([[1, 1e-8], [0, 1]]), "not unitary"),
+        ],
+    )
+    def test_dense_unitary_rejects_non_finite_and_non_unitary(self, matrix, match):
+        """A one-term mixture of DenseUnitary(1, 3 I) or of a NaN matrix used
+        to estimate a norm of 1.0."""
+        with pytest.raises(ValueError, match=match):
+            DenseUnitary(1, matrix)
+
     def test_mixture_weight_cap(self):
         MixedOperation(((SQRT2_INV, Circuit(1)), (-SQRT2_INV, Circuit(1))))
         with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from qsnorm import (
     sample_thetas,
     sqrt_error_propagation_holds,
 )
+from qsnorm import sampler
 from qsnorm.sampler import KEY_BLOCK, check_eps_delta, derived_rngs, probe_rows
 
 
@@ -131,6 +132,21 @@ class TestClassicalTraceEstimate:
         with pytest.raises(ValueError):
             classical_trace_estimate(np.zeros((2, 3)), np.array([0.1]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+    def test_non_finite_matrix_rejected_before_probe_rows(self, bad, monkeypatch):
+        """A NaN entry used to give (nan+nanj) and an inf entry a Schatten-2
+        estimate of 0.0."""
+
+        def no_rows(*args):
+            raise AssertionError("probe rows were built")
+
+        monkeypatch.setattr(sampler, "probe_rows", no_rows)
+        mat = np.array([[bad, 0], [0, 1]])
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            classical_trace_estimate(mat, [0.1])
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            classical_schatten2_estimate(mat, [0.1])
+
     def test_concentration_at_budgeted_samples(self):
         """369 angles hold a 6-qubit unitary trace to 0.05 in >= 95 of 100 runs."""
         mat = haar_random_unitary(6, 99)
@@ -202,6 +218,15 @@ class TestBudgets:
             sample_budget_trace(eps, delta)
         with pytest.raises(ValueError):
             sample_budget_schatten2(eps, delta)
+
+    @pytest.mark.parametrize(
+        "hint, match", [(-1.0, "nonnegative"), (math.inf, "finite"), (math.nan, "finite")]
+    )
+    def test_schatten_budget_rejects_negative_or_non_finite_hint(self, hint, match):
+        """An infinite hint used to give a budget of 0 angles and a NaN hint
+        the unknown-norm budget."""
+        with pytest.raises(ValueError, match=f"norm_hint must be {match}"):
+            sample_budget_schatten2(0.1, 0.05, norm_hint=hint)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf])
     def test_non_finite_epsilon_rejected(self, eps):

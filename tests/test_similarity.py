@@ -75,6 +75,38 @@ class TestHaarRandomState:
         b = haar_random_state(2, np.random.default_rng(3)).amplitudes
         np.testing.assert_array_equal(a, b)
 
+    @staticmethod
+    def per_state_formula(n, rng):
+        dim = 1 << n
+        a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        return a / np.linalg.norm(a)
+
+    @pytest.mark.parametrize("n, num_states", [(1, 3000), (3, 700), (6, 1000), (10, 10)])
+    def test_chunked_states_equal_the_per_state_formula(self, n, num_states, monkeypatch):
+        """The states haar_fidelities applies are the per-state formula from
+        derived_rng(seed, i), bit for bit; num_states leaves the last chunk
+        part-filled. Chunks are drawn into one buffer and normalized at once,
+        so this pins numpy's sequential Gaussian fill and the way
+        np.linalg.norm sums a complex vector."""
+        drawn = []
+
+        def record(states, op):
+            drawn.append(states.copy())
+            return apply_operation_amplitudes(states, op)
+
+        monkeypatch.setattr(similarity, "apply_operation_amplitudes", record)
+        haar_fidelities(Circuit(n), Circuit(n), num_states, seed=11)
+        expected = np.array([self.per_state_formula(n, derived_rng(11, i)) for i in range(num_states)])
+        np.testing.assert_array_equal(np.concatenate(drawn[::2]), expected)
+        np.testing.assert_array_equal(np.concatenate(drawn[1::2]), expected)
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 10])
+    def test_single_state_equals_the_per_state_formula(self, n):
+        for key in range(5):
+            np.testing.assert_array_equal(
+                haar_random_state(n, derived_rng(12, key)).amplitudes, self.per_state_formula(n, derived_rng(12, key))
+            )
+
 
 class TestSimilarityBoundUnitary:
     def test_reference_point(self):
@@ -191,7 +223,7 @@ class TestMonteCarloSimilarity:
         def no_state(*args):
             raise AssertionError("a state was drawn")
 
-        monkeypatch.setattr(similarity, "haar_random_state", no_state)
+        monkeypatch.setattr(similarity, "derived_rngs", no_state)
         with pytest.raises(ValueError, match="registers"):
             haar_fidelities(Circuit(1), Circuit(2), 5)
         with pytest.raises(ValueError, match="registers"):
