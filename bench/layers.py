@@ -10,7 +10,9 @@ Layers, each through the public function the CLI calls:
   probe rows of a fig2 run.
 - ``operator_application``: ``apply_operation_amplitudes`` of a depth-20
   gate circuit on one kernel chunk of probe rows at n = 10 (4 rows of
-  2^10 amplitudes).
+  2^10 amplitudes): ``depth20`` alternates ry (a dense gate) and cnot,
+  ``structured`` cycles through rz, t, s, z (diagonal gates), x and y
+  (anti-diagonal gates).
 - ``gate_construction``: ``adjoint`` of the same depth-20 circuit, which
   builds and validates one ``GateOp`` per gate.
 - ``quadratic_form``: the analytic ``mixed_quadratic_form`` of the
@@ -73,6 +75,13 @@ def layers() -> dict:
         GateOp("ry", (k % 10,), (0.1 * k,)) if k % 2 else GateOp("cnot", (k % 10, (k + 1) % 10)) for k in range(20)
     ))
     cases["operator_application.n10.depth20"] = (lambda: apply_operation_amplitudes(rows, circuit), rows.shape[0])
+    kinds = ["rz", "t", "s", "z", "x", "y"]
+    structured = Circuit(10, tuple(
+        GateOp(kinds[k % 6], (k % 10,), (0.1 * k,) if kinds[k % 6] == "rz" else ()) for k in range(20)
+    ))
+    cases["operator_application.n10.structured"] = (
+        lambda: apply_operation_amplitudes(rows, structured), rows.shape[0]
+    )
     cases["gate_construction.n10.depth20"] = (lambda: adjoint(circuit), len(circuit))
     pair = difference_mixture(*(DenseUnitary(6, haar_random_unitary(6, seed)) for seed in (1, 2)))
     cases["quadratic_form.n6.m1000"] = (lambda: mixed_quadratic_form(pair, thetas), 1000)

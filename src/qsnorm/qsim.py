@@ -62,37 +62,47 @@ def same_register(*operands) -> int:
 @dataclass(frozen=True)
 class GateKind:
     """One row of ``GATES``: the qubits and angles a gate takes, its matrix
-    as a function of the angles, and the kind of its adjoint (None: the same
-    kind), which takes the negated angles."""
+    as a function of the angles, the matrix's form, which picks how
+    ``_apply_gateop`` applies it, and the kind of its adjoint (None: the
+    same kind), which takes the negated angles.
+
+    The form is "diagonal" or "anti-diagonal" when the matrix is zero off
+    that diagonal at every angle, "cnot" for the controlled-X permutation,
+    and "dense" otherwise."""
 
     qubits: int
     params: int
     matrix: Callable[..., np.ndarray]
+    form: str
     adjoint: str | None = None
 
 
 # Every gate kind is declared here and only here.
 GATES = {
-    "x": GateKind(1, 0, lambda: np.array([[0, 1], [1, 0]], dtype=complex)),
-    "y": GateKind(1, 0, lambda: np.array([[0, -1j], [1j, 0]], dtype=complex)),
-    "z": GateKind(1, 0, lambda: np.array([[1, 0], [0, -1]], dtype=complex)),
-    "h": GateKind(1, 0, lambda: np.array([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=complex)),
-    "s": GateKind(1, 0, lambda: np.array([[1, 0], [0, 1j]], dtype=complex), "sdg"),
-    "sdg": GateKind(1, 0, lambda: np.array([[1, 0], [0, -1j]], dtype=complex), "s"),
-    "t": GateKind(1, 0, lambda: np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex), "tdg"),
-    "tdg": GateKind(1, 0, lambda: np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex), "t"),
-    "phase": GateKind(1, 1, lambda a: np.array([[1, 0], [0, np.exp(1j * a)]], dtype=complex)),
+    "x": GateKind(1, 0, lambda: np.array([[0, 1], [1, 0]], dtype=complex), "anti-diagonal"),
+    "y": GateKind(1, 0, lambda: np.array([[0, -1j], [1j, 0]], dtype=complex), "anti-diagonal"),
+    "z": GateKind(1, 0, lambda: np.array([[1, 0], [0, -1]], dtype=complex), "diagonal"),
+    "h": GateKind(1, 0, lambda: np.array(
+        [[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=complex
+    ), "dense"),
+    "s": GateKind(1, 0, lambda: np.array([[1, 0], [0, 1j]], dtype=complex), "diagonal", "sdg"),
+    "sdg": GateKind(1, 0, lambda: np.array([[1, 0], [0, -1j]], dtype=complex), "diagonal", "s"),
+    "t": GateKind(1, 0, lambda: np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex), "diagonal", "tdg"),
+    "tdg": GateKind(1, 0, lambda: np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex), "diagonal", "t"),
+    "phase": GateKind(1, 1, lambda a: np.array([[1, 0], [0, np.exp(1j * a)]], dtype=complex), "diagonal"),
     "rx": GateKind(1, 1, lambda a: np.array(
         [[math.cos(a / 2), -1j * math.sin(a / 2)], [-1j * math.sin(a / 2), math.cos(a / 2)]], dtype=complex
-    )),
+    ), "dense"),
     "ry": GateKind(1, 1, lambda a: np.array(
         [[math.cos(a / 2), -math.sin(a / 2)], [math.sin(a / 2), math.cos(a / 2)]], dtype=complex
-    )),
-    "rz": GateKind(1, 1, lambda a: np.array([[np.exp(-1j * (a / 2)), 0], [0, np.exp(1j * (a / 2))]], dtype=complex)),
+    ), "dense"),
+    "rz": GateKind(1, 1, lambda a: np.array(
+        [[np.exp(-1j * (a / 2)), 0], [0, np.exp(1j * (a / 2))]], dtype=complex
+    ), "diagonal"),
     "cnot": GateKind(2, 0, lambda: np.array(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    )),
-    "globalphase": GateKind(0, 1, lambda a: np.array([[np.exp(1j * a)]], dtype=complex)),
+    ), "cnot"),
+    "globalphase": GateKind(0, 1, lambda a: np.array([[np.exp(1j * a)]], dtype=complex), "diagonal"),
 }
 
 
@@ -209,9 +219,8 @@ def gate_matrix(op: GateOp) -> np.ndarray:
 
 
 def _apply_gateop(amps: np.ndarray, op: GateOp, n: int) -> np.ndarray:
-    if op.kind == "globalphase":
-        return amps * np.exp(1j * op.params[0])
-    if op.kind == "cnot":
+    form = GATES[op.kind].form
+    if form == "cnot":
         control, target = op.qubits
         view = amps.reshape(amps.shape[:-1] + (2,) * n)
         out = view.copy()
@@ -222,15 +231,31 @@ def _apply_gateop(amps: np.ndarray, op: GateOp, n: int) -> np.ndarray:
         out[(Ellipsis, *i10)] = view[(Ellipsis, *i11)]
         out[(Ellipsis, *i11)] = view[(Ellipsis, *i10)]
         return out.reshape(amps.shape)
-    # Pair amplitudes whose qubit-q bit is 0 (low) and 1 (high). Two
-    # elementwise linear combinations cost about the same for every q; an
-    # einsum over the same view slows down ninefold as 2^(n-q-1) shrinks.
     mat = gate_matrix(op)
-    pairs = amps.reshape(-1, 2, 1 << (n - op.qubits[0] - 1))
-    low, high = pairs[:, 0], pairs[:, 1]
-    out = np.empty(pairs.shape, dtype=complex)
-    out[:, 0] = mat[0, 0] * low + mat[0, 1] * high
-    out[:, 1] = mat[1, 0] * low + mat[1, 1] * high
+    if not op.qubits:
+        # A gate on no qubits scales every amplitude, amplitude first: numpy's
+        # complex product can round differently with its operands swapped.
+        return amps * mat[0, 0]
+    # Split the amplitudes whose qubit-q bit is 0 (low half) from those
+    # where it is 1 (high half). Elementwise products of the halves cost
+    # about the same for every q; an einsum over the same view slows down
+    # ninefold as 2^(n-q-1) shrinks. A diagonal or anti-diagonal gate skips
+    # the products with its zero entries, which changes at most the sign of
+    # an exact zero; every product keeps the dense formula's form, entry
+    # times half into a temporary, so the other bits stay those of the
+    # two-term sum.
+    halves = amps.reshape(-1, 2, 1 << (n - op.qubits[0] - 1))
+    out = np.empty(halves.shape, dtype=complex)
+    if form == "diagonal":
+        out[:, 0] = mat[0, 0] * halves[:, 0]
+        out[:, 1] = mat[1, 1] * halves[:, 1]
+    elif form == "anti-diagonal":
+        out[:, 0] = mat[0, 1] * halves[:, 1]
+        out[:, 1] = mat[1, 0] * halves[:, 0]
+    else:
+        low, high = halves[:, 0], halves[:, 1]
+        out[:, 0] = mat[0, 0] * low + mat[0, 1] * high
+        out[:, 1] = mat[1, 0] * low + mat[1, 1] * high
     return out.reshape(amps.shape)
 
 

@@ -6,7 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from helpers import circuit_probability, random_circuit, random_mixture
+from helpers import binomial_upper_quantile, circuit_probability, random_circuit, random_mixture
 from qsnorm import (
     Circuit,
     GateOp,
@@ -157,6 +157,35 @@ class TestBudgets:
         """2.5 terms used to give 690183 shots and True the 1-term budget."""
         with pytest.raises(TypeError, match="num_terms must be an integer"):
             measurement_budget_mixed(0.1, 0.1, num_terms)
+
+
+class TestMixedBudgetCalibration:
+    """The mixture budget's promise as a promise: with
+    measurement_budget_mixed(EPSILON, DELTA, 2) shots split evenly over the
+    K(K-1) = 2 cross tests, a shot-mode value lands within EPSILON of the
+    analytic one with probability at least 1 - DELTA.
+
+    The mixture (I/2, -e^(i pi/4) Y_0/2) on n = 2 runs a real- and an
+    imaginary-part test per angle, both at the hardest p = 1/2, since
+    <x|Y_0|x> = 0 for a real probe x. Each angle draws its shots from its own
+    generator, so over ANGLES angles the miss count may exceed the
+    (1 - ALPHA) quantile of Binomial(ANGLES, DELTA) only with probability
+    ALPHA. The budget is loose: a value's standard deviation is
+    0.5 / sqrt(shots per test), so about 60 shots per test, not the 147,670
+    the budget gives, already reach the bound."""
+
+    EPSILON, DELTA, ANGLES, ALPHA = 0.1, 0.05, 200, 1e-3
+
+    def test_values_at_budget_land_within_epsilon(self):
+        k = 2
+        mixed = MixedOperation(((0.5, Circuit(2)), (-0.5 * np.exp(1j * math.pi / 4), Circuit(2, (GateOp("y", (0,)),)))))
+        thetas = sample_thetas(1307, self.ANGLES)
+        exact = mixed_quadratic_form(mixed, thetas)
+        assert np.all(exact == 0.5)  # both tests at p = 1/2
+        shots = math.ceil(measurement_budget_mixed(self.EPSILON, self.DELTA, k) / (k * (k - 1)))
+        values = mixed_quadratic_form(mixed, thetas, shots_per_test=shots, seed=1307)
+        misses = int(np.count_nonzero(np.abs(values - exact) > self.EPSILON))
+        assert misses <= binomial_upper_quantile(self.ANGLES, self.DELTA, self.ALPHA)
 
 
 class TestMixedQuadraticForm:

@@ -38,6 +38,7 @@ from qsnorm import (
 from qsnorm.qsim import GATES, _apply_gateop, apply_operation_amplitudes
 
 SQRT2_INV = 1 / math.sqrt(2)
+ONE_QUBIT_KINDS = sorted(kind for kind, row in GATES.items() if row.qubits == 1)
 
 # Generated documents for the parser property test.
 
@@ -159,6 +160,26 @@ class TestGateMatrices:
             atol=1e-15,
         )
 
+    @pytest.mark.parametrize("kind", sorted(GATES))
+    def test_declared_form_matches_the_zero_pattern(self, kind):
+        """At every angle a "diagonal" or "anti-diagonal" matrix is zero
+        exactly off that diagonal and a "cnot" one off the permutation; a
+        "dense" one has no zero, so no cheaper form would do."""
+        from qsnorm.qsim import gate_matrix
+
+        row = GATES[kind]
+        rng = np.random.default_rng(17)
+        for _ in range(8):
+            mat = gate_matrix(GateOp(kind, tuple(range(row.qubits)), tuple(rng.uniform(-4, 4, row.params))))
+            identity = np.eye(len(mat), dtype=bool)
+            nonzero = {
+                "diagonal": identity,
+                "anti-diagonal": identity[::-1],
+                "cnot": np.eye(4, dtype=bool)[[0, 1, 3, 2]],
+                "dense": np.ones_like(identity),
+            }[row.form]
+            np.testing.assert_array_equal(mat != 0, nonzero)
+
     def test_readme_lists_every_gate_kind(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text()
         listed = re.search(r"^Gates: `([^`]*)`", readme, re.MULTILINE).group(1).split()
@@ -212,7 +233,7 @@ class TestApplyCircuit:
             via_matrix = circuit_matrix(circuit) @ psi.amplitudes
             np.testing.assert_allclose(direct, via_matrix, atol=1e-10)
 
-    @pytest.mark.parametrize("kind", ["x", "y", "h", "t", "rx", "ry", "rz"])
+    @pytest.mark.parametrize("kind", ONE_QUBIT_KINDS)
     def test_single_qubit_gate_at_every_position_matches_kron(self, kind):
         """A gate on qubit q of n acts as I_(2^q) (x) G (x) I_(2^(n-q-1)) on
         every row of a batch, real or complex, at every q."""
@@ -226,6 +247,30 @@ class TestApplyCircuit:
                 gate = GateOp(kind, (q,), (0.37,) if GATES[kind].params else ())
                 full = np.kron(np.kron(np.eye(1 << q), gate_matrix(gate)), np.eye(1 << (n - q - 1)))
                 np.testing.assert_allclose(_apply_gateop(rows, gate, n), rows @ full.T, atol=1e-14)
+
+    @pytest.mark.parametrize("kind", ONE_QUBIT_KINDS)
+    def test_single_qubit_gate_has_the_bits_of_the_dense_formula(self, kind):
+        """Skipping the zero entries of a diagonal or anti-diagonal gate
+        changes at most the sign of an exact zero: after ``+ 0.0`` every
+        amplitude has the bits of mat[r, 0] * low + mat[r, 1] * high, at every
+        qubit, for 1, 4 and 16 complex rows."""
+        from qsnorm.qsim import gate_matrix
+
+        n = 6
+        rng = np.random.default_rng(16)
+        for count in (1, 4, 16):
+            rows = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
+            for q in range(n):
+                gate = GateOp(kind, (q,), tuple(rng.uniform(-4, 4, GATES[kind].params)))
+                mat = gate_matrix(gate)
+                halves = rows.reshape(-1, 2, 1 << (n - q - 1))
+                low, high = halves[:, 0], halves[:, 1]
+                dense = np.empty(halves.shape, dtype=complex)
+                dense[:, 0] = mat[0, 0] * low + mat[0, 1] * high
+                dense[:, 1] = mat[1, 0] * low + mat[1, 1] * high
+                got = _apply_gateop(rows, gate, n) + 0.0
+                want = dense.reshape(rows.shape) + 0.0
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=f"q={q}")
 
     def test_dense_unitary_application(self):
         mat = haar_random_unitary(2, 3)
