@@ -15,9 +15,12 @@ Layers, each through the public function the CLI calls:
   (anti-diagonal gates).
 - ``gate_construction``: ``adjoint`` of the same depth-20 circuit, which
   builds and validates one ``GateOp`` per gate.
-- ``quadratic_form``: the analytic ``mixed_quadratic_form`` of the
-  difference mixture of two n = 6 Haar unitaries over 1000 angles, the
-  reduction a fig2 estimate runs.
+- ``quadratic_form``: ``schatten2_estimate_from_thetas`` (the analytic
+  ``mixed_quadratic_form`` and its mean) of the difference mixture of two
+  n = 6 Haar unitaries over 1000 angles, the reduction a fig2 seed runs.
+- ``learn_loss``: one ``loss`` call of the 2-qubit, 4-slot ry/cnot ansatz
+  against a target bound from the same ansatz, at 64 angles, as in each
+  step of a learn run.
 - ``haar_states``: ``haar_fidelities`` over 1000 Haar states at n = 6 with
   two empty circuits, so drawing the states is nearly all of the work.
 - ``shot_generators`` (Bernoulli shot sampling): the shot branch of
@@ -46,15 +49,19 @@ from pathlib import Path
 import numpy as np
 
 from qsnorm import (
+    Ansatz,
     Circuit,
     DenseUnitary,
     GateOp,
     MixedOperation,
+    ParamSlot,
     adjoint,
     difference_mixture,
     haar_fidelities,
     haar_random_unitary,
+    loss,
     sample_thetas,
+    schatten2_estimate_from_thetas,
 )
 from qsnorm.hadamard import mixed_quadratic_form
 from qsnorm.qsim import apply_operation_amplitudes, row_chunks
@@ -84,7 +91,17 @@ def layers() -> dict:
     )
     cases["gate_construction.n10.depth20"] = (lambda: adjoint(circuit), len(circuit))
     pair = difference_mixture(*(DenseUnitary(6, haar_random_unitary(6, seed)) for seed in (1, 2)))
-    cases["quadratic_form.n6.m1000"] = (lambda: mixed_quadratic_form(pair, thetas), 1000)
+    cases["quadratic_form.n6.m1000"] = (lambda: schatten2_estimate_from_thetas(pair, thetas), 1000)
+    ansatz = Ansatz(Circuit(2, (
+        GateOp("ry", (0,), (ParamSlot(0),)),
+        GateOp("ry", (1,), (ParamSlot(1),)),
+        GateOp("cnot", (0, 1)),
+        GateOp("ry", (0,), (ParamSlot(2),)),
+        GateOp("ry", (1,), (ParamSlot(3),)),
+    )))
+    target = ansatz.bind(np.array([0.9, -1.4, 2.2, 0.3]))
+    xi, angles = np.array([0.1, 0.5, -0.8, 1.7]), sample_thetas(7, 64)
+    cases["learn_loss.n2.m64"] = (lambda: loss(ansatz, xi, target, angles), 64)
     cases["haar_states.n6.states1000"] = (lambda: haar_fidelities(Circuit(6), Circuit(6), 1000, seed=7), 1000)
     mixture = MixedOperation(((0.5, Circuit(1)), (0.5j, Circuit(1))))
     grid = np.linspace(-np.pi, np.pi, 1000)

@@ -47,7 +47,7 @@ from .qsim import (
     require_qubits,
 )
 from .sampler import derive_seed, sample_thetas
-from .schatten import difference_mixture, quantum_schatten2_estimate, schatten2_estimate_from_thetas
+from .schatten import SchattenEstimate, difference_mixture, quantum_schatten2_estimate, schatten2_estimate_from_thetas
 from .similarity import (
     check_distance,
     decide_similarity,
@@ -163,9 +163,9 @@ def cmd_fig2(cfg: dict) -> int:
         mixed = difference_mixture(DenseUnitary(cfg["n"], u1), DenseUnitary(cfg["n"], u2))
         exact = exact_schatten2(half * (u1 - u2))
         thetas = sample_thetas(derive_seed(cfg["seed"], s, 2), m_values[-1])
+        values = schatten2_estimate_from_thetas(mixed, thetas).per_sample_values
         for j, m in enumerate(m_values):
-            est = schatten2_estimate_from_thetas(mixed, thetas[:m])
-            errors[s, j] = abs(est.value - exact)
+            errors[s, j] = abs(SchattenEstimate.from_values(values[:m]).value - exact)
         print(f"fig2: seed {s + 1}/{cfg['seeds']} done", file=sys.stderr)
     rows = []
     for j, m in enumerate(m_values):

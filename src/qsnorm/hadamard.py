@@ -6,12 +6,12 @@ and measures the ancilla: 1 - 2 Pr(1) equals Re<psi|V|psi>, or
 Im<psi|V|psi> when an S-dagger is inserted after the first Hadamard.
 
 The estimators run every test of a mixture for a batch of angles at once,
-in :func:`mixed_quadratic_form`: one real- and one imaginary-part test per
-unordered pair of terms, with the row-wise overlaps of a whole chunk of
-probe rows taken by :func:`qsim.row_overlaps`. The analytic mode reads the
-exact probability off those overlaps; shot mode draws Bernoulli outcomes at
-it to reintroduce measurement noise deliberately. The tests check the
-kernel against a simulation of the literal (n+1)-qubit circuit.
+in :func:`mixed_quadratic_form`: each term is applied as given to a chunk
+of probe rows, and each unordered pair of terms gets one real- and one
+imaginary-part test from the overlaps :func:`qsim.row_overlaps` takes. The
+analytic mode reads the exact probability off those overlaps; shot mode
+draws Bernoulli outcomes at it to reintroduce measurement noise. The tests
+check the kernel against a simulation of the literal (n+1)-qubit circuit.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 from .qsim import (
     MixedOperation,
     STATE_QUBIT_CAP,
-    adjoint,
     apply_operation_amplitudes,
     require_int,
     require_qubits,
@@ -44,9 +43,11 @@ def hadamard_shot_budget(epsilon: float, delta: float) -> int:
 def measurement_budget_mixed(epsilon: float, delta: float, num_terms: int) -> int:
     """Total shots for the K-term quadratic form: ceil(32 K^4 ln(4 K^2/delta)/eps^2).
 
-    Split evenly over the up-to K(K-1) cross tests, this holds each test to
-    precision eps/(4 K^2) at confidence 1 - delta/(2 K^2), which is enough
-    for the weighted sum because the coefficient weights are at most 2.
+    Split evenly over the up-to K(K-1) cross tests, Hoeffding holds each
+    test to eps sqrt(K(K-1))/(4 K^2) < eps/(4K) at confidence
+    1 - delta/(2 K^2), and all of them at once with probability above
+    1 - delta/2. Their scales 2|Re w| and 2|Im w| add up to at most
+    2 sqrt(2) at coefficient weight sqrt(2), so the sum is within eps.
     """
     check_eps_delta(epsilon, delta)
     k = require_int(num_terms, "num_terms")
@@ -61,15 +62,15 @@ def mixed_quadratic_form(
     shots_per_test: int = 0,
     seed: int = 0,
 ) -> np.ndarray:
-    """<x(theta_i)| U~ U~^dagger |x(theta_i)> per angle, for U~ = sum_k a_k U_k.
+    """||W x(theta_i)||^2 per angle, for W = sum_k a_k U_k applied as given.
 
     Expands into sum_k |a_k|^2 plus, per unordered pair a < b, the cross
-    term 2 Re(a_a conj(a_b) <U_a^dag x|U_b^dag x>); each chunk of probe rows
-    gets every U_k^dag in one batched apply, then :func:`qsim.row_overlaps`.
+    term 2 Re(conj(a_a) a_b <U_a x|U_b x>); each chunk of probe rows gets
+    every U_k in one batched apply, then :func:`qsim.row_overlaps`.
     Analytic when ``shots_per_test`` is 0, with one fsum per angle; a
     swapped pair's overlap is the exact conjugate, so the result is
     permutation invariant bit for bit. Otherwise each pair runs the real-
-    and imaginary-part Hadamard tests with chain (U_b^dagger, U_a), drawing
+    and imaginary-part Hadamard tests with chain (U_b, U_a^dagger), drawing
     ``shots_per_test`` outcomes each from ``derived_rng(seed, i, 1)``
     (through :func:`sampler.derived_rngs`).
     """
@@ -80,24 +81,23 @@ def mixed_quadratic_form(
     thetas = check_thetas(thetas)
     coeffs = [coeff for coeff, _ in mixed.terms]
     squares = [abs(c) ** 2 for c in coeffs]
-    back_ops = [adjoint(op) for _, op in mixed.terms]
     pairs = list(combinations(range(mixed.num_terms), 2))
+    weights = [coeffs[a].conjugate() * coeffs[b] for a, b in pairs]
     values = np.empty(thetas.size)
     # Lazy: analytic mode never advances it, so it makes no Generator.
     rngs = derived_rngs(seed, thetas.size, 1)
     for chunk in row_chunks(thetas.size, n):
         x = probe_rows(thetas[chunk], n, 1 << n).astype(complex)
-        back = [apply_operation_amplitudes(x, op) for op in back_ops]
-        overlaps = [row_overlaps(back[a], back[b]) for a, b in pairs]
+        images = [apply_operation_amplitudes(x, op) for _, op in mixed.terms]
+        overlaps = [row_overlaps(images[a], images[b]) for a, b in pairs]
         if shots_per_test == 0:
             terms = [np.full(x.shape[0], sq) for sq in squares]
-            terms += [2.0 * (coeffs[a] * coeffs[b].conjugate() * ov).real for (a, b), ov in zip(pairs, overlaps)]
+            terms += [2.0 * (weight * ov).real for weight, ov in zip(weights, overlaps)]
             values[chunk] = [math.fsum(row) for row in np.array(terms).T.tolist()]
             continue
         # (scale, Pr(ancilla = 1) per row) for each test, in drawing order.
         tests = []
-        for (k1, k2), overlap in zip(pairs, overlaps):
-            weight = coeffs[k1] * coeffs[k2].conjugate()
+        for weight, overlap in zip(weights, overlaps):
             if weight.real != 0.0:
                 tests.append((2.0 * weight.real, np.clip((1.0 - overlap.real) / 2.0, 0.0, 1.0)))
             if weight.imag != 0.0:

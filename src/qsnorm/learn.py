@@ -32,7 +32,6 @@ from .qsim import (
     GateOp,
     Operation,
     _number_param,
-    adjoint,
     circuit_from_dict,
     require_int,
 )
@@ -137,16 +136,14 @@ def loss(
 ) -> float:
     """Sampled squared-distance objective between U(xi) (with repeats) and V.
 
-    Each term 2 - 2 Re<x|V^dag U|x> equals 2 <x|D D^dag|x> for the mixture
-    D = (V^dag - U^dag)/sqrt(2), so the objective is twice the mean of the
-    per-angle values :func:`hadamard.mixed_quadratic_form` gives for D.
-    With shots > 0 that kernel runs the real-part interference test with
+    Each term 2 - 2 Re<V x|U x> = ||(V - U) x||^2 is twice the value of
+    :func:`hadamard.mixed_quadratic_form` for the difference mixture
+    (V - U)/sqrt(2). With shots > 0 that kernel runs the real-part test with
     state prep S(theta_i) and controlled chain (U(xi), V^dagger), drawing
     from ``derived_rng(seed, i, 1)``. Values lie in [0, 4]; an empty angle
     list raises ValueError.
     """
-    mixture = difference_mixture(adjoint(target), adjoint(ansatz.bind_repeated(xi)))
-    values = mixed_quadratic_form(mixture, thetas, shots, seed)
+    values = mixed_quadratic_form(difference_mixture(target, ansatz.bind_repeated(xi)), thetas, shots, seed)
     return 2.0 * math.fsum(values) / values.size
 
 
@@ -160,8 +157,8 @@ def finite_diff_gradient(
     The loss function must be deterministic in xi (fixed angle set and shot
     seeds) so both sides of each difference share their randomness.
     """
-    if fd_eps <= 0:
-        raise ValueError(f"fd_eps must be positive, got {fd_eps}")
+    if not 0 < fd_eps < math.inf:
+        raise ValueError(f"fd_eps must be positive and finite, got {fd_eps}")
     xi = np.asarray(xi, dtype=float)
     grad = np.empty_like(xi)
     for j in range(xi.size):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
@@ -132,7 +133,7 @@ class GateOp:
             raise ValueError(f"{kind} takes {row.params} parameter(s), got {self.params}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"{kind} qubits must be distinct, got {self.qubits}")
-        if any(isinstance(p, (int, float)) and not math.isfinite(p) for p in self.params):
+        if any(isinstance(p, numbers.Real) and not math.isfinite(p) for p in self.params):
             raise ValueError(f"{kind} parameters must be finite, got {self.params}")
 
     def dagger(self) -> "GateOp":
@@ -287,8 +288,10 @@ def apply_circuit(state: StateVector, c: Operation) -> StateVector:
     return StateVector(same_register(state, c), apply_operation_amplitudes(state.amplitudes, c))
 
 
-def adjoint(c: Operation) -> Operation:
-    """The Hermitian conjugate: gates daggered and order reversed."""
+def adjoint(c: Operation | MixedOperation) -> Operation | MixedOperation:
+    """The Hermitian conjugate: gates daggered, order reversed, a mixture's coefficients conjugated."""
+    if isinstance(c, MixedOperation):
+        return MixedOperation(tuple((coeff.conjugate(), adjoint(op)) for coeff, op in c.terms))
     if isinstance(c, DenseUnitary):
         return DenseUnitary(c.n, c.matrix.conj().T)
     return Circuit(c.n, tuple(op.dagger() for op in reversed(c.ops)))

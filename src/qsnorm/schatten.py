@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hadamard import mixed_quadratic_form
-from .qsim import Circuit, GateOp, MixedOperation, Operation, same_register
+from .qsim import Circuit, GateOp, MixedOperation, Operation, adjoint, same_register
 from .sampler import frequency_ladder, sample_thetas
 
 
@@ -25,7 +25,13 @@ class SchattenEstimate:
 
     value: float
     per_sample_values: np.ndarray
-    clamped: bool = False
+    clamped: bool
+
+    @classmethod
+    def from_values(cls, values: np.ndarray) -> "SchattenEstimate":
+        """sqrt of the fsum mean of the per-angle ``values``, clamped at 0."""
+        mean = math.fsum(values) / values.size
+        return cls(value=math.sqrt(max(0.0, mean)), per_sample_values=values, clamped=mean < 0.0)
 
 
 def sampling_circuit(n: int, theta: float) -> Circuit:
@@ -46,14 +52,8 @@ def schatten2_estimate_from_thetas(
     shots_per_test: int = 0,
     seed: int = 0,
 ) -> SchattenEstimate:
-    """Estimate from an explicit angle set (grid mode, prefix reuse, tests)."""
-    values = mixed_quadratic_form(mixed, thetas, shots_per_test, seed)
-    mean = math.fsum(values) / values.size
-    return SchattenEstimate(
-        value=math.sqrt(max(0.0, mean)),
-        per_sample_values=values,
-        clamped=mean < 0.0,
-    )
+    """Estimate from explicit angles: <x|U~ U~^dag|x> = ||U~^dag x||^2, the kernel on adjoint(mixed)."""
+    return SchattenEstimate.from_values(mixed_quadratic_form(adjoint(mixed), thetas, shots_per_test, seed))
 
 
 def quantum_schatten2_estimate(

@@ -111,7 +111,7 @@ def test_03_mixture_expansion_equivalence():
         mat = mixed_operation_matrix(mixed)
         x = probe_rows([theta], n, 1 << n)[0]
         dense = (x @ (mat @ mat.conj().T) @ x).real
-        worst = max(worst, abs(mixed_quadratic_form(mixed, [theta])[0] - dense))
+        worst = max(worst, abs(mixed_quadratic_form(adjoint(mixed), [theta])[0] - dense))
     report(f"acceptance 03 mixture expansion equivalence: PASS (worst dev {worst:.2e})")
     assert worst <= 1e-9
 
@@ -130,7 +130,7 @@ def test_04_interference_cross_oracle():
         # (U1/2, -U2/2) gives Pr(1) of the real-part test with chain
         # (U2^dag, U1); (U1/2, -i U2/2) that of the imaginary-part test.
         for part, c2 in (("real", -0.5), ("imaginary", -0.5j)):
-            value = mixed_quadratic_form(MixedOperation(((0.5, u1), (c2, u2))), [theta])[0]
+            value = mixed_quadratic_form(adjoint(MixedOperation(((0.5, u1), (c2, u2)))), [theta])[0]
             worst = max(worst, abs(value - circuit_probability(prep, (adjoint(u2), u1), part)))
     report(f"acceptance 04 interference cross-oracle: PASS (worst dev {worst:.2e})")
     assert worst <= 1e-10

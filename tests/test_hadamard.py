@@ -36,11 +36,12 @@ def _plus_prep():
 
 
 def _test_values(u1, u2, part, thetas, shots=0, seed=0):
-    """Kernel values of (U1/2, -U2/2), or (U1/2, -i U2/2) for the imaginary
-    part: per angle, Pr(1) of the test with prep S(theta) and chain
-    (U2^dagger, U1), or its shot estimate ones/shots."""
+    """<x|M M^dag|x> for M = (U1/2, -U2/2), or (U1/2, -i U2/2) for the
+    imaginary part, from the kernel on adjoint(M): per angle, Pr(1) of the
+    test with prep S(theta) and chain (U2^dagger, U1), or its shot estimate
+    ones/shots."""
     mixture = MixedOperation(((0.5, u1), (-0.5 if part == "real" else -0.5j, u2)))
-    return mixed_quadratic_form(mixture, thetas, shots, seed)
+    return mixed_quadratic_form(adjoint(mixture), thetas, shots, seed)
 
 
 class TestHadamardProbability:
@@ -203,7 +204,7 @@ class TestMixedQuadraticForm:
             theta = float(rng.uniform(-math.pi, math.pi))
             x = probe_rows([theta], n, 1 << n)[0]
             direct = 1.0 - (x @ circuit_matrix(u1) @ circuit_matrix(u2).conj().T @ x).real
-            assert abs(mixed_quadratic_form(mixed, [theta])[0] - direct) <= 1e-10
+            assert abs(mixed_quadratic_form(adjoint(mixed), [theta])[0] - direct) <= 1e-10
 
     def test_matches_dense_quadratic_form(self):
         rng = np.random.default_rng(63)
@@ -214,7 +215,7 @@ class TestMixedQuadraticForm:
             mat = mixed_operation_matrix(mixed)
             x = probe_rows([theta], n, 1 << n)[0]
             dense = (x @ (mat @ mat.conj().T) @ x).real
-            assert abs(mixed_quadratic_form(mixed, [theta])[0] - dense) <= 1e-9
+            assert abs(mixed_quadratic_form(adjoint(mixed), [theta])[0] - dense) <= 1e-9
 
     def test_value_is_nonnegative(self):
         rng = np.random.default_rng(64)
@@ -247,7 +248,7 @@ class TestMixedQuadraticForm:
             overlaps = np.array([np.vdot(u, v) for u, v in zip(back[a], back[b])])
             terms.append((coeffs[a] * coeffs[b].conjugate() * overlaps).real)
         expected = [math.fsum(row) for row in zip(*terms)]
-        np.testing.assert_array_equal(mixed_quadratic_form(mixed, thetas), expected)
+        np.testing.assert_array_equal(mixed_quadratic_form(adjoint(mixed), thetas), expected)
 
     def test_shot_mode_approaches_analytic_value(self):
         rng = np.random.default_rng(67)
@@ -284,7 +285,7 @@ class TestMixedQuadraticForm:
         rng = np.random.default_rng(70)
         mixed = random_mixture(3, 3, rng)
         thetas = sample_thetas(71, 12)
-        values = mixed_quadratic_form(mixed, thetas, shots_per_test=40, seed=5)
+        values = mixed_quadratic_form(adjoint(mixed), thetas, shots_per_test=40, seed=5)
         coeffs = [c for c, _ in mixed.terms]
         for i, theta in enumerate(thetas):
             draws = derived_rng(5, i, 1)

@@ -154,6 +154,17 @@ class TestLoss:
         direct = 2.0 - 2.0 * math.fsum(per_angle) / len(per_angle)
         assert abs(loss(ansatz, xi, target, thetas, shots=50, seed=13) - direct) <= 1e-12
 
+    @pytest.mark.parametrize("shots", [0, 20])
+    def test_applies_both_circuits_as_given(self, monkeypatch, shots):
+        """The kernel applies V and U(xi) themselves, so no gate is daggered."""
+
+        def no_dagger(self):
+            raise AssertionError(f"{self.kind} was daggered")
+
+        ansatz, target = two_qubit_ansatz(), random_circuit(2, 6, np.random.default_rng(86))
+        monkeypatch.setattr(GateOp, "dagger", no_dagger)
+        assert 0.0 <= loss(ansatz, np.array([0.3, -0.7, 1.2, 0.4]), target, sample_thetas(6, 8), shots, seed=2) <= 4.0
+
     def test_register_mismatch(self):
         with pytest.raises(ValueError):
             loss(single_ry_ansatz(), np.array([0.1]), Circuit(2), sample_thetas(1, 4))
@@ -212,6 +223,12 @@ class TestFiniteDiffGradient:
     def test_positive_step_required(self):
         with pytest.raises(ValueError):
             finite_diff_gradient(lambda x: 0.0, np.zeros(1), 0.0)
+
+    @pytest.mark.parametrize("fd_eps", [math.nan, math.inf])
+    def test_finite_step_required(self, fd_eps):
+        """A NaN or infinite step used to give an all-NaN gradient."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            finite_diff_gradient(lambda x: 0.0, np.zeros(1), fd_eps)
 
 
 class TestLearnCircuit:

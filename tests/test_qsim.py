@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_circuit
+from helpers import random_circuit, random_mixture
 from qsnorm import (
     Circuit,
     CircuitFormatError,
@@ -329,6 +329,21 @@ class TestAdjoint:
         mat = haar_random_unitary(2, 9)
         np.testing.assert_array_equal(adjoint(DenseUnitary(2, mat)).matrix, mat.conj().T)
 
+    def test_mixture_adjoint_is_conjugate_transpose_and_an_involution(self):
+        """adjoint of sum_k a_k U_k is sum_k conj(a_k) U_k^dag, and taking it
+        twice gives back equal coefficients and equal gates: the angles are
+        negated twice and the partner kinds swap back."""
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            n = int(rng.integers(1, 5))
+            mixed = random_mixture(n, int(rng.integers(1, 5)), rng)
+            np.testing.assert_allclose(
+                mixed_operation_matrix(adjoint(mixed)),
+                mixed_operation_matrix(mixed).conj().T,
+                atol=1e-10,
+            )
+            assert adjoint(adjoint(mixed)).terms == mixed.terms
+
 
 class TestCircuitMatrix:
     def test_empty_circuit_is_identity(self):
@@ -507,6 +522,14 @@ class TestValidation:
             GateOp("ry", (0,), (value,))
         with pytest.raises(ValueError, match="finite"):
             MixedOperation(((complex(0.5, value), Circuit(1)),))
+
+    @pytest.mark.parametrize("value", [np.float32("inf"), np.float32("nan"), np.float16("-inf"), np.longdouble("nan")])
+    def test_non_finite_numpy_angles_rejected(self, value):
+        """A numpy float that is not a Python float used to pass the check:
+        rz(inf) then gave NaN per-angle values, which the Schatten estimate
+        reported as 0.0."""
+        with pytest.raises(ValueError, match="finite"):
+            GateOp("rz", (0,), (value,))
 
     @pytest.mark.parametrize(
         "matrix, match",

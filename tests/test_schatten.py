@@ -11,6 +11,7 @@ from qsnorm import (
     DenseUnitary,
     GateOp,
     MixedOperation,
+    SchattenEstimate,
     apply_circuit,
     derive_seed,
     difference_mixture,
@@ -96,6 +97,19 @@ class TestQuantumEstimate:
         short = quantum_schatten2_estimate(mixed, 10, seed=4)
         long = quantum_schatten2_estimate(mixed, 40, seed=4)
         np.testing.assert_array_equal(short.per_sample_values, long.per_sample_values[:10])
+
+    def test_prefixes_of_one_call_equal_calls_on_prefixes(self):
+        """fig2 reduces prefixes of one call's values; at n = 6 (64-row
+        chunks) each prefix gives the estimate of its own call, bit for bit."""
+        u1, u2 = (DenseUnitary(6, haar_random_unitary(6, seed)) for seed in (11, 12))
+        mixed = difference_mixture(u1, u2)
+        thetas = sample_thetas(13, 300)
+        values = schatten2_estimate_from_thetas(mixed, thetas).per_sample_values
+        for m in (1, 10, 63, 64, 65, 300):
+            own = schatten2_estimate_from_thetas(mixed, thetas[:m])
+            reduced = SchattenEstimate.from_values(values[:m])
+            assert (reduced.value, reduced.clamped) == (own.value, own.clamped)
+            np.testing.assert_array_equal(reduced.per_sample_values, own.per_sample_values)
 
     def test_seed_determinism(self):
         mixed = random_mixture(2, 3, np.random.default_rng(74))
