@@ -19,8 +19,10 @@ Layers, each through the public function the CLI calls:
   ``mixed_quadratic_form`` and its mean) of the difference mixture of two
   n = 6 Haar unitaries over 1000 angles, the reduction a fig2 seed runs.
 - ``learn_loss``: one ``loss`` call of the 2-qubit, 4-slot ry/cnot ansatz
-  against a target bound from the same ansatz, at 64 angles, as in each
-  step of a learn run.
+  against a target bound from the same ansatz, at 64 angles, which prepares
+  the objective and calls it once.
+- ``learn_objective``: one call of a ``LearnObjective`` prepared for the
+  same ansatz, target and angles, as each loss evaluation of a learn run.
 - ``haar_states``: ``haar_fidelities`` over 1000 Haar states at n = 6 with
   two empty circuits, so drawing the states is nearly all of the work.
 - ``shot_generators`` (Bernoulli shot sampling): the shot branch of
@@ -53,6 +55,7 @@ from qsnorm import (
     Circuit,
     DenseUnitary,
     GateOp,
+    LearnObjective,
     MixedOperation,
     ParamSlot,
     adjoint,
@@ -102,6 +105,8 @@ def layers() -> dict:
     target = ansatz.bind(np.array([0.9, -1.4, 2.2, 0.3]))
     xi, angles = np.array([0.1, 0.5, -0.8, 1.7]), sample_thetas(7, 64)
     cases["learn_loss.n2.m64"] = (lambda: loss(ansatz, xi, target, angles), 64)
+    objective = LearnObjective(ansatz, target, angles)
+    cases["learn_objective.n2.m64"] = (lambda: objective(xi), 64)
     cases["haar_states.n6.states1000"] = (lambda: haar_fidelities(Circuit(6), Circuit(6), 1000, seed=7), 1000)
     mixture = MixedOperation(((0.5, Circuit(1)), (0.5j, Circuit(1))))
     grid = np.linspace(-np.pi, np.pi, 1000)

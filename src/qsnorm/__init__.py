@@ -15,6 +15,7 @@ from .hadamard import (
 from .learn import (
     Ansatz,
     LearnConfig,
+    LearnObjective,
     LearnResult,
     ParamSlot,
     ansatz_from_dict,

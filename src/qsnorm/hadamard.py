@@ -5,19 +5,22 @@ operations controlled on a clean ancilla that is put into superposition,
 and measures the ancilla: 1 - 2 Pr(1) equals Re<psi|V|psi>, or
 Im<psi|V|psi> when an S-dagger is inserted after the first Hadamard.
 
-The estimators run every test of a mixture for a batch of angles at once,
-in :func:`mixed_quadratic_form`: each term is applied as given to a chunk
-of probe rows, and each unordered pair of terms gets one real- and one
-imaginary-part test from the overlaps :func:`qsim.row_overlaps` takes. The
-analytic mode reads the exact probability off those overlaps; shot mode
-draws Bernoulli outcomes at it to reintroduce measurement noise. The tests
-check the kernel against a simulation of the literal (n+1)-qubit circuit.
+The estimators run every test of a mixture for a batch of angles at once.
+:func:`mixed_quadratic_form` applies each term as given to a chunk of probe
+rows; :func:`quadratic_form_values`, the one reduction, gives each
+unordered pair of terms one real- and one imaginary-part test from the
+overlaps :func:`qsim.row_overlaps` takes. The analytic mode reads the exact
+probability off those overlaps; shot mode draws Bernoulli outcomes at it to
+reintroduce measurement noise. The learning objective feeds the same
+reduction from images it partly keeps across calls. The tests check the
+kernel against a simulation of the literal (n+1)-qubit circuit.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
+from typing import Iterable
 
 import numpy as np
 
@@ -56,6 +59,19 @@ def measurement_budget_mixed(epsilon: float, delta: float, num_terms: int) -> in
     return math.ceil(32.0 * k**4 * math.log(4.0 * k**2 / delta) / epsilon**2)
 
 
+def require_shots(shots_per_test) -> int:
+    """``shots_per_test`` as a nonnegative int; 0 selects the analytic mode."""
+    shots_per_test = require_int(shots_per_test, "shots_per_test")
+    if shots_per_test < 0:
+        raise ValueError(f"shots must be nonnegative, got {shots_per_test}")
+    return shots_per_test
+
+
+def probe_chunk(thetas: np.ndarray, chunk: slice, n: int) -> np.ndarray:
+    """The complex probe rows of ``thetas[chunk]``, one kernel batch."""
+    return probe_rows(thetas[chunk], n, 1 << n).astype(complex)
+
+
 def mixed_quadratic_form(
     mixed: MixedOperation,
     thetas: np.ndarray,
@@ -64,34 +80,53 @@ def mixed_quadratic_form(
 ) -> np.ndarray:
     """||W x(theta_i)||^2 per angle, for W = sum_k a_k U_k applied as given.
 
-    Expands into sum_k |a_k|^2 plus, per unordered pair a < b, the cross
-    term 2 Re(conj(a_a) a_b <U_a x|U_b x>); each chunk of probe rows gets
-    every U_k in one batched apply, then :func:`qsim.row_overlaps`.
-    Analytic when ``shots_per_test`` is 0, with one fsum per angle; a
-    swapped pair's overlap is the exact conjugate, so the result is
-    permutation invariant bit for bit. Otherwise each pair runs the real-
-    and imaginary-part Hadamard tests with chain (U_b, U_a^dagger), drawing
-    ``shots_per_test`` outcomes each from ``derived_rng(seed, i, 1)``
-    (through :func:`sampler.derived_rngs`).
+    Each chunk of probe rows gets every U_k in one batched apply, and
+    :func:`quadratic_form_values` reduces the images; it documents the
+    analytic and the shot mode.
     """
     n = require_qubits(mixed.n, STATE_QUBIT_CAP, "statevector qubit count")
-    shots_per_test = require_int(shots_per_test, "shots_per_test")
-    if shots_per_test < 0:
-        raise ValueError(f"shots must be nonnegative, got {shots_per_test}")
+    shots_per_test = require_shots(shots_per_test)
     thetas = check_thetas(thetas)
+    ops = [op for _, op in mixed.terms]
+
+    def chunk_images():
+        for chunk in row_chunks(thetas.size, n):
+            x = probe_chunk(thetas, chunk, n)
+            yield chunk, [apply_operation_amplitudes(x, op) for op in ops]
+
     coeffs = [coeff for coeff, _ in mixed.terms]
+    return quadratic_form_values(coeffs, chunk_images(), thetas.size, shots_per_test, seed)
+
+
+def quadratic_form_values(
+    coeffs: list[complex],
+    images: Iterable[tuple[slice, list[np.ndarray]]],
+    m: int,
+    shots_per_test: int,
+    seed: int,
+) -> np.ndarray:
+    """The m values ||sum_k a_k U_k x_i||^2 from ``(chunk, [U_k x for x in
+    the chunk's probe rows])`` pairs that cover range(m) in order.
+
+    Expands into sum_k |a_k|^2 plus, per unordered pair a < b, the cross
+    term 2 Re(conj(a_a) a_b <U_a x|U_b x>), with the overlaps taken by
+    :func:`qsim.row_overlaps`. Analytic when ``shots_per_test`` is 0, with
+    one fsum per angle; a swapped pair's overlap is the exact conjugate, so
+    the result is permutation invariant bit for bit. Otherwise each pair
+    runs the real- and imaginary-part Hadamard tests with chain
+    (U_b, U_a^dagger), drawing ``shots_per_test`` outcomes each from
+    ``derived_rng(seed, i, 1)`` (through :func:`sampler.derived_rngs`).
+    """
     squares = [abs(c) ** 2 for c in coeffs]
-    pairs = list(combinations(range(mixed.num_terms), 2))
+    pairs = list(combinations(range(len(coeffs)), 2))
     weights = [coeffs[a].conjugate() * coeffs[b] for a, b in pairs]
-    values = np.empty(thetas.size)
+    values = np.empty(m)
     # Lazy: analytic mode never advances it, so it makes no Generator.
-    rngs = derived_rngs(seed, thetas.size, 1)
-    for chunk in row_chunks(thetas.size, n):
-        x = probe_rows(thetas[chunk], n, 1 << n).astype(complex)
-        images = [apply_operation_amplitudes(x, op) for _, op in mixed.terms]
-        overlaps = [row_overlaps(images[a], images[b]) for a, b in pairs]
+    rngs = derived_rngs(seed, m, 1)
+    for chunk, chunk_images in images:
+        overlaps = [row_overlaps(chunk_images[a], chunk_images[b]) for a, b in pairs]
         if shots_per_test == 0:
-            terms = [np.full(x.shape[0], sq) for sq in squares]
+            terms = [np.full(chunk.stop - chunk.start, sq) for sq in squares]
             terms += [2.0 * (weight * ov).real for weight, ov in zip(weights, overlaps)]
             values[chunk] = [math.fsum(row) for row in np.array(terms).T.tolist()]
             continue

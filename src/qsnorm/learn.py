@@ -9,7 +9,10 @@ whose expectation over uniform angles equals ||U(xi) - V||^2 in the
 normalized Schatten-2 sense. The angle set is drawn once up front, so the
 objective is a fixed deterministic function of xi for a given seed; with
 finite shots both sides of every central difference reuse the same shot
-seeds (common random numbers).
+seeds (common random numbers). Only U(xi) changes between calls, so a run
+prepares the objective once (:class:`LearnObjective`): it keeps the first
+row chunk's probe rows and their images under V, and each call binds the
+slots into the already checked template and applies U(xi).
 
 An ansatz applied ``repeat`` times learns roots: with repeat = 2 the loop
 minimizes ||U(xi)^2 - V||^2. Ansatz templates can carry a global-phase
@@ -21,21 +24,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable
 
 import numpy as np
 
-from .hadamard import mixed_quadratic_form
+from .hadamard import probe_chunk, quadratic_form_values, require_shots
 from .qsim import (
+    STATE_QUBIT_CAP,
     Circuit,
     CircuitFormatError,
-    GateOp,
     Operation,
+    _gate_with_params,
     _number_param,
+    apply_operation_amplitudes,
     circuit_from_dict,
     require_int,
+    require_qubits,
+    row_chunks,
 )
-from .sampler import derived_rng, sample_thetas
+from .sampler import check_thetas, derived_rng, sample_thetas
 from .schatten import difference_mixture
 
 
@@ -77,22 +85,32 @@ class Ansatz:
         return self.template.n
 
     def bind(self, xi: np.ndarray) -> Circuit:
-        """Fill the slots with values from xi (one application, no repeats)."""
-        xi = np.asarray(xi, dtype=float)
-        if xi.shape != (self.num_params,):
-            raise ValueError(f"expected {self.num_params} parameters, got shape {xi.shape}")
-        ops = []
-        for op in self.template.ops:
-            params = tuple(
-                float(xi[p.index]) if isinstance(p, ParamSlot) else float(p) for p in op.params
-            )
-            ops.append(GateOp(op.kind, op.qubits, params))
-        return Circuit(self.template.n, tuple(ops))
+        """Fill the slots with values from xi (one application, no repeats).
+
+        The template's gates were checked when it was built, so only what
+        the slots add is checked here: xi must have shape (num_params,) and
+        hold real, finite numbers (ValueError).
+        """
+        return Circuit(self.template.n, self._bound_ops(xi))
 
     def bind_repeated(self, xi: np.ndarray) -> Circuit:
         """The bound circuit applied ``repeat`` times."""
-        once = self.bind(xi)
-        return Circuit(once.n, once.ops * self.repeat)
+        return Circuit(self.template.n, self._bound_ops(xi) * self.repeat)
+
+    def _bound_ops(self, xi: np.ndarray) -> tuple:
+        values = np.asarray(xi)
+        if values.shape != (self.num_params,):
+            raise ValueError(f"expected {self.num_params} parameters, got shape {values.shape}")
+        if values.dtype.kind not in "biuf":
+            raise ValueError(f"parameters must be real numbers, got dtype {values.dtype}")
+        values = values.astype(float)
+        if not np.isfinite(values).all():
+            raise ValueError(f"parameters must be finite, got {values.tolist()}")
+        values = values.tolist()
+        return tuple(
+            _gate_with_params(op, tuple(values[p.index] if isinstance(p, ParamSlot) else float(p) for p in op.params))
+            for op in self.template.ops
+        )
 
 
 @dataclass(frozen=True)
@@ -126,6 +144,49 @@ class LearnResult:
     final_cost: float = math.inf
 
 
+class LearnObjective:
+    """The sampled objective f(xi) for one ansatz, target and angle set,
+    prepared once so that each call applies only U(xi) (with repeats).
+
+    Building it checks that U and V share a register under
+    ``STATE_QUBIT_CAP``, the shot count and the angles. It keeps the probe
+    rows of the first row chunk and their images V x, at most
+    ``CHUNK_BYTES`` each, so its memory does not grow with the angle count;
+    any later chunk is rebuilt on each call. Each term 2 - 2 Re<V x|U x> =
+    ||(V - U) x||^2 is twice the value of the difference mixture
+    (V - U)/sqrt(2), which :func:`hadamard.quadratic_form_values` reduces
+    from [V x, U x]. With shots > 0 that runs the real-part test with state
+    prep S(theta_i) and controlled chain (U(xi), V^dagger), drawing from
+    ``derived_rng(seed, i, 1)``. Values lie in [0, 4]; an empty angle list
+    raises ValueError.
+    """
+
+    def __init__(self, ansatz: Ansatz, target: Operation, thetas: np.ndarray, shots: int = 0, seed: int = 0):
+        # Every bound U(xi) has the template's register, so the mixture with
+        # the template checks it and gives the coefficients once.
+        mixed = difference_mixture(target, ansatz.template)
+        self.n = require_qubits(mixed.n, STATE_QUBIT_CAP, "statevector qubit count")
+        self.shots = require_shots(shots)
+        self.thetas = check_thetas(thetas)
+        self.ansatz, self.target, self.seed = ansatz, target, seed
+        self._coeffs = [coeff for coeff, _ in mixed.terms]
+        self._first = next(row_chunks(self.thetas.size, self.n))
+        self._x = probe_chunk(self.thetas, self._first, self.n)
+        self._vx = apply_operation_amplitudes(self._x, target)
+
+    def __call__(self, xi: np.ndarray) -> float:
+        u = self.ansatz.bind_repeated(xi)
+
+        def chunk_images():
+            yield self._first, [self._vx, apply_operation_amplitudes(self._x, u)]
+            for chunk in islice(row_chunks(self.thetas.size, self.n), 1, None):
+                x = probe_chunk(self.thetas, chunk, self.n)
+                yield chunk, [apply_operation_amplitudes(x, self.target), apply_operation_amplitudes(x, u)]
+
+        values = quadratic_form_values(self._coeffs, chunk_images(), self.thetas.size, self.shots, self.seed)
+        return 2.0 * math.fsum(values) / values.size
+
+
 def loss(
     ansatz: Ansatz,
     xi: np.ndarray,
@@ -134,17 +195,9 @@ def loss(
     shots: int = 0,
     seed: int = 0,
 ) -> float:
-    """Sampled squared-distance objective between U(xi) (with repeats) and V.
-
-    Each term 2 - 2 Re<V x|U x> = ||(V - U) x||^2 is twice the value of
-    :func:`hadamard.mixed_quadratic_form` for the difference mixture
-    (V - U)/sqrt(2). With shots > 0 that kernel runs the real-part test with
-    state prep S(theta_i) and controlled chain (U(xi), V^dagger), drawing
-    from ``derived_rng(seed, i, 1)``. Values lie in [0, 4]; an empty angle
-    list raises ValueError.
-    """
-    values = mixed_quadratic_form(difference_mixture(target, ansatz.bind_repeated(xi)), thetas, shots, seed)
-    return 2.0 * math.fsum(values) / values.size
+    """Sampled squared-distance objective between U(xi) (with repeats) and
+    V: one call of a :class:`LearnObjective` built for these inputs."""
+    return LearnObjective(ansatz, target, thetas, shots, seed)(xi)
 
 
 def finite_diff_gradient(
@@ -179,11 +232,9 @@ def learn_circuit(ansatz: Ansatz, target: Operation, config: LearnConfig) -> Lea
     config.max_iters steps; non-convergence is reported via the flag, never
     raised.
     """
-    thetas = sample_thetas(config.seed, config.m)
-
-    def objective(x: np.ndarray) -> float:
-        return loss(ansatz, x, target, thetas, shots=config.shots_per_test, seed=config.seed)
-
+    objective = LearnObjective(
+        ansatz, target, sample_thetas(config.seed, config.m), config.shots_per_test, config.seed
+    )
     xi = derived_rng(config.seed).uniform(-math.pi, math.pi, ansatz.num_params)
     history = [objective(xi)]
     while history[-1] > config.tol and len(history) <= config.max_iters:

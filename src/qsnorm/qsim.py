@@ -144,6 +144,15 @@ class GateOp:
         return GateOp(partner or self.kind, self.qubits, tuple(-p for p in self.params))
 
 
+def _gate_with_params(op: GateOp, params: tuple) -> GateOp:
+    """``op`` with ``params`` as its angles, built without ``GateOp``'s
+    checks: ``op`` passed them when it was built, and the caller has checked
+    that ``params`` holds as many real, finite floats."""
+    gate = object.__new__(GateOp)
+    gate.__dict__.update(kind=op.kind, qubits=op.qubits, params=params)
+    return gate
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate list over ``n`` qubits; acts by left-multiplication."""

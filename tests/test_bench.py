@@ -15,17 +15,29 @@ LAYERS_SCRIPT = ROOT / "bench" / "layers.py"
 PERFBENCH = ROOT / "perfbench"
 
 
-def test_every_layer_case_runs_once():
-    """A renamed or re-signed function the script calls fails here, not only
-    when someone next writes a BENCH_*.json."""
+def load_layers_script():
     spec = importlib.util.spec_from_file_location("bench_layers", LAYERS_SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    cases = module.layers()
+    return module
+
+
+def test_every_layer_case_runs_once():
+    """A renamed or re-signed function the script calls fails here, not only
+    when someone next writes a BENCH_*.json."""
+    cases = load_layers_script().layers()
     assert cases
     for name, (call, keys) in cases.items():
         call()
         assert isinstance(keys, int) and keys >= 1, name
+
+
+def test_every_layer_case_is_documented():
+    """Each case's layer, the name before the first dot, is described in the
+    script's docstring as a ``double-backquoted`` name."""
+    module = load_layers_script()
+    prefixes = {name.split(".", 1)[0] for name in module.layers()}
+    assert sorted(p for p in prefixes if f"``{p}``" not in module.__doc__) == []
 
 
 def test_perfbench_oracles_find_their_package_names():

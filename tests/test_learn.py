@@ -12,20 +12,24 @@ from qsnorm import (
     CircuitFormatError,
     GateOp,
     LearnConfig,
+    LearnObjective,
     ParamSlot,
     adjoint,
     ansatz_from_dict,
     circuit_matrix,
     derive_seed,
     derived_rng,
+    difference_mixture,
     exact_schatten2,
     exactness_grid,
     finite_diff_gradient,
     learn_circuit,
     loss,
+    mixed_quadratic_form,
     sample_thetas,
     sampling_circuit,
 )
+from qsnorm.qsim import CHUNK_BYTES, row_chunks
 
 
 def two_qubit_ansatz() -> Ansatz:
@@ -43,6 +47,22 @@ def single_ry_ansatz() -> Ansatz:
     return Ansatz(Circuit(1, (GateOp("ry", (0,), (ParamSlot(0),)),)))
 
 
+def random_ansatz(n: int, depth: int, rng: np.random.Generator, repeat: int = 1) -> Ansatz:
+    """A random circuit whose one-angle gates each get their own slot; a
+    circuit without one gets a trailing ry slot."""
+    template_ops = []
+    slots = 0
+    for op in random_circuit(n, depth, rng).ops:
+        if op.kind in ("rx", "ry", "rz", "phase", "globalphase"):
+            template_ops.append(GateOp(op.kind, op.qubits, (ParamSlot(slots),)))
+            slots += 1
+        else:
+            template_ops.append(op)
+    if slots == 0:
+        template_ops.append(GateOp("ry", (0,), (ParamSlot(0),)))
+    return Ansatz(Circuit(n, tuple(template_ops)), repeat)
+
+
 class TestAnsatz:
     def test_bind_fills_slots(self):
         ansatz = two_qubit_ansatz()
@@ -51,8 +71,50 @@ class TestAnsatz:
         assert bound.ops[4] == GateOp("ry", (1,), (0.4,))
 
     def test_bind_checks_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"expected 4 parameters, got shape \(2,\)"):
             two_qubit_ansatz().bind(np.array([0.1, 0.2]))
+        with pytest.raises(ValueError, match=r"expected 4 parameters, got shape \(1, 4\)"):
+            two_qubit_ansatz().bind_repeated(np.zeros((1, 4)))
+
+    def test_bind_equals_checked_construction(self):
+        """Binding skips the gate checks, yet gives the circuit the checking
+        GateOp and Circuit constructors build from the same values."""
+        template = Circuit(2, (
+            GateOp("globalphase", (), (ParamSlot(2),)),
+            GateOp("rz", (1,), (0.25,)),
+            GateOp("ry", (0,), (ParamSlot(0),)),
+            GateOp("cnot", (0, 1)),
+            GateOp("h", (1,)),
+            GateOp("phase", (1,), (ParamSlot(0),)),
+            GateOp("rx", (1,), (ParamSlot(1),)),
+        ))
+        ansatz = Ansatz(template, repeat=2)
+        rng = np.random.default_rng(87)
+        for _ in range(20):
+            xi = rng.uniform(-10.0, 10.0, 3)
+            checked = Circuit(2, tuple(
+                GateOp(op.kind, op.qubits, tuple(
+                    float(xi[p.index]) if isinstance(p, ParamSlot) else float(p) for p in op.params
+                ))
+                for op in template.ops
+            ))
+            assert ansatz.bind(xi) == checked
+            assert ansatz.bind_repeated(xi) == Circuit(2, checked.ops * 2)
+            assert all(type(p) is float for op in ansatz.bind(xi).ops for p in op.params)
+
+    @pytest.mark.parametrize("xi", [np.array([1 + 2j]), np.array([0.5 + 0j]), [1j]])
+    def test_bind_rejects_complex_parameters(self, xi):
+        """bind(np.array([1+2j])) used to return ry(1.0), dropping the
+        imaginary part with only a ComplexWarning."""
+        with pytest.raises(ValueError, match="real"):
+            single_ry_ansatz().bind(xi)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_bind_rejects_non_finite_parameters(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            two_qubit_ansatz().bind(np.array([0.1, bad, 0.3, 0.4]))
+        with pytest.raises(ValueError, match="finite"):
+            two_qubit_ansatz().bind_repeated(np.array([0.1, 0.2, 0.3, bad]))
 
     def test_bind_repeated_doubles_ops(self):
         ansatz = Ansatz(single_ry_ansatz().template, repeat=2)
@@ -103,19 +165,8 @@ class TestLoss:
         rng = np.random.default_rng(81)
         for _ in range(100):
             n = int(rng.integers(1, 5))
-            template_ops = []
-            slots = 0
-            for op in random_circuit(n, 6, rng).ops:
-                if op.kind in ("rx", "ry", "rz", "phase", "globalphase"):
-                    template_ops.append(GateOp(op.kind, op.qubits, (ParamSlot(slots),)))
-                    slots += 1
-                else:
-                    template_ops.append(op)
-            if slots == 0:
-                template_ops.append(GateOp("ry", (0,), (ParamSlot(0),)))
-                slots = 1
-            ansatz = Ansatz(Circuit(n, tuple(template_ops)))
-            xi = rng.uniform(-math.pi, math.pi, slots)
+            ansatz = random_ansatz(n, 6, rng)
+            xi = rng.uniform(-math.pi, math.pi, ansatz.num_params)
             target = random_circuit(n, 6, rng)
             value = loss(ansatz, xi, target, exactness_grid(n))
             exact = exact_schatten2(circuit_matrix(ansatz.bind(xi)) - circuit_matrix(target)) ** 2
@@ -178,6 +229,46 @@ class TestLoss:
         """An inf angle used to give a NaN loss."""
         with pytest.raises(ValueError, match="angles must be finite"):
             loss(single_ry_ansatz(), np.array([0.1]), Circuit(1), thetas=[0.3, bad])
+
+
+class TestLearnObjective:
+    @pytest.mark.parametrize("n", [2, 7])
+    @pytest.mark.parametrize("repeat", [1, 2])
+    @pytest.mark.parametrize("shots", [0, 20])
+    def test_equals_kernel_on_difference_mixture_bit_for_bit(self, n, repeat, shots):
+        """Keeping the first chunk's probe rows and V x across calls changes
+        no bit of the objective; at n = 7, 64 angles make two chunks, so the
+        rebuilt chunk is covered too."""
+        rng = np.random.default_rng(88 + 10 * n + repeat)
+        ansatz, target = random_ansatz(n, 8, rng, repeat), random_circuit(n, 8, rng)
+        thetas = sample_thetas(9, 64)
+        assert len(list(row_chunks(64, n))) == (1 if n == 2 else 2)
+        objective = LearnObjective(ansatz, target, thetas, shots, seed=5)
+        for _ in range(20):
+            xi = rng.uniform(-math.pi, math.pi, ansatz.num_params)
+            mixed = difference_mixture(target, ansatz.bind_repeated(xi))
+            expected = 2.0 * math.fsum(mixed_quadratic_form(mixed, thetas, shots, 5)) / 64
+            assert objective(xi) == expected
+            assert loss(ansatz, xi, target, thetas, shots, 5) == expected
+
+    def test_memory_is_one_chunk(self):
+        """At n = 12 a chunk is one row of 2^12 amplitudes; the objective
+        keeps no array larger than CHUNK_BYTES, whatever the angle count."""
+        rng = np.random.default_rng(89)
+        ansatz, target = random_ansatz(12, 6, rng), random_circuit(12, 6, rng)
+        objective = LearnObjective(ansatz, target, sample_thetas(1, 64))
+        arrays = [v for v in vars(objective).values() if isinstance(v, np.ndarray)]
+        assert arrays and max(a.nbytes for a in arrays) <= CHUNK_BYTES
+        assert 0.0 <= objective(rng.uniform(-math.pi, math.pi, ansatz.num_params)) <= 4.0
+
+    def test_checks_when_built(self):
+        with pytest.raises(ValueError, match="different registers: n=2 vs n=1"):
+            LearnObjective(single_ry_ansatz(), Circuit(2), sample_thetas(1, 4))
+        wide = Ansatz(Circuit(21, (GateOp("ry", (0,), (ParamSlot(0),)),)))
+        with pytest.raises(ValueError, match=r"statevector qubit count 21 outside \[1, 20\]"):
+            LearnObjective(wide, Circuit(21), sample_thetas(1, 4))
+        with pytest.raises(ValueError, match="shots must be nonnegative"):
+            LearnObjective(single_ry_ansatz(), Circuit(1), sample_thetas(1, 4), shots=-1)
 
 
 class TestFiniteDiffGradient:
