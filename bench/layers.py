@@ -23,6 +23,10 @@ Layers, each through the public function the CLI calls:
   the objective and calls it once.
 - ``learn_objective``: one call of a ``LearnObjective`` prepared for the
   same ansatz, target and angles, as each loss evaluation of a learn run.
+- ``learn_step``: one ``LearnObjective.block`` call on the 2P + 1 = 9
+  points of one gradient step (xi and its central-difference shifts) for
+  the same objective, as each step of a learn run; a key is one (point,
+  angle) pair.
 - ``haar_states``: ``haar_fidelities`` over 1000 Haar states at n = 6 with
   two empty circuits, so drawing the states is nearly all of the work.
 - ``shot_generators`` (Bernoulli shot sampling): the shot branch of
@@ -107,6 +111,8 @@ def layers() -> dict:
     cases["learn_loss.n2.m64"] = (lambda: loss(ansatz, xi, target, angles), 64)
     objective = LearnObjective(ansatz, target, angles)
     cases["learn_objective.n2.m64"] = (lambda: objective(xi), 64)
+    step = np.vstack((xi, xi + 1e-3 * np.eye(4), xi - 1e-3 * np.eye(4)))
+    cases["learn_step.n2.m64"] = (lambda: objective.block(step), step.shape[0] * 64)
     cases["haar_states.n6.states1000"] = (lambda: haar_fidelities(Circuit(6), Circuit(6), 1000, seed=7), 1000)
     mixture = MixedOperation(((0.5, Circuit(1)), (0.5j, Circuit(1))))
     grid = np.linspace(-np.pi, np.pi, 1000)

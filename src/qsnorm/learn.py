@@ -9,10 +9,12 @@ whose expectation over uniform angles equals ||U(xi) - V||^2 in the
 normalized Schatten-2 sense. The angle set is drawn once up front, so the
 objective is a fixed deterministic function of xi for a given seed; with
 finite shots both sides of every central difference reuse the same shot
-seeds (common random numbers). Only U(xi) changes between calls, so a run
-prepares the objective once (:class:`LearnObjective`): it keeps the first
-row chunk's probe rows and their images under V, and each call binds the
-slots into the already checked template and applies U(xi).
+seeds (common random numbers). Only U(xi) changes between evaluations, so
+a run prepares the objective once (:class:`LearnObjective`): it keeps the
+first row chunk's probe rows and their images under V. Each gradient step
+is one batched pass: f(xi) and the 2P central-difference shifts are one
+(2P + 1, P) block, and each gate of U is applied to every point at once,
+with one matrix per point where a slot sets its angle.
 
 An ansatz applied ``repeat`` times learns roots: with repeat = 2 the loop
 minimizes ||U(xi)^2 - V||^2. Ansatz templates can carry a global-phase
@@ -31,11 +33,14 @@ import numpy as np
 
 from .hadamard import probe_chunk, quadratic_form_values, require_shots
 from .qsim import (
+    CHUNK_BYTES,
+    GATES,
     STATE_QUBIT_CAP,
     Circuit,
     CircuitFormatError,
+    GateOp,
     Operation,
-    _gate_with_params,
+    _apply_gateop,
     _number_param,
     apply_operation_amplitudes,
     circuit_from_dict,
@@ -85,12 +90,9 @@ class Ansatz:
         return self.template.n
 
     def bind(self, xi: np.ndarray) -> Circuit:
-        """Fill the slots with values from xi (one application, no repeats).
-
-        The template's gates were checked when it was built, so only what
-        the slots add is checked here: xi must have shape (num_params,) and
-        hold real, finite numbers (ValueError).
-        """
+        """Fill the slots with values from xi (one application, no repeats);
+        xi must have shape (num_params,) and hold real, finite numbers
+        (ValueError)."""
         return Circuit(self.template.n, self._bound_ops(xi))
 
     def bind_repeated(self, xi: np.ndarray) -> Circuit:
@@ -98,19 +100,27 @@ class Ansatz:
         return Circuit(self.template.n, self._bound_ops(xi) * self.repeat)
 
     def _bound_ops(self, xi: np.ndarray) -> tuple:
-        values = np.asarray(xi)
-        if values.shape != (self.num_params,):
-            raise ValueError(f"expected {self.num_params} parameters, got shape {values.shape}")
-        if values.dtype.kind not in "biuf":
-            raise ValueError(f"parameters must be real numbers, got dtype {values.dtype}")
-        values = values.astype(float)
-        if not np.isfinite(values).all():
-            raise ValueError(f"parameters must be finite, got {values.tolist()}")
-        values = values.tolist()
-        return tuple(
-            _gate_with_params(op, tuple(values[p.index] if isinstance(p, ParamSlot) else float(p) for p in op.params))
-            for op in self.template.ops
-        )
+        values = _parameter_values(xi, self.num_params, 1)
+        return tuple(GateOp(op.kind, op.qubits, _bound_params(op, values)) for op in self.template.ops)
+
+
+def _parameter_values(xi, num_params: int, ndim: int) -> list:
+    """``xi`` as (nested) lists of floats, if it is an ndim-dimensional array
+    of rows of ``num_params`` real, finite numbers; ValueError otherwise."""
+    values = np.asarray(xi)
+    if values.ndim != ndim or values.shape[-1:] != (num_params,):
+        raise ValueError(f"expected {num_params} parameters, got shape {values.shape}")
+    if values.dtype.kind not in "biuf":
+        raise ValueError(f"parameters must be real numbers, got dtype {values.dtype}")
+    values = values.astype(float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"parameters must be finite, got {values.tolist()}")
+    return values.tolist()
+
+
+def _bound_params(op: GateOp, values: list) -> tuple:
+    """The angles of template gate ``op`` with its slots filled from ``values``."""
+    return tuple(values[p.index] if isinstance(p, ParamSlot) else float(p) for p in op.params)
 
 
 @dataclass(frozen=True)
@@ -146,19 +156,20 @@ class LearnResult:
 
 class LearnObjective:
     """The sampled objective f(xi) for one ansatz, target and angle set,
-    prepared once so that each call applies only U(xi) (with repeats).
+    prepared once so that each evaluation applies only U(xi) (with repeats).
 
     Building it checks that U and V share a register under
     ``STATE_QUBIT_CAP``, the shot count and the angles. It keeps the probe
     rows of the first row chunk and their images V x, at most
     ``CHUNK_BYTES`` each, so its memory does not grow with the angle count;
-    any later chunk is rebuilt on each call. Each term 2 - 2 Re<V x|U x> =
+    any later chunk is rebuilt for each point. Each term 2 - 2 Re<V x|U x> =
     ||(V - U) x||^2 is twice the value of the difference mixture
     (V - U)/sqrt(2), which :func:`hadamard.quadratic_form_values` reduces
-    from [V x, U x]. With shots > 0 that runs the real-part test with state
-    prep S(theta_i) and controlled chain (U(xi), V^dagger), drawing from
-    ``derived_rng(seed, i, 1)``. Values lie in [0, 4]; an empty angle list
-    raises ValueError.
+    from [V x, U x], point by point. With shots > 0 that runs the real-part
+    test with state prep S(theta_i) and controlled chain (U(xi), V^dagger),
+    drawing from ``derived_rng(seed, i, 1)`` at every point. Values lie in
+    [0, 4]; an empty angle list raises ValueError. :meth:`block` evaluates
+    many points in one batched pass; a call on one xi is a one-row block.
     """
 
     def __init__(self, ansatz: Ansatz, target: Operation, thetas: np.ndarray, shots: int = 0, seed: int = 0):
@@ -175,16 +186,44 @@ class LearnObjective:
         self._vx = apply_operation_amplitudes(self._x, target)
 
     def __call__(self, xi: np.ndarray) -> float:
-        u = self.ansatz.bind_repeated(xi)
+        return float(self.block(np.asarray(xi)[None])[0])
 
-        def chunk_images():
-            yield self._first, [self._vx, apply_operation_amplitudes(self._x, u)]
-            for chunk in islice(row_chunks(self.thetas.size, self.n), 1, None):
-                x = probe_chunk(self.thetas, chunk, self.n)
-                yield chunk, [apply_operation_amplitudes(x, self.target), apply_operation_amplitudes(x, u)]
+    def block(self, xis: np.ndarray) -> np.ndarray:
+        """f at each row of the (B, P) array ``xis``. The first chunk's probe
+        rows are tiled over as many points as fit in ``CHUNK_BYTES``, U is
+        applied to all of them gate by gate, and each point is reduced on
+        its own."""
+        points = _parameter_values(xis, self.ansatz.num_params, 2)
+        per_pass = max(1, CHUNK_BYTES // self._x.nbytes)
+        costs = []
+        for start in range(0, len(points), per_pass):
+            group = points[start:start + per_pass]
+            for xi, ux in zip(group, self._u_images(self._x, group)):
+                values = quadratic_form_values(
+                    self._coeffs, self._chunk_images(xi, ux), self.thetas.size, self.shots, self.seed
+                )
+                costs.append(2.0 * math.fsum(values.tolist()) / values.size)
+        return np.array(costs)
 
-        values = quadratic_form_values(self._coeffs, chunk_images(), self.thetas.size, self.shots, self.seed)
-        return 2.0 * math.fsum(values) / values.size
+    def _u_images(self, x: np.ndarray, points: list) -> np.ndarray:
+        """U(xi) x for each xi in ``points``, a (len(points), rows, 2^n) block;
+        a slot gate gets a stack of each point's scalar ``GATES`` matrix."""
+        gates = [
+            (op, np.array([GATES[op.kind].matrix(*_bound_params(op, xi)) for xi in points])
+             if any(isinstance(p, ParamSlot) for p in op.params) else None)
+            for op in self.ansatz.template.ops
+        ]
+        out = np.broadcast_to(x, (len(points),) + x.shape)
+        for op, entries in gates * self.ansatz.repeat:
+            out = _apply_gateop(out, op, self.n, entries)
+        return out
+
+    def _chunk_images(self, xi: list, ux: np.ndarray):
+        """(chunk, [V x, U(xi) x]) for each row chunk, given the first one's U(xi) x."""
+        yield self._first, [self._vx, ux]
+        for chunk in islice(row_chunks(self.thetas.size, self.n), 1, None):
+            x = probe_chunk(self.thetas, chunk, self.n)
+            yield chunk, [apply_operation_amplitudes(x, self.target), self._u_images(x, [xi])[0]]
 
 
 def loss(
@@ -201,34 +240,34 @@ def loss(
 
 
 def finite_diff_gradient(
-    lossfn: Callable[[np.ndarray], float],
+    blockfn: Callable[[np.ndarray], np.ndarray],
     xi: np.ndarray,
     fd_eps: float,
 ) -> np.ndarray:
-    """Central-difference gradient, one coordinate at a time.
+    """Central-difference gradient from one block of 2P shifted points.
 
-    The loss function must be deterministic in xi (fixed angle set and shot
-    seeds) so both sides of each difference share their randomness.
+    ``blockfn`` maps a (2P, P) array to its 2P values; rows 2j and 2j + 1
+    are xi with coordinate j moved by +fd_eps and -fd_eps. It must be
+    deterministic in each row (fixed angle set and shot seeds) so both
+    sides of each difference share their randomness.
     """
     if not 0 < fd_eps < math.inf:
         raise ValueError(f"fd_eps must be positive and finite, got {fd_eps}")
     xi = np.asarray(xi, dtype=float)
-    grad = np.empty_like(xi)
-    for j in range(xi.size):
-        shifted = xi.copy()
-        shifted[j] = xi[j] + fd_eps
-        upper = lossfn(shifted)
-        shifted[j] = xi[j] - fd_eps
-        lower = lossfn(shifted)
-        grad[j] = (upper - lower) / (2.0 * fd_eps)
-    return grad
+    shifted = np.tile(xi, (2 * xi.size, 1))
+    coords = np.arange(xi.size)
+    shifted[2 * coords, coords] = xi + fd_eps
+    shifted[2 * coords + 1, coords] = xi - fd_eps
+    values = np.asarray(blockfn(shifted), dtype=float)
+    return (values[0::2] - values[1::2]) / (2.0 * fd_eps)
 
 
 def learn_circuit(ansatz: Ansatz, target: Operation, config: LearnConfig) -> LearnResult:
     """Gradient descent on the sampled objective.
 
     Angles are drawn once before the loop; xi starts uniform on [-pi, pi)
-    per coordinate. Stops when the cost reaches config.tol or after
+    per coordinate. Each step evaluates f(xi) and the gradient's 2P shifted
+    points as one block. Stops when the cost reaches config.tol or after
     config.max_iters steps; non-convergence is reported via the flag, never
     raised.
     """
@@ -236,11 +275,18 @@ def learn_circuit(ansatz: Ansatz, target: Operation, config: LearnConfig) -> Lea
         ansatz, target, sample_thetas(config.seed, config.m), config.shots_per_test, config.seed
     )
     xi = derived_rng(config.seed).uniform(-math.pi, math.pi, ansatz.num_params)
-    history = [objective(xi)]
-    while history[-1] > config.tol and len(history) <= config.max_iters:
-        grad = finite_diff_gradient(objective, xi, config.fd_eps)
+    history = []
+
+    def with_cost(shifted: np.ndarray) -> np.ndarray:
+        values = objective.block(np.vstack((xi, shifted)))
+        history.append(float(values[0]))
+        return values[1:]
+
+    while True:
+        grad = finite_diff_gradient(with_cost, xi, config.fd_eps)
+        if not (history[-1] > config.tol and len(history) <= config.max_iters):
+            break
         xi = xi - config.eta * grad
-        history.append(objective(xi))
     return LearnResult(
         xi=xi,
         cost_history=history,

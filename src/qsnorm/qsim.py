@@ -144,15 +144,6 @@ class GateOp:
         return GateOp(partner or self.kind, self.qubits, tuple(-p for p in self.params))
 
 
-def _gate_with_params(op: GateOp, params: tuple) -> GateOp:
-    """``op`` with ``params`` as its angles, built without ``GateOp``'s
-    checks: ``op`` passed them when it was built, and the caller has checked
-    that ``params`` holds as many real, finite floats."""
-    gate = object.__new__(GateOp)
-    gate.__dict__.update(kind=op.kind, qubits=op.qubits, params=params)
-    return gate
-
-
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate list over ``n`` qubits; acts by left-multiplication."""
@@ -228,7 +219,10 @@ def gate_matrix(op: GateOp) -> np.ndarray:
     return GATES[op.kind].matrix(*op.params)
 
 
-def _apply_gateop(amps: np.ndarray, op: GateOp, n: int) -> np.ndarray:
+def _apply_gateop(amps: np.ndarray, op: GateOp, n: int, entries: np.ndarray | None = None) -> np.ndarray:
+    """``op`` applied along the last axis of ``amps``, its matrix acting on
+    every row; a (B, 2, 2) stack of ``entries`` ((B, 1, 1) for globalphase)
+    instead applies entry b to block member ``amps[b]`` of (B, rows, 2^n)."""
     form = GATES[op.kind].form
     if form == "cnot":
         control, target = op.qubits
@@ -241,7 +235,11 @@ def _apply_gateop(amps: np.ndarray, op: GateOp, n: int) -> np.ndarray:
         out[(Ellipsis, *i10)] = view[(Ellipsis, *i11)]
         out[(Ellipsis, *i11)] = view[(Ellipsis, *i10)]
         return out.reshape(amps.shape)
-    mat = gate_matrix(op)
+    if entries is None:
+        mat, block = gate_matrix(op), ()
+    else:
+        # mat[i, j] is a (B, 1, 1) column that broadcasts over each member's rows.
+        mat, block = entries.transpose(1, 2, 0)[..., None, None], entries.shape[:1]
     if not op.qubits:
         # A gate on no qubits scales every amplitude, amplitude first: numpy's
         # complex product can round differently with its operands swapped.
@@ -254,18 +252,18 @@ def _apply_gateop(amps: np.ndarray, op: GateOp, n: int) -> np.ndarray:
     # an exact zero; every product keeps the dense formula's form, entry
     # times half into a temporary, so the other bits stay those of the
     # two-term sum.
-    halves = amps.reshape(-1, 2, 1 << (n - op.qubits[0] - 1))
+    halves = amps.reshape(block + (-1, 2, 1 << (n - op.qubits[0] - 1)))
     out = np.empty(halves.shape, dtype=complex)
+    low, high = halves[..., 0, :], halves[..., 1, :]
     if form == "diagonal":
-        out[:, 0] = mat[0, 0] * halves[:, 0]
-        out[:, 1] = mat[1, 1] * halves[:, 1]
+        out[..., 0, :] = mat[0, 0] * low
+        out[..., 1, :] = mat[1, 1] * high
     elif form == "anti-diagonal":
-        out[:, 0] = mat[0, 1] * halves[:, 1]
-        out[:, 1] = mat[1, 0] * halves[:, 0]
+        out[..., 0, :] = mat[0, 1] * high
+        out[..., 1, :] = mat[1, 0] * low
     else:
-        low, high = halves[:, 0], halves[:, 1]
-        out[:, 0] = mat[0, 0] * low + mat[0, 1] * high
-        out[:, 1] = mat[1, 0] * low + mat[1, 1] * high
+        out[..., 0, :] = mat[0, 0] * low + mat[0, 1] * high
+        out[..., 1, :] = mat[1, 0] * low + mat[1, 1] * high
     return out.reshape(amps.shape)
 
 
@@ -302,7 +300,10 @@ def adjoint(c: Operation | MixedOperation) -> Operation | MixedOperation:
     if isinstance(c, MixedOperation):
         return MixedOperation(tuple((coeff.conjugate(), adjoint(op)) for coeff, op in c.terms))
     if isinstance(c, DenseUnitary):
-        return DenseUnitary(c.n, c.matrix.conj().T)
+        # The conjugate transpose of a checked unitary is one: skip the n x n check.
+        dagger = object.__new__(DenseUnitary)
+        dagger.__dict__.update(n=c.n, matrix=c.matrix.conj().T)
+        return dagger
     return Circuit(c.n, tuple(op.dagger() for op in reversed(c.ops)))
 
 

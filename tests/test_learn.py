@@ -29,7 +29,9 @@ from qsnorm import (
     sample_thetas,
     sampling_circuit,
 )
+from qsnorm import learn
 from qsnorm.qsim import CHUNK_BYTES, row_chunks
+from qsnorm.qsim import _apply_gateop as apply_gateop
 
 
 def two_qubit_ansatz() -> Ansatz:
@@ -77,8 +79,8 @@ class TestAnsatz:
             two_qubit_ansatz().bind_repeated(np.zeros((1, 4)))
 
     def test_bind_equals_checked_construction(self):
-        """Binding skips the gate checks, yet gives the circuit the checking
-        GateOp and Circuit constructors build from the same values."""
+        """Binding gives the circuit the GateOp and Circuit constructors
+        build from the same values."""
         template = Circuit(2, (
             GateOp("globalphase", (), (ParamSlot(2),)),
             GateOp("rz", (1,), (0.25,)),
@@ -244,22 +246,64 @@ class TestLearnObjective:
         thetas = sample_thetas(9, 64)
         assert len(list(row_chunks(64, n))) == (1 if n == 2 else 2)
         objective = LearnObjective(ansatz, target, thetas, shots, seed=5)
-        for _ in range(20):
-            xi = rng.uniform(-math.pi, math.pi, ansatz.num_params)
+        points = rng.uniform(-math.pi, math.pi, (20, ansatz.num_params))
+        expected = []
+        for xi in points:
             mixed = difference_mixture(target, ansatz.bind_repeated(xi))
-            expected = 2.0 * math.fsum(mixed_quadratic_form(mixed, thetas, shots, 5)) / 64
-            assert objective(xi) == expected
-            assert loss(ansatz, xi, target, thetas, shots, 5) == expected
+            expected.append(2.0 * math.fsum(mixed_quadratic_form(mixed, thetas, shots, 5)) / 64)
+            assert objective(xi) == expected[-1]
+            assert loss(ansatz, xi, target, thetas, shots, 5) == expected[-1]
+        # One block of all 20 points: at n = 2 that is two passes of 16 and
+        # 4 points, at n = 7 one pass per point.
+        assert objective.block(points).tolist() == expected
 
-    def test_memory_is_one_chunk(self):
+    @pytest.mark.parametrize("shots", [0, 20])
+    def test_zero_slot_ansatz_block(self, shots):
+        """With no slots the block is one empty row, shape (1, 0)."""
+        rng = np.random.default_rng(90)
+        ansatz = Ansatz(random_circuit(2, 8, rng), repeat=2)
+        target = random_circuit(2, 8, rng)
+        assert ansatz.num_params == 0
+        thetas = sample_thetas(9, 64)
+        mixed = difference_mixture(target, ansatz.bind_repeated(np.zeros(0)))
+        expected = 2.0 * math.fsum(mixed_quadratic_form(mixed, thetas, shots, 5)) / 64
+        objective = LearnObjective(ansatz, target, thetas, shots, seed=5)
+        assert objective.block(np.zeros((1, 0))).tolist() == [expected]
+        assert objective(np.zeros(0)) == expected
+
+    def test_block_checks_its_shape_and_values(self):
+        objective = LearnObjective(two_qubit_ansatz(), Circuit(2), sample_thetas(1, 4))
+        with pytest.raises(ValueError, match=r"expected 4 parameters, got shape \(3,\)"):
+            objective.block(np.zeros(3))
+        with pytest.raises(ValueError, match=r"expected 4 parameters, got shape \(2, 3\)"):
+            objective.block(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="finite"):
+            objective.block(np.array([[0.1, 0.2, math.nan, 0.4]]))
+        with pytest.raises(ValueError, match="real"):
+            objective.block(np.array([[0.1, 0.2, 1j, 0.4]]))
+
+    def test_memory_is_one_chunk(self, monkeypatch):
         """At n = 12 a chunk is one row of 2^12 amplitudes; the objective
-        keeps no array larger than CHUNK_BYTES, whatever the angle count."""
+        keeps no array larger than CHUNK_BYTES, whatever the angle count,
+        and a block call tiles and applies gates to no larger array,
+        whatever the block size."""
         rng = np.random.default_rng(89)
         ansatz, target = random_ansatz(12, 6, rng), random_circuit(12, 6, rng)
         objective = LearnObjective(ansatz, target, sample_thetas(1, 64))
         arrays = [v for v in vars(objective).values() if isinstance(v, np.ndarray)]
         assert arrays and max(a.nbytes for a in arrays) <= CHUNK_BYTES
         assert 0.0 <= objective(rng.uniform(-math.pi, math.pi, ansatz.num_params)) <= 4.0
+        sizes = []
+
+        def recording(amps, op, n, entries=None):
+            out = apply_gateop(amps, op, n, entries)
+            sizes.extend((amps.nbytes, out.nbytes))
+            return out
+
+        monkeypatch.setattr(learn, "_apply_gateop", recording)
+        values = objective.block(rng.uniform(-math.pi, math.pi, (5, ansatz.num_params)))
+        assert values.shape == (5,) and ((0.0 <= values) & (values <= 4.0)).all()
+        assert sizes and max(sizes) <= CHUNK_BYTES
 
     def test_checks_when_built(self):
         with pytest.raises(ValueError, match="different registers: n=2 vs n=1"):
@@ -273,11 +317,11 @@ class TestLearnObjective:
 
 class TestFiniteDiffGradient:
     def test_constant_function(self):
-        grad = finite_diff_gradient(lambda x: 3.5, np.zeros(4), 1e-3)
+        grad = finite_diff_gradient(lambda xs: [3.5 for x in xs], np.zeros(4), 1e-3)
         np.testing.assert_array_equal(grad, np.zeros(4))
 
     def test_sine_derivative(self):
-        grad = finite_diff_gradient(lambda x: math.sin(x[0]), np.array([0.0]), 1e-4)
+        grad = finite_diff_gradient(lambda xs: [math.sin(x[0]) for x in xs], np.array([0.0]), 1e-4)
         assert grad[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_step_refinement_is_stable(self):
@@ -287,8 +331,8 @@ class TestFiniteDiffGradient:
         thetas = sample_thetas(5, 16)
         xi = np.array([0.3])
 
-        def objective(x):
-            return loss(ansatz, x, target, thetas)
+        def objective(xs):
+            return [loss(ansatz, x, target, thetas) for x in xs]
 
         coarse = finite_diff_gradient(objective, xi, 1e-3)[0]
         fine = finite_diff_gradient(objective, xi, 1e-4)[0]
@@ -301,8 +345,8 @@ class TestFiniteDiffGradient:
         thetas = sample_thetas(6, 16)
         xi = np.array([-0.4])
 
-        def objective(x):
-            return loss(ansatz, x, target, thetas)
+        def objective(xs):
+            return [loss(ansatz, x, target, thetas) for x in xs]
 
         h = 1e-4
         coarse = finite_diff_gradient(objective, xi, h)[0]
@@ -313,13 +357,13 @@ class TestFiniteDiffGradient:
 
     def test_positive_step_required(self):
         with pytest.raises(ValueError):
-            finite_diff_gradient(lambda x: 0.0, np.zeros(1), 0.0)
+            finite_diff_gradient(lambda xs: [0.0 for x in xs], np.zeros(1), 0.0)
 
     @pytest.mark.parametrize("fd_eps", [math.nan, math.inf])
     def test_finite_step_required(self, fd_eps):
         """A NaN or infinite step used to give an all-NaN gradient."""
         with pytest.raises(ValueError, match="positive and finite"):
-            finite_diff_gradient(lambda x: 0.0, np.zeros(1), fd_eps)
+            finite_diff_gradient(lambda xs: [0.0 for x in xs], np.zeros(1), fd_eps)
 
 
 class TestLearnCircuit:
@@ -354,6 +398,33 @@ class TestLearnCircuit:
         result = learn_circuit(ansatz, target, LearnConfig(m=16, max_iters=50, tol=1e-9, seed=3))
         assert result.final_cost == result.cost_history[-1]
         assert len(result.cost_history) <= 51
+
+    @pytest.mark.parametrize("shots", [0, 20])
+    def test_equals_one_call_per_point_bit_for_bit(self, shots):
+        """Evaluating each step's point and its 2P shifts as one block gives
+        the cost history and xi of a loop that calls the objective once per
+        point, bit for bit."""
+        ansatz = two_qubit_ansatz()
+        target = ansatz.bind(np.random.default_rng(1001).uniform(-math.pi, math.pi, 4))
+        config = LearnConfig(m=64, eta=0.3, max_iters=25, tol=1e-3, shots_per_test=shots, seed=6)
+        objective = LearnObjective(ansatz, target, sample_thetas(config.seed, config.m), shots, config.seed)
+        xi = derived_rng(config.seed).uniform(-math.pi, math.pi, ansatz.num_params)
+        history = [objective(xi)]
+        while history[-1] > config.tol and len(history) <= config.max_iters:
+            grad = np.empty_like(xi)
+            for j in range(xi.size):
+                shifted = xi.copy()
+                shifted[j] = xi[j] + config.fd_eps
+                upper = objective(shifted)
+                shifted[j] = xi[j] - config.fd_eps
+                grad[j] = (upper - objective(shifted)) / (2.0 * config.fd_eps)
+            xi = xi - config.eta * grad
+            history.append(objective(xi))
+        result = learn_circuit(ansatz, target, config)
+        assert len(history) > 2
+        assert result.cost_history == history
+        assert all(type(cost) is float for cost in result.cost_history)
+        np.testing.assert_array_equal(result.xi.view(np.uint64), xi.view(np.uint64))
 
     def test_determinism(self):
         ansatz = single_ry_ansatz()
@@ -423,8 +494,8 @@ class TestShotNoiseGradient:
         target = ansatz.bind(xi_star)
         thetas = sample_thetas(42, 16)
         for shots in (100, 1000, 10_000):
-            def objective(x, s=shots):
-                return loss(ansatz, x, target, thetas, shots=s, seed=99)
+            def objective(xs, s=shots):
+                return [loss(ansatz, x, target, thetas, shots=s, seed=99) for x in xs]
 
             np.testing.assert_array_equal(finite_diff_gradient(objective, xi_star, 0.5), np.zeros(1))
 
@@ -441,9 +512,12 @@ class TestShotNoiseGradient:
             for rep in range(30):
                 calls = [0]
 
-                def objective(x, rep=rep, s=shots, calls=calls):
+                def call(x, rep=rep, s=shots, calls=calls):
                     calls[0] += 1
                     return loss(ansatz, x, target, thetas, shots=s, seed=derive_seed(7, rep, calls[0]))
+
+                def objective(xs):
+                    return [call(x) for x in xs]
 
                 magnitudes.append(abs(finite_diff_gradient(objective, xi_star, 0.5)[0]))
             means.append(np.mean(magnitudes))

@@ -272,6 +272,28 @@ class TestApplyCircuit:
                 want = dense.reshape(rows.shape) + 0.0
                 np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=f"q={q}")
 
+    @pytest.mark.parametrize("kind", ONE_QUBIT_KINDS + ["globalphase"])
+    def test_per_row_entries_have_the_bits_of_scalar_applications(self, kind):
+        """A (B, 2, 2) stack of entries ((B, 1, 1) for globalphase) applied
+        to a (B, rows, 2^n) block gives, bit for bit, B applications of the
+        scalar gates, at every qubit of n = 1..4, on random and on tiled
+        blocks."""
+        rng = np.random.default_rng(17)
+        row = GATES[kind]
+        for n in range(1, 5):
+            for q in range(n) if row.qubits else [None]:
+                qubits = () if q is None else (q,)
+                template = GateOp(kind, qubits, (ParamSlot(0),) * row.params)
+                angles = rng.uniform(-4, 4, (5, row.params)).tolist()
+                gates = [GateOp(kind, qubits, tuple(a)) for a in angles]
+                entries = np.stack([row.matrix(*a) for a in angles])
+                rows = rng.standard_normal((3, 1 << n)) + 1j * rng.standard_normal((3, 1 << n))
+                for block in (rng.standard_normal((5, 3, 1 << n)) + 1j * rng.standard_normal((5, 3, 1 << n)),
+                              np.broadcast_to(rows, (5, 3, 1 << n))):
+                    got = _apply_gateop(block, template, n, entries)
+                    want = np.stack([_apply_gateop(member, gate, n) for member, gate in zip(block, gates)])
+                    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=f"n={n} q={q}")
+
     def test_dense_unitary_application(self):
         mat = haar_random_unitary(2, 3)
         psi = haar_random_state(2, np.random.default_rng(4))
@@ -325,9 +347,28 @@ class TestAdjoint:
                 atol=1e-10,
             )
 
-    def test_dense_unitary_adjoint(self):
+    def test_dense_unitary_adjoint(self, monkeypatch):
+        """The adjoint's matrix is matrix.conj().T bit for bit, built without
+        checking it again, while the constructor still checks its input."""
         mat = haar_random_unitary(2, 9)
-        np.testing.assert_array_equal(adjoint(DenseUnitary(2, mat)).matrix, mat.conj().T)
+        unitary = DenseUnitary(2, mat)
+
+        def no_check(self):
+            raise AssertionError("the adjoint was checked again")
+
+        monkeypatch.setattr(DenseUnitary, "__post_init__", no_check)
+        dagger = adjoint(unitary)
+        monkeypatch.undo()
+        assert type(dagger) is DenseUnitary and dagger.n == 2
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.uint64)
+
+        np.testing.assert_array_equal(bits(dagger.matrix), bits(mat.conj().T))
+        np.testing.assert_array_equal(bits(adjoint(dagger).matrix), bits(mat))
+        with pytest.raises(ValueError, match="not unitary"):
+            DenseUnitary(2, 2 * dagger.matrix)
+        with pytest.raises(ValueError, match="finite"):
+            DenseUnitary(2, np.where(np.eye(4) == 1, math.nan, dagger.matrix))
 
     def test_mixture_adjoint_is_conjugate_transpose_and_an_involution(self):
         """adjoint of sum_k a_k U_k is sum_k conj(a_k) U_k^dag, and taking it
