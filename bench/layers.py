@@ -9,10 +9,14 @@ Layers, each through the public function the CLI calls:
 - ``probe_construction``: ``probe_rows`` for 1000 angles at n = 6, the
   probe rows of a fig2 run.
 - ``operator_application``: ``apply_operation_amplitudes`` of a depth-20
-  gate circuit on one kernel chunk of probe rows at n = 10 (4 rows of
-  2^10 amplitudes): ``depth20`` alternates ry (a dense gate) and cnot,
-  ``structured`` cycles through rz, t, s, z (diagonal gates), x and y
-  (anti-diagonal gates).
+  gate circuit on one kernel chunk of probe rows at n = 10 (``row_chunks``
+  gives 16 rows of 2^10 amplitudes), each gate allocating its result:
+  ``depth20`` alternates ry (a dense gate) and cnot, ``structured`` cycles
+  through rz, t, s, z (diagonal gates), x and y (anti-diagonal gates).
+- ``kernel_front``: shot-mode ``mixed_quadratic_form`` (100 shots per test)
+  of a 3-term mixture of random depth-20 circuits at n = 10 over 500
+  angles, the shape of the end-to-end estimate-shots workload, where the
+  terms' gates are applied into the kernel's reused arrays.
 - ``gate_construction``: ``adjoint`` of the same depth-20 circuit, which
   builds and validates one ``GateOp`` per gate.
 - ``quadratic_form``: ``schatten2_estimate_from_thetas`` (the analytic
@@ -35,8 +39,10 @@ Layers, each through the public function the CLI calls:
   of the work.
 
 Each layer is called once to warm up, then timed REPEATS times; the
-record gives the median and quartiles in seconds and the median per key
-(an angle, a probe row, a gate or a state) in microseconds. The file lands
+record gives the median and quartiles in seconds, the median per key (an
+angle, a probe row, a gate or a state) in microseconds, and the median
+count of minor page faults per call (``ru_minflt`` of this process), which
+counts the fresh memory a call touches. The file lands
 in the repository root, next to the other BENCH_*.json files, and records the
 host's usable CPU count (nproc). To compare two commits, run this script
 against each one's ``src`` on the same host, alternating between them.
@@ -48,6 +54,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import time
 from pathlib import Path
@@ -96,6 +103,24 @@ def layers() -> dict:
     cases["operator_application.n10.structured"] = (
         lambda: apply_operation_amplitudes(rows, structured), rows.shape[0]
     )
+    rng = np.random.default_rng(7)
+    fixed, angled = ("h", "x", "y", "z", "s", "sdg", "t", "tdg"), ("rx", "ry", "rz", "phase")
+
+    def random_gate():
+        roll = rng.random()
+        if roll < 0.4:
+            return GateOp(str(rng.choice(fixed)), (int(rng.integers(10)),))
+        if roll < 0.8:
+            return GateOp(str(rng.choice(angled)), (int(rng.integers(10)),), (float(rng.uniform(-np.pi, np.pi)),))
+        if roll < 0.9:
+            return GateOp("cnot", tuple(int(q) for q in rng.choice(10, size=2, replace=False)))
+        return GateOp("globalphase", (), (float(rng.uniform(-np.pi, np.pi)),))
+
+    terms = MixedOperation(tuple(
+        (coeff, Circuit(10, tuple(random_gate() for _ in range(20)))) for coeff in (0.4, 0.3j, -0.2)
+    ))
+    angles500 = sample_thetas(7, 500)
+    cases["kernel_front.n10.m500"] = (lambda: mixed_quadratic_form(terms, angles500, shots_per_test=100, seed=7), 500)
     cases["gate_construction.n10.depth20"] = (lambda: adjoint(circuit), len(circuit))
     pair = difference_mixture(*(DenseUnitary(6, haar_random_unitary(6, seed)) for seed in (1, 2)))
     cases["quadratic_form.n6.m1000"] = (lambda: schatten2_estimate_from_thetas(pair, thetas), 1000)
@@ -120,14 +145,28 @@ def layers() -> dict:
     return cases
 
 
-def time_layer(call) -> list[float]:
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def measure_layer(call, keys: int, repeats: int = REPEATS) -> dict:
+    """Warm up, then time ``repeats`` (at least 2) calls and count their minor page faults."""
     call()
-    samples = []
-    for _ in range(REPEATS):
-        started = time.perf_counter()
+    seconds, faults = [], []
+    for _ in range(repeats):
+        faults_before, started = minor_faults(), time.perf_counter()
         call()
-        samples.append(time.perf_counter() - started)
-    return samples
+        seconds.append(time.perf_counter() - started)
+        faults.append(minor_faults() - faults_before)
+    q1, median, q3 = statistics.quantiles(seconds, n=4)
+    return {
+        "median_s": median,
+        "q1_s": q1,
+        "q3_s": q3,
+        "keys": keys,
+        "median_per_key_us": median / keys * 1e6,
+        "minor_faults_per_call": statistics.median(faults),
+    }
 
 
 def main() -> None:
@@ -143,16 +182,11 @@ def main() -> None:
         "layers": {},
     }
     for name, (call, keys) in layers().items():
-        samples = time_layer(call)
-        q1, median, q3 = statistics.quantiles(samples, n=4)
-        record["layers"][name] = {
-            "median_s": median,
-            "q1_s": q1,
-            "q3_s": q3,
-            "keys": keys,
-            "median_per_key_us": median / keys * 1e6,
-        }
-        print(f"{name}: median {median * 1e3:.2f} ms ({median / keys * 1e6:.2f} us/key)")
+        layer = record["layers"][name] = measure_layer(call, keys)
+        print(
+            f"{name}: median {layer['median_s'] * 1e3:.2f} ms ({layer['median_per_key_us']:.2f} us/key, "
+            f"{layer['minor_faults_per_call']:g} minor faults/call)"
+        )
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {path.name}")

@@ -25,9 +25,12 @@ from typing import Iterable
 import numpy as np
 
 from .qsim import (
+    GateWork,
     MixedOperation,
     STATE_QUBIT_CAP,
     apply_operation_amplitudes,
+    chunk_rows,
+    gate_matrices,
     require_int,
     require_qubits,
     row_chunks,
@@ -82,17 +85,25 @@ def mixed_quadratic_form(
 
     Each chunk of probe rows gets every U_k in one batched apply, and
     :func:`quadratic_form_values` reduces the images; it documents the
-    analytic and the shot mode.
+    analytic and the shot mode. The images, the gates' spare and scratch
+    arrays and each gate's matrix are made once per call and reused by
+    every chunk, which the reduction is done with before the next one.
     """
     n = require_qubits(mixed.n, STATE_QUBIT_CAP, "statevector qubit count")
     shots_per_test = require_shots(shots_per_test)
     thetas = check_thetas(thetas)
     ops = [op for _, op in mixed.terms]
+    matrices = [gate_matrices(op) for op in ops]
+    rows = min(chunk_rows(n), thetas.size)
+    images, work = np.empty((len(ops), rows, 1 << n), dtype=complex), GateWork(rows, n)
 
     def chunk_images():
         for chunk in row_chunks(thetas.size, n):
             x = probe_chunk(thetas, chunk, n)
-            yield chunk, [apply_operation_amplitudes(x, op) for op in ops]
+            yield chunk, [
+                apply_operation_amplitudes(x, op, out, work, mats)
+                for op, out, mats in zip(ops, images[:, :len(x)], matrices)
+            ]
 
     coeffs = [coeff for coeff, _ in mixed.terms]
     return quadratic_form_values(coeffs, chunk_images(), thetas.size, shots_per_test, seed)

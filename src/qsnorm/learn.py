@@ -161,7 +161,7 @@ class LearnObjective:
     Building it checks that U and V share a register under
     ``STATE_QUBIT_CAP``, the shot count and the angles. It keeps the probe
     rows of the first row chunk and their images V x, at most
-    ``CHUNK_BYTES`` each, so its memory does not grow with the angle count;
+    ``CHUNK_CEILING`` each, so its memory does not grow with the angle count;
     any later chunk is rebuilt for each point. Each term 2 - 2 Re<V x|U x> =
     ||(V - U) x||^2 is twice the value of the difference mixture
     (V - U)/sqrt(2), which :func:`hadamard.quadratic_form_values` reduces

@@ -28,7 +28,10 @@ import numpy as np
 MATRIX_QUBIT_CAP = 10
 STATE_QUBIT_CAP = 20
 ATOL = 1e-10  # largest |U U^dag - I| entry a DenseUnitary may have
-CHUNK_BYTES = 1 << 16  # per (rows, 2^n) batch, see row_chunks
+CHUNK_BYTES = 1 << 16  # per (rows, 2^n) batch below WIDE_QUBITS, see chunk_rows
+WIDE_QUBITS = 9  # from this register width on, a batch holds WIDE_ROWS rows
+WIDE_ROWS = 16
+CHUNK_CEILING = 1 << 18  # most bytes of any batch array, unless one row is larger
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -219,68 +222,140 @@ def gate_matrix(op: GateOp) -> np.ndarray:
     return GATES[op.kind].matrix(*op.params)
 
 
-def _apply_gateop(amps: np.ndarray, op: GateOp, n: int, entries: np.ndarray | None = None) -> np.ndarray:
+def _apply_gateop(
+    amps: np.ndarray,
+    op: GateOp,
+    n: int,
+    entries: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """``op`` applied along the last axis of ``amps``, its matrix acting on
-    every row; a (B, 2, 2) stack of ``entries`` ((B, 1, 1) for globalphase)
-    instead applies entry b to block member ``amps[b]`` of (B, rows, 2^n)."""
+    every row. ``entries`` is that matrix, if the caller built it already,
+    or a (B, 2, 2) stack ((B, 1, 1) for globalphase) that applies entry b to
+    block member ``amps[b]`` of (B, rows, 2^n).
+
+    The result is written to ``out`` (amps' shape, C-contiguous, apart from
+    amps) and the products to ``scratch``, two flat arrays of at least
+    amps.size // 2 entries; either one is allocated when not given. The
+    bits are the same either way."""
     form = GATES[op.kind].form
     if form == "cnot":
         control, target = op.qubits
         view = amps.reshape(amps.shape[:-1] + (2,) * n)
-        out = view.copy()
+        out = np.empty(amps.shape, dtype=amps.dtype) if out is None else out
+        dest = out.reshape(view.shape)
+        dest[...] = view
         i10 = [slice(None)] * n
         i11 = [slice(None)] * n
         i10[control], i10[target] = 1, 0
         i11[control], i11[target] = 1, 1
-        out[(Ellipsis, *i10)] = view[(Ellipsis, *i11)]
-        out[(Ellipsis, *i11)] = view[(Ellipsis, *i10)]
-        return out.reshape(amps.shape)
+        dest[(Ellipsis, *i10)] = view[(Ellipsis, *i11)]
+        dest[(Ellipsis, *i11)] = view[(Ellipsis, *i10)]
+        return out
     if entries is None:
-        mat, block = gate_matrix(op), ()
+        entries = gate_matrix(op)
+    if entries.ndim == 2:
+        mat, block = entries, ()
     else:
         # mat[i, j] is a (B, 1, 1) column that broadcasts over each member's rows.
         mat, block = entries.transpose(1, 2, 0)[..., None, None], entries.shape[:1]
     if not op.qubits:
         # A gate on no qubits scales every amplitude, amplitude first: numpy's
         # complex product can round differently with its operands swapped.
-        return amps * mat[0, 0]
+        return np.multiply(amps, mat[0, 0], out=out)
     # Split the amplitudes whose qubit-q bit is 0 (low half) from those
     # where it is 1 (high half). Elementwise products of the halves cost
     # about the same for every q; an einsum over the same view slows down
     # ninefold as 2^(n-q-1) shrinks. A diagonal or anti-diagonal gate skips
     # the products with its zero entries, which changes at most the sign of
-    # an exact zero; every product keeps the dense formula's form, entry
-    # times half into a temporary, so the other bits stay those of the
-    # two-term sum.
+    # an exact zero. Every product keeps the dense formula's form, entry
+    # times half into a contiguous array, so the other bits stay those of
+    # the two-term sum; only exact copies and sums write the strided halves
+    # of the result.
     halves = amps.reshape(block + (-1, 2, 1 << (n - op.qubits[0] - 1)))
-    out = np.empty(halves.shape, dtype=complex)
+    out = np.empty(amps.shape, dtype=complex) if out is None else out
+    dest = out.reshape(halves.shape)
     low, high = halves[..., 0, :], halves[..., 1, :]
+    first = second = None
+    if scratch is not None:
+        first, second = (s[:low.size].reshape(low.shape) for s in scratch)
     if form == "diagonal":
-        out[..., 0, :] = mat[0, 0] * low
-        out[..., 1, :] = mat[1, 1] * high
+        dest[..., 0, :] = np.multiply(mat[0, 0], low, out=first)
+        dest[..., 1, :] = np.multiply(mat[1, 1], high, out=first)
     elif form == "anti-diagonal":
-        out[..., 0, :] = mat[0, 1] * high
-        out[..., 1, :] = mat[1, 0] * low
+        dest[..., 0, :] = np.multiply(mat[0, 1], high, out=first)
+        dest[..., 1, :] = np.multiply(mat[1, 0], low, out=first)
     else:
-        out[..., 0, :] = mat[0, 0] * low + mat[0, 1] * high
-        out[..., 1, :] = mat[1, 0] * low + mat[1, 1] * high
-    return out.reshape(amps.shape)
-
-
-def apply_operation_amplitudes(amps: np.ndarray, op: Operation) -> np.ndarray:
-    """Apply a circuit or dense unitary along the last axis of an amplitude
-    array, so a ``(rows, 2^n)`` stack is transformed row by row."""
-    if isinstance(op, DenseUnitary):
-        return amps @ op.matrix.T
-    out = amps
-    for gate in op.ops:
-        out = _apply_gateop(out, gate, op.n)
+        np.add(np.multiply(mat[0, 0], low, out=first), np.multiply(mat[0, 1], high, out=second), out=dest[..., 0, :])
+        np.add(np.multiply(mat[1, 0], low, out=first), np.multiply(mat[1, 1], high, out=second), out=dest[..., 1, :])
     return out
 
 
+class GateWork:
+    """Arrays that :func:`apply_operation_amplitudes` reuses on batches of
+    up to ``rows`` rows of 2^n amplitudes: a spare batch that a circuit's
+    gates alternate with the output through, and the two half-batch
+    scratch arrays of each gate's products."""
+
+    def __init__(self, rows: int, n: int):
+        self.spare = np.empty((rows, 1 << n), dtype=complex)
+        self.scratch = np.empty((2, rows << n >> 1), dtype=complex)
+
+
+def gate_matrices(op: Operation) -> list:
+    """Each gate's matrix of a circuit, built once for many applications
+    (None for cnot, which needs none); empty for a dense unitary."""
+    if isinstance(op, DenseUnitary):
+        return []
+    return [None if GATES[gate.kind].form == "cnot" else gate_matrix(gate) for gate in op.ops]
+
+
+def apply_operation_amplitudes(
+    amps: np.ndarray,
+    op: Operation,
+    out: np.ndarray | None = None,
+    work: GateWork | None = None,
+    matrices: list | None = None,
+) -> np.ndarray:
+    """Apply a circuit or dense unitary along the last axis of an amplitude
+    array, so a ``(rows, 2^n)`` stack is transformed row by row.
+
+    By default every gate allocates its result. A caller that applies many
+    operations to many batches passes ``out``, a C-contiguous array of
+    amps' shape that receives the result, and a :class:`GateWork` for at
+    least as many rows, so that no gate allocates; ``matrices``, from
+    :func:`gate_matrices`, saves building each gate's matrix again. The
+    bits are the same either way."""
+    if isinstance(op, DenseUnitary):
+        return np.matmul(amps, op.matrix.T, out=out)
+    targets, scratch = (None, None), None
+    if out is not None:
+        # The last gate writes to out, the one before it to the spare batch, and so on back.
+        targets, scratch = (out, work.spare[:len(out)]), work.scratch
+    result = amps
+    for i, (gate, entries) in enumerate(zip(op.ops, matrices or gate_matrices(op))):
+        result = _apply_gateop(result, gate, op.n, entries, targets[(len(op.ops) - 1 - i) % 2], scratch)
+    if out is None or result is out:
+        return result
+    np.copyto(out, result)  # a circuit with no gates
+    return out
+
+
+def chunk_rows(n: int) -> int:
+    """Rows per kernel batch of 2^n amplitudes. Below WIDE_QUBITS a batch
+    holds CHUNK_BYTES; from WIDE_QUBITS on it holds WIDE_ROWS rows, to
+    spread each gate call's fixed cost over more rows, but no more than
+    CHUNK_CEILING bytes. A batch is never less than one row."""
+    row_bytes = 16 << n
+    if n < WIDE_QUBITS:
+        return max(1, CHUNK_BYTES // row_bytes)
+    return max(1, min(WIDE_ROWS, CHUNK_CEILING // row_bytes))
+
+
 def row_chunks(rows: int, n: int) -> Iterator[slice]:
-    """Slices of ``range(rows)`` whose 2^n-amplitude batches fit CHUNK_BYTES."""
-    step = max(1, CHUNK_BYTES // (16 << n))
+    """Slices of ``range(rows)`` of :func:`chunk_rows` rows each, the last one shorter."""
+    step = chunk_rows(n)
     return (slice(start, min(start + step, rows)) for start in range(0, rows, step))
 
 

@@ -8,6 +8,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+import numpy as np
+
 import qsnorm
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,6 +32,17 @@ def test_every_layer_case_runs_once():
     for name, (call, keys) in cases.items():
         call()
         assert isinstance(keys, int) and keys >= 1, name
+
+
+def test_layer_record_counts_minor_faults():
+    """Each layer's record gives the median minor page faults per call; a
+    call that touches 40 MiB of fresh memory counts at least one."""
+    module = load_layers_script()
+    quiet = module.measure_layer(lambda: None, 1, repeats=2)
+    touching = module.measure_layer(lambda: np.ones(5 << 20), 1, repeats=2)
+    assert quiet["minor_faults_per_call"] >= 0
+    assert touching["minor_faults_per_call"] >= 1
+    assert set(quiet) == {"median_s", "q1_s", "q3_s", "keys", "median_per_key_us", "minor_faults_per_call"}
 
 
 def test_every_layer_case_is_documented():

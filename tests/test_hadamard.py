@@ -303,13 +303,30 @@ class TestMixedQuadraticForm:
     @pytest.mark.parametrize("shots", [0, 30])
     def test_rows_do_not_depend_on_chunking(self, monkeypatch, shots):
         """Per-angle values are bit-identical for any chunk size, and a
-        prefix of the angles gives a prefix of the values."""
+        prefix of the angles gives a prefix of the values. From 9 qubits on
+        a chunk holds WIDE_ROWS = 16 rows; a depth-20 circuit mixture at
+        n = 10 and a dense mixture at n = 9 give the same bits there as at
+        the rows CHUNK_BYTES gives (4 and 8) and at 3 rows with a 1-row
+        tail, where later chunks reuse the first one's arrays."""
         mixed = random_mixture(3, 3, np.random.default_rng(72))
         thetas = sample_thetas(73, 1300)  # not a multiple of the 512-row chunks at n = 3
         whole = mixed_quadratic_form(mixed, thetas, shots, seed=6)
         np.testing.assert_array_equal(mixed_quadratic_form(mixed, thetas[:700], shots, seed=6), whole[:700])
         monkeypatch.setattr(qsim, "CHUNK_BYTES", 3 * 16 * 8)
         np.testing.assert_array_equal(mixed_quadratic_form(mixed, thetas, shots, seed=6), whole)
+        monkeypatch.undo()
+
+        rng = np.random.default_rng(74)
+        dense = MixedOperation(tuple(
+            (coeff, qsim.DenseUnitary(9, qsim.haar_random_unitary(9, seed))) for coeff, seed in ((0.5, 1), (0.4j, 2))
+        ))
+        thetas = sample_thetas(75, 40)  # 16 + 16 + 8 rows
+        for mixed in (random_mixture(10, 3, rng, depth=20), dense):
+            whole = mixed_quadratic_form(mixed, thetas, shots, seed=6)
+            for rows in (qsim.CHUNK_BYTES // (16 << mixed.n), 3):
+                monkeypatch.setattr(qsim, "WIDE_ROWS", rows)
+                np.testing.assert_array_equal(mixed_quadratic_form(mixed, thetas, shots, seed=6), whole)
+            monkeypatch.undo()
 
     def test_qubit_cap_checked_before_allocation(self):
         """A 21-qubit request fails at once instead of building probe rows."""

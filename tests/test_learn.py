@@ -30,7 +30,7 @@ from qsnorm import (
     sampling_circuit,
 )
 from qsnorm import learn
-from qsnorm.qsim import CHUNK_BYTES, row_chunks
+from qsnorm.qsim import CHUNK_CEILING, row_chunks
 from qsnorm.qsim import _apply_gateop as apply_gateop
 
 
@@ -283,15 +283,15 @@ class TestLearnObjective:
             objective.block(np.array([[0.1, 0.2, 1j, 0.4]]))
 
     def test_memory_is_one_chunk(self, monkeypatch):
-        """At n = 12 a chunk is one row of 2^12 amplitudes; the objective
-        keeps no array larger than CHUNK_BYTES, whatever the angle count,
-        and a block call tiles and applies gates to no larger array,
-        whatever the block size."""
+        """At n = 12 a chunk is the four rows of 2^12 amplitudes that fill
+        CHUNK_CEILING; the objective keeps no array larger than that,
+        whatever the angle count, and a block call tiles and applies gates
+        to no larger array, whatever the block size."""
         rng = np.random.default_rng(89)
         ansatz, target = random_ansatz(12, 6, rng), random_circuit(12, 6, rng)
         objective = LearnObjective(ansatz, target, sample_thetas(1, 64))
         arrays = [v for v in vars(objective).values() if isinstance(v, np.ndarray)]
-        assert arrays and max(a.nbytes for a in arrays) <= CHUNK_BYTES
+        assert arrays and max(a.nbytes for a in arrays) <= CHUNK_CEILING
         assert 0.0 <= objective(rng.uniform(-math.pi, math.pi, ansatz.num_params)) <= 4.0
         sizes = []
 
@@ -303,7 +303,7 @@ class TestLearnObjective:
         monkeypatch.setattr(learn, "_apply_gateop", recording)
         values = objective.block(rng.uniform(-math.pi, math.pi, (5, ansatz.num_params)))
         assert values.shape == (5,) and ((0.0 <= values) & (values <= 4.0)).all()
-        assert sizes and max(sizes) <= CHUNK_BYTES
+        assert sizes and max(sizes) <= CHUNK_CEILING
 
     def test_checks_when_built(self):
         with pytest.raises(ValueError, match="different registers: n=2 vs n=1"):

@@ -35,7 +35,16 @@ from qsnorm import (
     mixed_operation_matrix,
     zero_state,
 )
-from qsnorm.qsim import GATES, _apply_gateop, apply_operation_amplitudes
+from qsnorm.qsim import (
+    CHUNK_CEILING,
+    GATES,
+    GateWork,
+    _apply_gateop,
+    apply_operation_amplitudes,
+    chunk_rows,
+    gate_matrices,
+    row_chunks,
+)
 
 SQRT2_INV = 1 / math.sqrt(2)
 ONE_QUBIT_KINDS = sorted(kind for kind, row in GATES.items() if row.qubits == 1)
@@ -293,6 +302,63 @@ class TestApplyCircuit:
                     got = _apply_gateop(block, template, n, entries)
                     want = np.stack([_apply_gateop(member, gate, n) for member, gate in zip(block, gates)])
                     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=f"n={n} q={q}")
+
+    @pytest.mark.parametrize("kind", sorted(GATES))
+    def test_buffered_gate_has_the_bits_of_the_allocating_one(self, kind):
+        """A gate written into a caller's output and scratch arrays has the
+        bits of the allocating call, for every kind on every qubit (every
+        ordered pair for cnot) at n = 10, on a 16-row chunk and a 1-row tail
+        that reuse the same dirty arrays."""
+        n, row = 10, GATES[kind]
+        rng = np.random.default_rng(18)
+        out = np.full((16, 1 << n), np.nan + 1j * np.nan)
+        scratch = np.full((2, 16 << n >> 1), np.nan + 1j * np.nan)
+        placements = [(q, t) for q in range(n) for t in range(n) if q != t] if row.qubits == 2 else (
+            [(q,) for q in range(n)] if row.qubits else [()]
+        )
+        for qubits in placements:
+            gate = GateOp(kind, qubits, tuple(rng.uniform(-4, 4, row.params)))
+            for count in (16, 1):
+                rows = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
+                want = _apply_gateop(rows, gate, n)
+                entries = gate_matrices(Circuit(n, (gate,)))[0]
+                got = _apply_gateop(rows, gate, n, entries, out[:count], scratch)
+                assert np.shares_memory(got, out)
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=f"{qubits} {count}")
+
+    def test_buffered_operation_has_the_bits_of_gate_by_gate_application(self):
+        """Circuits of odd, even and zero depth, and a dense unitary, applied
+        through one GateWork into reused output arrays, give the bits of
+        allocating gate-by-gate application (and of the plain product), on
+        full chunks and on a 1-row tail, and so does the allocating call."""
+        n = 10
+        rng = np.random.default_rng(19)
+        ops = [random_circuit(n, depth, rng) for depth in (0, 1, 2, 7, 20)]
+        ops.append(DenseUnitary(n, haar_random_unitary(n, 20)))
+        work, out = GateWork(16, n), np.full((16, 1 << n), np.nan + 1j * np.nan)
+        for count in (16, 1, 16):
+            rows = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
+            for op in ops:
+                want = rows @ op.matrix.T if isinstance(op, DenseUnitary) else rows
+                for gate in getattr(op, "ops", ()):
+                    want = _apply_gateop(want, gate, n)
+                got = apply_operation_amplitudes(rows, op, out[:count], work, gate_matrices(op))
+                assert np.shares_memory(got, out)
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+                got = apply_operation_amplitudes(rows, op)
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_chunk_rows(self):
+        """Up to 8 qubits a chunk holds CHUNK_BYTES, as it always has, so
+        runs at those widths keep their chunks, bits and memory. From 9
+        qubits on it holds 16 rows, but no array above CHUNK_CEILING unless
+        one row is larger: one row from 14 qubits up to the 20-qubit cap."""
+        rows = {n: chunk_rows(n) for n in range(1, 21)}
+        assert rows == {1: 2048, 2: 1024, 3: 512, 4: 256, 5: 128, 6: 64, 7: 32, 8: 16,
+                        9: 16, 10: 16, 11: 8, 12: 4, 13: 2, **{n: 1 for n in range(14, 21)}}
+        for n in range(9, 21):
+            assert rows[n] * (16 << n) <= CHUNK_CEILING or rows[n] == 1
+        assert [len(range(1000)[chunk]) for chunk in row_chunks(40, 10)] == [16, 16, 8]
 
     def test_dense_unitary_application(self):
         mat = haar_random_unitary(2, 3)
