@@ -31,6 +31,10 @@ Layers, each through the public function the CLI calls:
   points of one gradient step (xi and its central-difference shifts) for
   the same objective, as each step of a learn run; a key is one (point,
   angle) pair.
+- ``reduction``: ``quadratic_form_values`` on one learn block, the
+  9-point (B, 64, 4) block of U x beside the 64 rows of V x from
+  ``learn_step``, which each step reduces in one call; a key is one
+  (point, angle) pair.
 - ``haar_states``: ``haar_fidelities`` over 1000 Haar states at n = 6 with
   two empty circuits, so drawing the states is nearly all of the work.
 - ``shot_generators`` (Bernoulli shot sampling): the shot branch of
@@ -77,7 +81,7 @@ from qsnorm import (
     sample_thetas,
     schatten2_estimate_from_thetas,
 )
-from qsnorm.hadamard import mixed_quadratic_form
+from qsnorm.hadamard import mixed_quadratic_form, quadratic_form_values
 from qsnorm.qsim import apply_operation_amplitudes, row_chunks
 from qsnorm.sampler import probe_rows
 
@@ -138,6 +142,13 @@ def layers() -> dict:
     cases["learn_objective.n2.m64"] = (lambda: objective(xi), 64)
     step = np.vstack((xi, xi + 1e-3 * np.eye(4), xi - 1e-3 * np.eye(4)))
     cases["learn_step.n2.m64"] = (lambda: objective.block(step), step.shape[0] * 64)
+    x = probe_rows(angles, 2, 1 << 2).astype(complex)
+    vx = apply_operation_amplitudes(x, target)
+    ux = np.stack([apply_operation_amplitudes(x, ansatz.bind(point)) for point in step])
+    coeffs = [coeff for coeff, _ in difference_mixture(target, ansatz.template).terms]
+    cases["reduction.learn_block"] = (
+        lambda: quadratic_form_values(coeffs, [(slice(0, 64), [vx, ux])], 64, 0, 0), ux.shape[0] * 64
+    )
     cases["haar_states.n6.states1000"] = (lambda: haar_fidelities(Circuit(6), Circuit(6), 1000, seed=7), 1000)
     mixture = MixedOperation(((0.5, Circuit(1)), (0.5j, Circuit(1))))
     grid = np.linspace(-np.pi, np.pi, 1000)

@@ -12,7 +12,8 @@ unordered pair of terms one real- and one imaginary-part test from the
 overlaps :func:`qsim.row_overlaps` takes. The analytic mode reads the exact
 probability off those overlaps; shot mode draws Bernoulli outcomes at it to
 reintroduce measurement noise. The learning objective feeds the same
-reduction from images it partly keeps across calls. The tests check the
+reduction a block of points' images at once, which it partly keeps
+across calls. The tests check the
 kernel against a simulation of the literal (n+1)-qubit circuit.
 """
 
@@ -25,12 +26,10 @@ from typing import Iterable
 import numpy as np
 
 from .qsim import (
-    GateWork,
     MixedOperation,
     STATE_QUBIT_CAP,
-    apply_operation_amplitudes,
+    batch_applier,
     chunk_rows,
-    gate_matrices,
     require_int,
     require_qubits,
     row_chunks,
@@ -70,9 +69,13 @@ def require_shots(shots_per_test) -> int:
     return shots_per_test
 
 
-def probe_chunk(thetas: np.ndarray, chunk: slice, n: int) -> np.ndarray:
-    """The complex probe rows of ``thetas[chunk]``, one kernel batch."""
-    return probe_rows(thetas[chunk], n, 1 << n).astype(complex)
+def probe_chunk(thetas: np.ndarray, chunk: slice, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The complex probe rows of ``thetas[chunk]``, one kernel batch, built
+    in the leading rows of ``out`` when given (a complex buffer of 2^n
+    columns whose imaginary part is zero, see :func:`sampler.probe_rows`)."""
+    if out is None:
+        out = np.zeros((chunk.stop - chunk.start, 1 << n), dtype=complex)
+    return probe_rows(thetas[chunk], n, 1 << n, out[:chunk.stop - chunk.start])
 
 
 def mixed_quadratic_form(
@@ -85,28 +88,18 @@ def mixed_quadratic_form(
 
     Each chunk of probe rows gets every U_k in one batched apply, and
     :func:`quadratic_form_values` reduces the images; it documents the
-    analytic and the shot mode. The images, the gates' spare and scratch
-    arrays and each gate's matrix are made once per call and reused by
-    every chunk, which the reduction is done with before the next one.
+    analytic and the shot mode. The probe rows and the arrays of
+    :func:`qsim.batch_applier` are made once per call and reused by every
+    chunk, which the reduction is done with before the next one.
     """
     n = require_qubits(mixed.n, STATE_QUBIT_CAP, "statevector qubit count")
     shots_per_test = require_shots(shots_per_test)
     thetas = check_thetas(thetas)
-    ops = [op for _, op in mixed.terms]
-    matrices = [gate_matrices(op) for op in ops]
     rows = min(chunk_rows(n), thetas.size)
-    images, work = np.empty((len(ops), rows, 1 << n), dtype=complex), GateWork(rows, n)
-
-    def chunk_images():
-        for chunk in row_chunks(thetas.size, n):
-            x = probe_chunk(thetas, chunk, n)
-            yield chunk, [
-                apply_operation_amplitudes(x, op, out, work, mats)
-                for op, out, mats in zip(ops, images[:, :len(x)], matrices)
-            ]
-
+    probes, apply = np.zeros((rows, 1 << n), dtype=complex), batch_applier([op for _, op in mixed.terms], rows, n)
+    images = ((chunk, apply(probe_chunk(thetas, chunk, n, probes))) for chunk in row_chunks(thetas.size, n))
     coeffs = [coeff for coeff, _ in mixed.terms]
-    return quadratic_form_values(coeffs, chunk_images(), thetas.size, shots_per_test, seed)
+    return quadratic_form_values(coeffs, images, thetas.size, shots_per_test, seed)
 
 
 def quadratic_form_values(
@@ -116,42 +109,65 @@ def quadratic_form_values(
     shots_per_test: int,
     seed: int,
 ) -> np.ndarray:
-    """The m values ||sum_k a_k U_k x_i||^2 from ``(chunk, [U_k x for x in
+    """The values ||sum_k a_k U_k x_i||^2 from ``(chunk, [U_k x for x in
     the chunk's probe rows])`` pairs that cover range(m) in order.
 
-    Expands into sum_k |a_k|^2 plus, per unordered pair a < b, the cross
-    term 2 Re(conj(a_a) a_b <U_a x|U_b x>), with the overlaps taken by
-    :func:`qsim.row_overlaps`. Analytic when ``shots_per_test`` is 0, with
-    one fsum per angle; a swapped pair's overlap is the exact conjugate, so
-    the result is permutation invariant bit for bit. Otherwise each pair
-    runs the real- and imaginary-part Hadamard tests with chain
-    (U_b, U_a^dagger), drawing ``shots_per_test`` outcomes each from
-    ``derived_rng(seed, i, 1)`` (through :func:`sampler.derived_rngs`).
+    An image is a (rows, 2^n) batch or a (B, rows, 2^n) block that holds
+    the batches of B points; a chunk's images broadcast against each other
+    over that point axis (one V x beside a block of U x), and the result
+    is (m,) or (B, m). The value expands into sum_k |a_k|^2 plus, per
+    unordered pair a < b, the cross term 2 Re(conj(a_a) a_b <U_a x|U_b x>),
+    with the overlaps of all of a chunk's rows, of every point, taken in one
+    :func:`qsim.row_overlaps` call per pair.
+
+    Analytic when ``shots_per_test`` is 0: a value is the correctly rounded
+    sum fsum(squares + crosses). With at most one cross term and an exact
+    S = fsum(squares) (fsum of S and the negated squares is 0), that equals
+    the one IEEE sum S + cross, computed as a vector add over the chunk:
+    both round the same exact number, sum(squares) + cross = S + cross, to
+    nearest. The difference mixture's squares, 0.4999999999999999 twice,
+    sum exactly; any other mixture gets one fsum per row. A swapped pair's
+    overlap is the exact conjugate, so the result is permutation invariant
+    bit for bit. Otherwise each pair runs the real- and imaginary-part
+    Hadamard tests with chain (U_b, U_a^dagger), drawing ``shots_per_test``
+    outcomes each from ``derived_rng(seed, i, 1)`` (through
+    :func:`sampler.derived_rngs`, one stream per point).
     """
     squares = [abs(c) ** 2 for c in coeffs]
     pairs = list(combinations(range(len(coeffs)), 2))
     weights = [coeffs[a].conjugate() * coeffs[b] for a, b in pairs]
-    values = np.empty(m)
-    # Lazy: analytic mode never advances it, so it makes no Generator.
-    rngs = derived_rngs(seed, m, 1)
+    total = math.fsum(squares)
+    one_add = len(pairs) <= 1 and math.fsum([total, *(-s for s in squares)]) == 0.0
+    values = None
     for chunk, chunk_images in images:
-        overlaps = [row_overlaps(chunk_images[a], chunk_images[b]) for a, b in pairs]
+        if values is None:
+            values = np.empty(np.broadcast_shapes(*(image.shape[:-2] for image in chunk_images)) + (m,))
+            flat = values.reshape(-1, m)
+            # Lazy: analytic mode never advances them, so they make no Generator.
+            rngs = [derived_rngs(seed, m, 1) for _ in flat]
+        rows = values[..., chunk]
+        overlaps = [np.broadcast_to(row_overlaps(chunk_images[a], chunk_images[b]), rows.shape) for a, b in pairs]
         if shots_per_test == 0:
-            terms = [np.full(chunk.stop - chunk.start, sq) for sq in squares]
-            terms += [2.0 * (weight * ov).real for weight, ov in zip(weights, overlaps)]
-            values[chunk] = [math.fsum(row) for row in np.array(terms).T.tolist()]
+            crosses = [2.0 * (weight * overlap).real for weight, overlap in zip(weights, overlaps)]
+            if one_add:
+                rows[...] = total + crosses[0] if crosses else total
+                continue
+            terms = np.stack([np.full(rows.shape, sq) for sq in squares] + crosses, axis=-1)
+            rows[...] = np.reshape([math.fsum(row) for row in terms.reshape(-1, terms.shape[-1]).tolist()], rows.shape)
             continue
-        # (scale, Pr(ancilla = 1) per row) for each test, in drawing order.
+        # (scale, Pr(ancilla = 1) per point and row) for each test, in drawing order.
         tests = []
         for weight, overlap in zip(weights, overlaps):
+            overlap = overlap.reshape(flat.shape[0], -1)
             if weight.real != 0.0:
                 tests.append((2.0 * weight.real, np.clip((1.0 - overlap.real) / 2.0, 0.0, 1.0)))
             if weight.imag != 0.0:
                 tests.append((-2.0 * weight.imag, np.clip((1.0 - overlap.imag) / 2.0, 0.0, 1.0)))
-        for i, rng in zip(range(chunk.start, chunk.stop), rngs):
-            terms = list(squares)
-            for scale, p1 in tests:
-                p1_hat = int(rng.binomial(shots_per_test, p1[i - chunk.start])) / shots_per_test
-                terms.append(scale * (1.0 - 2.0 * p1_hat))
-            values[i] = math.fsum(terms)
+        for point, (point_values, point_rngs) in enumerate(zip(flat, rngs)):
+            for i, rng in zip(range(chunk.start, chunk.stop), point_rngs):
+                terms = list(squares)
+                for scale, p1 in tests:
+                    p1_hat = int(rng.binomial(shots_per_test, p1[point, i - chunk.start])) / shots_per_test
+                    terms.append(scale * (1.0 - 2.0 * p1_hat))
+                point_values[i] = math.fsum(terms)
     return values

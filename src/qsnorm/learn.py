@@ -13,8 +13,9 @@ seeds (common random numbers). Only U(xi) changes between evaluations, so
 a run prepares the objective once (:class:`LearnObjective`): it keeps the
 first row chunk's probe rows and their images under V. Each gradient step
 is one batched pass: f(xi) and the 2P central-difference shifts are one
-(2P + 1, P) block, and each gate of U is applied to every point at once,
-with one matrix per point where a slot sets its angle.
+(2P + 1, P) block, each gate of U is applied to every point at once, with
+one matrix per distinct angle where a slot sets it, and one reduction
+takes all the points' rows.
 
 An ansatz applied ``repeat`` times learns roots: with repeat = 2 the loop
 minimizes ||U(xi)^2 - V||^2. Ansatz templates can carry a global-phase
@@ -25,6 +26,7 @@ though states are not.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable
@@ -162,14 +164,15 @@ class LearnObjective:
     ``STATE_QUBIT_CAP``, the shot count and the angles. It keeps the probe
     rows of the first row chunk and their images V x, at most
     ``CHUNK_CEILING`` each, so its memory does not grow with the angle count;
-    any later chunk is rebuilt for each point. Each term 2 - 2 Re<V x|U x> =
-    ||(V - U) x||^2 is twice the value of the difference mixture
-    (V - U)/sqrt(2), which :func:`hadamard.quadratic_form_values` reduces
-    from [V x, U x], point by point. With shots > 0 that runs the real-part
-    test with state prep S(theta_i) and controlled chain (U(xi), V^dagger),
-    drawing from ``derived_rng(seed, i, 1)`` at every point. Values lie in
-    [0, 4]; an empty angle list raises ValueError. :meth:`block` evaluates
-    many points in one batched pass; a call on one xi is a one-row block.
+    any later chunk is rebuilt for each pass of points. Each term
+    2 - 2 Re<V x|U x> = ||(V - U) x||^2 is twice the value of the difference
+    mixture (V - U)/sqrt(2), which :func:`hadamard.quadratic_form_values`
+    reduces from V x and the block of every point's U x. With shots > 0
+    that runs the real-part test with state prep S(theta_i) and controlled
+    chain (U(xi), V^dagger), drawing from ``derived_rng(seed, i, 1)`` at
+    every point. Values lie in [0, 4]; an empty angle list raises
+    ValueError. :meth:`block` evaluates many points in one batched pass; a
+    call on one xi is a one-row block.
     """
 
     def __init__(self, ansatz: Ansatz, target: Operation, thetas: np.ndarray, shots: int = 0, seed: int = 0):
@@ -189,41 +192,56 @@ class LearnObjective:
         return float(self.block(np.asarray(xi)[None])[0])
 
     def block(self, xis: np.ndarray) -> np.ndarray:
-        """f at each row of the (B, P) array ``xis``. The first chunk's probe
-        rows are tiled over as many points as fit in ``CHUNK_BYTES``, U is
-        applied to all of them gate by gate, and each point is reduced on
-        its own."""
+        """f at each row of the (B, P) array ``xis``. The points go in passes
+        of as many as the first chunk's probe rows, tiled once per point,
+        fit in ``CHUNK_BYTES``. U is applied to a whole pass gate by gate,
+        in every row chunk, and one reduction takes the pass."""
         points = _parameter_values(xis, self.ansatz.num_params, 2)
         per_pass = max(1, CHUNK_BYTES // self._x.nbytes)
         costs = []
         for start in range(0, len(points), per_pass):
-            group = points[start:start + per_pass]
-            for xi, ux in zip(group, self._u_images(self._x, group)):
-                values = quadratic_form_values(
-                    self._coeffs, self._chunk_images(xi, ux), self.thetas.size, self.shots, self.seed
-                )
-                costs.append(2.0 * math.fsum(values.tolist()) / values.size)
+            values = quadratic_form_values(
+                self._coeffs, self._chunk_images(points[start:start + per_pass]), self.thetas.size, self.shots, self.seed
+            )
+            costs += [2.0 * math.fsum(row) / len(row) for row in values.tolist()]
         return np.array(costs)
 
-    def _u_images(self, x: np.ndarray, points: list) -> np.ndarray:
-        """U(xi) x for each xi in ``points``, a (len(points), rows, 2^n) block;
-        a slot gate gets a stack of each point's scalar ``GATES`` matrix."""
+    def _chunk_images(self, points: list):
+        """(chunk, [V x, the (len(points), rows, 2^n) block of U(xi) x]) for
+        each row chunk; the first chunk's probe rows and V x are kept."""
         gates = [
-            (op, np.array([GATES[op.kind].matrix(*_bound_params(op, xi)) for xi in points])
-             if any(isinstance(p, ParamSlot) for p in op.params) else None)
+            (op, _slot_stack(op, points) if any(isinstance(p, ParamSlot) for p in op.params) else None)
             for op in self.ansatz.template.ops
-        ]
-        out = np.broadcast_to(x, (len(points),) + x.shape)
-        for op, entries in gates * self.ansatz.repeat:
-            out = _apply_gateop(out, op, self.n, entries)
-        return out
-
-    def _chunk_images(self, xi: list, ux: np.ndarray):
-        """(chunk, [V x, U(xi) x]) for each row chunk, given the first one's U(xi) x."""
-        yield self._first, [self._vx, ux]
+        ] * self.ansatz.repeat
+        yield self._first, [self._vx, _apply_gates(self._x, gates, len(points), self.n)]
         for chunk in islice(row_chunks(self.thetas.size, self.n), 1, None):
             x = probe_chunk(self.thetas, chunk, self.n)
-            yield chunk, [apply_operation_amplitudes(x, self.target), self._u_images(x, [xi])[0]]
+            yield chunk, [apply_operation_amplitudes(x, self.target), _apply_gates(x, gates, len(points), self.n)]
+
+
+def _slot_stack(op: GateOp, points: list) -> np.ndarray:
+    """The (len(points), 2, 2) stack of template gate ``op``'s scalar
+    ``GATES`` matrix at each point's angles, each distinct angle's matrix
+    built once. Angles are told apart by their bits: 0.0 == -0.0, but
+    their matrices differ in the sign of zero entries."""
+    matrix, built = GATES[op.kind].matrix, {}
+    stack = []
+    for xi in points:
+        params = _bound_params(op, xi)
+        key = struct.pack(f"{len(params)}d", *params)
+        if key not in built:
+            built[key] = matrix(*params)
+        stack.append(built[key])
+    return np.array(stack)
+
+
+def _apply_gates(x: np.ndarray, gates: list, points: int, n: int) -> np.ndarray:
+    """The (points, rows, 2^n) block of each point's U x, from the probe
+    rows x and (gate, its stack of per-point entries or None) pairs."""
+    out = np.broadcast_to(x, (points,) + x.shape)
+    for op, entries in gates:
+        out = _apply_gateop(out, op, n, entries)
+    return out
 
 
 def loss(

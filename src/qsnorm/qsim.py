@@ -342,6 +342,24 @@ def apply_operation_amplitudes(
     return out
 
 
+def batch_applier(ops: list, rows: int, n: int) -> Callable[[np.ndarray], list]:
+    """A function that applies each of ``ops`` to a batch of at most ``rows``
+    rows of 2^n amplitudes and returns the list of their images. The
+    images, one :class:`GateWork` and each gate's matrix are made once,
+    here, and every batch reuses them, so a caller is done with one batch's
+    images before it applies the next."""
+    matrices = [gate_matrices(op) for op in ops]
+    images, work = np.empty((len(ops), rows, 1 << n), dtype=complex), GateWork(rows, n)
+
+    def apply(amps: np.ndarray) -> list:
+        return [
+            apply_operation_amplitudes(amps, op, out, work, mats)
+            for op, out, mats in zip(ops, images[:, :len(amps)], matrices)
+        ]
+
+    return apply
+
+
 def chunk_rows(n: int) -> int:
     """Rows per kernel batch of 2^n amplitudes. Below WIDE_QUBITS a batch
     holds CHUNK_BYTES; from WIDE_QUBITS on it holds WIDE_ROWS rows, to
@@ -360,9 +378,11 @@ def row_chunks(rows: int, n: int) -> Iterator[slice]:
 
 
 def row_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a_i|b_i> for each row i of two (rows, N) batches, taken as stacked
-    (1, N) @ (N, 1) products, which round like np.vdot."""
-    return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
+    """<a_i|b_i> for each row i of two (..., rows, N) batches, taken as
+    stacked (1, N) @ (N, 1) products, which round like np.vdot. Leading
+    axes broadcast, so one (rows, N) batch meets each batch of a
+    (B, rows, N) block in one call, with the bits of B separate calls."""
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def apply_circuit(state: StateVector, c: Operation) -> StateVector:

@@ -234,21 +234,37 @@ def check_thetas(thetas) -> np.ndarray:
     return thetas
 
 
-def probe_rows(thetas: np.ndarray, n: int, size: int) -> np.ndarray:
+def probe_rows(thetas: np.ndarray, n: int, size: int, out: np.ndarray | None = None) -> np.ndarray:
     """Probe vectors x(theta), one row per angle; requires 2^(n-1) < size <= 2^n.
 
     Index 0 is the all-cosine entry; for size < 2^n the trailing entries of
     the full 2^n tensor product are dropped. The norm is 1 exactly when
-    size = 2^n and 1 in expectation otherwise.
+    size = 2^n and 1 in expectation otherwise. Each entry is the product of
+    its qubits' cosines and sines, multiplied in from qubit 0 on.
+
+    ``out``, a complex (rows, 2^n) array whose imaginary part is zero,
+    receives the rows in its real part when given, which needs size = 2^n
+    (the scale sqrt(2^n / size) is then 1); a caller that builds many
+    batches reuses one such buffer and allocates no rows.
     """
     full = 1 << n
     if not (full // 2) < size <= full:
         raise ValueError(f"size {size} not in (2^{n - 1}, 2^{n}]")
+    if out is not None and size != full:
+        raise ValueError(f"probe rows built in place need size 2^{n}, got {size}")
     angles = np.asarray(thetas, dtype=float).reshape(-1, 1) * frequency_ladder(n)
-    factors = np.stack((np.cos(angles), np.sin(angles)), axis=-1)
-    rows = np.ones((angles.shape[0], 1))
+    cos, sin = np.cos(angles), np.sin(angles)
+    rows = np.empty((angles.shape[0], full)) if out is None else out.real
+    rows[:, 0] = 1.0
     for j in range(n):
-        rows = (rows[:, :, None] * factors[:, None, j, :]).reshape(angles.shape[0], -1)
+        # The products of qubits 0..j-1 sit every `step` columns; each one
+        # splits into its qubit-j cosine entry (in place) and sine entry.
+        step = full >> j
+        built = rows[:, ::step]
+        np.multiply(built, sin[:, j:j + 1], out=rows[:, step >> 1::step])
+        np.multiply(built, cos[:, j:j + 1], out=built)
+    if out is not None:
+        return out
     return math.sqrt(full / size) * rows[:, :size]
 
 

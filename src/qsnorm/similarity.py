@@ -30,7 +30,8 @@ from .qsim import (
     MixedOperation,
     Operation,
     StateVector,
-    apply_operation_amplitudes,
+    batch_applier,
+    chunk_rows,
     circuit_matrix,
     haar_random_unitary,
     require_int,
@@ -147,16 +148,17 @@ def estimate_tau(
 def haar_fidelities(u1: Operation, u2: Operation, num_states: int, seed: int = 0) -> np.ndarray:
     """|<U1 psi_i|U2 psi_i>|^2 for Haar states psi_i drawn from
     ``derived_rng(seed, i)`` (through :func:`sampler.derived_rngs`); each
-    operation acts on a chunk of states at once."""
+    operation acts on a chunk of states at once, into the arrays of one
+    :func:`qsim.batch_applier`."""
     num_states = require_int(num_states, "num_states")
     if num_states < 1:
         raise ValueError(f"need at least one state, got {num_states}")
     n, fidelities = same_register(u1, u2), np.empty(num_states)
+    apply = batch_applier((u1, u2), min(chunk_rows(n), num_states), n)
     rngs = derived_rngs(seed, num_states)
     for chunk in row_chunks(num_states, n):
-        states = _haar_amplitudes(n, chunk.stop - chunk.start, rngs)
-        overlaps = row_overlaps(apply_operation_amplitudes(states, u1), apply_operation_amplitudes(states, u2))
-        fidelities[chunk] = [abs(z) ** 2 for z in overlaps.tolist()]
+        first, second = apply(_haar_amplitudes(n, chunk.stop - chunk.start, rngs))
+        fidelities[chunk] = [abs(z) ** 2 for z in row_overlaps(first, second).tolist()]
     return fidelities
 
 

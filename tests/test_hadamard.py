@@ -1,10 +1,12 @@
 """Interference-test and mixture quadratic-form tests."""
 
 import math
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import binomial_upper_quantile, circuit_probability, random_circuit, random_mixture
 from qsnorm import (
@@ -23,6 +25,7 @@ from qsnorm import (
     sampling_circuit,
 )
 from qsnorm import qsim
+from qsnorm.hadamard import quadratic_form_values
 from qsnorm.sampler import probe_rows
 
 SQRT2_INV = 1 / math.sqrt(2)
@@ -362,3 +365,100 @@ class TestMixedQuadraticForm:
     def test_negative_shots_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             mixed_quadratic_form(random_mixture(1, 2, np.random.default_rng(2)), [0.1], shots_per_test=-1)
+
+
+def per_row_fsum(coeffs, images):
+    """The reduction's analytic values as the per-row reference: for each
+    point and row, math.fsum of the squares |a_k|^2 and the cross terms
+    2 Re(conj(a_a) a_b <U_a x|U_b x>), each point's overlaps taken on its
+    own. An image is (rows, N), shared by every point, or (B, rows, N)."""
+    squares = [abs(c) ** 2 for c in coeffs]
+    points = max(len(image) for image in images if image.ndim == 3)
+    values = []
+    for b in range(points):
+        own = [image if image.ndim == 2 else image[b] for image in images]
+        crosses = [
+            (2.0 * (coeffs[a].conjugate() * coeffs[c] * qsim.row_overlaps(own[a], own[c])).real).tolist()
+            for a, c in combinations(range(len(coeffs)), 2)
+        ]
+        values.append([math.fsum(squares + [cross[i] for cross in crosses]) for i in range(len(own[0]))])
+    return values
+
+
+def complex_normal(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestReductionSum:
+    """The analytic reduction sums a value's terms as one IEEE add when
+    there is at most one cross term and the squares sum exactly, and with
+    one fsum per row otherwise; both give the per-row fsum's bits."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        magnitude=st.floats(2.0**-10, 1.0),
+        phase=st.floats(-math.pi, math.pi),
+        turn=st.sampled_from([1, -1, 1j, -1j]),
+        case=st.sampled_from(["random", "cancel", "tiny"]),
+        delta=st.floats(2.0**-70, 2.0**-45),
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 3)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equal_magnitudes_give_the_per_row_fsum(self, magnitude, phase, turn, case, delta, shape, seed):
+        """Equal |a_k| make S = 2|a_0|^2 exact. "cancel" makes the cross term
+        -S exactly (a real a_1 = -a_0, identical basis-state images), and
+        "tiny" makes it about delta S, around and below ulp(S)."""
+        points, rows, n = shape
+        rng = np.random.default_rng(seed)
+        a0 = magnitude * complex(math.cos(phase), math.sin(phase))
+        if case == "random":
+            vx, ux = complex_normal(rng, rows, 1 << n), complex_normal(rng, points, rows, 1 << n)
+        else:
+            vx = np.zeros((rows, 1 << n), dtype=complex)
+            vx[:, 0] = 1.0
+            ux = np.broadcast_to(vx, (points, rows, 1 << n)).copy()
+            if case == "cancel":
+                a0, turn = complex(magnitude, 0.0), -1
+            else:
+                ux[..., 0] = delta * rng.choice([-1.0, 1.0], size=(points, rows))
+                ux[..., 1] += 1.0
+        coeffs = [a0, a0 * turn]
+        values = quadratic_form_values(coeffs, [(slice(0, rows), [vx, ux])], rows, 0, 0)
+        assert values.shape == (points, rows)
+        assert values.tolist() == per_row_fsum(coeffs, [vx, ux])
+        if case == "cancel":
+            assert not values.any()
+
+    @pytest.mark.parametrize("coeffs", [[0.1, -0.7j], [0.4, -0.3j, 0.2 + 0.1j]])
+    def test_other_mixtures_give_the_per_row_fsum(self, coeffs):
+        """Unequal weights whose squares do not sum exactly, and three terms
+        (three cross terms), take one fsum per row. For the two-term
+        mixture the one IEEE add S + cross would differ in some rows."""
+        rng = np.random.default_rng(31)
+        vx, ux = complex_normal(rng, 64, 4), complex_normal(rng, 9, 64, 4)
+        images = [vx, ux, complex_normal(rng, 64, 4)][:len(coeffs)]
+        values = quadratic_form_values(coeffs, [(slice(0, 32), [i[..., :32, :] for i in images]),
+                                                (slice(32, 64), [i[..., 32:, :] for i in images])], 64, 0, 0)
+        assert values.tolist() == per_row_fsum(coeffs, images)
+        squares = [abs(c) ** 2 for c in coeffs]
+        total = math.fsum(squares)
+        if len(coeffs) == 2:
+            assert math.fsum([total, *(-sq for sq in squares)]) != 0.0
+            cross = 2.0 * (coeffs[0].conjugate() * coeffs[1] * qsim.row_overlaps(vx, ux)).real
+            assert ((total + cross) != values).any()
+
+    @pytest.mark.parametrize("shots", [0, 20])
+    def test_block_equals_one_call_per_point(self, shots):
+        """A (B, rows, N) block gives each point's values of a call on that
+        point alone, in analytic and in shot mode, over two chunks."""
+        rng = np.random.default_rng(32)
+        coeffs = [SQRT2_INV, -SQRT2_INV]
+        vx, ux = complex_normal(rng, 40, 8), complex_normal(rng, 5, 40, 8)
+
+        def chunks(block):
+            return [(slice(0, 25), [vx[:25], block[..., :25, :]]), (slice(25, 40), [vx[25:], block[..., 25:, :]])]
+
+        values = quadratic_form_values(coeffs, chunks(ux), 40, shots, 7)
+        assert values.shape == (5, 40)
+        for point, row in zip(ux, values):
+            np.testing.assert_array_equal(quadratic_form_values(coeffs, chunks(point), 40, shots, 7), row)

@@ -30,7 +30,7 @@ from qsnorm import (
     sampling_circuit,
 )
 from qsnorm import learn
-from qsnorm.qsim import CHUNK_CEILING, row_chunks
+from qsnorm.qsim import CHUNK_CEILING, GATES, row_chunks
 from qsnorm.qsim import _apply_gateop as apply_gateop
 
 
@@ -304,6 +304,30 @@ class TestLearnObjective:
         values = objective.block(rng.uniform(-math.pi, math.pi, (5, ansatz.num_params)))
         assert values.shape == (5,) and ((0.0 <= values) & (values <= 4.0)).all()
         assert sizes and max(sizes) <= CHUNK_CEILING
+
+    def test_signed_zero_angles_keep_their_own_matrices(self):
+        """A slot's matrix is built once per distinct angle in a block, and
+        0.0 and -0.0 are distinct: rx(-0.0) differs from rx(0.0) in the
+        sign of its zero entries. A block holding both gives each point the
+        stack entry, U x and value of a call on that point alone."""
+        ansatz = Ansatz(Circuit(2, (
+            GateOp("h", (0,)),
+            GateOp("rx", (0,), (ParamSlot(0),)),
+            GateOp("cnot", (0, 1)),
+            GateOp("ry", (1,), (ParamSlot(1),)),
+        )))
+        objective = LearnObjective(ansatz, Circuit(2, (GateOp("h", (1,)),)), sample_thetas(3, 64))
+        points = [[0.0, 0.3], [-0.0, 0.3], [0.0, -0.3], [-0.0, -0.3]]
+        stack = learn._slot_stack(ansatz.template.ops[1], points)
+        for entry, (angle, _) in zip(stack, points):
+            np.testing.assert_array_equal(entry.view(np.uint64), GATES["rx"].matrix(angle).view(np.uint64))
+        assert (stack[0].view(np.uint64) != stack[1].view(np.uint64)).any()
+        (_, (_, block)), = objective._chunk_images(points)
+        for xi, images in zip(points, block):
+            (_, (_, alone)), = objective._chunk_images([xi])
+            np.testing.assert_array_equal(images.view(np.uint64), alone[0].view(np.uint64))
+        values = objective.block(np.array(points))
+        assert values.tolist() == [objective(np.array(xi)) for xi in points]
 
     def test_checks_when_built(self):
         with pytest.raises(ValueError, match="different registers: n=2 vs n=1"):

@@ -30,8 +30,8 @@ from qsnorm import (
     similarity_slack,
     zero_state,
 )
-from qsnorm import similarity
-from qsnorm.qsim import MATRIX_QUBIT_CAP, DenseUnitary, apply_operation_amplitudes
+from qsnorm import qsim, similarity
+from qsnorm.qsim import MATRIX_QUBIT_CAP, DenseUnitary, apply_operation_amplitudes, row_chunks, row_overlaps
 from qsnorm.schatten import schatten2_estimate_from_thetas
 
 SQRT2_INV = 1 / math.sqrt(2)
@@ -90,11 +90,11 @@ class TestHaarRandomState:
         np.linalg.norm sums a complex vector."""
         drawn = []
 
-        def record(states, op):
+        def record(states, op, *arrays):
             drawn.append(states.copy())
-            return apply_operation_amplitudes(states, op)
+            return apply_operation_amplitudes(states, op, *arrays)
 
-        monkeypatch.setattr(similarity, "apply_operation_amplitudes", record)
+        monkeypatch.setattr(qsim, "apply_operation_amplitudes", record)
         haar_fidelities(Circuit(n), Circuit(n), num_states, seed=11)
         expected = np.array([self.per_state_formula(n, derived_rng(11, i)) for i in range(num_states)])
         np.testing.assert_array_equal(np.concatenate(drawn[::2]), expected)
@@ -242,6 +242,19 @@ class TestMonteCarloSimilarity:
             pairs = zip(apply_operation_amplitudes(states, first), apply_operation_amplitudes(states, second))
             expected = [fidelity(StateVector(3, a), StateVector(3, b)) for a, b in pairs]
             np.testing.assert_array_equal(haar_fidelities(first, second, 40, seed=9), expected)
+
+    def test_reused_arrays_give_the_allocating_path_bits(self):
+        """At n = 10 a chunk holds 16 states, so 33 states make two full
+        chunks and a 1-row tail, all applied into the arrays made for the
+        first one. Depth-20 gate circuits give the fidelities of the
+        allocating gate path, which makes fresh arrays for every gate."""
+        rng = np.random.default_rng(41)
+        u1, u2 = random_circuit(10, 20, rng), random_circuit(10, 20, rng)
+        assert [chunk.stop - chunk.start for chunk in row_chunks(33, 10)] == [16, 16, 1]
+        states = np.stack([haar_random_state(10, derived_rng(13, i)).amplitudes for i in range(33)])
+        overlaps = row_overlaps(apply_operation_amplitudes(states, u1), apply_operation_amplitudes(states, u2))
+        expected = [abs(z) ** 2 for z in overlaps.tolist()]
+        np.testing.assert_array_equal(haar_fidelities(u1, u2, 33, seed=13), expected)
 
 
 class TestSimilaritySlack:
