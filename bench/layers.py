@@ -12,7 +12,9 @@ Layers, each through the public function the CLI calls:
   gate circuit on one kernel chunk of probe rows at n = 10 (``row_chunks``
   gives 16 rows of 2^10 amplitudes), each gate allocating its result:
   ``depth20`` alternates ry (a dense gate) and cnot, ``structured`` cycles
-  through rz, t, s, z (diagonal gates), x and y (anti-diagonal gates).
+  through rz, t, s, z (diagonal gates), x and y (anti-diagonal gates),
+  and ``last_qubits`` applies ry, rz and y (one gate of each form) on each
+  of qubits 7, 8 and 9, whose halves are runs of 4, 2 and 1 amplitudes.
 - ``kernel_front``: shot-mode ``mixed_quadratic_form`` (100 shots per test)
   of a 3-term mixture of random depth-20 circuits at n = 10 over 500
   angles, the shape of the end-to-end estimate-shots workload, where the
@@ -107,6 +109,10 @@ def layers() -> dict:
     cases["operator_application.n10.structured"] = (
         lambda: apply_operation_amplitudes(rows, structured), rows.shape[0]
     )
+    last = Circuit(10, tuple(
+        GateOp(kind, (q,), params) for q in (7, 8, 9) for kind, params in (("ry", (0.3,)), ("rz", (0.3,)), ("y", ()))
+    ))
+    cases["operator_application.n10.last_qubits"] = (lambda: apply_operation_amplitudes(rows, last), rows.shape[0])
     rng = np.random.default_rng(7)
     fixed, angled = ("h", "x", "y", "z", "s", "sdg", "t", "tdg"), ("rx", "ry", "rz", "phase")
 

@@ -50,7 +50,7 @@ from .qsim import (
     require_qubits,
     row_chunks,
 )
-from .sampler import check_thetas, derived_rng, sample_thetas
+from .sampler import check_thetas, sample_thetas, uniform_angles
 from .schatten import difference_mixture
 
 
@@ -292,7 +292,7 @@ def learn_circuit(ansatz: Ansatz, target: Operation, config: LearnConfig) -> Lea
     objective = LearnObjective(
         ansatz, target, sample_thetas(config.seed, config.m), config.shots_per_test, config.seed
     )
-    xi = derived_rng(config.seed).uniform(-math.pi, math.pi, ansatz.num_params)
+    xi = uniform_angles(config.seed, ansatz.num_params)
     history = []
 
     def with_cost(shifted: np.ndarray) -> np.ndarray:

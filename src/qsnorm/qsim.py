@@ -32,6 +32,7 @@ CHUNK_BYTES = 1 << 16  # per (rows, 2^n) batch below WIDE_QUBITS, see chunk_rows
 WIDE_QUBITS = 9  # from this register width on, a batch holds WIDE_ROWS rows
 WIDE_ROWS = 16
 CHUNK_CEILING = 1 << 18  # most bytes of any batch array, unless one row is larger
+SHORT_RUN = 4  # longest run of a gate's half that is applied one offset at a time
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -265,30 +266,43 @@ def _apply_gateop(
         # complex product can round differently with its operands swapped.
         return np.multiply(amps, mat[0, 0], out=out)
     # Split the amplitudes whose qubit-q bit is 0 (low half) from those
-    # where it is 1 (high half). Elementwise products of the halves cost
-    # about the same for every q; an einsum over the same view slows down
-    # ninefold as 2^(n-q-1) shrinks. A diagonal or anti-diagonal gate skips
-    # the products with its zero entries, which changes at most the sign of
-    # an exact zero. Every product keeps the dense formula's form, entry
-    # times half into a contiguous array, so the other bits stay those of
-    # the two-term sum; only exact copies and sums write the strided halves
-    # of the result.
-    halves = amps.reshape(block + (-1, 2, 1 << (n - op.qubits[0] - 1)))
+    # where it is 1 (high half): each half is a run of 2^(n-q-1) amplitudes
+    # in every block of 2^(n-q). numpy runs one inner loop per run, so a
+    # product over a whole half with runs of 2 or 4 runs thousands of short
+    # loops, at 2-4 times the cost of the same product at qubit 0. For those
+    # runs each offset j is one strided pass instead, halves[..., 0, j]
+    # against halves[..., 1, j]. Runs of 1 already merge into one loop, and
+    # from runs of 8 on a pass per offset costs more than the whole half.
+    # A diagonal or anti-diagonal gate skips the products with its zero
+    # entries, which changes at most the sign of an exact zero. Every
+    # product keeps the dense formula's form, entry times half into a
+    # contiguous array, so the other bits stay those of the two-term sum;
+    # only exact copies and sums write the strided halves of the result.
+    run = 1 << (n - op.qubits[0] - 1)
+    halves = amps.reshape(block + (-1, 2, run))
     out = np.empty(amps.shape, dtype=complex) if out is None else out
     dest = out.reshape(halves.shape)
-    low, high = halves[..., 0, :], halves[..., 1, :]
+    if 1 < run <= SHORT_RUN:
+        # One (..., K) slice of each half per offset j; a (B, 1, 1) entry
+        # drops its last axis to line up with a (B, K) slice.
+        offsets, shape = range(run), halves.shape[:-2]
+        mat = mat[..., 0] if block else mat
+    else:
+        offsets, shape = [slice(None)], halves.shape[:-2] + (run,)
     first = second = None
     if scratch is not None:
-        first, second = (s[:low.size].reshape(low.shape) for s in scratch)
-    if form == "diagonal":
-        dest[..., 0, :] = np.multiply(mat[0, 0], low, out=first)
-        dest[..., 1, :] = np.multiply(mat[1, 1], high, out=first)
-    elif form == "anti-diagonal":
-        dest[..., 0, :] = np.multiply(mat[0, 1], high, out=first)
-        dest[..., 1, :] = np.multiply(mat[1, 0], low, out=first)
-    else:
-        np.add(np.multiply(mat[0, 0], low, out=first), np.multiply(mat[0, 1], high, out=second), out=dest[..., 0, :])
-        np.add(np.multiply(mat[1, 0], low, out=first), np.multiply(mat[1, 1], high, out=second), out=dest[..., 1, :])
+        first, second = (s[:math.prod(shape)].reshape(shape) for s in scratch)
+    for j in offsets:
+        low, high = halves[..., 0, j], halves[..., 1, j]
+        if form == "diagonal":
+            dest[..., 0, j] = np.multiply(mat[0, 0], low, out=first)
+            dest[..., 1, j] = np.multiply(mat[1, 1], high, out=first)
+        elif form == "anti-diagonal":
+            dest[..., 0, j] = np.multiply(mat[0, 1], high, out=first)
+            dest[..., 1, j] = np.multiply(mat[1, 0], low, out=first)
+        else:
+            np.add(np.multiply(mat[0, 0], low, out=first), np.multiply(mat[0, 1], high, out=second), out=dest[..., 0, j])
+            np.add(np.multiply(mat[1, 0], low, out=first), np.multiply(mat[1, 1], high, out=second), out=dest[..., 1, j])
     return out
 
 

@@ -20,9 +20,10 @@ i, ...]))``. Building one SeedSequence and one Generator per key costs tens
 of microseconds, so the hot paths compute numpy's seeding arithmetic for a
 block of keys at once, in uint32/uint64 arrays: :func:`sample_thetas` takes
 each angle from the first PCG64 output, and :func:`derived_rngs` sets the
-seeded PCG64 state on one reused Generator per key. Both give the same bits
-as ``derived_rng``, which stays the scalar reference the tests compare
-against.
+seeded PCG64 state on one reused Generator per key. :func:`uniform_angles`
+steps the unkeyed stream of ``derived_rng(seed)`` for a learn run's starting
+point. All three give the same bits as ``derived_rng``, which stays the
+scalar reference the tests compare against.
 
 Sample budgets spell out the Hoeffding constants hidden behind the
 asymptotic bounds so they are reproducible exactly.
@@ -118,16 +119,18 @@ def _pcg64_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.n
     return _add128(prod_hi, lo * np.uint64(_PCG_MULT_LO), inc_hi, inc_lo)
 
 
-def _seeded_pcg64(seed: int, keys: range, suffix: tuple) -> tuple[np.ndarray, ...]:
+def _seeded_pcg64(seed: int, keys: range | None, suffix: tuple = ()) -> tuple[np.ndarray, ...]:
     """PCG64 (state_hi, state_lo, inc_hi, inc_lo) of ``derived_rng(seed, i,
-    *suffix)`` for every i in ``keys``, as uint64 arrays.
+    *suffix)`` for every i in ``keys``, as uint64 arrays; with ``keys``
+    None, of the unkeyed ``derived_rng(seed)`` alone, in one lane.
 
     Follows numpy's SeedSequence (pool mixing, then ``generate_state(4,
     uint64)``) and PCG64's ``set_seed`` with every key in one array lane.
     """
-    size = len(keys)
+    size = 1 if keys is None else len(keys)
     words = [np.full(size, w, np.uint32) for w in _entropy_words(seed)]
-    words.append(np.arange(keys.start, keys.stop, dtype=np.uint32))
+    if keys is not None:
+        words.append(np.arange(keys.start, keys.stop, dtype=np.uint32))
     words += [np.full(size, w, np.uint32) for s in suffix for w in _entropy_words(s)]
     hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(words[k] if k < len(words) else np.zeros(size, np.uint32)) for k in range(_POOL_SIZE)]
@@ -189,6 +192,17 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _uniform_outputs(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """``Generator.uniform(-pi, pi)`` of the PCG64 outputs of the stepped
+    states (hi, lo)."""
+    # XSL-RR output: xor the halves, rotate right by the top six bits.
+    word, rot = hi ^ lo, hi >> 58
+    word = word >> rot | word << ((64 - rot) & 63)
+    # next_double, then Generator.uniform's low + (high - low) * u.
+    unit = (word >> 11).astype(float) * 2.0**-53
+    return -math.pi + (math.pi - -math.pi) * unit
+
+
 def sample_thetas(seed: int, m: int) -> np.ndarray:
     """m angles uniform on [-pi, pi]: theta_i is
     ``derived_rng(seed, i).uniform(-pi, pi)``, computed for a block of keys
@@ -199,17 +213,23 @@ def sample_thetas(seed: int, m: int) -> np.ndarray:
     blocks = _key_blocks(m)  # checks m before thetas is allocated
     thetas = np.empty(m)
     for keys in blocks:
-        state_hi, state_lo, inc_hi, inc_lo = _seeded_pcg64(seed, keys, ())
+        state_hi, state_lo, inc_hi, inc_lo = _seeded_pcg64(seed, keys)
         # The first output, computed here rather than drawn from derived_rngs:
         # same bits, at about a tenth of the cost per key.
-        hi, lo = _pcg64_step(state_hi, state_lo, inc_hi, inc_lo)
-        # XSL-RR output: xor the halves, rotate right by the top six bits.
-        word, rot = hi ^ lo, hi >> 58
-        word = word >> rot | word << ((64 - rot) & 63)
-        # next_double, then Generator.uniform's low + (high - low) * u.
-        unit = (word >> 11).astype(float) * 2.0**-53
-        thetas[keys.start : keys.stop] = -math.pi + (math.pi - -math.pi) * unit
+        thetas[keys.start : keys.stop] = _uniform_outputs(*_pcg64_step(state_hi, state_lo, inc_hi, inc_lo))
     return thetas
+
+
+def uniform_angles(seed: int, count: int) -> np.ndarray:
+    """``derived_rng(seed).uniform(-pi, pi, count)``: count angles from the
+    unkeyed stream of ``seed``, stepped here, so numpy.random is never
+    imported (its first import costs more than the steps)."""
+    hi, lo, inc_hi, inc_lo = _seeded_pcg64(seed, None)
+    states = np.empty((2, count), np.uint64)
+    for k in range(count):
+        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+        states[:, k] = hi[0], lo[0]
+    return _uniform_outputs(*states)
 
 
 def exactness_grid(n: int) -> np.ndarray:

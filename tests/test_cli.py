@@ -347,3 +347,24 @@ class TestUsage:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    def test_analytic_learn_does_not_load_numpy_random(self, tmp_path):
+        """A learn run draws its angles and its starting point without a
+        Generator, so it never pays numpy.random's first import."""
+        bare = subprocess.run(
+            [sys.executable, "-c", "import sys, numpy; print('numpy.random' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        if bare.stdout.strip() != "False":
+            pytest.skip("this numpy imports numpy.random with numpy itself")
+        ansatz = write_json(tmp_path / "a.json", RY_ANSATZ)
+        target = write_json(tmp_path / "t.json", {"n": 1, "ops": [{"gate": "ry", "qubits": [0], "params": [0.4]}]})
+        code = (
+            "import sys; from qsnorm import cli; "
+            f"rc = cli.main(['learn', '--ansatz', {ansatz!r}, '--target', {target!r}, '--samples', '8', "
+            f"'--max-iters', '3', '--out', {str(tmp_path / 'r.json')!r}]); "
+            "print(rc, 'numpy.random' in sys.modules)"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "0 False"

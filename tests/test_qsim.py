@@ -49,6 +49,20 @@ from qsnorm.qsim import (
 SQRT2_INV = 1 / math.sqrt(2)
 ONE_QUBIT_KINDS = sorted(kind for kind, row in GATES.items() if row.qubits == 1)
 
+
+def dense_formula(entries: np.ndarray, block: np.ndarray, n: int, q: int) -> np.ndarray:
+    """mat[r, 0] * low + mat[r, 1] * high for a gate on qubit q, applied to
+    member b of a (B, rows, 2^n) block with mat = entries[b], from
+    contiguous copies of the halves."""
+    halves = block.reshape(block.shape[0], -1, 2, 1 << (n - q - 1))
+    low, high = (np.ascontiguousarray(halves[:, :, r]) for r in (0, 1))
+    mat = entries[..., None, None]
+    dense = np.empty(halves.shape, dtype=complex)
+    for r in (0, 1):
+        dense[:, :, r] = mat[:, r, 0] * low + mat[:, r, 1] * high
+    return dense.reshape(block.shape)
+
+
 # Generated documents for the parser property test.
 
 _NUMBERS = st.one_of(st.integers(-4, 4), st.floats(allow_nan=True, allow_infinity=True))
@@ -259,27 +273,45 @@ class TestApplyCircuit:
 
     @pytest.mark.parametrize("kind", ONE_QUBIT_KINDS)
     def test_single_qubit_gate_has_the_bits_of_the_dense_formula(self, kind):
-        """Skipping the zero entries of a diagonal or anti-diagonal gate
-        changes at most the sign of an exact zero: after ``+ 0.0`` every
-        amplitude has the bits of mat[r, 0] * low + mat[r, 1] * high, at every
-        qubit, for 1, 4 and 16 complex rows."""
+        """Skipping the zero entries of a diagonal or anti-diagonal gate, and
+        applying short runs one offset at a time, changes at most the sign of
+        an exact zero: after ``+ 0.0`` every amplitude has the bits of
+        mat[r, 0] * low + mat[r, 1] * high, at every qubit of n = 2, 6 and 10
+        (runs of 1 to 512 amplitudes), for 1, 3, 4 and 16 complex rows. The
+        reference multiplies contiguous copies of the halves, so it does not
+        share the kernel's loop shape."""
         from qsnorm.qsim import gate_matrix
 
-        n = 6
         rng = np.random.default_rng(16)
-        for count in (1, 4, 16):
-            rows = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
-            for q in range(n):
-                gate = GateOp(kind, (q,), tuple(rng.uniform(-4, 4, GATES[kind].params)))
-                mat = gate_matrix(gate)
-                halves = rows.reshape(-1, 2, 1 << (n - q - 1))
-                low, high = halves[:, 0], halves[:, 1]
-                dense = np.empty(halves.shape, dtype=complex)
-                dense[:, 0] = mat[0, 0] * low + mat[0, 1] * high
-                dense[:, 1] = mat[1, 0] * low + mat[1, 1] * high
-                got = _apply_gateop(rows, gate, n) + 0.0
-                want = dense.reshape(rows.shape) + 0.0
-                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=f"q={q}")
+        for n in (2, 6, 10):
+            for count in (1, 3, 4, 16):
+                rows = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
+                for q in range(n):
+                    gate = GateOp(kind, (q,), tuple(rng.uniform(-4, 4, GATES[kind].params)))
+                    got = _apply_gateop(rows, gate, n) + 0.0
+                    want = dense_formula(gate_matrix(gate)[None], rows[None], n, q)[0] + 0.0
+                    np.testing.assert_array_equal(
+                        got.view(np.uint64), want.view(np.uint64), err_msg=f"n={n} count={count} q={q}"
+                    )
+
+    @pytest.mark.parametrize("kind", ONE_QUBIT_KINDS)
+    def test_per_row_entries_have_the_bits_of_the_dense_formula(self, kind):
+        """A (B, 2, 2) stack of entries applied to a (B, rows, 2^n) block
+        gives, after ``+ 0.0``, the bits of each member's dense formula on
+        contiguous halves, at every qubit of n = 2 and 10, for 1, 3 and 16
+        rows."""
+        rng = np.random.default_rng(20)
+        row = GATES[kind]
+        for n in (2, 10):
+            for count in (1, 3, 16):
+                block = rng.standard_normal((4, count, 1 << n)) + 1j * rng.standard_normal((4, count, 1 << n))
+                for q in range(n):
+                    entries = np.stack([row.matrix(*rng.uniform(-4, 4, row.params)) for _ in range(4)])
+                    got = _apply_gateop(block, GateOp(kind, (q,), (ParamSlot(0),) * row.params), n, entries) + 0.0
+                    want = dense_formula(entries, block, n, q) + 0.0
+                    np.testing.assert_array_equal(
+                        got.view(np.uint64), want.view(np.uint64), err_msg=f"n={n} count={count} q={q}"
+                    )
 
     @pytest.mark.parametrize("kind", ONE_QUBIT_KINDS + ["globalphase"])
     def test_per_row_entries_have_the_bits_of_scalar_applications(self, kind):

@@ -27,7 +27,7 @@ from qsnorm import (
     sqrt_error_propagation_holds,
 )
 from qsnorm import sampler
-from qsnorm.sampler import KEY_BLOCK, check_eps_delta, derived_rngs, probe_rows
+from qsnorm.sampler import KEY_BLOCK, check_eps_delta, derived_rngs, probe_rows, uniform_angles
 
 
 class TestFrequencyLadder:
@@ -332,6 +332,14 @@ class TestVectorizedSeeding:
                 assert rng.binomial(trials, p, 3).tolist() == ref.binomial(trials, p, 3).tolist()
             assert rng.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes()
         assert i == count - 1
+
+    @pytest.mark.parametrize("count", [1, 4, 7])
+    def test_uniform_angles_equal_unkeyed_stream(self, count):
+        """``uniform_angles`` steps the unkeyed stream of ``derived_rng(seed)``
+        itself; its angles are that Generator's uniform(-pi, pi, count)."""
+        for seed in [*range(200), 2**31 - 2, 2**40 + 7, 2**64 + 3]:
+            want = derived_rng(seed).uniform(-math.pi, math.pi, count)
+            assert uniform_angles(seed, count).tobytes() == want.tobytes(), seed
 
     def test_negative_seed_rejected(self):
         for draw in (lambda: derived_rng(-1, 0), lambda: sample_thetas(-1, 5), lambda: next(derived_rngs(-1, 5))):
