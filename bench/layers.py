@@ -15,6 +15,10 @@ Layers, each through the public function the CLI calls:
   through rz, t, s, z (diagonal gates), x and y (anti-diagonal gates),
   and ``last_qubits`` applies ry, rz and y (one gate of each form) on each
   of qubits 7, 8 and 9, whose halves are runs of 4, 2 and 1 amplitudes.
+- ``operator_application.n10.mixture``: the three depth-20 circuits of
+  the ``kernel_front`` mixture applied to the probe rows of 500 angles,
+  chunk by chunk through one ``batch_applier``, as the kernel applies
+  them, without the reduction or shots; a key is one angle.
 - ``kernel_front``: shot-mode ``mixed_quadratic_form`` (100 shots per test)
   of a 3-term mixture of random depth-20 circuits at n = 10 over 500
   angles, the shape of the end-to-end estimate-shots workload, where the
@@ -83,8 +87,8 @@ from qsnorm import (
     sample_thetas,
     schatten2_estimate_from_thetas,
 )
-from qsnorm.hadamard import mixed_quadratic_form, quadratic_form_values
-from qsnorm.qsim import apply_operation_amplitudes, row_chunks
+from qsnorm.hadamard import mixed_quadratic_form, probe_chunk, quadratic_form_values
+from qsnorm.qsim import apply_operation_amplitudes, batch_applier, chunk_rows, row_chunks
 from qsnorm.sampler import probe_rows
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -130,6 +134,7 @@ def layers() -> dict:
         (coeff, Circuit(10, tuple(random_gate() for _ in range(20)))) for coeff in (0.4, 0.3j, -0.2)
     ))
     angles500 = sample_thetas(7, 500)
+    cases["operator_application.n10.mixture"] = (lambda: apply_mixture([op for _, op in terms.terms], angles500), 500)
     cases["kernel_front.n10.m500"] = (lambda: mixed_quadratic_form(terms, angles500, shots_per_test=100, seed=7), 500)
     cases["gate_construction.n10.depth20"] = (lambda: adjoint(circuit), len(circuit))
     pair = difference_mixture(*(DenseUnitary(6, haar_random_unitary(6, seed)) for seed in (1, 2)))
@@ -160,6 +165,20 @@ def layers() -> dict:
     grid = np.linspace(-np.pi, np.pi, 1000)
     cases["shot_generators.m1000"] = (lambda: mixed_quadratic_form(mixture, grid, shots_per_test=1, seed=7), 1000)
     return cases
+
+
+def apply_mixture(ops: list, thetas: np.ndarray, n: int = 10) -> None:
+    """Apply each of ``ops`` to every chunk of the probe rows of ``thetas``
+    through one ``batch_applier``, building each chunk in its input batch."""
+    applier = batch_applier(ops, chunk_rows(n), n)
+    if callable(applier):
+        # A batch_applier that takes the rows as its argument, as it did
+        # before it owned an input batch, so that older commits can be timed.
+        probes, take_rows = np.zeros((chunk_rows(n), 1 << n), dtype=complex), applier
+        applier = (probes, lambda count: take_rows(probes[:count]))
+    probes, apply = applier
+    for chunk in row_chunks(thetas.size, n):
+        apply(len(probe_chunk(thetas, chunk, n, probes)))
 
 
 def minor_faults() -> int:

@@ -88,16 +88,16 @@ def mixed_quadratic_form(
 
     Each chunk of probe rows gets every U_k in one batched apply, and
     :func:`quadratic_form_values` reduces the images; it documents the
-    analytic and the shot mode. The probe rows and the arrays of
-    :func:`qsim.batch_applier` are made once per call and reused by every
-    chunk, which the reduction is done with before the next one.
+    analytic and the shot mode. The arrays of :func:`qsim.batch_applier`
+    are made once per call: each chunk's probe rows are built in its input
+    batch, and the reduction is done with a chunk's images before the next
+    chunk is built.
     """
     n = require_qubits(mixed.n, STATE_QUBIT_CAP, "statevector qubit count")
     shots_per_test = require_shots(shots_per_test)
     thetas = check_thetas(thetas)
-    rows = min(chunk_rows(n), thetas.size)
-    probes, apply = np.zeros((rows, 1 << n), dtype=complex), batch_applier([op for _, op in mixed.terms], rows, n)
-    images = ((chunk, apply(probe_chunk(thetas, chunk, n, probes))) for chunk in row_chunks(thetas.size, n))
+    probes, apply = batch_applier([op for _, op in mixed.terms], min(chunk_rows(n), thetas.size), n)
+    images = ((chunk, apply(len(probe_chunk(thetas, chunk, n, probes)))) for chunk in row_chunks(thetas.size, n))
     coeffs = [coeff for coeff, _ in mixed.terms]
     return quadratic_form_values(coeffs, images, thetas.size, shots_per_test, seed)
 

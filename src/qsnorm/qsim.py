@@ -33,6 +33,7 @@ WIDE_QUBITS = 9  # from this register width on, a batch holds WIDE_ROWS rows
 WIDE_ROWS = 16
 CHUNK_CEILING = 1 << 18  # most bytes of any batch array, unless one row is larger
 SHORT_RUN = 4  # longest run of a gate's half that is applied one offset at a time
+LONG_RUN = 64  # run of a gate's half from which one pass over the half is fast, see _gate_calls
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -223,6 +224,112 @@ def gate_matrix(op: GateOp) -> np.ndarray:
     return GATES[op.kind].matrix(*op.params)
 
 
+def _gate_calls(
+    op: GateOp,
+    n: int,
+    entries: np.ndarray | None,
+    src: np.ndarray,
+    dest: np.ndarray,
+    scratch: np.ndarray | None = None,
+) -> list:
+    """The calls, as (function, args) pairs run in order, that write ``op``
+    applied along the last axis of ``src`` into ``dest``, a C-contiguous
+    array of src's shape apart from it. This is the one place that holds
+    each form's formula; the calls are made once per set of arrays and may
+    be run again whenever src holds new amplitudes.
+
+    ``entries`` is the gate's matrix (None: built here, unused for cnot), or
+    a (B, 2, 2) stack ((B, 1, 1) for globalphase) that applies entry b to
+    block member ``src[b]`` of (B, rows, 2^n). A dense gate takes its
+    products into ``scratch``, two flat arrays of at least src.size // 2
+    entries, allocated when not given.
+
+    Every product is one matrix entry times one amplitude, entry first (a
+    gate on no qubits: amplitude first), as the dense formula has it:
+    numpy's complex product can round differently with its operands
+    swapped. The tests check that it rounds alike whether its operands are
+    contiguous, strided or broadcast, so a form's shortcut keeps the dense
+    formula's bits; skipping a zero entry changes at most the sign of an
+    exact zero."""
+    form = GATES[op.kind].form
+    if form == "cnot":
+        # Copy the control-0 half, or all of src where that half's runs
+        # are shorter than LONG_RUN (one contiguous copy is then faster),
+        # then swap the target's halves within the control-1 half.
+        control, target = op.qubits
+        shape = src.shape[:-1] + (2,) * n
+        view, out = src.reshape(shape), dest.reshape(shape)
+        index = [slice(None)] * n
+        index[control], index[target] = 1, 0
+        i10 = (Ellipsis, *index)
+        index[target] = 1
+        i11 = (Ellipsis, *index)
+        first = (dest, src)
+        if 1 << (n - control - 1) >= LONG_RUN:
+            index[control], index[target] = 0, slice(None)
+            i0 = (Ellipsis, *index)
+            first = (out[i0], view[i0])
+        return [(np.copyto, first), (np.copyto, (out[i10], view[i11])), (np.copyto, (out[i11], view[i10]))]
+    if entries is None:
+        entries = gate_matrix(op)
+    block = entries.shape[:-2]
+    if not op.qubits:
+        scale = entries[..., 0, 0].reshape(block + (1, 1)) if block else entries[0, 0]
+        return [(np.multiply, (src, scale, dest))]
+    # Split the amplitudes whose qubit-q bit is 0 (low half) from those
+    # where it is 1 (high half): each half is a run of 2^(n-q-1) amplitudes
+    # in every block of 2^(n-q), and numpy runs one inner loop per run.
+    run = 1 << (n - op.qubits[0] - 1)
+    if form == "diagonal":
+        # One product per amplitude with the entry of its half. Runs longer
+        # than LONG_RUN meet a (2, 1) column of entries; shorter ones, whose
+        # inner loops would be short, meet the entries repeated along a row
+        # of 2 * LONG_RUN amplitudes, so the row never grows with n.
+        diagonal = np.diagonal(entries, axis1=-2, axis2=-1)
+        if run > LONG_RUN:
+            shape, row = block + (-1, 2, run), diagonal.reshape(block + (1, 2, 1))
+        else:
+            tile = min(2 * LONG_RUN, 1 << n)
+            row = np.tile(np.repeat(diagonal, run, axis=-1), tile // (2 * run))
+            shape, row = block + (-1, tile), row.reshape(block + (1, tile))
+        return [(np.multiply, (row, src.reshape(shape), dest.reshape(shape)))]
+    halves, dest = src.reshape(block + (-1, 2, run)), dest.reshape(block + (-1, 2, run))
+    # A stack's mat[i, j] is a (B, 1, 1) column that broadcasts over each member's rows.
+    mat = entries.transpose(1, 2, 0)[..., None, None] if block else entries
+    if 1 < run <= SHORT_RUN:
+        # A product over a whole half with runs of 2 or 4 runs thousands of
+        # short loops, at 2-4 times the cost of the same product at qubit 0,
+        # so each offset j gets one strided pass instead, halves[..., 0, j]
+        # against halves[..., 1, j]. Runs of 1 already merge into one loop,
+        # and from runs of 8 on a pass per offset costs more than the whole
+        # half. A (B, 1, 1) entry drops its last axis to line up with a
+        # (B, K) slice.
+        offsets, shape = range(run), halves.shape[:-2]
+        mat = mat[..., 0] if block else mat
+    else:
+        offsets, shape = [slice(None)], halves.shape[:-2] + (run,)
+    calls = []
+    if form == "anti-diagonal":
+        m01, m10 = mat[0, 1], mat[1, 0]
+        for j in offsets:
+            calls.append((np.multiply, (m01, halves[..., 1, j], dest[..., 0, j])))
+            calls.append((np.multiply, (m10, halves[..., 0, j], dest[..., 1, j])))
+        return calls
+    if scratch is None:
+        first, second = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    else:
+        size = math.prod(shape)
+        first, second = scratch[0, :size].reshape(shape), scratch[1, :size].reshape(shape)
+    by_row = (mat[0, 0], mat[0, 1]), (mat[1, 0], mat[1, 1])
+    for j in offsets:
+        low, high = halves[..., 0, j], halves[..., 1, j]
+        for r, (m0, m1) in enumerate(by_row):
+            calls.append((np.multiply, (m0, low, first)))
+            calls.append((np.multiply, (m1, high, second)))
+            calls.append((np.add, (first, second, dest[..., r, j])))
+    return calls
+
+
 def _apply_gateop(
     amps: np.ndarray,
     op: GateOp,
@@ -232,89 +339,18 @@ def _apply_gateop(
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """``op`` applied along the last axis of ``amps``, its matrix acting on
-    every row. ``entries`` is that matrix, if the caller built it already,
-    or a (B, 2, 2) stack ((B, 1, 1) for globalphase) that applies entry b to
+    every row: the calls of :func:`_gate_calls`, made and run once.
+    ``entries`` is that matrix, if the caller built it already, or a
+    (B, 2, 2) stack ((B, 1, 1) for globalphase) that applies entry b to
     block member ``amps[b]`` of (B, rows, 2^n).
 
     The result is written to ``out`` (amps' shape, C-contiguous, apart from
-    amps) and the products to ``scratch``, two flat arrays of at least
-    amps.size // 2 entries; either one is allocated when not given. The
-    bits are the same either way."""
-    form = GATES[op.kind].form
-    if form == "cnot":
-        control, target = op.qubits
-        view = amps.reshape(amps.shape[:-1] + (2,) * n)
-        out = np.empty(amps.shape, dtype=amps.dtype) if out is None else out
-        dest = out.reshape(view.shape)
-        dest[...] = view
-        i10 = [slice(None)] * n
-        i11 = [slice(None)] * n
-        i10[control], i10[target] = 1, 0
-        i11[control], i11[target] = 1, 1
-        dest[(Ellipsis, *i10)] = view[(Ellipsis, *i11)]
-        dest[(Ellipsis, *i11)] = view[(Ellipsis, *i10)]
-        return out
-    if entries is None:
-        entries = gate_matrix(op)
-    if entries.ndim == 2:
-        mat, block = entries, ()
-    else:
-        # mat[i, j] is a (B, 1, 1) column that broadcasts over each member's rows.
-        mat, block = entries.transpose(1, 2, 0)[..., None, None], entries.shape[:1]
-    if not op.qubits:
-        # A gate on no qubits scales every amplitude, amplitude first: numpy's
-        # complex product can round differently with its operands swapped.
-        return np.multiply(amps, mat[0, 0], out=out)
-    # Split the amplitudes whose qubit-q bit is 0 (low half) from those
-    # where it is 1 (high half): each half is a run of 2^(n-q-1) amplitudes
-    # in every block of 2^(n-q). numpy runs one inner loop per run, so a
-    # product over a whole half with runs of 2 or 4 runs thousands of short
-    # loops, at 2-4 times the cost of the same product at qubit 0. For those
-    # runs each offset j is one strided pass instead, halves[..., 0, j]
-    # against halves[..., 1, j]. Runs of 1 already merge into one loop, and
-    # from runs of 8 on a pass per offset costs more than the whole half.
-    # A diagonal or anti-diagonal gate skips the products with its zero
-    # entries, which changes at most the sign of an exact zero. Every
-    # product keeps the dense formula's form, entry times half into a
-    # contiguous array, so the other bits stay those of the two-term sum;
-    # only exact copies and sums write the strided halves of the result.
-    run = 1 << (n - op.qubits[0] - 1)
-    halves = amps.reshape(block + (-1, 2, run))
+    amps) and a dense gate's products to ``scratch``; either one is
+    allocated when not given. The bits are the same either way."""
     out = np.empty(amps.shape, dtype=complex) if out is None else out
-    dest = out.reshape(halves.shape)
-    if 1 < run <= SHORT_RUN:
-        # One (..., K) slice of each half per offset j; a (B, 1, 1) entry
-        # drops its last axis to line up with a (B, K) slice.
-        offsets, shape = range(run), halves.shape[:-2]
-        mat = mat[..., 0] if block else mat
-    else:
-        offsets, shape = [slice(None)], halves.shape[:-2] + (run,)
-    first = second = None
-    if scratch is not None:
-        first, second = (s[:math.prod(shape)].reshape(shape) for s in scratch)
-    for j in offsets:
-        low, high = halves[..., 0, j], halves[..., 1, j]
-        if form == "diagonal":
-            dest[..., 0, j] = np.multiply(mat[0, 0], low, out=first)
-            dest[..., 1, j] = np.multiply(mat[1, 1], high, out=first)
-        elif form == "anti-diagonal":
-            dest[..., 0, j] = np.multiply(mat[0, 1], high, out=first)
-            dest[..., 1, j] = np.multiply(mat[1, 0], low, out=first)
-        else:
-            np.add(np.multiply(mat[0, 0], low, out=first), np.multiply(mat[0, 1], high, out=second), out=dest[..., 0, j])
-            np.add(np.multiply(mat[1, 0], low, out=first), np.multiply(mat[1, 1], high, out=second), out=dest[..., 1, j])
+    for function, args in _gate_calls(op, n, entries, amps, out, scratch):
+        function(*args)
     return out
-
-
-class GateWork:
-    """Arrays that :func:`apply_operation_amplitudes` reuses on batches of
-    up to ``rows`` rows of 2^n amplitudes: a spare batch that a circuit's
-    gates alternate with the output through, and the two half-batch
-    scratch arrays of each gate's products."""
-
-    def __init__(self, rows: int, n: int):
-        self.spare = np.empty((rows, 1 << n), dtype=complex)
-        self.scratch = np.empty((2, rows << n >> 1), dtype=complex)
 
 
 def gate_matrices(op: Operation) -> list:
@@ -325,53 +361,62 @@ def gate_matrices(op: Operation) -> list:
     return [None if GATES[gate.kind].form == "cnot" else gate_matrix(gate) for gate in op.ops]
 
 
-def apply_operation_amplitudes(
-    amps: np.ndarray,
-    op: Operation,
-    out: np.ndarray | None = None,
-    work: GateWork | None = None,
-    matrices: list | None = None,
-) -> np.ndarray:
+def apply_operation_amplitudes(amps: np.ndarray, op: Operation) -> np.ndarray:
     """Apply a circuit or dense unitary along the last axis of an amplitude
-    array, so a ``(rows, 2^n)`` stack is transformed row by row.
-
-    By default every gate allocates its result. A caller that applies many
-    operations to many batches passes ``out``, a C-contiguous array of
-    amps' shape that receives the result, and a :class:`GateWork` for at
-    least as many rows, so that no gate allocates; ``matrices``, from
-    :func:`gate_matrices`, saves building each gate's matrix again. The
-    bits are the same either way."""
+    array, so a ``(rows, 2^n)`` stack is transformed row by row; each gate
+    allocates its result (a circuit with no gates returns ``amps``)."""
     if isinstance(op, DenseUnitary):
-        return np.matmul(amps, op.matrix.T, out=out)
-    targets, scratch = (None, None), None
-    if out is not None:
-        # The last gate writes to out, the one before it to the spare batch, and so on back.
-        targets, scratch = (out, work.spare[:len(out)]), work.scratch
-    result = amps
-    for i, (gate, entries) in enumerate(zip(op.ops, matrices or gate_matrices(op))):
-        result = _apply_gateop(result, gate, op.n, entries, targets[(len(op.ops) - 1 - i) % 2], scratch)
-    if out is None or result is out:
-        return result
-    np.copyto(out, result)  # a circuit with no gates
-    return out
+        return np.matmul(amps, op.matrix.T)
+    for gate in op.ops:
+        amps = _apply_gateop(amps, gate, op.n)
+    return amps
 
 
-def batch_applier(ops: list, rows: int, n: int) -> Callable[[np.ndarray], list]:
-    """A function that applies each of ``ops`` to a batch of at most ``rows``
-    rows of 2^n amplitudes and returns the list of their images. The
-    images, one :class:`GateWork` and each gate's matrix are made once,
-    here, and every batch reuses them, so a caller is done with one batch's
-    images before it applies the next."""
+def batch_applier(ops: list, rows: int, n: int) -> tuple[np.ndarray, Callable[[int], list]]:
+    """A (rows, 2^n) input batch of zeros and a function that applies each
+    of ``ops`` to its first ``count`` rows and returns the list of their
+    images. A caller writes each batch into the input and is done with one
+    batch's images before it applies the next.
+
+    The input, the images, a spare batch, two half-batch scratch arrays and
+    each gate's matrix are made once, here. The calls that apply all of
+    ``ops`` to these arrays, from :func:`_gate_calls`, are made once per row
+    count (a full batch, and a shorter last one) and replayed for every
+    batch of that count: a circuit's last gate writes its image, the one
+    before it the spare batch, and so on back. A dense unitary is one
+    ``matmul`` of exactly the batch's rows, whose bits may depend on the row
+    count. Replayed calls run the formulas of the allocating path on the
+    same operands, so they give its bits."""
     matrices = [gate_matrices(op) for op in ops]
-    images, work = np.empty((len(ops), rows, 1 << n), dtype=complex), GateWork(rows, n)
+    batch, spare = np.zeros((rows, 1 << n), dtype=complex), np.empty((rows, 1 << n), dtype=complex)
+    images, scratch = np.empty((len(ops), rows, 1 << n), dtype=complex), np.empty((2, rows << n >> 1), dtype=complex)
+    compiled = {}
 
-    def apply(amps: np.ndarray) -> list:
-        return [
-            apply_operation_amplitudes(amps, op, out, work, mats)
-            for op, out, mats in zip(ops, images[:, :len(amps)], matrices)
-        ]
+    def compile_calls(count: int) -> tuple[list, list]:
+        calls, outs = [], list(images[:, :count])
+        for op, out, mats in zip(ops, outs, matrices):
+            if isinstance(op, DenseUnitary):
+                calls.append((np.matmul, (batch[:count], op.matrix.T, out)))
+                continue
+            if not op.ops:
+                calls.append((np.copyto, (out, batch[:count])))
+                continue
+            targets, src = (out, spare[:count]), batch[:count]
+            for i, (gate, entries) in enumerate(zip(op.ops, mats)):
+                dest = targets[(len(op.ops) - 1 - i) % 2]
+                calls += _gate_calls(gate, n, entries, src, dest, scratch)
+                src = dest
+        return calls, outs
 
-    return apply
+    def apply(count: int) -> list:
+        if count not in compiled:
+            compiled[count] = compile_calls(count)
+        calls, outs = compiled[count]
+        for function, args in calls:
+            function(*args)
+        return outs
+
+    return batch, apply
 
 
 def chunk_rows(n: int) -> int:

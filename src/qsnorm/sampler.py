@@ -164,25 +164,18 @@ def derived_rngs(seed: int, count: int, *suffix: int) -> Iterator[np.random.Gene
     ``derived_rng(seed, i, *suffix)``; draw from it before advancing.
 
     The Generator is made on the first step and set to each key's seeded
-    PCG64 state in turn, so no SeedSequence is built per key.
+    PCG64 state in turn, through one reused state dict, so no SeedSequence
+    is built per key.
     """
     rng = np.random.default_rng(0)
     bit_generator = rng.bit_generator
+    words = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
     for keys in _key_blocks(count):
-        state_hi, state_lo, inc_hi, inc_lo = _seeded_pcg64(seed, keys, suffix)
-        # Per key, the 128-bit state and increment as 16 little-endian bytes
-        # each; read one key at a time, so the block holds no Python ints.
-        packed = np.stack((state_lo, state_hi, inc_lo, inc_hi), axis=1).astype("<u8").tobytes()
-        for at in range(0, len(packed), 32):
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {
-                    "state": int.from_bytes(packed[at : at + 16], "little"),
-                    "inc": int.from_bytes(packed[at + 16 : at + 32], "little"),
-                },
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+        block = (a.tolist() for a in _seeded_pcg64(seed, keys, suffix))
+        for state_hi, state_lo, inc_hi, inc_lo in zip(*block):
+            words["state"], words["inc"] = state_hi << 64 | state_lo, inc_hi << 64 | inc_lo
+            bit_generator.state = state
             yield rng
 
 

@@ -66,26 +66,34 @@ def fidelity(psi1: StateVector, psi2: StateVector) -> float:
     return float(abs(np.vdot(psi1.amplitudes, psi2.amplitudes)) ** 2)
 
 
-def _haar_amplitudes(n: int, rows: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
-    """``rows`` Haar states as a (rows, 2^n) array; row r is drawn from the
-    r-th generator of ``rngs`` before the next one is taken, so the reused
-    generator of :func:`sampler.derived_rngs` may be passed.
+def _haar_amplitudes(
+    n: int, rows: int, rngs: Iterable[np.random.Generator], out: np.ndarray | None = None
+) -> np.ndarray:
+    """``rows`` Haar states as a (rows, 2^n) array, written to the leading
+    rows of ``out`` (a C-contiguous complex array) when given; row r is
+    drawn from the r-th generator of ``rngs`` before the next one is taken,
+    so the reused generator of :func:`sampler.derived_rngs` may be passed.
 
     Row r is the normalized vector of complex standard Gaussians ``a / ||a||``
     with ``a = g.standard_normal(2^n) + 1j * g.standard_normal(2^n)``, bit
     for bit: numpy fills Gaussians sequentially, so one draw of 2 * 2^n is
     the two draws, and the squared norms are the stacked products of the
     strided real and imaginary views, which is how ``np.linalg.norm`` sums
-    a complex vector.
+    a complex vector. numpy divides a complex number by a real one as a
+    product with the reciprocal, so scaling the floats by 1 / ||a|| gives
+    the division's bits.
     """
     dim = 1 << n
     g = np.empty((rows, 2 * dim))
     for row, rng in zip(g, rngs):  # g first: stops without taking a generator too many
         rng.standard_normal(out=row)
-    amps = g[:, :dim] + 1j * g[:, dim:]
+    amps = np.empty((rows, dim), dtype=complex) if out is None else out[:rows]
     re, im = amps.real, amps.imag
+    re[...], im[...] = g[:, :dim], g[:, dim:]
     sq = (re[:, None, :] @ re[:, :, None])[:, 0, 0] + (im[:, None, :] @ im[:, :, None])[:, 0, 0]
-    return amps / np.sqrt(sq)[:, None]
+    floats = amps.view(float)
+    floats *= (1.0 / np.sqrt(sq))[:, None]
+    return amps
 
 
 def haar_random_state(n: int, rng: np.random.Generator) -> StateVector:
@@ -148,16 +156,16 @@ def estimate_tau(
 def haar_fidelities(u1: Operation, u2: Operation, num_states: int, seed: int = 0) -> np.ndarray:
     """|<U1 psi_i|U2 psi_i>|^2 for Haar states psi_i drawn from
     ``derived_rng(seed, i)`` (through :func:`sampler.derived_rngs`); each
-    operation acts on a chunk of states at once, into the arrays of one
-    :func:`qsim.batch_applier`."""
+    chunk of states is drawn into the input batch of one
+    :func:`qsim.batch_applier`, and each operation acts on it at once."""
     num_states = require_int(num_states, "num_states")
     if num_states < 1:
         raise ValueError(f"need at least one state, got {num_states}")
     n, fidelities = same_register(u1, u2), np.empty(num_states)
-    apply = batch_applier((u1, u2), min(chunk_rows(n), num_states), n)
+    states, apply = batch_applier((u1, u2), min(chunk_rows(n), num_states), n)
     rngs = derived_rngs(seed, num_states)
     for chunk in row_chunks(num_states, n):
-        first, second = apply(_haar_amplitudes(n, chunk.stop - chunk.start, rngs))
+        first, second = apply(len(_haar_amplitudes(n, chunk.stop - chunk.start, rngs, states)))
         fidelities[chunk] = [abs(z) ** 2 for z in row_overlaps(first, second).tolist()]
     return fidelities
 

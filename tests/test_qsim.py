@@ -38,9 +38,11 @@ from qsnorm import (
 from qsnorm.qsim import (
     CHUNK_CEILING,
     GATES,
-    GateWork,
+    LONG_RUN,
     _apply_gateop,
+    _gate_calls,
     apply_operation_amplitudes,
+    batch_applier,
     chunk_rows,
     gate_matrices,
     row_chunks,
@@ -61,6 +63,21 @@ def dense_formula(entries: np.ndarray, block: np.ndarray, n: int, q: int) -> np.
     for r in (0, 1):
         dense[:, :, r] = mat[:, r, 0] * low + mat[:, r, 1] * high
     return dense.reshape(block.shape)
+
+
+def reference_gate(rows: np.ndarray, gate: GateOp, n: int) -> np.ndarray:
+    """``gate`` applied to (rows, 2^n) amplitudes without the kernel: the
+    dense formula for a one-qubit gate, the index permutation for cnot, and
+    amplitude times entry for globalphase."""
+    from qsnorm.qsim import gate_matrix
+
+    if gate.kind == "cnot":
+        control, target = (1 << (n - q - 1) for q in gate.qubits)
+        index = np.arange(1 << n)
+        return np.ascontiguousarray(rows[:, np.where(index & control, index ^ target, index)])
+    if not gate.qubits:
+        return rows * gate_matrix(gate)[0, 0]
+    return dense_formula(gate_matrix(gate)[None], rows[None], n, gate.qubits[0])[0]
 
 
 # Generated documents for the parser property test.
@@ -360,25 +377,69 @@ class TestApplyCircuit:
 
     def test_buffered_operation_has_the_bits_of_gate_by_gate_application(self):
         """Circuits of odd, even and zero depth, and a dense unitary, applied
-        through one GateWork into reused output arrays, give the bits of
-        allocating gate-by-gate application (and of the plain product), on
-        full chunks and on a 1-row tail, and so does the allocating call."""
+        through one batch_applier, whose arrays every batch reuses, give the
+        bits of allocating gate-by-gate application (and of the plain
+        product), on full chunks and on a 1-row tail, and so does the
+        allocating call. Each batch's images are spoilt with NaN once
+        checked, so a replay that skips an amplitude would show."""
         n = 10
         rng = np.random.default_rng(19)
         ops = [random_circuit(n, depth, rng) for depth in (0, 1, 2, 7, 20)]
         ops.append(DenseUnitary(n, haar_random_unitary(n, 20)))
-        work, out = GateWork(16, n), np.full((16, 1 << n), np.nan + 1j * np.nan)
+        batch, apply = batch_applier(ops, 16, n)
         for count in (16, 1, 16):
-            rows = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
-            for op in ops:
+            rows = batch[:count]
+            rows[...] = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
+            for op, got in zip(ops, apply(count)):
                 want = rows @ op.matrix.T if isinstance(op, DenseUnitary) else rows
                 for gate in getattr(op, "ops", ()):
                     want = _apply_gateop(want, gate, n)
-                got = apply_operation_amplitudes(rows, op, out[:count], work, gate_matrices(op))
-                assert np.shares_memory(got, out)
                 np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+                got.fill(np.nan)
                 got = apply_operation_amplitudes(rows, op)
                 np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("kind", sorted(GATES))
+    def test_replayed_gates_have_the_bits_of_the_allocating_ones(self, kind):
+        """One batch_applier over a one-gate circuit per placement (every
+        qubit, every ordered pair for cnot) replays, on full 8-row chunks
+        and 3-row tails that reuse the same dirty arrays, the bits of
+        applying each gate on its own with allocated arrays, at n = 2, 6
+        and 10. Both share the compiled formulas, so the images are also
+        checked against reference_gate, which does not: after ``+ 0.0``
+        (skipped zero entries may flip the sign of an exact zero) they
+        have its bits."""
+        rng, row = np.random.default_rng(21), GATES[kind]
+        for n in (2, 6, 10):
+            placements = [(q, t) for q in range(n) for t in range(n) if q != t] if row.qubits == 2 else (
+                [(q,) for q in range(n)] if row.qubits else [()]
+            )
+            ops = [Circuit(n, (GateOp(kind, qubits, tuple(rng.uniform(-4, 4, row.params))),)) for qubits in placements]
+            batch, apply = batch_applier(ops, 8, n)
+            for count in (8, 3, 8, 3):
+                rows = batch[:count]
+                rows[...] = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
+                for op, got in zip(ops, apply(count)):
+                    gate, where = op.ops[0], f"n={n} {op.ops[0].qubits} {count}"
+                    want = _apply_gateop(rows.copy(), gate, n)
+                    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=where)
+                    reference = reference_gate(rows, gate, n) + 0.0
+                    np.testing.assert_array_equal((got + 0.0).view(np.uint64), reference.view(np.uint64), err_msg=where)
+                    got.fill(np.nan)
+
+    def test_diagonal_entry_rows_stay_within_the_tile(self):
+        """At the 20-qubit cap a diagonal gate is one multiply by an entry
+        row of at most 2 * LONG_RUN amplitudes, on every qubit: runs longer
+        than LONG_RUN meet a (2, 1) column, shorter runs a row of twice its
+        length, so the row does not grow with the register."""
+        n = 20
+        src, dest = np.empty((1, 1 << n), dtype=complex), np.empty((1, 1 << n), dtype=complex)
+        for kind in sorted(k for k, row in GATES.items() if row.form == "diagonal" and row.qubits):
+            for q in range(n):
+                gate = GateOp(kind, (q,), (0.3,) * GATES[kind].params)
+                (function, (entry_row, _, _)), = _gate_calls(gate, n, None, src, dest)
+                assert function is np.multiply, (kind, q)
+                assert entry_row.size == (2 if 1 << (n - q - 1) > LONG_RUN else 2 * LONG_RUN), (kind, q)
 
     def test_chunk_rows(self):
         """Up to 8 qubits a chunk holds CHUNK_BYTES, as it always has, so

@@ -85,20 +85,30 @@ class TestHaarRandomState:
     def test_chunked_states_equal_the_per_state_formula(self, n, num_states, monkeypatch):
         """The states haar_fidelities applies are the per-state formula from
         derived_rng(seed, i), bit for bit; num_states leaves the last chunk
-        part-filled. Chunks are drawn into one buffer and normalized at once,
-        so this pins numpy's sequential Gaussian fill and the way
-        np.linalg.norm sums a complex vector."""
-        drawn = []
+        part-filled. Chunks are drawn into the applier's input batch and
+        normalized at once, so this pins numpy's sequential Gaussian fill,
+        the way np.linalg.norm sums a complex vector and its division by
+        the norm. Each chunk is recorded as it enters the applier, and the
+        two empty circuits' images of it are that chunk again."""
+        drawn, images = [], []
 
-        def record(states, op, *arrays):
-            drawn.append(states.copy())
-            return apply_operation_amplitudes(states, op, *arrays)
+        def recording(ops, rows, n):
+            states, apply = qsim.batch_applier(ops, rows, n)
 
-        monkeypatch.setattr(qsim, "apply_operation_amplitudes", record)
+            def record(count):
+                drawn.append(states[:count].copy())
+                result = apply(count)
+                images.append([image.copy() for image in result])
+                return result
+
+            return states, record
+
+        monkeypatch.setattr(similarity, "batch_applier", recording)
         haar_fidelities(Circuit(n), Circuit(n), num_states, seed=11)
         expected = np.array([self.per_state_formula(n, derived_rng(11, i)) for i in range(num_states)])
-        np.testing.assert_array_equal(np.concatenate(drawn[::2]), expected)
-        np.testing.assert_array_equal(np.concatenate(drawn[1::2]), expected)
+        np.testing.assert_array_equal(np.concatenate(drawn), expected)
+        for op in range(2):
+            np.testing.assert_array_equal(np.concatenate([chunk[op] for chunk in images]), expected)
 
     @pytest.mark.parametrize("n", [1, 3, 6, 10])
     def test_single_state_equals_the_per_state_formula(self, n):
