@@ -10,7 +10,8 @@ Layers, each through the public function the CLI calls:
   probe rows of a fig2 run.
 - ``operator_application``: ``apply_operation_amplitudes`` of a depth-20
   gate circuit on one kernel chunk of probe rows at n = 10 (``row_chunks``
-  gives 16 rows of 2^10 amplitudes), each gate allocating its result:
+  gives 16 rows of 2^10 amplitudes), through one ``batch_applier`` made
+  for the call and run once:
   ``depth20`` alternates ry (a dense gate) and cnot, ``structured`` cycles
   through rz, t, s, z (diagonal gates), x and y (anti-diagonal gates),
   and ``last_qubits`` applies ry, rz and y (one gate of each form) on each

@@ -69,12 +69,10 @@ def require_shots(shots_per_test) -> int:
     return shots_per_test
 
 
-def probe_chunk(thetas: np.ndarray, chunk: slice, n: int, out: np.ndarray | None = None) -> np.ndarray:
+def probe_chunk(thetas: np.ndarray, chunk: slice, n: int, out: np.ndarray) -> np.ndarray:
     """The complex probe rows of ``thetas[chunk]``, one kernel batch, built
-    in the leading rows of ``out`` when given (a complex buffer of 2^n
-    columns whose imaginary part is zero, see :func:`sampler.probe_rows`)."""
-    if out is None:
-        out = np.zeros((chunk.stop - chunk.start, 1 << n), dtype=complex)
+    in the leading rows of ``out`` (a complex buffer of 2^n columns whose
+    imaginary part is zero, see :func:`sampler.probe_rows`)."""
     return probe_rows(thetas[chunk], n, 1 << n, out[:chunk.stop - chunk.start])
 
 

@@ -13,8 +13,9 @@ seeds (common random numbers). Only U(xi) changes between evaluations, so
 a run prepares the objective once (:class:`LearnObjective`): it keeps the
 first row chunk's probe rows and their images under V. Each gradient step
 is one batched pass: f(xi) and the 2P central-difference shifts are one
-(2P + 1, P) block, each gate of U is applied to every point at once, with
-one matrix per distinct angle where a slot sets it, and one reduction
+(2P + 1, P) block, and U is applied to every point at once by replaying
+calls compiled once per block size, whose slot gates read one matrix per
+point, refilled in place, built once per distinct angle. One reduction
 takes all the points' rows.
 
 An ansatz applied ``repeat`` times learns roots: with repeat = 2 the loop
@@ -28,7 +29,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -42,10 +42,11 @@ from .qsim import (
     CircuitFormatError,
     GateOp,
     Operation,
-    _apply_gateop,
     _number_param,
     apply_operation_amplitudes,
+    batch_applier,
     circuit_from_dict,
+    gate_matrix,
     require_int,
     require_qubits,
     row_chunks,
@@ -172,7 +173,9 @@ class LearnObjective:
     chain (U(xi), V^dagger), drawing from ``derived_rng(seed, i, 1)`` at
     every point. Values lie in [0, 4]; an empty angle list raises
     ValueError. :meth:`block` evaluates many points in one batched pass; a
-    call on one xi is a one-row block.
+    call on one xi is a one-row block. U is applied by one
+    :func:`qsim.batch_applier` per pass size B, kept, whose slot gates read
+    (B, 2, 2) stacks ((B, 1, 1) for globalphase) that each pass refills.
     """
 
     def __init__(self, ansatz: Ansatz, target: Operation, thetas: np.ndarray, shots: int = 0, seed: int = 0):
@@ -184,9 +187,10 @@ class LearnObjective:
         self.thetas = check_thetas(thetas)
         self.ansatz, self.target, self.seed = ansatz, target, seed
         self._coeffs = [coeff for coeff, _ in mixed.terms]
-        self._first = next(row_chunks(self.thetas.size, self.n))
-        self._x = probe_chunk(self.thetas, self._first, self.n)
+        first = next(row_chunks(self.thetas.size, self.n))
+        self._x = probe_chunk(self.thetas, first, self.n, np.zeros((first.stop, 1 << self.n), dtype=complex))
         self._vx = apply_operation_amplitudes(self._x, target)
+        self._appliers = {}
 
     def __call__(self, xi: np.ndarray) -> float:
         return float(self.block(np.asarray(xi)[None])[0])
@@ -194,8 +198,8 @@ class LearnObjective:
     def block(self, xis: np.ndarray) -> np.ndarray:
         """f at each row of the (B, P) array ``xis``. The points go in passes
         of as many as the first chunk's probe rows, tiled once per point,
-        fit in ``CHUNK_BYTES``. U is applied to a whole pass gate by gate,
-        in every row chunk, and one reduction takes the pass."""
+        fit in ``CHUNK_BYTES``. U is applied to a whole pass at once, in
+        every row chunk, and one reduction takes the pass."""
         points = _parameter_values(xis, self.ansatz.num_params, 2)
         per_pass = max(1, CHUNK_BYTES // self._x.nbytes)
         costs = []
@@ -208,40 +212,48 @@ class LearnObjective:
 
     def _chunk_images(self, points: list):
         """(chunk, [V x, the (len(points), rows, 2^n) block of U(xi) x]) for
-        each row chunk; the first chunk's probe rows and V x are kept."""
-        gates = [
-            (op, _slot_stack(op, points) if any(isinstance(p, ParamSlot) for p in op.params) else None)
-            for op in self.ansatz.template.ops
-        ] * self.ansatz.repeat
-        yield self._first, [self._vx, _apply_gates(self._x, gates, len(points), self.n)]
-        for chunk in islice(row_chunks(self.thetas.size, self.n), 1, None):
-            x = probe_chunk(self.thetas, chunk, self.n)
-            yield chunk, [apply_operation_amplitudes(x, self.target), _apply_gates(x, gates, len(points), self.n)]
+        each row chunk, from the applier for len(points) points with its
+        stacks refilled; the first chunk's probe rows and V x are kept."""
+        probes, apply, stacks = self._applier(len(points))
+        for op, stack in stacks.items():
+            _refill(stack, op, points)
+        # A later chunk overwrites the input, so each pass puts the kept rows back.
+        probes[...] = self._x
+        vx = self._vx
+        for chunk in row_chunks(self.thetas.size, self.n):
+            if chunk.start:
+                vx = apply_operation_amplitudes(probe_chunk(self.thetas, chunk, self.n, probes), self.target)
+            ux = apply(chunk.stop - chunk.start)[0]
+            # A template without slots gives U x no point axis of its own.
+            yield chunk, [vx, np.broadcast_to(ux, (len(points),) + ux.shape[-2:])]
+
+    def _applier(self, points: int) -> tuple:
+        """The input, apply function and {slot gate: stack} of the applier
+        of U for ``points`` points, made on first use."""
+        if points not in self._appliers:
+            ops = self.ansatz.template.ops
+            stacks = {
+                op: np.empty((points,) + (1 << GATES[op.kind].qubits,) * 2, dtype=complex)
+                for op in ops if any(isinstance(p, ParamSlot) for p in op.params)
+            }
+            entries = [stacks[op] if op in stacks else gate_matrix(op) for op in ops] * self.ansatz.repeat
+            probes, apply = batch_applier([Circuit(self.n, ops * self.ansatz.repeat)], len(self._x), self.n, [entries])
+            self._appliers[points] = probes, apply, stacks
+        return self._appliers[points]
 
 
-def _slot_stack(op: GateOp, points: list) -> np.ndarray:
-    """The (len(points), 2, 2) stack of template gate ``op``'s scalar
-    ``GATES`` matrix at each point's angles, each distinct angle's matrix
-    built once. Angles are told apart by their bits: 0.0 == -0.0, but
-    their matrices differ in the sign of zero entries."""
+def _refill(stack: np.ndarray, op: GateOp, points: list) -> None:
+    """Write template gate ``op``'s scalar ``GATES`` matrix at each point's
+    angles into its entry of ``stack``, each distinct angle's matrix built
+    once. Angles are told apart by their bits: 0.0 == -0.0, but their
+    matrices differ in the sign of zero entries."""
     matrix, built = GATES[op.kind].matrix, {}
-    stack = []
-    for xi in points:
+    for entry, xi in zip(stack, points):
         params = _bound_params(op, xi)
         key = struct.pack(f"{len(params)}d", *params)
         if key not in built:
             built[key] = matrix(*params)
-        stack.append(built[key])
-    return np.array(stack)
-
-
-def _apply_gates(x: np.ndarray, gates: list, points: int, n: int) -> np.ndarray:
-    """The (points, rows, 2^n) block of each point's U x, from the probe
-    rows x and (gate, its stack of per-point entries or None) pairs."""
-    out = np.broadcast_to(x, (points,) + x.shape)
-    for op, entries in gates:
-        out = _apply_gateop(out, op, n, entries)
-    return out
+        entry[...] = built[key]
 
 
 def loss(

@@ -68,8 +68,8 @@ def same_register(*operands) -> int:
 @dataclass(frozen=True)
 class GateKind:
     """One row of ``GATES``: the qubits and angles a gate takes, its matrix
-    as a function of the angles, the matrix's form, which picks how
-    ``_apply_gateop`` applies it, and the kind of its adjoint (None: the
+    as a function of the angles, the matrix's form, which picks the calls
+    ``_gate_calls`` compiles for it, and the kind of its adjoint (None: the
     same kind), which takes the negated angles.
 
     The form is "diagonal" or "anti-diagonal" when the matrix is zero off
@@ -227,10 +227,10 @@ def gate_matrix(op: GateOp) -> np.ndarray:
 def _gate_calls(
     op: GateOp,
     n: int,
-    entries: np.ndarray | None,
+    entries: np.ndarray,
     src: np.ndarray,
     dest: np.ndarray,
-    scratch: np.ndarray | None = None,
+    scratch: np.ndarray,
 ) -> list:
     """The calls, as (function, args) pairs run in order, that write ``op``
     applied along the last axis of ``src`` into ``dest``, a C-contiguous
@@ -238,11 +238,11 @@ def _gate_calls(
     each form's formula; the calls are made once per set of arrays and may
     be run again whenever src holds new amplitudes.
 
-    ``entries`` is the gate's matrix (None: built here, unused for cnot), or
-    a (B, 2, 2) stack ((B, 1, 1) for globalphase) that applies entry b to
-    block member ``src[b]`` of (B, rows, 2^n). A dense gate takes its
-    products into ``scratch``, two flat arrays of at least src.size // 2
-    entries, allocated when not given.
+    ``entries`` is the gate's matrix (unused for cnot), or a (B, 2, 2)
+    stack ((B, 1, 1) for globalphase) that applies entry b to block member
+    ``src[b]`` of (B, rows, 2^n); the calls read it as a view, so they see
+    a stack refilled in place. A dense gate takes its products into
+    ``scratch``, two flat arrays of at least src.size // 2 entries.
 
     Every product is one matrix entry times one amplitude, entry first (a
     gate on no qubits: amplitude first), as the dense formula has it:
@@ -270,8 +270,6 @@ def _gate_calls(
             i0 = (Ellipsis, *index)
             first = (out[i0], view[i0])
         return [(np.copyto, first), (np.copyto, (out[i10], view[i11])), (np.copyto, (out[i11], view[i10]))]
-    if entries is None:
-        entries = gate_matrix(op)
     block = entries.shape[:-2]
     if not op.qubits:
         scale = entries[..., 0, 0].reshape(block + (1, 1)) if block else entries[0, 0]
@@ -284,9 +282,11 @@ def _gate_calls(
         # One product per amplitude with the entry of its half. Runs longer
         # than LONG_RUN meet a (2, 1) column of entries; shorter ones, whose
         # inner loops would be short, meet the entries repeated along a row
-        # of 2 * LONG_RUN amplitudes, so the row never grows with n.
+        # of 2 * LONG_RUN amplitudes, so the row never grows with n. That
+        # row is a copy made here, so a stack, which its caller may refill,
+        # meets its (B, 1, 2, 1) column, a view, at every run.
         diagonal = np.diagonal(entries, axis1=-2, axis2=-1)
-        if run > LONG_RUN:
+        if run > LONG_RUN or block:
             shape, row = block + (-1, 2, run), diagonal.reshape(block + (1, 2, 1))
         else:
             tile = min(2 * LONG_RUN, 1 << n)
@@ -315,11 +315,8 @@ def _gate_calls(
             calls.append((np.multiply, (m01, halves[..., 1, j], dest[..., 0, j])))
             calls.append((np.multiply, (m10, halves[..., 0, j], dest[..., 1, j])))
         return calls
-    if scratch is None:
-        first, second = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    else:
-        size = math.prod(shape)
-        first, second = scratch[0, :size].reshape(shape), scratch[1, :size].reshape(shape)
+    size = math.prod(shape)
+    first, second = scratch[0, :size].reshape(shape), scratch[1, :size].reshape(shape)
     by_row = (mat[0, 0], mat[0, 1]), (mat[1, 0], mat[1, 1])
     for j in offsets:
         low, high = halves[..., 0, j], halves[..., 1, j]
@@ -330,81 +327,72 @@ def _gate_calls(
     return calls
 
 
-def _apply_gateop(
-    amps: np.ndarray,
-    op: GateOp,
-    n: int,
-    entries: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-) -> np.ndarray:
-    """``op`` applied along the last axis of ``amps``, its matrix acting on
-    every row: the calls of :func:`_gate_calls`, made and run once.
-    ``entries`` is that matrix, if the caller built it already, or a
-    (B, 2, 2) stack ((B, 1, 1) for globalphase) that applies entry b to
-    block member ``amps[b]`` of (B, rows, 2^n).
-
-    The result is written to ``out`` (amps' shape, C-contiguous, apart from
-    amps) and a dense gate's products to ``scratch``; either one is
-    allocated when not given. The bits are the same either way."""
-    out = np.empty(amps.shape, dtype=complex) if out is None else out
-    for function, args in _gate_calls(op, n, entries, amps, out, scratch):
-        function(*args)
-    return out
-
-
 def gate_matrices(op: Operation) -> list:
-    """Each gate's matrix of a circuit, built once for many applications
-    (None for cnot, which needs none); empty for a dense unitary."""
-    if isinstance(op, DenseUnitary):
-        return []
-    return [None if GATES[gate.kind].form == "cnot" else gate_matrix(gate) for gate in op.ops]
+    """Each gate's matrix of a circuit, built once for many applications;
+    empty for a dense unitary."""
+    return [] if isinstance(op, DenseUnitary) else [gate_matrix(gate) for gate in op.ops]
 
 
 def apply_operation_amplitudes(amps: np.ndarray, op: Operation) -> np.ndarray:
     """Apply a circuit or dense unitary along the last axis of an amplitude
-    array, so a ``(rows, 2^n)`` stack is transformed row by row; each gate
-    allocates its result (a circuit with no gates returns ``amps``)."""
+    array, so a ``(rows, 2^n)`` stack is transformed row by row: one
+    :func:`batch_applier` over all the rows, run once."""
     if isinstance(op, DenseUnitary):
         return np.matmul(amps, op.matrix.T)
-    for gate in op.ops:
-        amps = _apply_gateop(amps, gate, op.n)
-    return amps
+    rows = np.reshape(amps, (-1, 1 << op.n))
+    batch, apply = batch_applier([op], len(rows), op.n)
+    batch[...] = rows
+    return apply(len(rows))[0].reshape(np.shape(amps))
 
 
-def batch_applier(ops: list, rows: int, n: int) -> tuple[np.ndarray, Callable[[int], list]]:
+def batch_applier(ops: list, rows: int, n: int, entries: list | None = None) -> tuple[np.ndarray, Callable[[int], list]]:
     """A (rows, 2^n) input batch of zeros and a function that applies each
     of ``ops`` to its first ``count`` rows and returns the list of their
     images. A caller writes each batch into the input and is done with one
     batch's images before it applies the next.
 
-    The input, the images, a spare batch, two half-batch scratch arrays and
-    each gate's matrix are made once, here. The calls that apply all of
-    ``ops`` to these arrays, from :func:`_gate_calls`, are made once per row
-    count (a full batch, and a shorter last one) and replayed for every
-    batch of that count: a circuit's last gate writes its image, the one
-    before it the spare batch, and so on back. A dense unitary is one
-    ``matmul`` of exactly the batch's rows, whose bits may depend on the row
-    count. Replayed calls run the formulas of the allocating path on the
-    same operands, so they give its bits."""
-    matrices = [gate_matrices(op) for op in ops]
-    batch, spare = np.zeros((rows, 1 << n), dtype=complex), np.empty((rows, 1 << n), dtype=complex)
-    images, scratch = np.empty((len(ops), rows, 1 << n), dtype=complex), np.empty((2, rows << n >> 1), dtype=complex)
+    ``entries`` holds each operation's gate entries (default:
+    :func:`gate_matrices`). An operation whose entries include (B, 2, 2)
+    stacks ((B, 1, 1) for globalphase) gets a (B, count, 2^n) image, entry b
+    acting on member b of the input broadcast over B; its other matrices
+    are broadcast to the block. The calls read the entries themselves, so
+    a caller may refill a stack in place between batches.
+
+    The input, the images, a spare batch and two half-batch scratch arrays
+    are made once, here. The calls that apply all of ``ops`` to views of
+    them, from :func:`_gate_calls`, are made once per row count (a full
+    batch, and a shorter last one) and replayed for every batch of that
+    count: a circuit's last gate writes its image, the one before it the
+    spare batch, and so on back. A dense unitary is one ``matmul`` of
+    exactly the batch's rows, whose bits may depend on the row count."""
+    entries = [gate_matrices(op) for op in ops] if entries is None else entries
+    blocks = [np.broadcast_shapes(*(e.shape[:-2] for e in mats)) for mats in entries]
+    sizes = [math.prod(block) * rows << n for block in blocks]
+    batch, spare = np.zeros((rows, 1 << n), dtype=complex), np.empty(max(sizes), dtype=complex)
+    images, scratch = [np.empty(size, dtype=complex) for size in sizes], np.empty((2, max(sizes) // 2), dtype=complex)
     compiled = {}
 
     def compile_calls(count: int) -> tuple[list, list]:
-        calls, outs = [], list(images[:, :count])
-        for op, out, mats in zip(ops, outs, matrices):
+        calls, outs = [], []
+        for op, mats, block, image in zip(ops, entries, blocks, images):
+            # Leading views of the flat arrays, C-contiguous at every count.
+            shape = block + (count, 1 << n)
+            out, src = image[:math.prod(shape)].reshape(shape), np.broadcast_to(batch[:count], shape)
+            outs.append(out)
             if isinstance(op, DenseUnitary):
                 calls.append((np.matmul, (batch[:count], op.matrix.T, out)))
                 continue
             if not op.ops:
-                calls.append((np.copyto, (out, batch[:count])))
+                calls.append((np.copyto, (out, src)))
                 continue
-            targets, src = (out, spare[:count]), batch[:count]
-            for i, (gate, entries) in enumerate(zip(op.ops, mats)):
+            targets = (out, spare[:out.size].reshape(shape))
+            for i, (gate, mat) in enumerate(zip(op.ops, mats)):
+                if mat.shape[:-2] != block:
+                    # A stride-0 view keeps the block axis apart, so no
+                    # reshape of the broadcast input copies it.
+                    mat = np.broadcast_to(mat, block + mat.shape[-2:])
                 dest = targets[(len(op.ops) - 1 - i) % 2]
-                calls += _gate_calls(gate, n, entries, src, dest, scratch)
+                calls += _gate_calls(gate, n, mat, src, dest, scratch)
                 src = dest
         return calls, outs
 

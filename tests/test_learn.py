@@ -1,6 +1,7 @@
 """Circuit-learning tests: objective, gradients, optimizer, roots."""
 
 import math
+from itertools import count
 
 import numpy as np
 import pytest
@@ -29,9 +30,7 @@ from qsnorm import (
     sample_thetas,
     sampling_circuit,
 )
-from qsnorm import learn
 from qsnorm.qsim import CHUNK_CEILING, GATES, row_chunks
-from qsnorm.qsim import _apply_gateop as apply_gateop
 
 
 def two_qubit_ansatz() -> Ansatz:
@@ -282,34 +281,32 @@ class TestLearnObjective:
         with pytest.raises(ValueError, match="real"):
             objective.block(np.array([[0.1, 0.2, 1j, 0.4]]))
 
-    def test_memory_is_one_chunk(self, monkeypatch):
+    def test_memory_is_one_chunk(self):
         """At n = 12 a chunk is the four rows of 2^12 amplitudes that fill
         CHUNK_CEILING; the objective keeps no array larger than that,
-        whatever the angle count, and a block call tiles and applies gates
-        to no larger array, whatever the block size."""
+        whatever the angle count, and the appliers a block call makes hold
+        no larger input, image or stack, whatever the block size (the spare
+        batch and scratch arrays are sized by the largest image)."""
         rng = np.random.default_rng(89)
         ansatz, target = random_ansatz(12, 6, rng), random_circuit(12, 6, rng)
         objective = LearnObjective(ansatz, target, sample_thetas(1, 64))
         arrays = [v for v in vars(objective).values() if isinstance(v, np.ndarray)]
         assert arrays and max(a.nbytes for a in arrays) <= CHUNK_CEILING
         assert 0.0 <= objective(rng.uniform(-math.pi, math.pi, ansatz.num_params)) <= 4.0
-        sizes = []
-
-        def recording(amps, op, n, entries=None):
-            out = apply_gateop(amps, op, n, entries)
-            sizes.extend((amps.nbytes, out.nbytes))
-            return out
-
-        monkeypatch.setattr(learn, "_apply_gateop", recording)
         values = objective.block(rng.uniform(-math.pi, math.pi, (5, ansatz.num_params)))
         assert values.shape == (5,) and ((0.0 <= values) & (values <= 4.0)).all()
+        sizes = []
+        for probes, apply, stacks in objective._appliers.values():
+            sizes += [probes.nbytes, *(image.nbytes for image in apply(len(probes)))]
+            sizes += [stack.nbytes for stack in stacks.values()]
         assert sizes and max(sizes) <= CHUNK_CEILING
 
     def test_signed_zero_angles_keep_their_own_matrices(self):
         """A slot's matrix is built once per distinct angle in a block, and
         0.0 and -0.0 are distinct: rx(-0.0) differs from rx(0.0) in the
-        sign of its zero entries. A block holding both gives each point the
-        stack entry, U x and value of a call on that point alone."""
+        sign of its zero entries. A block holding both refills each point's
+        stack entry with its own matrix, and gives it the U x and value of
+        a call on that point alone."""
         ansatz = Ansatz(Circuit(2, (
             GateOp("h", (0,)),
             GateOp("rx", (0,), (ParamSlot(0),)),
@@ -318,16 +315,41 @@ class TestLearnObjective:
         )))
         objective = LearnObjective(ansatz, Circuit(2, (GateOp("h", (1,)),)), sample_thetas(3, 64))
         points = [[0.0, 0.3], [-0.0, 0.3], [0.0, -0.3], [-0.0, -0.3]]
-        stack = learn._slot_stack(ansatz.template.ops[1], points)
+        (_, (_, block)), = objective._chunk_images(points)
+        stack = objective._appliers[4][2][ansatz.template.ops[1]]
         for entry, (angle, _) in zip(stack, points):
             np.testing.assert_array_equal(entry.view(np.uint64), GATES["rx"].matrix(angle).view(np.uint64))
         assert (stack[0].view(np.uint64) != stack[1].view(np.uint64)).any()
-        (_, (_, block)), = objective._chunk_images(points)
         for xi, images in zip(points, block):
             (_, (_, alone)), = objective._chunk_images([xi])
             np.testing.assert_array_equal(images.view(np.uint64), alone[0].view(np.uint64))
         values = objective.block(np.array(points))
         assert values.tolist() == [objective(np.array(xi)) for xi in points]
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_refilled_blocks_have_the_bits_of_fresh_ones(self, n):
+        """One objective evaluates blocks of 1, 9 and 16 points twice over,
+        so each block size's applier replays on refilled stacks. Slots on
+        rx, ry, rz, phase and globalphase on every qubit put diagonal gates
+        on runs below and above LONG_RUN. Each block's values have the bits
+        of a fresh objective's and of per-point mixed_quadratic_form. At
+        n = 8 the 40 angles make three chunks and each pass one point."""
+        rng = np.random.default_rng(91 + n)
+        ops, slots = [GateOp("h", (0,))], count()
+        for q in range(n):
+            ops += [GateOp(kind, (q,), (ParamSlot(next(slots)),)) for kind in ("rx", "ry", "rz", "phase")]
+            ops.append(GateOp("cnot", (q, (q + 1) % n)))
+        ops.append(GateOp("globalphase", (), (ParamSlot(next(slots)),)))
+        ansatz, target = Ansatz(Circuit(n, tuple(ops))), random_circuit(n, 8, rng)
+        thetas = sample_thetas(9, 64 if n == 2 else 40)
+        objective = LearnObjective(ansatz, target, thetas)
+        for size in (1, 9, 16) * 2:
+            points = rng.uniform(-math.pi, math.pi, (size, ansatz.num_params))
+            values = objective.block(points).tolist()
+            assert values == LearnObjective(ansatz, target, thetas).block(points).tolist()
+            for xi, value in zip(points, values):
+                mixed = difference_mixture(target, ansatz.bind_repeated(xi))
+                assert value == 2.0 * math.fsum(mixed_quadratic_form(mixed, thetas)) / thetas.size
 
     def test_checks_when_built(self):
         with pytest.raises(ValueError, match="different registers: n=2 vs n=1"):

@@ -1,5 +1,6 @@
 """Simulator tests: gate algebra, circuit application, oracles, documents."""
 
+import ast
 import math
 import re
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qsnorm
 from helpers import random_circuit, random_mixture
 from qsnorm import (
     Circuit,
@@ -39,12 +41,10 @@ from qsnorm.qsim import (
     CHUNK_CEILING,
     GATES,
     LONG_RUN,
-    _apply_gateop,
     _gate_calls,
     apply_operation_amplitudes,
     batch_applier,
     chunk_rows,
-    gate_matrices,
     row_chunks,
 )
 
@@ -286,7 +286,8 @@ class TestApplyCircuit:
             for q in range(n):
                 gate = GateOp(kind, (q,), (0.37,) if GATES[kind].params else ())
                 full = np.kron(np.kron(np.eye(1 << q), gate_matrix(gate)), np.eye(1 << (n - q - 1)))
-                np.testing.assert_allclose(_apply_gateop(rows, gate, n), rows @ full.T, atol=1e-14)
+                got = apply_operation_amplitudes(rows, Circuit(n, (gate,)))
+                np.testing.assert_allclose(got, rows @ full.T, atol=1e-14)
 
     @pytest.mark.parametrize("kind", ONE_QUBIT_KINDS)
     def test_single_qubit_gate_has_the_bits_of_the_dense_formula(self, kind):
@@ -305,7 +306,7 @@ class TestApplyCircuit:
                 rows = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
                 for q in range(n):
                     gate = GateOp(kind, (q,), tuple(rng.uniform(-4, 4, GATES[kind].params)))
-                    got = _apply_gateop(rows, gate, n) + 0.0
+                    got = apply_operation_amplitudes(rows, Circuit(n, (gate,))) + 0.0
                     want = dense_formula(gate_matrix(gate)[None], rows[None], n, q)[0] + 0.0
                     np.testing.assert_array_equal(
                         got.view(np.uint64), want.view(np.uint64), err_msg=f"n={n} count={count} q={q}"
@@ -313,75 +314,65 @@ class TestApplyCircuit:
 
     @pytest.mark.parametrize("kind", ONE_QUBIT_KINDS)
     def test_per_row_entries_have_the_bits_of_the_dense_formula(self, kind):
-        """A (B, 2, 2) stack of entries applied to a (B, rows, 2^n) block
-        gives, after ``+ 0.0``, the bits of each member's dense formula on
-        contiguous halves, at every qubit of n = 2 and 10, for 1, 3 and 16
-        rows."""
+        """A (B, 2, 2) stack of entries applied through a batch_applier to
+        its input rows, broadcast over the block, gives after ``+ 0.0`` the
+        bits of each member's dense formula on contiguous halves, at every
+        qubit of n = 2 and 10, for 1, 3 and 16 rows."""
         rng = np.random.default_rng(20)
         row = GATES[kind]
         for n in (2, 10):
             for count in (1, 3, 16):
-                block = rng.standard_normal((4, count, 1 << n)) + 1j * rng.standard_normal((4, count, 1 << n))
+                rows = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
                 for q in range(n):
                     entries = np.stack([row.matrix(*rng.uniform(-4, 4, row.params)) for _ in range(4)])
-                    got = _apply_gateop(block, GateOp(kind, (q,), (ParamSlot(0),) * row.params), n, entries) + 0.0
-                    want = dense_formula(entries, block, n, q) + 0.0
+                    template = GateOp(kind, (q,), (ParamSlot(0),) * row.params)
+                    batch, apply = batch_applier([Circuit(n, (template,))], count, n, [[entries]])
+                    batch[...] = rows
+                    got = apply(count)[0] + 0.0
+                    want = dense_formula(entries, np.broadcast_to(rows, (4,) + rows.shape), n, q) + 0.0
                     np.testing.assert_array_equal(
                         got.view(np.uint64), want.view(np.uint64), err_msg=f"n={n} count={count} q={q}"
                     )
 
     @pytest.mark.parametrize("kind", ONE_QUBIT_KINDS + ["globalphase"])
     def test_per_row_entries_have_the_bits_of_scalar_applications(self, kind):
-        """A (B, 2, 2) stack of entries ((B, 1, 1) for globalphase) applied
-        to a (B, rows, 2^n) block gives, bit for bit, B applications of the
-        scalar gates, at every qubit of n = 1..4, on random and on tiled
-        blocks."""
+        """A (B, 2, 2) stack of entries ((B, 1, 1) for globalphase), refilled
+        in place before each replay of one batch_applier, gives bit for bit
+        B applications of the scalar gates at the new angles, at every qubit
+        of n = 1..4, on full batches and a shorter one. A fixed gate of the
+        same kind goes first and reads the input broadcast over the block.
+        Calls compiled on a copy of the stack or of that input would replay
+        the first angles or rows."""
+        from qsnorm.qsim import gate_matrix
+
         rng = np.random.default_rng(17)
         row = GATES[kind]
         for n in range(1, 5):
             for q in range(n) if row.qubits else [None]:
                 qubits = () if q is None else (q,)
+                fixed = GateOp(kind, qubits, tuple(rng.uniform(-4, 4, row.params)))
+                entries = np.empty((5,) + (1 << row.qubits,) * 2, dtype=complex)
                 template = GateOp(kind, qubits, (ParamSlot(0),) * row.params)
-                angles = rng.uniform(-4, 4, (5, row.params)).tolist()
-                gates = [GateOp(kind, qubits, tuple(a)) for a in angles]
-                entries = np.stack([row.matrix(*a) for a in angles])
-                rows = rng.standard_normal((3, 1 << n)) + 1j * rng.standard_normal((3, 1 << n))
-                for block in (rng.standard_normal((5, 3, 1 << n)) + 1j * rng.standard_normal((5, 3, 1 << n)),
-                              np.broadcast_to(rows, (5, 3, 1 << n))):
-                    got = _apply_gateop(block, template, n, entries)
-                    want = np.stack([_apply_gateop(member, gate, n) for member, gate in zip(block, gates)])
+                batch, apply = batch_applier([Circuit(n, (fixed, template))], 3, n, [[gate_matrix(fixed), entries]])
+                for count in (3, 3, 2, 2):
+                    angles = rng.uniform(-4, 4, (5, row.params)).tolist()
+                    entries[...] = [row.matrix(*a) for a in angles]
+                    rows = batch[:count]
+                    rows[...] = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
+                    got = apply(count)[0]
+                    want = np.stack([
+                        apply_operation_amplitudes(rows, Circuit(n, (fixed, GateOp(kind, qubits, tuple(a)))))
+                        for a in angles
+                    ])
                     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=f"n={n} q={q}")
-
-    @pytest.mark.parametrize("kind", sorted(GATES))
-    def test_buffered_gate_has_the_bits_of_the_allocating_one(self, kind):
-        """A gate written into a caller's output and scratch arrays has the
-        bits of the allocating call, for every kind on every qubit (every
-        ordered pair for cnot) at n = 10, on a 16-row chunk and a 1-row tail
-        that reuse the same dirty arrays."""
-        n, row = 10, GATES[kind]
-        rng = np.random.default_rng(18)
-        out = np.full((16, 1 << n), np.nan + 1j * np.nan)
-        scratch = np.full((2, 16 << n >> 1), np.nan + 1j * np.nan)
-        placements = [(q, t) for q in range(n) for t in range(n) if q != t] if row.qubits == 2 else (
-            [(q,) for q in range(n)] if row.qubits else [()]
-        )
-        for qubits in placements:
-            gate = GateOp(kind, qubits, tuple(rng.uniform(-4, 4, row.params)))
-            for count in (16, 1):
-                rows = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
-                want = _apply_gateop(rows, gate, n)
-                entries = gate_matrices(Circuit(n, (gate,)))[0]
-                got = _apply_gateop(rows, gate, n, entries, out[:count], scratch)
-                assert np.shares_memory(got, out)
-                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=f"{qubits} {count}")
 
     def test_buffered_operation_has_the_bits_of_gate_by_gate_application(self):
         """Circuits of odd, even and zero depth, and a dense unitary, applied
         through one batch_applier, whose arrays every batch reuses, give the
-        bits of allocating gate-by-gate application (and of the plain
-        product), on full chunks and on a 1-row tail, and so does the
-        allocating call. Each batch's images are spoilt with NaN once
-        checked, so a replay that skips an amplitude would show."""
+        bits of applying their gates one at a time (and of the plain
+        product), on full chunks and on a 1-row tail, and so does
+        apply_operation_amplitudes. Each batch's images are spoilt with NaN
+        once checked, so a replay that skips an amplitude would show."""
         n = 10
         rng = np.random.default_rng(19)
         ops = [random_circuit(n, depth, rng) for depth in (0, 1, 2, 7, 20)]
@@ -393,22 +384,46 @@ class TestApplyCircuit:
             for op, got in zip(ops, apply(count)):
                 want = rows @ op.matrix.T if isinstance(op, DenseUnitary) else rows
                 for gate in getattr(op, "ops", ()):
-                    want = _apply_gateop(want, gate, n)
+                    want = apply_operation_amplitudes(want, Circuit(n, (gate,)))
                 np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
                 got.fill(np.nan)
                 got = apply_operation_amplitudes(rows, op)
                 np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("kind", sorted(GATES))
+    def test_buffered_gate_has_the_bits_of_the_allocating_one(self, kind):
+        """A gate replayed on a batch_applier's arrays has the bits of
+        apply_operation_amplitudes, which allocates its own arrays and runs
+        once, for every kind on every qubit (every ordered pair for cnot) at
+        n = 10, on a 16-row chunk and a 1-row tail that reuse the same dirty
+        arrays."""
+        n, row = 10, GATES[kind]
+        rng = np.random.default_rng(18)
+        placements = [(q, t) for q in range(n) for t in range(n) if q != t] if row.qubits == 2 else (
+            [(q,) for q in range(n)] if row.qubits else [()]
+        )
+        for qubits in placements:
+            op = Circuit(n, (GateOp(kind, qubits, tuple(rng.uniform(-4, 4, row.params))),))
+            batch, apply = batch_applier([op], 16, n)
+            batch[...] = np.nan + 1j * np.nan
+            apply(16)  # leaves NaN in every array that the replays below reuse
+            for count in (16, 1):
+                rows = batch[:count]
+                rows[...] = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
+                want = apply_operation_amplitudes(rows, op)
+                got, = apply(count)
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=f"{qubits} {count}")
+
+    @pytest.mark.parametrize("kind", sorted(GATES))
     def test_replayed_gates_have_the_bits_of_the_allocating_ones(self, kind):
         """One batch_applier over a one-gate circuit per placement (every
         qubit, every ordered pair for cnot) replays, on full 8-row chunks
         and 3-row tails that reuse the same dirty arrays, the bits of
-        applying each gate on its own with allocated arrays, at n = 2, 6
-        and 10. Both share the compiled formulas, so the images are also
-        checked against reference_gate, which does not: after ``+ 0.0``
-        (skipped zero entries may flip the sign of an exact zero) they
-        have its bits."""
+        applying each gate with apply_operation_amplitudes, which allocates
+        its own arrays, at n = 2, 6 and 10. Both share the compiled
+        formulas, so the images are also checked against reference_gate,
+        which does not: after ``+ 0.0`` (skipped zero entries may flip the
+        sign of an exact zero) they have its bits."""
         rng, row = np.random.default_rng(21), GATES[kind]
         for n in (2, 6, 10):
             placements = [(q, t) for q in range(n) for t in range(n) if q != t] if row.qubits == 2 else (
@@ -421,7 +436,7 @@ class TestApplyCircuit:
                 rows[...] = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
                 for op, got in zip(ops, apply(count)):
                     gate, where = op.ops[0], f"n={n} {op.ops[0].qubits} {count}"
-                    want = _apply_gateop(rows.copy(), gate, n)
+                    want = apply_operation_amplitudes(rows, op)
                     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=where)
                     reference = reference_gate(rows, gate, n) + 0.0
                     np.testing.assert_array_equal((got + 0.0).view(np.uint64), reference.view(np.uint64), err_msg=where)
@@ -431,15 +446,37 @@ class TestApplyCircuit:
         """At the 20-qubit cap a diagonal gate is one multiply by an entry
         row of at most 2 * LONG_RUN amplitudes, on every qubit: runs longer
         than LONG_RUN meet a (2, 1) column, shorter runs a row of twice its
-        length, so the row does not grow with the register."""
+        length, so the row does not grow with the register. A (B, 2, 2)
+        stack meets its column at every run, a view of the stack, so the
+        calls see it refilled."""
+        from qsnorm.qsim import gate_matrix
+
         n = 20
         src, dest = np.empty((1, 1 << n), dtype=complex), np.empty((1, 1 << n), dtype=complex)
         for kind in sorted(k for k, row in GATES.items() if row.form == "diagonal" and row.qubits):
             for q in range(n):
                 gate = GateOp(kind, (q,), (0.3,) * GATES[kind].params)
-                (function, (entry_row, _, _)), = _gate_calls(gate, n, None, src, dest)
+                matrix = gate_matrix(gate)
+                (function, (entry_row, _, _)), = _gate_calls(gate, n, matrix, src, dest, None)
                 assert function is np.multiply, (kind, q)
                 assert entry_row.size == (2 if 1 << (n - q - 1) > LONG_RUN else 2 * LONG_RUN), (kind, q)
+                stack = matrix[None].copy()
+                (_, (entry_row, _, _)), = _gate_calls(gate, n, stack, src[None], dest[None], None)
+                assert entry_row.shape == (1, 1, 2, 1) and np.shares_memory(entry_row, stack), (kind, q)
+
+    def test_only_batch_applier_compiles_gate_calls(self):
+        """Every gate reaches numpy through the calls that batch_applier
+        compiles and replays: no other function of the package calls
+        _gate_calls."""
+        callers = set()
+        for path in sorted(Path(qsnorm.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Call) and "_gate_calls" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                    ):
+                        callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+        assert callers == {"qsim.batch_applier"}
 
     def test_chunk_rows(self):
         """Up to 8 qubits a chunk holds CHUNK_BYTES, as it always has, so
@@ -473,9 +510,9 @@ class TestApplyCircuit:
             GateOp("t", (2,)),
             GateOp("rx", (0,), (0.7,)),
         ]
-        for gate in gates:
-            one_by_one = np.array([_apply_gateop(row, gate, 3) for row in rows])
-            np.testing.assert_array_equal(_apply_gateop(batch, gate, 3).reshape(10, 8), one_by_one)
+        for circuit in (Circuit(3, (gate,)) for gate in gates):
+            one_by_one = np.array([apply_operation_amplitudes(row, circuit) for row in rows])
+            np.testing.assert_array_equal(apply_operation_amplitudes(batch, circuit).reshape(10, 8), one_by_one)
         dense = DenseUnitary(3, haar_random_unitary(3, 5))
         one_by_one = np.array([apply_operation_amplitudes(row, dense) for row in rows])
         np.testing.assert_allclose(apply_operation_amplitudes(rows, dense), one_by_one, atol=1e-14)
