@@ -164,19 +164,20 @@ class LearnObjective:
     Building it checks that U and V share a register under
     ``STATE_QUBIT_CAP``, the shot count and the angles. It keeps the probe
     rows of the first row chunk and their images V x, at most
-    ``CHUNK_CEILING`` each, so its memory does not grow with the angle count;
-    any later chunk is rebuilt for each pass of points. Each term
-    2 - 2 Re<V x|U x> = ||(V - U) x||^2 is twice the value of the difference
-    mixture (V - U)/sqrt(2), which :func:`hadamard.quadratic_form_values`
-    reduces from V x and the block of every point's U x. With shots > 0
-    that runs the real-part test with state prep S(theta_i) and controlled
-    chain (U(xi), V^dagger), drawing from ``derived_rng(seed, i, 1)`` at
-    every point. Values lie in [0, 4]; an empty angle list raises
-    ValueError. :meth:`block` evaluates many points in one batched pass; a
-    call on one xi is a one-row block. U is applied by one
-    :func:`qsim.batch_applier` per pass size B, kept, whose slot gates read
-    (B, 2, 2) stacks ((B, 1, 1) for globalphase) that each pass refills.
-    """
+    ``CHUNK_CEILING`` each; any later chunk is rebuilt for each pass of
+    points. Each term 2 - 2 Re<V x|U x> = ||(V - U) x||^2 is twice the value
+    of the difference mixture (V - U)/sqrt(2), which
+    :func:`hadamard.quadratic_form_values` reduces from V x and the block of
+    every point's U x. With shots > 0 that runs the real-part test with
+    state prep S(theta_i) and controlled chain (U(xi), V^dagger), drawing
+    from ``derived_rng(seed, i, 1)`` at every point. Values lie in [0, 4];
+    an empty angle list raises ValueError. :meth:`block` evaluates many
+    points in one batched pass; a call on one xi is a one-row block. U is
+    applied by one :func:`qsim.batch_applier` per pass size B, kept, whose
+    slot gates read (B, 2, 2) stacks ((B, 1, 1) for globalphase) that each
+    pass refills. One holds about 3B + 1 chunks (input, image, spare batch,
+    scratch), whatever the angle count; a learn run keeps at most two, for
+    its passes of 2P + 1 points and their remainder."""
 
     def __init__(self, ansatz: Ansatz, target: Operation, thetas: np.ndarray, shots: int = 0, seed: int = 0):
         # Every bound U(xi) has the template's register, so the mixture with

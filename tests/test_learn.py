@@ -1,6 +1,7 @@
 """Circuit-learning tests: objective, gradients, optimizer, roots."""
 
 import math
+import tracemalloc
 from itertools import count
 
 import numpy as np
@@ -283,18 +284,28 @@ class TestLearnObjective:
 
     def test_memory_is_one_chunk(self):
         """At n = 12 a chunk is the four rows of 2^12 amplitudes that fill
-        CHUNK_CEILING; the objective keeps no array larger than that,
-        whatever the angle count, and the appliers a block call makes hold
-        no larger input, image or stack, whatever the block size (the spare
-        batch and scratch arrays are sized by the largest image)."""
+        CHUNK_CEILING, and a pass holds one point. The objective keeps no
+        array larger than that, whatever the angle count, and the appliers a
+        block call makes hold no larger input, image or stack. All that it
+        holds after calls on 1 and 5 points, as tracemalloc counts numpy's
+        buffers, is six chunks and small change: the probe rows, V x, and
+        one applier's input, image, spare batch and two half-chunk scratch
+        arrays."""
         rng = np.random.default_rng(89)
         ansatz, target = random_ansatz(12, 6, rng), random_circuit(12, 6, rng)
-        objective = LearnObjective(ansatz, target, sample_thetas(1, 64))
+        thetas = sample_thetas(1, 64)
+        tracemalloc.start()
+        try:
+            objective = LearnObjective(ansatz, target, thetas)
+            assert 0.0 <= objective(rng.uniform(-math.pi, math.pi, ansatz.num_params)) <= 4.0
+            values = objective.block(rng.uniform(-math.pi, math.pi, (5, ansatz.num_params)))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (5,) and ((0.0 <= values) & (values <= 4.0)).all()
+        assert held <= 6 * CHUNK_CEILING + CHUNK_CEILING // 4
         arrays = [v for v in vars(objective).values() if isinstance(v, np.ndarray)]
         assert arrays and max(a.nbytes for a in arrays) <= CHUNK_CEILING
-        assert 0.0 <= objective(rng.uniform(-math.pi, math.pi, ansatz.num_params)) <= 4.0
-        values = objective.block(rng.uniform(-math.pi, math.pi, (5, ansatz.num_params)))
-        assert values.shape == (5,) and ((0.0 <= values) & (values <= 4.0)).all()
         sizes = []
         for probes, apply, stacks in objective._appliers.values():
             sizes += [probes.nbytes, *(image.nbytes for image in apply(len(probes)))]

@@ -314,10 +314,13 @@ class TestApplyCircuit:
 
     @pytest.mark.parametrize("kind", ONE_QUBIT_KINDS)
     def test_per_row_entries_have_the_bits_of_the_dense_formula(self, kind):
-        """A (B, 2, 2) stack of entries applied through a batch_applier to
-        its input rows, broadcast over the block, gives after ``+ 0.0`` the
-        bits of each member's dense formula on contiguous halves, at every
-        qubit of n = 2 and 10, for 1, 3 and 16 rows."""
+        """A (B, 2, 2) stack of entries replayed by a batch_applier gives,
+        after ``+ 0.0``, the bits of each member's dense formula on
+        contiguous halves, at every qubit of n = 2 and 10, for 1, 3 and 16
+        rows: on the input broadcast over the block, and on a block whose
+        members differ, made by an ry stack at random angles. The applier
+        returns that block as the image of the ry alone, so a call that read
+        another member's amplitudes would show."""
         rng = np.random.default_rng(20)
         row = GATES[kind]
         for n in (2, 10):
@@ -325,14 +328,19 @@ class TestApplyCircuit:
                 rows = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
                 for q in range(n):
                     entries = np.stack([row.matrix(*rng.uniform(-4, 4, row.params)) for _ in range(4)])
+                    spread = np.stack([GATES["ry"].matrix(a) for a in rng.uniform(-4, 4, 4)])
                     template = GateOp(kind, (q,), (ParamSlot(0),) * row.params)
-                    batch, apply = batch_applier([Circuit(n, (template,))], count, n, [[entries]])
+                    ry = GateOp("ry", (int(rng.integers(n)),), (ParamSlot(1),))
+                    ops = [Circuit(n, (template,)), Circuit(n, (ry,)), Circuit(n, (ry, template))]
+                    batch, apply = batch_applier(ops, count, n, [[entries], [spread], [spread, entries]])
                     batch[...] = rows
-                    got = apply(count)[0] + 0.0
-                    want = dense_formula(entries, np.broadcast_to(rows, (4,) + rows.shape), n, q) + 0.0
-                    np.testing.assert_array_equal(
-                        got.view(np.uint64), want.view(np.uint64), err_msg=f"n={n} count={count} q={q}"
-                    )
+                    on_input, block, after = apply(count)
+                    assert len({member.tobytes() for member in block}) == 4
+                    for got, src in ((on_input, np.broadcast_to(rows, block.shape)), (after, block)):
+                        want = dense_formula(entries, src, n, q) + 0.0
+                        np.testing.assert_array_equal(
+                            (got + 0.0).view(np.uint64), want.view(np.uint64), err_msg=f"n={n} count={count} q={q}"
+                        )
 
     @pytest.mark.parametrize("kind", ONE_QUBIT_KINDS + ["globalphase"])
     def test_per_row_entries_have_the_bits_of_scalar_applications(self, kind):
@@ -340,9 +348,11 @@ class TestApplyCircuit:
         in place before each replay of one batch_applier, gives bit for bit
         B applications of the scalar gates at the new angles, at every qubit
         of n = 1..4, on full batches and a shorter one. A fixed gate of the
-        same kind goes first and reads the input broadcast over the block.
-        Calls compiled on a copy of the stack or of that input would replay
-        the first angles or rows."""
+        same kind goes first, and meets either the input broadcast over the
+        block or, after an ry stack at random angles refilled alike, a block
+        whose members differ. Calls compiled on a copy of a stack or of the
+        input would replay the first angles or rows, and a call that read
+        another member's amplitudes would give that member's bits."""
         from qsnorm.qsim import gate_matrix
 
         rng = np.random.default_rng(17)
@@ -352,19 +362,27 @@ class TestApplyCircuit:
                 qubits = () if q is None else (q,)
                 fixed = GateOp(kind, qubits, tuple(rng.uniform(-4, 4, row.params)))
                 entries = np.empty((5,) + (1 << row.qubits,) * 2, dtype=complex)
+                spread = np.empty((5, 2, 2), dtype=complex)
                 template = GateOp(kind, qubits, (ParamSlot(0),) * row.params)
-                batch, apply = batch_applier([Circuit(n, (fixed, template))], 3, n, [[gate_matrix(fixed), entries]])
+                ry = GateOp("ry", (int(rng.integers(n)),), (ParamSlot(1),))
+                ops = [Circuit(n, (fixed, template)), Circuit(n, (ry, fixed, template))]
+                mats = [[gate_matrix(fixed), entries], [spread, gate_matrix(fixed), entries]]
+                batch, apply = batch_applier(ops, 3, n, mats)
                 for count in (3, 3, 2, 2):
                     angles = rng.uniform(-4, 4, (5, row.params)).tolist()
+                    turns = rng.uniform(-4, 4, 5).tolist()
                     entries[...] = [row.matrix(*a) for a in angles]
+                    spread[...] = [GATES["ry"].matrix(t) for t in turns]
                     rows = batch[:count]
                     rows[...] = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
-                    got = apply(count)[0]
-                    want = np.stack([
-                        apply_operation_amplitudes(rows, Circuit(n, (fixed, GateOp(kind, qubits, tuple(a)))))
-                        for a in angles
-                    ])
-                    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=f"n={n} q={q}")
+                    for got, prefix in zip(apply(count), ([()] * 5, [(GateOp("ry", ry.qubits, (t,)),) for t in turns])):
+                        want = np.stack([
+                            apply_operation_amplitudes(rows, Circuit(n, (*first, fixed, GateOp(kind, qubits, tuple(a)))))
+                            for first, a in zip(prefix, angles)
+                        ])
+                        np.testing.assert_array_equal(
+                            got.view(np.uint64), want.view(np.uint64), err_msg=f"n={n} q={q} prefix={bool(prefix[0])}"
+                        )
 
     def test_buffered_operation_has_the_bits_of_gate_by_gate_application(self):
         """Circuits of odd, even and zero depth, and a dense unitary, applied
