@@ -38,10 +38,14 @@ Layers, each through the public function the CLI calls:
   points of one gradient step (xi and its central-difference shifts) for
   the same objective, as each step of a learn run; a key is one (point,
   angle) pair.
+- ``learn_refill``: refilling the slot stacks of that objective's 9-point
+  applier for the same step's points, as each step does before it replays
+  U; a key is one (point, slot gate) pair.
 - ``reduction``: ``quadratic_form_values`` on one learn block, the
   9-point (B, 64, 4) block of U x beside the 64 rows of V x from
-  ``learn_step``, which each step reduces in one call; a key is one
-  (point, angle) pair.
+  ``learn_step``, which each step reduces in one call, with the
+  coefficients' ``ReductionPlan`` made once, as the objective holds it; a
+  key is one (point, angle) pair.
 - ``haar_states``: ``haar_fidelities`` over 1000 Haar states at n = 6 with
   two empty circuits, so drawing the states is nearly all of the work.
 - ``shot_generators`` (Bernoulli shot sampling): the shot branch of
@@ -88,6 +92,7 @@ from qsnorm import (
     sample_thetas,
     schatten2_estimate_from_thetas,
 )
+from qsnorm import hadamard, learn
 from qsnorm.hadamard import mixed_quadratic_form, probe_chunk, quadratic_form_values
 from qsnorm.qsim import apply_operation_amplitudes, batch_applier, chunk_rows, row_chunks
 from qsnorm.sampler import probe_rows
@@ -154,18 +159,34 @@ def layers() -> dict:
     cases["learn_objective.n2.m64"] = (lambda: objective(xi), 64)
     step = np.vstack((xi, xi + 1e-3 * np.eye(4), xi - 1e-3 * np.eye(4)))
     cases["learn_step.n2.m64"] = (lambda: objective.block(step), step.shape[0] * 64)
+    cases["learn_refill.n2.m64"] = (refill_case(objective, step), step.shape[0] * 4)
     x = probe_rows(angles, 2, 1 << 2).astype(complex)
     vx = apply_operation_amplitudes(x, target)
     ux = np.stack([apply_operation_amplitudes(x, ansatz.bind(point)) for point in step])
     coeffs = [coeff for coeff, _ in difference_mixture(target, ansatz.template).terms]
+    # Before ReductionPlan, the reduction took the coefficient list itself.
+    plan = hadamard.ReductionPlan(coeffs) if hasattr(hadamard, "ReductionPlan") else coeffs
     cases["reduction.learn_block"] = (
-        lambda: quadratic_form_values(coeffs, [(slice(0, 64), [vx, ux])], 64, 0, 0), ux.shape[0] * 64
+        lambda: quadratic_form_values(plan, [(slice(0, 64), [vx, ux])], 64, 0, 0), ux.shape[0] * 64
     )
     cases["haar_states.n6.states1000"] = (lambda: haar_fidelities(Circuit(6), Circuit(6), 1000, seed=7), 1000)
     mixture = MixedOperation(((0.5, Circuit(1)), (0.5j, Circuit(1))))
     grid = np.linspace(-np.pi, np.pi, 1000)
     cases["shot_generators.m1000"] = (lambda: mixed_quadratic_form(mixture, grid, shots_per_test=1, seed=7), 1000)
     return cases
+
+
+def refill_case(objective, points: np.ndarray):
+    """A call that refills the slot stacks of ``objective``'s applier for
+    ``points``, as one block call does before it replays U."""
+    applier = objective._applier(len(points))
+    if len(applier) == 4:
+        fills = applier[3]
+        return lambda: [learn._refill(*fill, points) for fill in fills]
+    # Older commits kept one stack per slot gate, refilled point by point
+    # from the points as lists.
+    stacks = applier[2]
+    return lambda: [learn._refill(stack, op, points.tolist()) for op, stack in stacks.items()]
 
 
 def apply_mixture(ops: list, thetas: np.ndarray, n: int = 10) -> None:

@@ -96,19 +96,34 @@ def mixed_quadratic_form(
     thetas = check_thetas(thetas)
     probes, apply = batch_applier([op for _, op in mixed.terms], min(chunk_rows(n), thetas.size), n)
     images = ((chunk, apply(len(probe_chunk(thetas, chunk, n, probes)))) for chunk in row_chunks(thetas.size, n))
-    coeffs = [coeff for coeff, _ in mixed.terms]
-    return quadratic_form_values(coeffs, images, thetas.size, shots_per_test, seed)
+    plan = ReductionPlan([coeff for coeff, _ in mixed.terms])
+    return quadratic_form_values(plan, images, thetas.size, shots_per_test, seed)
+
+
+class ReductionPlan:
+    """What :func:`quadratic_form_values` derives from the coefficients a_k
+    alone, once per coefficient list: the squares |a_k|^2 and their sum
+    S = fsum(squares), the unordered pairs a < b with their weights
+    conj(a_a) a_b, and whether each value is the one add S + cross."""
+
+    def __init__(self, coeffs: list[complex]):
+        self.squares = [abs(c) ** 2 for c in coeffs]
+        self.pairs = list(combinations(range(len(coeffs)), 2))
+        self.weights = [coeffs[a].conjugate() * coeffs[b] for a, b in self.pairs]
+        self.total = math.fsum(self.squares)
+        self.one_add = len(self.pairs) <= 1 and math.fsum([self.total, *(-s for s in self.squares)]) == 0.0
 
 
 def quadratic_form_values(
-    coeffs: list[complex],
+    plan: ReductionPlan,
     images: Iterable[tuple[slice, list[np.ndarray]]],
     m: int,
     shots_per_test: int,
     seed: int,
 ) -> np.ndarray:
-    """The values ||sum_k a_k U_k x_i||^2 from ``(chunk, [U_k x for x in
-    the chunk's probe rows])`` pairs that cover range(m) in order.
+    """The values ||sum_k a_k U_k x_i||^2, for the coefficients ``plan``
+    was made from, from ``(chunk, [U_k x for x in the chunk's probe rows])``
+    pairs that cover range(m) in order.
 
     An image is a (rows, 2^n) batch or a (B, rows, 2^n) block that holds
     the batches of B points; a chunk's images broadcast against each other
@@ -131,32 +146,32 @@ def quadratic_form_values(
     outcomes each from ``derived_rng(seed, i, 1)`` (through
     :func:`sampler.derived_rngs`, one stream per point).
     """
-    squares = [abs(c) ** 2 for c in coeffs]
-    pairs = list(combinations(range(len(coeffs)), 2))
-    weights = [coeffs[a].conjugate() * coeffs[b] for a, b in pairs]
-    total = math.fsum(squares)
-    one_add = len(pairs) <= 1 and math.fsum([total, *(-s for s in squares)]) == 0.0
+    squares, pairs, weights, total = plan.squares, plan.pairs, plan.weights, plan.total
     values = None
     for chunk, chunk_images in images:
         if values is None:
             values = np.empty(np.broadcast_shapes(*(image.shape[:-2] for image in chunk_images)) + (m,))
             flat = values.reshape(-1, m)
-            # Lazy: analytic mode never advances them, so they make no Generator.
-            rngs = [derived_rngs(seed, m, 1) for _ in flat]
+            if shots_per_test:
+                rngs = [derived_rngs(seed, m, 1) for _ in flat]
         rows = values[..., chunk]
-        overlaps = [np.broadcast_to(row_overlaps(chunk_images[a], chunk_images[b]), rows.shape) for a, b in pairs]
+        overlaps = [row_overlaps(chunk_images[a], chunk_images[b]) for a, b in pairs]
         if shots_per_test == 0:
-            crosses = [2.0 * (weight * overlap).real for weight, overlap in zip(weights, overlaps)]
-            if one_add:
-                rows[...] = total + crosses[0] if crosses else total
+            if plan.one_add:
+                if overlaps:
+                    cross = np.multiply(weights[0], overlaps[0], out=overlaps[0]).real
+                    np.add(total, np.multiply(2.0, cross, out=cross), out=rows)
+                else:
+                    rows[...] = total
                 continue
+            crosses = [np.broadcast_to(2.0 * (w * overlap).real, rows.shape) for w, overlap in zip(weights, overlaps)]
             terms = np.stack([np.full(rows.shape, sq) for sq in squares] + crosses, axis=-1)
             rows[...] = np.reshape([math.fsum(row) for row in terms.reshape(-1, terms.shape[-1]).tolist()], rows.shape)
             continue
         # (scale, Pr(ancilla = 1) per point and row) for each test, in drawing order.
         tests = []
         for weight, overlap in zip(weights, overlaps):
-            overlap = overlap.reshape(flat.shape[0], -1)
+            overlap = np.broadcast_to(overlap, rows.shape).reshape(flat.shape[0], -1)
             if weight.real != 0.0:
                 tests.append((2.0 * weight.real, np.clip((1.0 - overlap.real) / 2.0, 0.0, 1.0)))
             if weight.imag != 0.0:

@@ -15,8 +15,9 @@ first row chunk's probe rows and their images under V. Each gradient step
 is one batched pass: f(xi) and the 2P central-difference shifts are one
 (2P + 1, P) block, and U is applied to every point at once by replaying
 calls compiled once per block size, whose slot gates read one matrix per
-point, refilled in place, built once per distinct angle. One reduction
-takes all the points' rows.
+point, refilled in place by one call of each gate kind's formula on the
+block's angles. One reduction, planned once per run, takes all the
+points' rows.
 
 An ansatz applied ``repeat`` times learns roots: with repeat = 2 the loop
 minimizes ||U(xi)^2 - V||^2. Ansatz templates can carry a global-phase
@@ -27,13 +28,12 @@ though states are not.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .hadamard import probe_chunk, quadratic_form_values, require_shots
+from .hadamard import ReductionPlan, probe_chunk, quadratic_form_values, require_shots
 from .qsim import (
     CHUNK_BYTES,
     GATES,
@@ -103,22 +103,22 @@ class Ansatz:
         return Circuit(self.template.n, self._bound_ops(xi) * self.repeat)
 
     def _bound_ops(self, xi: np.ndarray) -> tuple:
-        values = _parameter_values(xi, self.num_params, 1)
+        values = _parameter_values(xi, self.num_params, 1).tolist()
         return tuple(GateOp(op.kind, op.qubits, _bound_params(op, values)) for op in self.template.ops)
 
 
-def _parameter_values(xi, num_params: int, ndim: int) -> list:
-    """``xi`` as (nested) lists of floats, if it is an ndim-dimensional array
-    of rows of ``num_params`` real, finite numbers; ValueError otherwise."""
+def _parameter_values(xi, num_params: int, ndim: int) -> np.ndarray:
+    """``xi`` as a float array, if it is an ndim-dimensional array of rows
+    of ``num_params`` real, finite numbers; ValueError otherwise."""
     values = np.asarray(xi)
     if values.ndim != ndim or values.shape[-1:] != (num_params,):
         raise ValueError(f"expected {num_params} parameters, got shape {values.shape}")
     if values.dtype.kind not in "biuf":
         raise ValueError(f"parameters must be real numbers, got dtype {values.dtype}")
-    values = values.astype(float)
+    values = values.astype(float, copy=False)
     if not np.isfinite(values).all():
         raise ValueError(f"parameters must be finite, got {values.tolist()}")
-    return values.tolist()
+    return values
 
 
 def _bound_params(op: GateOp, values: list) -> tuple:
@@ -171,13 +171,17 @@ class LearnObjective:
     every point's U x. With shots > 0 that runs the real-part test with
     state prep S(theta_i) and controlled chain (U(xi), V^dagger), drawing
     from ``derived_rng(seed, i, 1)`` at every point. Values lie in [0, 4];
-    an empty angle list raises ValueError. :meth:`block` evaluates many
-    points in one batched pass; a call on one xi is a one-row block. U is
-    applied by one :func:`qsim.batch_applier` per pass size B, kept, whose
-    slot gates read (B, 2, 2) stacks ((B, 1, 1) for globalphase) that each
-    pass refills. One holds about 3B + 1 chunks (input, image, spare batch,
-    scratch), whatever the angle count; a learn run keeps at most two, for
-    its passes of 2P + 1 points and their remainder."""
+    an empty angle list raises ValueError. The reduction's coefficient-only
+    parts (:class:`hadamard.ReductionPlan`) are derived once, here.
+    :meth:`block` evaluates many points in one batched pass; a call on one
+    xi is a one-row block. U is applied by one :func:`qsim.batch_applier`
+    per pass size B, kept, whose slot gates read (B, 2, 2) stacks ((B, 1,
+    1) for globalphase) that each pass refills: the stacks of one gate
+    kind are views of one array, filled by one call of that kind's
+    ``GATES`` formula on the (B, gates) array of their angles. One applier
+    holds about 3B + 1 chunks (input, image, spare batch, scratch),
+    whatever the angle count; a learn run keeps at most two, for its passes
+    of 2P + 1 points and their remainder."""
 
     def __init__(self, ansatz: Ansatz, target: Operation, thetas: np.ndarray, shots: int = 0, seed: int = 0):
         # Every bound U(xi) has the template's register, so the mixture with
@@ -187,7 +191,7 @@ class LearnObjective:
         self.shots = require_shots(shots)
         self.thetas = check_thetas(thetas)
         self.ansatz, self.target, self.seed = ansatz, target, seed
-        self._coeffs = [coeff for coeff, _ in mixed.terms]
+        self._plan = ReductionPlan([coeff for coeff, _ in mixed.terms])
         first = next(row_chunks(self.thetas.size, self.n))
         self._x = probe_chunk(self.thetas, first, self.n, np.zeros((first.stop, 1 << self.n), dtype=complex))
         self._vx = apply_operation_amplitudes(self._x, target)
@@ -203,21 +207,24 @@ class LearnObjective:
         every row chunk, and one reduction takes the pass."""
         points = _parameter_values(xis, self.ansatz.num_params, 2)
         per_pass = max(1, CHUNK_BYTES // self._x.nbytes)
+        m = self.thetas.size
         costs = []
         for start in range(0, len(points), per_pass):
             values = quadratic_form_values(
-                self._coeffs, self._chunk_images(points[start:start + per_pass]), self.thetas.size, self.shots, self.seed
+                self._plan, self._chunk_images(points[start:start + per_pass]), m, self.shots, self.seed
             )
-            costs += [2.0 * math.fsum(row) / len(row) for row in values.tolist()]
+            costs += [2.0 * math.fsum(row) / m for row in values.tolist()]
         return np.array(costs)
 
-    def _chunk_images(self, points: list):
+    def _chunk_images(self, points: np.ndarray):
         """(chunk, [V x, the (len(points), rows, 2^n) block of U(xi) x]) for
         each row chunk, from the applier for len(points) points with its
-        stacks refilled; the first chunk's probe rows and V x are kept."""
-        probes, apply, stacks = self._applier(len(points))
-        for op, stack in stacks.items():
-            _refill(stack, op, points)
+        stacks refilled from the (B, P) array ``points``; the first chunk's
+        probe rows and V x are kept."""
+        points = np.asarray(points, dtype=float)
+        probes, apply, _, fills = self._applier(len(points))
+        for fill in fills:
+            _refill(*fill, points)
         # A later chunk overwrites the input, so each pass puts the kept rows back.
         probes[...] = self._x
         vx = self._vx
@@ -225,36 +232,42 @@ class LearnObjective:
             if chunk.start:
                 vx = apply_operation_amplitudes(probe_chunk(self.thetas, chunk, self.n, probes), self.target)
             ux = apply(chunk.stop - chunk.start)[0]
-            # A template without slots gives U x no point axis of its own.
-            yield chunk, [vx, np.broadcast_to(ux, (len(points),) + ux.shape[-2:])]
+            if ux.ndim == 2:
+                # A template without slots gives U x no point axis of its own.
+                ux = np.broadcast_to(ux, (len(points),) + ux.shape)
+            yield chunk, [vx, ux]
 
     def _applier(self, points: int) -> tuple:
-        """The input, apply function and {slot gate: stack} of the applier
-        of U for ``points`` points, made on first use."""
+        """The input, apply function, {slot gate: (points, 2, 2) stack} and
+        refills of the applier of U for ``points`` points, made on first
+        use. The stacks of one kind's slot gates are views of one
+        (points, gates, 2, 2) array, refilled together: a refill is that
+        array, the kind and the gates' slot indices."""
         if points not in self._appliers:
             ops = self.ansatz.template.ops
-            stacks = {
-                op: np.empty((points,) + (1 << GATES[op.kind].qubits,) * 2, dtype=complex)
-                for op in ops if any(isinstance(p, ParamSlot) for p in op.params)
-            }
+            kinds = {}
+            # Every angled kind takes one angle, so a gate with a slot has only that slot.
+            for op in dict.fromkeys(op for op in ops if op.params and isinstance(op.params[0], ParamSlot)):
+                kinds.setdefault(op.kind, []).append(op)
+            stacks, fills = {}, []
+            for kind, group in kinds.items():
+                size = 1 << GATES[kind].qubits
+                stack = np.empty((points, len(group), size, size), dtype=complex)
+                stacks.update((op, stack[:, s]) for s, op in enumerate(group))
+                fills.append((stack, kind, np.array([op.params[0].index for op in group])))
             entries = [stacks[op] if op in stacks else gate_matrix(op) for op in ops] * self.ansatz.repeat
             probes, apply = batch_applier([Circuit(self.n, ops * self.ansatz.repeat)], len(self._x), self.n, [entries])
-            self._appliers[points] = probes, apply, stacks
+            self._appliers[points] = probes, apply, stacks, fills
         return self._appliers[points]
 
 
-def _refill(stack: np.ndarray, op: GateOp, points: list) -> None:
-    """Write template gate ``op``'s scalar ``GATES`` matrix at each point's
-    angles into its entry of ``stack``, each distinct angle's matrix built
-    once. Angles are told apart by their bits: 0.0 == -0.0, but their
-    matrices differ in the sign of zero entries."""
-    matrix, built = GATES[op.kind].matrix, {}
-    for entry, xi in zip(stack, points):
-        params = _bound_params(op, xi)
-        key = struct.pack(f"{len(params)}d", *params)
-        if key not in built:
-            built[key] = matrix(*params)
-        entry[...] = built[key]
+def _refill(stack: np.ndarray, kind: str, slots: np.ndarray, points: np.ndarray) -> None:
+    """Write the ``GATES`` matrices of ``kind`` at each row of the (B, P)
+    array ``points`` into the (B, gates, 2, 2) ``stack``, gate s at slot
+    ``slots[s]``: one formula call on the (B, gates) array of those angles,
+    whose matrices have the bits of the scalar call at each angle (-0.0
+    included)."""
+    stack[...] = GATES[kind].matrix(points[:, slots])
 
 
 def loss(
@@ -285,10 +298,11 @@ def finite_diff_gradient(
     if not 0 < fd_eps < math.inf:
         raise ValueError(f"fd_eps must be positive and finite, got {fd_eps}")
     xi = np.asarray(xi, dtype=float)
-    shifted = np.tile(xi, (2 * xi.size, 1))
-    coords = np.arange(xi.size)
-    shifted[2 * coords, coords] = xi + fd_eps
-    shifted[2 * coords + 1, coords] = xi - fd_eps
+    shifted = np.repeat(xi[None], 2 * xi.size, axis=0)
+    # Entry (2j, j) is flat entry j (2P + 1), and (2j + 1, j) is P past it.
+    flat = shifted.reshape(-1)
+    flat[::2 * xi.size + 1] = xi + fd_eps
+    flat[xi.size::2 * xi.size + 1] = xi - fd_eps
     values = np.asarray(blockfn(shifted), dtype=float)
     return (values[0::2] - values[1::2]) / (2.0 * fd_eps)
 
@@ -307,9 +321,11 @@ def learn_circuit(ansatz: Ansatz, target: Operation, config: LearnConfig) -> Lea
     )
     xi = uniform_angles(config.seed, ansatz.num_params)
     history = []
+    points = np.empty((2 * xi.size + 1, xi.size))
 
     def with_cost(shifted: np.ndarray) -> np.ndarray:
-        values = objective.block(np.vstack((xi, shifted)))
+        points[0], points[1:] = xi, shifted
+        values = objective.block(points)
         history.append(float(values[0]))
         return values[1:]
 

@@ -72,6 +72,11 @@ class GateKind:
     ``_gate_calls`` compiles for it, and the kind of its adjoint (None: the
     same kind), which takes the negated angles.
 
+    ``matrix`` takes each angle as a number, giving one matrix, or as
+    arrays of one shape, giving the (..., 2, 2) stack ((..., 1, 1) for
+    globalphase) of the matrices at each position, each with the bits of
+    the call on that position's numbers.
+
     The form is "diagonal" or "anti-diagonal" when the matrix is zero off
     that diagonal at every angle, "cnot" for the controlled-X permutation,
     and "dense" otherwise."""
@@ -81,6 +86,33 @@ class GateKind:
     matrix: Callable[..., np.ndarray]
     form: str
     adjoint: str | None = None
+
+
+def _matrix(angles, rows: list) -> np.ndarray:
+    """The complex matrix with the given rows, as a (..., k, k) stack over
+    the shape of ``angles`` (one matrix for a number). Each entry is a
+    number or an array of that shape; a literal 0 stays +0.0, where a zero
+    computed as 0 * a would be -0.0 at negative angles."""
+    out = np.empty(np.shape(angles) + (len(rows), len(rows)), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            out[..., i, j] = entry
+    return out
+
+
+def _rx(a):
+    c, s = np.cos(a / 2), -1j * np.sin(a / 2)
+    return _matrix(a, [[c, s], [s, c]])
+
+
+def _ry(a):
+    c, s = np.cos(a / 2), np.sin(a / 2)
+    return _matrix(a, [[c, -s], [s, c]])
+
+
+def _rz(a):
+    half = a / 2
+    return _matrix(a, [[np.exp(-1j * half), 0], [0, np.exp(1j * half)]])
 
 
 # Every gate kind is declared here and only here.
@@ -95,20 +127,14 @@ GATES = {
     "sdg": GateKind(1, 0, lambda: np.array([[1, 0], [0, -1j]], dtype=complex), "diagonal", "s"),
     "t": GateKind(1, 0, lambda: np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex), "diagonal", "tdg"),
     "tdg": GateKind(1, 0, lambda: np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex), "diagonal", "t"),
-    "phase": GateKind(1, 1, lambda a: np.array([[1, 0], [0, np.exp(1j * a)]], dtype=complex), "diagonal"),
-    "rx": GateKind(1, 1, lambda a: np.array(
-        [[math.cos(a / 2), -1j * math.sin(a / 2)], [-1j * math.sin(a / 2), math.cos(a / 2)]], dtype=complex
-    ), "dense"),
-    "ry": GateKind(1, 1, lambda a: np.array(
-        [[math.cos(a / 2), -math.sin(a / 2)], [math.sin(a / 2), math.cos(a / 2)]], dtype=complex
-    ), "dense"),
-    "rz": GateKind(1, 1, lambda a: np.array(
-        [[np.exp(-1j * (a / 2)), 0], [0, np.exp(1j * (a / 2))]], dtype=complex
-    ), "diagonal"),
+    "phase": GateKind(1, 1, lambda a: _matrix(a, [[1, 0], [0, np.exp(1j * a)]]), "diagonal"),
+    "rx": GateKind(1, 1, _rx, "dense"),
+    "ry": GateKind(1, 1, _ry, "dense"),
+    "rz": GateKind(1, 1, _rz, "diagonal"),
     "cnot": GateKind(2, 0, lambda: np.array(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
     ), "cnot"),
-    "globalphase": GateKind(0, 1, lambda a: np.array([[np.exp(1j * a)]], dtype=complex), "diagonal"),
+    "globalphase": GateKind(0, 1, lambda a: _matrix(a, [[np.exp(1j * a)]]), "diagonal"),
 }
 
 
@@ -255,20 +281,27 @@ def _gate_calls(
     if form == "cnot":
         # Copy the control-0 half, or all of src where that half's runs
         # are shorter than LONG_RUN (one contiguous copy is then faster),
-        # then swap the target's halves within the control-1 half.
+        # then swap the target's halves within the control-1 half: one copy
+        # that reads the target's axis reversed, or, with the control on
+        # the last qubit, whose fixed bit leaves runs of one amplitude, one
+        # copy per target half, which is then the faster one.
         control, target = op.qubits
         shape = src.shape[:-1] + (2,) * n
         view, out = src.reshape(shape), dest.reshape(shape)
         index = [slice(None)] * n
-        index[control], index[target] = 1, 0
+        index[control] = 0
+        first = (dest, src)
+        if 1 << (n - control - 1) >= LONG_RUN:
+            first = (out[(Ellipsis, *index)], view[(Ellipsis, *index)])
+        index[control] = 1
+        if control < n - 1:
+            flipped = list(index)
+            flipped[target] = slice(None, None, -1)
+            return [(np.copyto, first), (np.copyto, (out[(Ellipsis, *index)], view[(Ellipsis, *flipped)]))]
+        index[target] = 0
         i10 = (Ellipsis, *index)
         index[target] = 1
         i11 = (Ellipsis, *index)
-        first = (dest, src)
-        if 1 << (n - control - 1) >= LONG_RUN:
-            index[control], index[target] = 0, slice(None)
-            i0 = (Ellipsis, *index)
-            first = (out[i0], view[i0])
         return [(np.copyto, first), (np.copyto, (out[i10], view[i11])), (np.copyto, (out[i11], view[i10]))]
     block = entries.shape[:-2]
     if not op.qubits:

@@ -11,6 +11,43 @@ from qsnorm.qsim import apply_operation_amplitudes
 FIXED_KINDS = ["h", "x", "y", "z", "s", "sdg", "t", "tdg"]
 PARAM_KINDS = ["rx", "ry", "rz", "phase"]
 
+_SQRT2_INV = 1.0 / math.sqrt(2.0)
+
+# The scalar gate formulas as qsim.GATES held them before its formulas took
+# angle arrays: one matrix per call, built from Python numbers. The array
+# formulas must keep their bits at every angle.
+REFERENCE_MATRICES = {
+    "x": lambda: np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": lambda: np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "z": lambda: np.array([[1, 0], [0, -1]], dtype=complex),
+    "h": lambda: np.array([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=complex),
+    "s": lambda: np.array([[1, 0], [0, 1j]], dtype=complex),
+    "sdg": lambda: np.array([[1, 0], [0, -1j]], dtype=complex),
+    "t": lambda: np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
+    "tdg": lambda: np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex),
+    "phase": lambda a: np.array([[1, 0], [0, np.exp(1j * a)]], dtype=complex),
+    "rx": lambda a: np.array(
+        [[math.cos(a / 2), -1j * math.sin(a / 2)], [-1j * math.sin(a / 2), math.cos(a / 2)]], dtype=complex
+    ),
+    "ry": lambda a: np.array([[math.cos(a / 2), -math.sin(a / 2)], [math.sin(a / 2), math.cos(a / 2)]], dtype=complex),
+    "rz": lambda a: np.array([[np.exp(-1j * (a / 2)), 0], [0, np.exp(1j * (a / 2))]], dtype=complex),
+    "cnot": lambda: np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+    "globalphase": lambda a: np.array([[np.exp(1j * a)]], dtype=complex),
+}
+
+
+def formula_angles() -> np.ndarray:
+    """120,012 angles for the formula bit tests: 60,000 uniform on
+    [-pi, pi), 60,000 uniform on [-1e6, 1e6) and the edge values +-0.0,
+    +-pi, +-pi/2, +-1e-300, +-5e-324 (the smallest subnormal) and +-1e15."""
+    rng = np.random.default_rng(2024)
+    edges = [0.0, math.pi, math.pi / 2, 1e-300, 5e-324, 1e15]
+    return np.concatenate([
+        rng.uniform(-math.pi, math.pi, 60_000),
+        rng.uniform(-1e6, 1e6, 60_000),
+        [sign * edge for edge in edges for sign in (1.0, -1.0)],
+    ])
+
 
 def random_circuit(n: int, depth: int, rng: np.random.Generator) -> Circuit:
     ops = []

@@ -1,11 +1,14 @@
 """Smoke tests of the benchmark scripts, which are not part of the package:
-the layer timing script runs, and every package name the end-to-end
-benchmark (``perfbench/``) reads still exists."""
+the layer timing script and the paired comparison run, and every package
+name the end-to-end benchmark (``perfbench/``) reads still exists."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ import qsnorm
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS_SCRIPT = ROOT / "bench" / "layers.py"
+PAIRS_SCRIPT = ROOT / "bench" / "pairs.py"
 PERFBENCH = ROOT / "perfbench"
 
 
@@ -76,3 +80,24 @@ def test_perfbench_traced_modules_import():
     assert layers
     for key in layers:
         importlib.import_module(f"qsnorm.{key}")
+
+
+def test_pairs_runs_the_checkout_against_itself():
+    """Two learn invocations of this checkout against itself: each runs in
+    both trees, writes the same bytes in both, and the summary gives every
+    metric's medians, quartiles, ratio and win count. Nothing is written
+    under perfbench/."""
+    before = sorted(PERFBENCH.rglob("*"))
+    proc = subprocess.run(
+        [sys.executable, str(PAIRS_SCRIPT), "--workload", "learn", "--invocations", "2", "--control"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["control"] and result["base"] == result["head"] == str(ROOT)
+    assert result["invocations"] == 2 and result["same_bytes"] == 2
+    for metric in ("run_s", "setup_s", "peak_rss_mib"):
+        row = result[metric]
+        assert 0 < row["base"]["q1"] <= row["base"]["median"] <= row["base"]["q3"]
+        assert 0 < row["head"]["median"] and row["ratio"] > 0 and 0 <= row["head_lower"] <= 2
+    assert sorted(PERFBENCH.rglob("*")) == before

@@ -25,7 +25,7 @@ from qsnorm import (
     sampling_circuit,
 )
 from qsnorm import qsim
-from qsnorm.hadamard import quadratic_form_values
+from qsnorm.hadamard import ReductionPlan, quadratic_form_values
 from qsnorm.sampler import probe_rows
 
 SQRT2_INV = 1 / math.sqrt(2)
@@ -423,7 +423,7 @@ class TestReductionSum:
                 ux[..., 0] = delta * rng.choice([-1.0, 1.0], size=(points, rows))
                 ux[..., 1] += 1.0
         coeffs = [a0, a0 * turn]
-        values = quadratic_form_values(coeffs, [(slice(0, rows), [vx, ux])], rows, 0, 0)
+        values = quadratic_form_values(ReductionPlan(coeffs), [(slice(0, rows), [vx, ux])], rows, 0, 0)
         assert values.shape == (points, rows)
         assert values.tolist() == per_row_fsum(coeffs, [vx, ux])
         if case == "cancel":
@@ -437,8 +437,8 @@ class TestReductionSum:
         rng = np.random.default_rng(31)
         vx, ux = complex_normal(rng, 64, 4), complex_normal(rng, 9, 64, 4)
         images = [vx, ux, complex_normal(rng, 64, 4)][:len(coeffs)]
-        values = quadratic_form_values(coeffs, [(slice(0, 32), [i[..., :32, :] for i in images]),
-                                                (slice(32, 64), [i[..., 32:, :] for i in images])], 64, 0, 0)
+        chunks = [(slice(0, 32), [i[..., :32, :] for i in images]), (slice(32, 64), [i[..., 32:, :] for i in images])]
+        values = quadratic_form_values(ReductionPlan(coeffs), chunks, 64, 0, 0)
         assert values.tolist() == per_row_fsum(coeffs, images)
         squares = [abs(c) ** 2 for c in coeffs]
         total = math.fsum(squares)
@@ -458,7 +458,7 @@ class TestReductionSum:
         def chunks(block):
             return [(slice(0, 25), [vx[:25], block[..., :25, :]]), (slice(25, 40), [vx[25:], block[..., 25:, :]])]
 
-        values = quadratic_form_values(coeffs, chunks(ux), 40, shots, 7)
+        values = quadratic_form_values(ReductionPlan(coeffs), chunks(ux), 40, shots, 7)
         assert values.shape == (5, 40)
         for point, row in zip(ux, values):
-            np.testing.assert_array_equal(quadratic_form_values(coeffs, chunks(point), 40, shots, 7), row)
+            np.testing.assert_array_equal(quadratic_form_values(ReductionPlan(coeffs), chunks(point), 40, shots, 7), row)

@@ -307,7 +307,7 @@ class TestLearnObjective:
         arrays = [v for v in vars(objective).values() if isinstance(v, np.ndarray)]
         assert arrays and max(a.nbytes for a in arrays) <= CHUNK_CEILING
         sizes = []
-        for probes, apply, stacks in objective._appliers.values():
+        for probes, apply, stacks, _ in objective._appliers.values():
             sizes += [probes.nbytes, *(image.nbytes for image in apply(len(probes)))]
             sizes += [stack.nbytes for stack in stacks.values()]
         assert sizes and max(sizes) <= CHUNK_CEILING

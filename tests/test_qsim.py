@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsnorm
-from helpers import random_circuit, random_mixture
+from helpers import REFERENCE_MATRICES, formula_angles, random_circuit, random_mixture
 from qsnorm import (
     Circuit,
     CircuitFormatError,
@@ -219,6 +219,33 @@ class TestGateMatrices:
                 "dense": np.ones_like(identity),
             }[row.form]
             np.testing.assert_array_equal(mat != 0, nonzero)
+
+    @pytest.mark.parametrize("kind", sorted(k for k in GATES if GATES[k].params))
+    def test_array_formulas_have_the_bits_of_the_scalar_ones(self, kind):
+        """A formula called on an array of angles gives the (..., 2, 2)
+        stack ((..., 1, 1) for globalphase) whose entries have the bits of
+        the scalar reference at each angle, over 120,012 angles that include
+        +-0.0 (whose matrices differ in the sign of zero entries), +-pi,
+        subnormals and +-1e15, also as a (B, S) array. A scalar call keeps
+        the reference's shape and bits."""
+        angles = formula_angles()
+        reference = np.array([REFERENCE_MATRICES[kind](a) for a in angles.tolist()])
+        stack = GATES[kind].matrix(angles)
+        assert stack.shape == reference.shape and stack.dtype == complex
+        np.testing.assert_array_equal(stack.view(np.uint64), reference.view(np.uint64))
+        grid = GATES[kind].matrix(angles.reshape(-1, 12))
+        np.testing.assert_array_equal(grid.reshape(reference.shape).view(np.uint64), reference.view(np.uint64))
+        for a, expected in zip(angles[-1000:].tolist(), reference[-1000:]):
+            matrix = GATES[kind].matrix(a)
+            assert matrix.shape == expected.shape and matrix.dtype == complex
+            np.testing.assert_array_equal(matrix.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("kind", sorted(k for k in GATES if not GATES[k].params))
+    def test_fixed_matrices_have_the_bits_of_the_reference(self, kind):
+        expected = REFERENCE_MATRICES[kind]()
+        matrix = GATES[kind].matrix()
+        assert matrix.shape == expected.shape and matrix.dtype == complex
+        np.testing.assert_array_equal(matrix.view(np.uint64), expected.view(np.uint64))
 
     def test_readme_lists_every_gate_kind(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text()
