@@ -313,11 +313,11 @@ class TestLearnObjective:
         assert sizes and max(sizes) <= CHUNK_CEILING
 
     def test_signed_zero_angles_keep_their_own_matrices(self):
-        """A slot's matrix is built once per distinct angle in a block, and
-        0.0 and -0.0 are distinct: rx(-0.0) differs from rx(0.0) in the
-        sign of its zero entries. A block holding both refills each point's
-        stack entry with its own matrix, and gives it the U x and value of
-        a call on that point alone."""
+        """A slot's stack is refilled by one formula call on the block's
+        angles, and 0.0 and -0.0 are distinct: rx(-0.0) differs from
+        rx(0.0) in the sign of its zero entries. A block holding both
+        refills each point's stack entry with its own matrix, and gives it
+        the U x and value of a call on that point alone."""
         ansatz = Ansatz(Circuit(2, (
             GateOp("h", (0,)),
             GateOp("rx", (0,), (ParamSlot(0),)),
