@@ -1,7 +1,9 @@
 """Circuit-learning tests: objective, gradients, optimizer, roots."""
 
+import dataclasses
 import math
 import tracemalloc
+from collections import Counter
 from itertools import count
 
 import numpy as np
@@ -307,9 +309,10 @@ class TestLearnObjective:
         arrays = [v for v in vars(objective).values() if isinstance(v, np.ndarray)]
         assert arrays and max(a.nbytes for a in arrays) <= CHUNK_CEILING
         sizes = []
-        for probes, apply, stacks, _ in objective._appliers.values():
+        for probes, apply, _, fills in objective._appliers.values():
             sizes += [probes.nbytes, *(image.nbytes for image in apply(len(probes)))]
-            sizes += [stack.nbytes for stack in stacks.values()]
+            # Each kind's stacks are views of one array, which the fill holds.
+            sizes += [stack.nbytes for stack, _, _ in fills]
         assert sizes and max(sizes) <= CHUNK_CEILING
 
     def test_signed_zero_angles_keep_their_own_matrices(self):
@@ -336,6 +339,31 @@ class TestLearnObjective:
             np.testing.assert_array_equal(images.view(np.uint64), alone[0].view(np.uint64))
         values = objective.block(np.array(points))
         assert values.tolist() == [objective(np.array(xi)) for xi in points]
+
+    def test_a_pass_calls_each_slot_kind_formula_once(self, monkeypatch):
+        """A pass refills the stacks of every slot gate of one kind with one
+        call of that kind's GATES formula, on the angles of all its points:
+        three ry slots and one rz slot over 9 points make one ry call and
+        one rz call, with the values of the unpatched formulas."""
+        ansatz = Ansatz(Circuit(2, (
+            GateOp("ry", (0,), (ParamSlot(0),)),
+            GateOp("rz", (1,), (ParamSlot(1),)),
+            GateOp("cnot", (0, 1)),
+            GateOp("ry", (0,), (ParamSlot(2),)),
+            GateOp("ry", (1,), (ParamSlot(0),)),
+        )))
+        objective = LearnObjective(ansatz, Circuit(2, (GateOp("h", (0,)),)), sample_thetas(4, 64))
+        points = np.random.default_rng(93).uniform(-math.pi, math.pi, (9, 3))
+        expected = objective.block(points).tolist()
+        calls = Counter()
+        for kind in ("ry", "rz"):
+            def counted(*angles, kind=kind, formula=GATES[kind].matrix):
+                calls[kind] += 1
+                return formula(*angles)
+
+            monkeypatch.setitem(GATES, kind, dataclasses.replace(GATES[kind], matrix=counted))
+        assert objective.block(points).tolist() == expected
+        assert calls == {"ry": 1, "rz": 1}
 
     @pytest.mark.parametrize("n", [2, 8])
     def test_refilled_blocks_have_the_bits_of_fresh_ones(self, n):
