@@ -155,23 +155,19 @@ def quadratic_form_values(
             if shots_per_test:
                 rngs = [derived_rngs(seed, m, 1) for _ in flat]
         rows = values[..., chunk]
-        overlaps = [row_overlaps(chunk_images[a], chunk_images[b]) for a, b in pairs]
+        overlaps = [np.broadcast_to(row_overlaps(chunk_images[a], chunk_images[b]), rows.shape) for a, b in pairs]
         if shots_per_test == 0:
+            crosses = [2.0 * (weight * overlap).real for weight, overlap in zip(weights, overlaps)]
             if plan.one_add:
-                if overlaps:
-                    cross = np.multiply(weights[0], overlaps[0], out=overlaps[0]).real
-                    np.add(total, np.multiply(2.0, cross, out=cross), out=rows)
-                else:
-                    rows[...] = total
+                rows[...] = total + crosses[0] if crosses else total
                 continue
-            crosses = [np.broadcast_to(2.0 * (w * overlap).real, rows.shape) for w, overlap in zip(weights, overlaps)]
             terms = np.stack([np.full(rows.shape, sq) for sq in squares] + crosses, axis=-1)
             rows[...] = np.reshape([math.fsum(row) for row in terms.reshape(-1, terms.shape[-1]).tolist()], rows.shape)
             continue
         # (scale, Pr(ancilla = 1) per point and row) for each test, in drawing order.
         tests = []
         for weight, overlap in zip(weights, overlaps):
-            overlap = np.broadcast_to(overlap, rows.shape).reshape(flat.shape[0], -1)
+            overlap = overlap.reshape(flat.shape[0], -1)
             if weight.real != 0.0:
                 tests.append((2.0 * weight.real, np.clip((1.0 - overlap.real) / 2.0, 0.0, 1.0)))
             if weight.imag != 0.0:

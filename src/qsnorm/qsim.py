@@ -281,27 +281,20 @@ def _gate_calls(
     if form == "cnot":
         # Copy the control-0 half, or all of src where that half's runs
         # are shorter than LONG_RUN (one contiguous copy is then faster),
-        # then swap the target's halves within the control-1 half: one copy
-        # that reads the target's axis reversed, or, with the control on
-        # the last qubit, whose fixed bit leaves runs of one amplitude, one
-        # copy per target half, which is then the faster one.
+        # then swap the target's halves within the control-1 half.
         control, target = op.qubits
         shape = src.shape[:-1] + (2,) * n
         view, out = src.reshape(shape), dest.reshape(shape)
         index = [slice(None)] * n
-        index[control] = 0
-        first = (dest, src)
-        if 1 << (n - control - 1) >= LONG_RUN:
-            first = (out[(Ellipsis, *index)], view[(Ellipsis, *index)])
-        index[control] = 1
-        if control < n - 1:
-            flipped = list(index)
-            flipped[target] = slice(None, None, -1)
-            return [(np.copyto, first), (np.copyto, (out[(Ellipsis, *index)], view[(Ellipsis, *flipped)]))]
-        index[target] = 0
+        index[control], index[target] = 1, 0
         i10 = (Ellipsis, *index)
         index[target] = 1
         i11 = (Ellipsis, *index)
+        first = (dest, src)
+        if 1 << (n - control - 1) >= LONG_RUN:
+            index[control], index[target] = 0, slice(None)
+            i0 = (Ellipsis, *index)
+            first = (out[i0], view[i0])
         return [(np.copyto, first), (np.copyto, (out[i10], view[i11])), (np.copyto, (out[i11], view[i10]))]
     block = entries.shape[:-2]
     if not op.qubits:
