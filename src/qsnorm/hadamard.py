@@ -155,19 +155,22 @@ def quadratic_form_values(
             if shots_per_test:
                 rngs = [derived_rngs(seed, m, 1) for _ in flat]
         rows = values[..., chunk]
-        overlaps = [np.broadcast_to(row_overlaps(chunk_images[a], chunk_images[b]), rows.shape) for a, b in pairs]
+        # Each pair's overlaps keep the shape its two images broadcast to:
+        # the one add broadcasts them into rows, the other paths to its shape.
+        overlaps = [row_overlaps(chunk_images[a], chunk_images[b]) for a, b in pairs]
         if shots_per_test == 0:
             crosses = [2.0 * (weight * overlap).real for weight, overlap in zip(weights, overlaps)]
             if plan.one_add:
                 rows[...] = total + crosses[0] if crosses else total
                 continue
+            crosses = [np.broadcast_to(cross, rows.shape) for cross in crosses]
             terms = np.stack([np.full(rows.shape, sq) for sq in squares] + crosses, axis=-1)
             rows[...] = np.reshape([math.fsum(row) for row in terms.reshape(-1, terms.shape[-1]).tolist()], rows.shape)
             continue
         # (scale, Pr(ancilla = 1) per point and row) for each test, in drawing order.
         tests = []
         for weight, overlap in zip(weights, overlaps):
-            overlap = overlap.reshape(flat.shape[0], -1)
+            overlap = np.broadcast_to(overlap, rows.shape).reshape(flat.shape[0], -1)
             if weight.real != 0.0:
                 tests.append((2.0 * weight.real, np.clip((1.0 - overlap.real) / 2.0, 0.0, 1.0)))
             if weight.imag != 0.0:
