@@ -16,7 +16,8 @@ base first at odd i and the head first at even i, so drift in the host's
 speed falls on both alike. Every child gets one BLAS thread, as in
 ``run.py``. Per metric (``run_s``, ``setup_s``, ``peak_rss_mib``) the script
 prints each tree's median and quartiles, the head-over-base ratio of the
-medians and the number of invocations on which the head was lower, then
+medians, the median of the per-invocation ratios and the number of
+invocations on which the head was lower, then
 whether each invocation wrote the same bytes in both trees. The last line
 is the same as one JSON object.
 """
@@ -77,7 +78,9 @@ def quartiles(values: list) -> tuple:
 
 
 def summary(base: list, head: list) -> dict:
-    """Per metric: medians, quartiles, head/base ratio and head wins."""
+    """Per metric: medians, quartiles, the head/base ratio of the medians,
+    the median of the per-invocation ratios (which drift in the host's
+    speed moves less) and head wins."""
     result = {}
     for metric in METRICS:
         b, h = [r[metric] for r in base], [r[metric] for r in head]
@@ -86,6 +89,7 @@ def summary(base: list, head: list) -> dict:
             "base": {"median": bmed, "q1": bq1, "q3": bq3},
             "head": {"median": hmed, "q1": hq1, "q3": hq3},
             "ratio": hmed / bmed if bmed else float("nan"),
+            "pair_ratio": statistics.median(y / x for x, y in zip(b, h)),
             "head_lower": sum(y < x for x, y in zip(b, h)),
         }
     result["same_bytes"] = sum(x["digest"] == y["digest"] for x, y in zip(base, head))
@@ -137,7 +141,7 @@ def main(argv: list | None = None) -> int:
         print(
             f"{metric:13s} base {b['median']:.5g} [{b['q1']:.5g}, {b['q3']:.5g}]  "
             f"head {h['median']:.5g} [{h['q1']:.5g}, {h['q3']:.5g}]  "
-            f"ratio {row['ratio']:.3f}  head lower in {row['head_lower']} of {n}"
+            f"ratio {row['ratio']:.3f} (per pair {row['pair_ratio']:.3f})  head lower in {row['head_lower']} of {n}"
         )
     print(f"same bytes in {result['same_bytes']} of {n} invocations")
     print(json.dumps(result))

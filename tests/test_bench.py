@@ -99,5 +99,5 @@ def test_pairs_runs_the_checkout_against_itself():
     for metric in ("run_s", "setup_s", "peak_rss_mib"):
         row = result[metric]
         assert 0 < row["base"]["q1"] <= row["base"]["median"] <= row["base"]["q3"]
-        assert 0 < row["head"]["median"] and row["ratio"] > 0 and 0 <= row["head_lower"] <= 2
+        assert 0 < row["head"]["median"] and row["ratio"] > 0 and row["pair_ratio"] > 0 and 0 <= row["head_lower"] <= 2
     assert sorted(PERFBENCH.rglob("*")) == before
