@@ -17,9 +17,15 @@ speed falls on both alike. Every child gets one BLAS thread, as in
 ``run.py``. Per metric (``run_s``, ``setup_s``, ``peak_rss_mib``) the script
 prints each tree's median and quartiles, the head-over-base ratio of the
 medians, the median of the per-invocation ratios and the number of
-invocations on which the head was lower, then
-whether each invocation wrote the same bytes in both trees. The last line
-is the same as one JSON object.
+invocations on which the head was lower, then whether each invocation wrote
+the same bytes in both trees. The last line is the same as one JSON object.
+
+Each metric's line ends with the claim rule for a gain (every metric here is
+better lower): whether the head was lower in at least nine tenths of the
+invocations, ties counting for neither, and whether the base's median
+exceeds the head's by more than the base's quartile spread. The rule is
+meant for whole benchmark runs; here it screens single invocations, whose
+spread is wider, so it is a screen, not the benchmark's verdict.
 """
 
 from __future__ import annotations
@@ -80,17 +86,20 @@ def quartiles(values: list) -> tuple:
 def summary(base: list, head: list) -> dict:
     """Per metric: medians, quartiles, the head/base ratio of the medians,
     the median of the per-invocation ratios (which drift in the host's
-    speed moves less) and head wins."""
+    speed moves less), head wins and the two tests of the claim rule."""
     result = {}
     for metric in METRICS:
         b, h = [r[metric] for r in base], [r[metric] for r in head]
         (bq1, bmed, bq3), (hq1, hmed, hq3) = quartiles(b), quartiles(h)
+        head_lower = sum(y < x for x, y in zip(b, h))
         result[metric] = {
             "base": {"median": bmed, "q1": bq1, "q3": bq3},
             "head": {"median": hmed, "q1": hq1, "q3": hq3},
             "ratio": hmed / bmed if bmed else float("nan"),
             "pair_ratio": statistics.median(y / x for x, y in zip(b, h)),
-            "head_lower": sum(y < x for x, y in zip(b, h)),
+            "head_lower": head_lower,
+            "nine_tenths_lower": head_lower >= 0.9 * len(b),
+            "gap_exceeds_spread": bmed - hmed > bq3 - bq1,
         }
     result["same_bytes"] = sum(x["digest"] == y["digest"] for x, y in zip(base, head))
     result["invocations"] = len(base)
@@ -141,7 +150,9 @@ def main(argv: list | None = None) -> int:
         print(
             f"{metric:13s} base {b['median']:.5g} [{b['q1']:.5g}, {b['q3']:.5g}]  "
             f"head {h['median']:.5g} [{h['q1']:.5g}, {h['q3']:.5g}]  "
-            f"ratio {row['ratio']:.3f} (per pair {row['pair_ratio']:.3f})  head lower in {row['head_lower']} of {n}"
+            f"ratio {row['ratio']:.3f} (per pair {row['pair_ratio']:.3f})  head lower in {row['head_lower']} of {n}  "
+            f"claim rule: 9/10 lower {'yes' if row['nine_tenths_lower'] else 'no'}, "
+            f"gap > base spread {'yes' if row['gap_exceeds_spread'] else 'no'}"
         )
     print(f"same bytes in {result['same_bytes']} of {n} invocations")
     print(json.dumps(result))

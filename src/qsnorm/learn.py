@@ -165,7 +165,10 @@ class LearnObjective:
     ``STATE_QUBIT_CAP``, the shot count and the angles. It keeps the probe
     rows of the first row chunk and their images V x, at most
     ``CHUNK_CEILING`` each; any later chunk is rebuilt for each pass of
-    points. Each term 2 - 2 Re<V x|U x> = ||(V - U) x||^2 is twice the value
+    points. V x comes from :func:`qsim.apply_operation_amplitudes`, whose
+    rows, a dense V's included, have the bits of the same rows in any
+    chunk, so the values do not depend on the chunking. Each term
+    2 - 2 Re<V x|U x> = ||(V - U) x||^2 is twice the value
     of the difference mixture (V - U)/sqrt(2), which
     :func:`hadamard.quadratic_form_values` reduces from V x and the block of
     every point's U x. With shots > 0 that runs the real-part test with

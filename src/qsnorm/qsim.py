@@ -9,6 +9,10 @@ Conventions used throughout the package:
 * Dense matrices are only materialized for small systems
   (``MATRIX_QUBIT_CAP``); statevectors have their own cap
   (``STATE_QUBIT_CAP``).
+* Operations act along the last axis, and a row's image has the same bits
+  whatever rows it is applied with, so chunk sizes (``chunk_rows``) set
+  throughput alone; bits may still depend on the BLAS build and thread
+  count, through the one product of a dense unitary (``_dense_product``).
 
 Circuits, gates and statevectors are immutable values; applying a circuit
 always produces a fresh state, so instances can be shared freely across
@@ -28,10 +32,10 @@ import numpy as np
 MATRIX_QUBIT_CAP = 10
 STATE_QUBIT_CAP = 20
 ATOL = 1e-10  # largest |U U^dag - I| entry a DenseUnitary may have
-CHUNK_BYTES = 1 << 16  # per (rows, 2^n) batch below WIDE_QUBITS, see chunk_rows
-WIDE_QUBITS = 9  # from this register width on, a batch holds WIDE_ROWS rows
-WIDE_ROWS = 16
-CHUNK_CEILING = 1 << 18  # most bytes of any batch array, unless one row is larger
+CHUNK_BYTES = 1 << 16  # a (rows, 2^n) batch holds at least these bytes, see chunk_rows
+WIDE_ROWS = 16  # and at least these rows
+CHUNK_CEILING = 1 << 18  # but no more bytes in any batch array, unless one row is larger
+DENSE_ROWS = 2  # fewest rows of a dense product, see _dense_product
 SHORT_RUN = 4  # longest run of a gate's half that is applied one offset at a time
 LONG_RUN = 64  # run of a gate's half from which one pass over the half is fast, see _gate_calls
 
@@ -359,21 +363,41 @@ def gate_matrices(op: Operation) -> list:
     return [] if isinstance(op, DenseUnitary) else [gate_matrix(gate) for gate in op.ops]
 
 
+def _dense_product(src: np.ndarray, matrix: np.ndarray, dest: np.ndarray) -> None:
+    """Write ``src @ matrix.T`` into ``dest``, two C-contiguous (rows, 2^n)
+    arrays of at least DENSE_ROWS rows: the one formula of a dense unitary.
+    BLAS multiplies a single row by its own kernel, which rounds otherwise
+    than the same row in a product of two or more rows; those give each
+    row the same bits whatever their count (for one BLAS build and thread
+    count). So a caller with one row makes it the first row of two and
+    ignores the second, and a row's image never depends on how the rows
+    are chunked."""
+    np.matmul(src, matrix.T, dest)
+
+
 def apply_operation_amplitudes(amps: np.ndarray, op: Operation) -> np.ndarray:
     """Apply a circuit or dense unitary along the last axis of an amplitude
     array, so a ``(rows, 2^n)`` stack is transformed row by row: one
-    :func:`batch_applier` over all the rows, run once."""
-    if isinstance(op, DenseUnitary):
-        return np.matmul(amps, op.matrix.T)
+    :func:`batch_applier` over all the rows, run once. A dense unitary
+    builds no applier: its rows are copied into a zeroed input of at least
+    DENSE_ROWS rows, as in an applier's batch, for one
+    :func:`_dense_product`."""
     rows = np.reshape(amps, (-1, 1 << op.n))
+    if isinstance(op, DenseUnitary):
+        src = np.zeros((max(len(rows), DENSE_ROWS), 1 << op.n), dtype=complex)
+        src[:len(rows)] = rows
+        out = np.empty_like(src)
+        _dense_product(src, op.matrix, out)
+        return out[:len(rows)].reshape(np.shape(amps))
     batch, apply = batch_applier([op], len(rows), op.n)
     batch[...] = rows
     return apply(len(rows))[0].reshape(np.shape(amps))
 
 
 def batch_applier(ops: list, rows: int, n: int, entries: list | None = None) -> tuple[np.ndarray, Callable[[int], list]]:
-    """A (rows, 2^n) input batch of zeros and a function that applies each
-    of ``ops`` to its first ``count`` rows and returns the list of their
+    """A (rows, 2^n) input batch of zeros (at least DENSE_ROWS rows if an
+    operation is a dense unitary) and a function that applies each of
+    ``ops`` to its first ``count`` rows and returns the list of their
     images. A caller writes each batch into the input and is done with one
     batch's images before it applies the next.
 
@@ -389,8 +413,10 @@ def batch_applier(ops: list, rows: int, n: int, entries: list | None = None) -> 
     them, from :func:`_gate_calls`, are made once per row count (a full
     batch, and a shorter last one) and replayed for every batch of that
     count: a circuit's last gate writes its image, the one before it the
-    spare batch, and so on back. A dense unitary is one ``matmul`` of
-    exactly the batch's rows, whose bits may depend on the row count."""
+    spare batch, and so on back. A dense unitary is one
+    :func:`_dense_product`, of a one-row batch and the row after it."""
+    if any(isinstance(op, DenseUnitary) for op in ops):
+        rows = max(rows, DENSE_ROWS)
     entries = [gate_matrices(op) for op in ops] if entries is None else entries
     blocks = [np.broadcast_shapes(*(e.shape[:-2] for e in mats)) for mats in entries]
     sizes = [math.prod(block) * rows << n for block in blocks]
@@ -406,7 +432,9 @@ def batch_applier(ops: list, rows: int, n: int, entries: list | None = None) -> 
             out, src = image[:math.prod(shape)].reshape(shape), np.broadcast_to(batch[:count], shape)
             outs.append(out)
             if isinstance(op, DenseUnitary):
-                calls.append((np.matmul, (batch[:count], op.matrix.T, out)))
+                # out leads the image's first `wide` rows, which this product fills.
+                wide = max(count, DENSE_ROWS)
+                calls.append((_dense_product, (batch[:wide], op.matrix, image[:wide << n].reshape(wide, -1))))
                 continue
             if not op.ops:
                 calls.append((np.copyto, (out, src)))
@@ -434,14 +462,13 @@ def batch_applier(ops: list, rows: int, n: int, entries: list | None = None) -> 
 
 
 def chunk_rows(n: int) -> int:
-    """Rows per kernel batch of 2^n amplitudes. Below WIDE_QUBITS a batch
-    holds CHUNK_BYTES; from WIDE_QUBITS on it holds WIDE_ROWS rows, to
-    spread each gate call's fixed cost over more rows, but no more than
-    CHUNK_CEILING bytes. A batch is never less than one row."""
+    """Rows per kernel batch of 2^n amplitudes: the more of WIDE_ROWS rows
+    and CHUNK_BYTES, so that each gate call's fixed cost is spread over at
+    least WIDE_ROWS rows, but no more than CHUNK_CEILING bytes, and never
+    less than one row. Each row's values have the same bits at any chunk
+    size, so these sizes set throughput alone."""
     row_bytes = 16 << n
-    if n < WIDE_QUBITS:
-        return max(1, CHUNK_BYTES // row_bytes)
-    return max(1, min(WIDE_ROWS, CHUNK_CEILING // row_bytes))
+    return max(1, min(max(WIDE_ROWS, CHUNK_BYTES // row_bytes), CHUNK_CEILING // row_bytes))
 
 
 def row_chunks(rows: int, n: int) -> Iterator[slice]:

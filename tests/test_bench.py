@@ -85,7 +85,8 @@ def test_perfbench_traced_modules_import():
 def test_pairs_runs_the_checkout_against_itself():
     """Two learn invocations of this checkout against itself: each runs in
     both trees, writes the same bytes in both, and the summary gives every
-    metric's medians, quartiles, ratio and win count. Nothing is written
+    metric's medians, quartiles, ratio, win count and the claim rule's two
+    tests, which follow from the wins and the medians. Nothing is written
     under perfbench/."""
     before = sorted(PERFBENCH.rglob("*"))
     proc = subprocess.run(
@@ -100,4 +101,8 @@ def test_pairs_runs_the_checkout_against_itself():
         row = result[metric]
         assert 0 < row["base"]["q1"] <= row["base"]["median"] <= row["base"]["q3"]
         assert 0 < row["head"]["median"] and row["ratio"] > 0 and row["pair_ratio"] > 0 and 0 <= row["head_lower"] <= 2
+        assert row["nine_tenths_lower"] is (row["head_lower"] == 2)
+        gap, spread = row["base"]["median"] - row["head"]["median"], row["base"]["q3"] - row["base"]["q1"]
+        assert row["gap_exceeds_spread"] is (gap > spread)
+    assert proc.stdout.count("claim rule: 9/10 lower ") == 3
     assert sorted(PERFBENCH.rglob("*")) == before

@@ -340,6 +340,10 @@ class TestUsage:
         check_error("unknown_command", tmp_path)
         assert run_cli("frobnicate").returncode == 2
 
+    def test_unrecognized_argument_after_a_command_exits_2(self, tmp_path):
+        """The parser that reports a stray argument prints the top-level usage line."""
+        check_error("fig2_unrecognized_argument", tmp_path)
+
     def test_import_does_not_load_numpy_random(self):
         """Every invocation pays the import; numpy.random loads only when a
         command first draws from a Generator."""

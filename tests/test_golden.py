@@ -123,6 +123,7 @@ ERRORS = {
     "fig2_nonpositive_m": ["fig2", "--n", "1", "--seeds", "1", "--m-list", "0,10"],
     "fig2_zero_qubits": ["fig2", "--n", "0", "--seeds", "1", "--m-list", "5"],
     "fig2_negative_qubits": ["fig2", "--n", "-2", "--seeds", "1", "--m-list", "5"],
+    "fig2_unrecognized_argument": ["fig2", "--n", "1", "extra"],
     "similarity_bad_delta": [*SIMILARITY, "--n", "1", "--delta", "2.0"],
     "similarity_unreachable_distance": [*SIMILARITY, "--n", "1", "--dist-max", "3"],
     "similarity_zero_pairs": ["similarity", "--n", "1", "--pairs", "0", "--states", "10", "--out", "out.csv"],

@@ -1,7 +1,11 @@
 """Interference-test and mixture quadratic-form tests."""
 
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,13 @@ SQRT2_INV = 1 / math.sqrt(2)
 # One-qubit probe angles: x(pi/8) = |+> and x(pi/4) = |1>.
 PLUS, ONE = math.pi / 8, math.pi / 4
 IDENTITY, Z, S = Circuit(1), Circuit(1, (GateOp("z", (0,)),)), Circuit(1, (GateOp("s", (0,)),))
+
+
+def _dense_mixture(n):
+    """0.5 U1 + 0.4i U2 for two Haar-random DenseUnitary terms on n qubits."""
+    return MixedOperation(tuple(
+        (coeff, qsim.DenseUnitary(n, qsim.haar_random_unitary(n, seed))) for coeff, seed in ((0.5, 1), (0.4j, 2))
+    ))
 
 
 def _plus_prep():
@@ -330,6 +341,57 @@ class TestMixedQuadraticForm:
                 monkeypatch.setattr(qsim, "WIDE_ROWS", rows)
                 np.testing.assert_array_equal(mixed_quadratic_form(mixed, thetas, shots, seed=6), whole)
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("shots", [0, 30])
+    def test_rows_do_not_depend_on_the_chunk_ceiling(self, monkeypatch, shots):
+        """chunk_rows gives fewer rows than both WIDE_ROWS and CHUNK_BYTES
+        only under a lower CHUNK_CEILING. There, 3-row chunks over 40
+        angles, ending in a 1-row tail, give the bits of 16-row chunks on a
+        depth-20 circuit mixture at n = 10 and on a dense mixture at n = 9."""
+        rng = np.random.default_rng(74)
+        thetas = sample_thetas(75, 40)
+        for mixed in (random_mixture(10, 3, rng, depth=20), _dense_mixture(9)):
+            whole = mixed_quadratic_form(mixed, thetas, shots, seed=6)
+            monkeypatch.setattr(qsim, "CHUNK_CEILING", 3 * (16 << mixed.n))
+            assert qsim.chunk_rows(mixed.n) == 3
+            np.testing.assert_array_equal(mixed_quadratic_form(mixed, thetas, shots, seed=6), whole)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_dense_prefix_gives_a_prefix_of_the_values(self, n):
+        """Every prefix of 3073 angles that ends in a one-row chunk (of
+        1024-row chunks at n = 2, 256-row at n = 4) gives a prefix of a
+        dense mixture's values, bit for bit, on three angle sets: a lone
+        row is the first of a two-row product, which BLAS rounds as it does
+        a longer one."""
+        mixed = _dense_mixture(n)
+        for seed in (76, 77, 78):
+            thetas = sample_thetas(seed, 3073)
+            whole = mixed_quadratic_form(mixed, thetas)
+            for m in range(1, thetas.size + 1, qsim.chunk_rows(n)):
+                np.testing.assert_array_equal(
+                    mixed_quadratic_form(mixed, thetas[:m]), whole[:m], err_msg=f"seed={seed} m={m}"
+                )
+
+    def test_chunking_holds_with_one_blas_thread(self):
+        """The suite runs with the default BLAS threads, under which the
+        chunking test passed while one thread showed a one-row dense
+        product rounding otherwise; the chunking and prefix tests above run
+        again with one thread."""
+        tests = Path(__file__).resolve()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tests.parent.parent / "src"), env.get("PYTHONPATH")]))
+        names = [
+            "test_rows_do_not_depend_on_chunking",
+            "test_rows_do_not_depend_on_the_chunk_ceiling",
+            "test_dense_prefix_gives_a_prefix_of_the_values",
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             *(f"{tests}::TestMixedQuadraticForm::{name}" for name in names)],
+            capture_output=True, text=True, env=env, cwd=tests.parent.parent, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-1000:]
 
     def test_qubit_cap_checked_before_allocation(self):
         """A 21-qubit request fails at once instead of building probe rows."""

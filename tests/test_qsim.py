@@ -415,9 +415,10 @@ class TestApplyCircuit:
         """Circuits of odd, even and zero depth, and a dense unitary, applied
         through one batch_applier, whose arrays every batch reuses, give the
         bits of applying their gates one at a time (and of the plain
-        product), on full chunks and on a 1-row tail, and so does
-        apply_operation_amplitudes. Each batch's images are spoilt with NaN
-        once checked, so a replay that skips an amplitude would show."""
+        product, of 16 rows: BLAS rounds a lone row otherwise), on full
+        chunks and on a 1-row tail, and so does apply_operation_amplitudes.
+        Each batch's images are spoilt with NaN once checked, so a replay
+        that skips an amplitude would show."""
         n = 10
         rng = np.random.default_rng(19)
         ops = [random_circuit(n, depth, rng) for depth in (0, 1, 2, 7, 20)]
@@ -427,13 +428,33 @@ class TestApplyCircuit:
             rows = batch[:count]
             rows[...] = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
             for op, got in zip(ops, apply(count)):
-                want = rows @ op.matrix.T if isinstance(op, DenseUnitary) else rows
+                want = rows
+                if isinstance(op, DenseUnitary):
+                    want = (np.concatenate((rows, np.ones((16 - count, 1 << n)))) @ op.matrix.T)[:count]
                 for gate in getattr(op, "ops", ()):
                     want = apply_operation_amplitudes(want, Circuit(n, (gate,)))
                 np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
                 got.fill(np.nan)
                 got = apply_operation_amplitudes(rows, op)
                 np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [2, 6, 10])
+    def test_dense_state_has_the_bits_of_its_row_in_a_chunk(self, n):
+        """apply_circuit of one state through a DenseUnitary gives the bits
+        of that state's row inside a 16-row chunk of a batch_applier, and
+        so does a 1-row tail of the same applier: a lone row is the first
+        of a two-row product, which BLAS rounds as it does a longer one."""
+        op = DenseUnitary(n, haar_random_unitary(n, 22))
+        rng = np.random.default_rng(23)
+        batch, apply = batch_applier([op], 16, n)
+        batch[...] = rng.standard_normal(batch.shape) + 1j * rng.standard_normal(batch.shape)
+        chunk = apply(16)[0].copy()
+        for i in (0, 5, 15):
+            got = apply_circuit(StateVector(n, batch[i]), op).amplitudes
+            np.testing.assert_array_equal(got.view(np.uint64), chunk[i].view(np.uint64), err_msg=f"row {i}")
+        batch[0] = batch[5]
+        tail, = apply(1)
+        np.testing.assert_array_equal(tail[0].view(np.uint64), chunk[5].view(np.uint64))
 
     @pytest.mark.parametrize("kind", sorted(GATES))
     def test_buffered_gate_has_the_bits_of_the_allocating_one(self, kind):
