@@ -304,17 +304,10 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of ``command``'s alone when it
-    names one: each subparser costs its build, and an invocation runs one.
-    A one-command parser names every command in its usage line, so its
-    usage and error text have the full parser's bytes."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qsnorm", description=__doc__.strip().splitlines()[0])
-    names = [command] if command in COMMANDS else list(COMMANDS)
-    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) < len(COMMANDS) else None
-    commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for command in names:
-        handler, summary, own = COMMANDS[command]
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (handler, summary, own) in COMMANDS.items():
         sub = commands.add_parser(command, help=summary)
         for name, kind, default, text in own + COMMON:
             flag = "--" + name.replace("_", "-")
@@ -330,8 +323,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(_merge_settings(args, args.settings))
     except (CircuitFormatError, OSError) as exc:

@@ -11,8 +11,9 @@ Conventions used throughout the package:
   (``STATE_QUBIT_CAP``).
 * Operations act along the last axis, and a row's image has the same bits
   whatever rows it is applied with, so chunk sizes (``chunk_rows``) set
-  throughput alone; bits may still depend on the BLAS build and thread
-  count, through the one product of a dense unitary (``_dense_product``).
+  throughput alone (checked with one BLAS build); bits may still depend on
+  the BLAS build and thread count, through the one product of a dense
+  unitary (``_dense_call``).
 
 Circuits, gates and statevectors are immutable values; applying a circuit
 always produces a fresh state, so instances can be shared freely across
@@ -35,7 +36,7 @@ ATOL = 1e-10  # largest |U U^dag - I| entry a DenseUnitary may have
 CHUNK_BYTES = 1 << 16  # a (rows, 2^n) batch holds at least these bytes, see chunk_rows
 WIDE_ROWS = 16  # and at least these rows
 CHUNK_CEILING = 1 << 18  # but no more bytes in any batch array, unless one row is larger
-DENSE_ROWS = 2  # fewest rows of a dense product, see _dense_product
+DENSE_ROWS = 2  # fewest rows of a dense product, see _dense_call
 SHORT_RUN = 4  # longest run of a gate's half that is applied one offset at a time
 LONG_RUN = 64  # run of a gate's half from which one pass over the half is fast, see _gate_calls
 
@@ -363,32 +364,27 @@ def gate_matrices(op: Operation) -> list:
     return [] if isinstance(op, DenseUnitary) else [gate_matrix(gate) for gate in op.ops]
 
 
-def _dense_product(src: np.ndarray, matrix: np.ndarray, dest: np.ndarray) -> None:
-    """Write ``src @ matrix.T`` into ``dest``, two C-contiguous (rows, 2^n)
-    arrays of at least DENSE_ROWS rows: the one formula of a dense unitary.
-    BLAS multiplies a single row by its own kernel, which rounds otherwise
-    than the same row in a product of two or more rows; those give each
-    row the same bits whatever their count (for one BLAS build and thread
-    count). So a caller with one row makes it the first row of two and
-    ignores the second, and a row's image never depends on how the rows
-    are chunked."""
-    np.matmul(src, matrix.T, dest)
+def _dense_call(matrix: np.ndarray, batch: np.ndarray, image: np.ndarray, count: int) -> tuple:
+    """The call that writes a dense unitary's image of the first ``count``
+    rows of a (rows, 2^n) ``batch`` into the leading rows of the flat
+    ``image``, both of at least DENSE_ROWS rows: the one formula of a dense
+    unitary. It multiplies at least DENSE_ROWS rows, so a one-row batch is
+    the first row of two and the next row's image is ignored. numpy's
+    ``matmul`` hands a one-row operand to BLAS's matrix-vector product
+    (gemv), which rounds otherwise than the matrix-matrix product (gemm)
+    that the same row meets among two or more rows; with OpenBLAS 0.3.31,
+    under one and two threads, gemm gave each row the same bits for every
+    row count tried. So, with that build, a row's image does not depend on
+    how the rows are chunked."""
+    wide = max(count, DENSE_ROWS)
+    return np.matmul, (batch[:wide], matrix.T, image[:wide * batch.shape[1]].reshape(wide, -1))
 
 
 def apply_operation_amplitudes(amps: np.ndarray, op: Operation) -> np.ndarray:
     """Apply a circuit or dense unitary along the last axis of an amplitude
     array, so a ``(rows, 2^n)`` stack is transformed row by row: one
-    :func:`batch_applier` over all the rows, run once. A dense unitary
-    builds no applier: its rows are copied into a zeroed input of at least
-    DENSE_ROWS rows, as in an applier's batch, for one
-    :func:`_dense_product`."""
+    :func:`batch_applier` over all the rows, run once."""
     rows = np.reshape(amps, (-1, 1 << op.n))
-    if isinstance(op, DenseUnitary):
-        src = np.zeros((max(len(rows), DENSE_ROWS), 1 << op.n), dtype=complex)
-        src[:len(rows)] = rows
-        out = np.empty_like(src)
-        _dense_product(src, op.matrix, out)
-        return out[:len(rows)].reshape(np.shape(amps))
     batch, apply = batch_applier([op], len(rows), op.n)
     batch[...] = rows
     return apply(len(rows))[0].reshape(np.shape(amps))
@@ -413,8 +409,8 @@ def batch_applier(ops: list, rows: int, n: int, entries: list | None = None) -> 
     them, from :func:`_gate_calls`, are made once per row count (a full
     batch, and a shorter last one) and replayed for every batch of that
     count: a circuit's last gate writes its image, the one before it the
-    spare batch, and so on back. A dense unitary is one
-    :func:`_dense_product`, of a one-row batch and the row after it."""
+    spare batch, and so on back. A dense unitary is the one call of
+    :func:`_dense_call`."""
     if any(isinstance(op, DenseUnitary) for op in ops):
         rows = max(rows, DENSE_ROWS)
     entries = [gate_matrices(op) for op in ops] if entries is None else entries
@@ -432,9 +428,7 @@ def batch_applier(ops: list, rows: int, n: int, entries: list | None = None) -> 
             out, src = image[:math.prod(shape)].reshape(shape), np.broadcast_to(batch[:count], shape)
             outs.append(out)
             if isinstance(op, DenseUnitary):
-                # out leads the image's first `wide` rows, which this product fills.
-                wide = max(count, DENSE_ROWS)
-                calls.append((_dense_product, (batch[:wide], op.matrix, image[:wide << n].reshape(wide, -1))))
+                calls.append(_dense_call(op.matrix, batch, image, count))
                 continue
             if not op.ops:
                 calls.append((np.copyto, (out, src)))
@@ -466,7 +460,8 @@ def chunk_rows(n: int) -> int:
     and CHUNK_BYTES, so that each gate call's fixed cost is spread over at
     least WIDE_ROWS rows, but no more than CHUNK_CEILING bytes, and never
     less than one row. Each row's values have the same bits at any chunk
-    size, so these sizes set throughput alone."""
+    size (for one BLAS build, see :func:`_dense_call`), so these sizes set
+    throughput alone."""
     row_bytes = 16 << n
     return max(1, min(max(WIDE_ROWS, CHUNK_BYTES // row_bytes), CHUNK_CEILING // row_bytes))
 

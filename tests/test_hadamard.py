@@ -345,15 +345,21 @@ class TestMixedQuadraticForm:
     @pytest.mark.parametrize("shots", [0, 30])
     def test_rows_do_not_depend_on_the_chunk_ceiling(self, monkeypatch, shots):
         """chunk_rows gives fewer rows than both WIDE_ROWS and CHUNK_BYTES
-        only under a lower CHUNK_CEILING. There, 3-row chunks over 40
-        angles, ending in a 1-row tail, give the bits of 16-row chunks on a
-        depth-20 circuit mixture at n = 10 and on a dense mixture at n = 9."""
+        only under a lower CHUNK_CEILING. There, 3-row chunks ending in a
+        1-row tail, where later chunks reuse the first one's arrays, give
+        the bits of the default chunks: 1300 angles on a circuit mixture at
+        n = 3 (default 512-row chunks), and 40 angles on a depth-20 circuit
+        mixture at n = 10 and on a dense mixture at n = 9 (16-row chunks)."""
         rng = np.random.default_rng(74)
-        thetas = sample_thetas(75, 40)
-        for mixed in (random_mixture(10, 3, rng, depth=20), _dense_mixture(9)):
+        cases = [
+            (random_mixture(3, 3, np.random.default_rng(72)), sample_thetas(73, 1300)),
+            (random_mixture(10, 3, rng, depth=20), sample_thetas(75, 40)),
+            (_dense_mixture(9), sample_thetas(75, 40)),
+        ]
+        for mixed, thetas in cases:
             whole = mixed_quadratic_form(mixed, thetas, shots, seed=6)
             monkeypatch.setattr(qsim, "CHUNK_CEILING", 3 * (16 << mixed.n))
-            assert qsim.chunk_rows(mixed.n) == 3
+            assert qsim.chunk_rows(mixed.n) == 3 and thetas.size % 3 == 1
             np.testing.assert_array_equal(mixed_quadratic_form(mixed, thetas, shots, seed=6), whole)
             monkeypatch.undo()
 
@@ -362,8 +368,8 @@ class TestMixedQuadraticForm:
         """Every prefix of 3073 angles that ends in a one-row chunk (of
         1024-row chunks at n = 2, 256-row at n = 4) gives a prefix of a
         dense mixture's values, bit for bit, on three angle sets: a lone
-        row is the first of a two-row product, which BLAS rounds as it does
-        a longer one."""
+        row is the first of a two-row product, which rounds as a longer one
+        does, where a one-row matmul would round otherwise."""
         mixed = _dense_mixture(n)
         for seed in (76, 77, 78):
             thetas = sample_thetas(seed, 3073)

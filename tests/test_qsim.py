@@ -415,7 +415,7 @@ class TestApplyCircuit:
         """Circuits of odd, even and zero depth, and a dense unitary, applied
         through one batch_applier, whose arrays every batch reuses, give the
         bits of applying their gates one at a time (and of the plain
-        product, of 16 rows: BLAS rounds a lone row otherwise), on full
+        product, of 16 rows: a one-row matmul rounds otherwise), on full
         chunks and on a 1-row tail, and so does apply_operation_amplitudes.
         Each batch's images are spoilt with NaN once checked, so a replay
         that skips an amplitude would show."""
@@ -443,7 +443,7 @@ class TestApplyCircuit:
         """apply_circuit of one state through a DenseUnitary gives the bits
         of that state's row inside a 16-row chunk of a batch_applier, and
         so does a 1-row tail of the same applier: a lone row is the first
-        of a two-row product, which BLAS rounds as it does a longer one."""
+        of a two-row product, which rounds as a longer one does."""
         op = DenseUnitary(n, haar_random_unitary(n, 22))
         rng = np.random.default_rng(23)
         batch, apply = batch_applier([op], 16, n)
