@@ -16,7 +16,10 @@ be finite either way.
 
 Machine-readable results go to --out (or stdout); progress goes to stderr.
 Every command honors --seed: identical invocations produce byte-identical
-outputs. --threads is accepted everywhere and never affects results.
+outputs for one BLAS build and BLAS thread count. --threads is accepted
+everywhere and never read; the BLAS thread count (OPENBLAS_NUM_THREADS) can
+move last bits from 7 qubits on, through np.linalg.qr and np.linalg.norm,
+and from rows of 2^14 amplitudes on, through row_overlaps (see README).
 
 Exit codes: 0 success, 1 domain or constraint violation, 2 I/O or parse
 error, including a malformed flag or config value.
@@ -304,6 +307,9 @@ COMMANDS = {
 }
 
 
+THREADS_HELP = "accepted for compatibility and never read; OPENBLAS_NUM_THREADS can move last bits from 7 qubits on"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qsnorm", description=__doc__.strip().splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -316,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 suffix = "" if default is None else f" (default {default})"
                 sub.add_argument(flag, type=kind, help=text + suffix)
-        sub.add_argument("--threads", type=int, default=1, help="accepted for compatibility; never affects results")
+        sub.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
         sub.add_argument("--config", help="JSON file of defaults; explicit flags override")
         sub.set_defaults(handler=handler, settings=own + COMMON)
     return parser

@@ -11,9 +11,13 @@ Conventions used throughout the package:
   (``STATE_QUBIT_CAP``).
 * Operations act along the last axis, and a row's image has the same bits
   whatever rows it is applied with, so chunk sizes (``chunk_rows``) set
-  throughput alone (checked with one BLAS build); bits may still depend on
-  the BLAS build and thread count, through the one product of a dense
-  unitary (``_dense_call``).
+  throughput alone (checked with one BLAS build). Bits may still depend on
+  the BLAS build and thread count: with OpenBLAS 0.3.31, through
+  ``np.linalg.qr`` in ``haar_random_unitary`` and ``np.linalg.norm`` in
+  ``exact_schatten2`` from 7 qubits on, and through the BLAS dot products
+  of ``row_overlaps`` from rows of 2^14 amplitudes on. The product of a
+  dense unitary (``_dense_call``) gave the same bits under one and two
+  threads.
 
 Circuits, gates and statevectors are immutable values; applying a circuit
 always produces a fresh state, so instances can be shared freely across
@@ -374,8 +378,9 @@ def _dense_call(matrix: np.ndarray, batch: np.ndarray, image: np.ndarray, count:
     (gemv), which rounds otherwise than the matrix-matrix product (gemm)
     that the same row meets among two or more rows; with OpenBLAS 0.3.31,
     under one and two threads, gemm gave each row the same bits for every
-    row count tried. So, with that build, a row's image does not depend on
-    how the rows are chunked."""
+    row count tried, and the same bits under either thread count. So, with
+    that build, a row's image depends neither on how the rows are chunked
+    nor on the BLAS thread count."""
     wide = max(count, DENSE_ROWS)
     return np.matmul, (batch[:wide], matrix.T, image[:wide * batch.shape[1]].reshape(wide, -1))
 

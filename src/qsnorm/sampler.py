@@ -19,11 +19,11 @@ generator ``derived_rng(s, i, ...)``, i.e. ``default_rng(SeedSequence([s,
 i, ...]))``. Building one SeedSequence and one Generator per key costs tens
 of microseconds, so the hot paths compute numpy's seeding arithmetic for a
 block of keys at once, in uint32/uint64 arrays: :func:`sample_thetas` takes
-each angle from the first PCG64 output, and :func:`derived_rngs` sets the
-seeded PCG64 state on one reused Generator per key. :func:`uniform_angles`
-steps the unkeyed stream of ``derived_rng(seed)`` for a learn run's starting
-point. All three give the same bits as ``derived_rng``, which stays the
-scalar reference the tests compare against.
+each angle from the first PCG64 output, and :func:`derived_rngs` writes each
+key's seeded PCG64 words straight into the C state of one reused Generator.
+:func:`uniform_angles` steps the unkeyed stream of ``derived_rng(seed)`` for
+a learn run's starting point. All three give the same bits as
+``derived_rng``, which stays the scalar reference the tests compare against.
 
 Sample budgets spell out the Hoeffding constants hidden behind the
 asymptotic bounds so they are reproducible exactly.
@@ -31,6 +31,7 @@ asymptotic bounds so they are reproducible exactly.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from typing import Iterator
 
@@ -48,6 +49,20 @@ _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 _M32 = 0xFFFFFFFF
 # Keys seeded in one vectorized pass; bounds the pass's scratch arrays.
 KEY_BLOCK = 1024
+
+
+class _PCG64State(ctypes.Structure):
+    """numpy's ``pcg64_state`` (numpy/random/src/pcg64/pcg64.h), the struct
+    at ``PCG64().ctypes.state_address``: a pointer to the 128-bit state and
+    increment, four uint64 words that a little-endian host stores low half
+    first, then the buffered half of a 64-bit output that ``random_raw``
+    and the 32-bit draws leave behind."""
+
+    _fields_ = [
+        ("pcg_state", ctypes.POINTER(ctypes.c_uint64 * 4)),
+        ("has_uint32", ctypes.c_int),
+        ("uinteger", ctypes.c_uint32),
+    ]
 
 
 def frequency_ladder(n: int) -> np.ndarray:
@@ -163,20 +178,52 @@ def derived_rngs(seed: int, count: int, *suffix: int) -> Iterator[np.random.Gene
     """For i in range(count), one reused Generator in the state of
     ``derived_rng(seed, i, *suffix)``; draw from it before advancing.
 
-    The Generator is made on the first step and set to each key's seeded
-    PCG64 state in turn, through one reused state dict, so no SeedSequence
-    is built per key.
+    The Generator is made on the first step. Each block of keys' words from
+    :func:`_seeded_pcg64` is laid out once by :func:`_state_words`, and a
+    key costs one 32-byte copy of its row into the PCG64's C state, through
+    :class:`_PCG64State`, plus zeroing ``has_uint32`` and ``uinteger`` as
+    the ``state`` setter does, so no buffered half of an output drawn under
+    one key reaches the next. No SeedSequence is built and no 128-bit int is
+    parsed per key. After the first key of each call, the ``state`` getter
+    is read back and compared with that key's words, so a numpy whose struct
+    differs raises RuntimeError rather than yielding wrong streams.
     """
     rng = np.random.default_rng(0)
     bit_generator = rng.bit_generator
-    words = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
+    status = _PCG64State.from_address(bit_generator.ctypes.state_address)
+    target = memoryview(status.pcg_state.contents).cast("B")
+    checked = False
     for keys in _key_blocks(count):
-        block = (a.tolist() for a in _seeded_pcg64(seed, keys, suffix))
-        for state_hi, state_lo, inc_hi, inc_lo in zip(*block):
-            words["state"], words["inc"] = state_hi << 64 | state_lo, inc_hi << 64 | inc_lo
-            bit_generator.state = state
+        state_hi, state_lo, inc_hi, inc_lo = _seeded_pcg64(seed, keys, suffix)
+        words = memoryview(_state_words(state_hi, state_lo, inc_hi, inc_lo)).cast("B")
+        for start in range(0, words.nbytes, 32):
+            target[:] = words[start : start + 32]
+            status.has_uint32 = status.uinteger = 0
+            if not checked:
+                _check_written_state(bit_generator, state_hi, state_lo, inc_hi, inc_lo)
+                checked = True
             yield rng
+
+
+def _state_words(state_hi, state_lo, inc_hi, inc_lo) -> np.ndarray:
+    """The keys' PCG64 words as (keys, 4) uint64 rows, in the order of
+    ``_PCG64State.pcg_state``."""
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
+
+
+def _check_written_state(bit_generator, state_hi, state_lo, inc_hi, inc_lo) -> None:
+    """RuntimeError unless the PCG64's ``state`` reads back as the first key
+    of these words, unbuffered."""
+    want = {
+        "state": int(state_hi[0]) << 64 | int(state_lo[0]),
+        "inc": int(inc_hi[0]) << 64 | int(inc_lo[0]),
+    }
+    state = bit_generator.state
+    if state["state"] != want or state["has_uint32"] or state["uinteger"]:
+        raise RuntimeError(
+            f"numpy {np.__version__} lays out PCG64's state unlike qsnorm.sampler._PCG64State: "
+            f"wrote {want}, read back {state}"
+        )
 
 
 def derive_seed(seed: int, *path: int) -> int:

@@ -314,31 +314,35 @@ class TestMixedQuadraticForm:
                         terms.append(scale * (1.0 - 2.0 * ones / 40))
             assert abs(values[i] - math.fsum(terms)) <= 1e-12
 
+    @staticmethod
+    def chunking_cases() -> list:
+        """1300 angles on a circuit mixture at n = 3 (default 512-row
+        chunks), and 40 angles on a depth-20 circuit mixture at n = 10 and on
+        a dense mixture at n = 9 (16-row chunks)."""
+        rng = np.random.default_rng(74)
+        return [
+            (random_mixture(3, 3, np.random.default_rng(72)), sample_thetas(73, 1300)),
+            (random_mixture(10, 3, rng, depth=20), sample_thetas(75, 40)),
+            (_dense_mixture(9), sample_thetas(75, 40)),
+        ]
+
     @pytest.mark.parametrize("shots", [0, 30])
     def test_rows_do_not_depend_on_chunking(self, monkeypatch, shots):
         """Per-angle values are bit-identical for any chunk size, and a
-        prefix of the angles gives a prefix of the values. From 9 qubits on
-        a chunk holds WIDE_ROWS = 16 rows; a depth-20 circuit mixture at
-        n = 10 and a dense mixture at n = 9 give the same bits there as at
-        the rows CHUNK_BYTES gives (4 and 8) and at 3 rows with a 1-row
-        tail, where later chunks reuse the first one's arrays."""
-        mixed = random_mixture(3, 3, np.random.default_rng(72))
-        thetas = sample_thetas(73, 1300)  # not a multiple of the 512-row chunks at n = 3
+        prefix of the angles gives a prefix of the values. A CHUNK_CEILING of
+        two rows' or one row's bytes gives chunks of that many rows on the
+        chunking cases, where later chunks reuse the first one's arrays; in
+        one-row chunks every row of the dense mixture is the first row of a
+        DENSE_ROWS-row product."""
+        cases = self.chunking_cases()
+        mixed, thetas = cases[0]
         whole = mixed_quadratic_form(mixed, thetas, shots, seed=6)
         np.testing.assert_array_equal(mixed_quadratic_form(mixed, thetas[:700], shots, seed=6), whole[:700])
-        monkeypatch.setattr(qsim, "CHUNK_BYTES", 3 * 16 * 8)
-        np.testing.assert_array_equal(mixed_quadratic_form(mixed, thetas, shots, seed=6), whole)
-        monkeypatch.undo()
-
-        rng = np.random.default_rng(74)
-        dense = MixedOperation(tuple(
-            (coeff, qsim.DenseUnitary(9, qsim.haar_random_unitary(9, seed))) for coeff, seed in ((0.5, 1), (0.4j, 2))
-        ))
-        thetas = sample_thetas(75, 40)  # 16 + 16 + 8 rows
-        for mixed in (random_mixture(10, 3, rng, depth=20), dense):
+        for mixed, thetas in cases:
             whole = mixed_quadratic_form(mixed, thetas, shots, seed=6)
-            for rows in (qsim.CHUNK_BYTES // (16 << mixed.n), 3):
-                monkeypatch.setattr(qsim, "WIDE_ROWS", rows)
+            for rows in (2, 1):
+                monkeypatch.setattr(qsim, "CHUNK_CEILING", rows * (16 << mixed.n))
+                assert qsim.chunk_rows(mixed.n) == rows
                 np.testing.assert_array_equal(mixed_quadratic_form(mixed, thetas, shots, seed=6), whole)
             monkeypatch.undo()
 
@@ -347,16 +351,8 @@ class TestMixedQuadraticForm:
         """chunk_rows gives fewer rows than both WIDE_ROWS and CHUNK_BYTES
         only under a lower CHUNK_CEILING. There, 3-row chunks ending in a
         1-row tail, where later chunks reuse the first one's arrays, give
-        the bits of the default chunks: 1300 angles on a circuit mixture at
-        n = 3 (default 512-row chunks), and 40 angles on a depth-20 circuit
-        mixture at n = 10 and on a dense mixture at n = 9 (16-row chunks)."""
-        rng = np.random.default_rng(74)
-        cases = [
-            (random_mixture(3, 3, np.random.default_rng(72)), sample_thetas(73, 1300)),
-            (random_mixture(10, 3, rng, depth=20), sample_thetas(75, 40)),
-            (_dense_mixture(9), sample_thetas(75, 40)),
-        ]
-        for mixed, thetas in cases:
+        the bits of the default chunks on the chunking cases."""
+        for mixed, thetas in self.chunking_cases():
             whole = mixed_quadratic_form(mixed, thetas, shots, seed=6)
             monkeypatch.setattr(qsim, "CHUNK_CEILING", 3 * (16 << mixed.n))
             assert qsim.chunk_rows(mixed.n) == 3 and thetas.size % 3 == 1

@@ -6,6 +6,7 @@ rounding; every statistical claim is checked against that quadrature.
 """
 
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -332,6 +333,29 @@ class TestVectorizedSeeding:
                 assert rng.binomial(trials, p, 3).tolist() == ref.binomial(trials, p, 3).tolist()
             assert rng.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes()
         assert i == count - 1
+
+    def test_no_buffered_half_reaches_the_next_key(self):
+        """Three uint32 draws leave half of a 64-bit output buffered in the
+        PCG64; the next key's stream must not start with it. A state write
+        that kept ``has_uint32`` and ``uinteger`` failed every other key."""
+        count = 6
+        for i, rng in enumerate(derived_rngs(3, count)):
+            ref = derived_rng(3, i)
+            draws = rng.integers(2**32, size=3, dtype=np.uint32), ref.integers(2**32, size=3, dtype=np.uint32)
+            assert draws[0].tolist() == draws[1].tolist(), i
+            assert rng.standard_normal(2).tobytes() == ref.standard_normal(2).tobytes(), i
+        assert i == count - 1
+
+    def test_a_state_that_reads_back_otherwise_raises(self, monkeypatch):
+        """With the halves of each 128-bit word swapped, the first key's
+        state reads back otherwise, and no generator is yielded."""
+
+        def swapped(state_hi, state_lo, inc_hi, inc_lo):
+            return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=1)
+
+        monkeypatch.setattr(sampler, "_state_words", swapped)
+        with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)} "):
+            next(derived_rngs(5, 3))
 
     @pytest.mark.parametrize("count", [1, 4, 7])
     def test_uniform_angles_equal_unkeyed_stream(self, count):

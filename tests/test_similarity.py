@@ -1,5 +1,6 @@
 """Similarity bounds, fidelity statistics, and the decision procedure."""
 
+import ctypes
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from qsnorm import (
 )
 from qsnorm import qsim, similarity
 from qsnorm.qsim import MATRIX_QUBIT_CAP, DenseUnitary, apply_operation_amplitudes, row_chunks, row_overlaps
+from qsnorm.sampler import KEY_BLOCK
 from qsnorm.schatten import schatten2_estimate_from_thetas
 
 SQRT2_INV = 1 / math.sqrt(2)
@@ -109,6 +111,23 @@ class TestHaarRandomState:
         np.testing.assert_array_equal(np.concatenate(drawn), expected)
         for op in range(2):
             np.testing.assert_array_equal(np.concatenate([chunk[op] for chunk in images]), expected)
+
+    def test_rows_are_the_generators_normal_draws(self, monkeypatch):
+        """Each Gaussian row haar_fidelities fills through numpy's exported
+        normal fill is ``derived_rng(seed, i).standard_normal(2^(n+1))``,
+        byte for byte, over more states than one KEY_BLOCK of keys."""
+        n, num_states = 3, KEY_BLOCK + 76
+        fill, rows = similarity._normal_fill(), []
+
+        def recording_fill(bitgen, count, address):
+            fill(bitgen, count, address)
+            rows.append(ctypes.string_at(address, 8 * count))
+
+        monkeypatch.setattr(similarity, "_normal_fill", lambda: recording_fill)
+        haar_fidelities(Circuit(n), Circuit(n), num_states, seed=14)
+        assert len(rows) == num_states
+        for i, row in enumerate(rows):
+            assert row == derived_rng(14, i).standard_normal(2 << n).tobytes(), i
 
     @pytest.mark.parametrize("n", [1, 3, 6, 10])
     def test_single_state_equals_the_per_state_formula(self, n):
