@@ -24,11 +24,15 @@ Layers, each through the public function the CLI calls:
   of a 3-term mixture of random depth-20 circuits at n = 10 over 500
   angles, the shape of the end-to-end estimate-shots workload, where the
   terms' gates are applied into the kernel's reused arrays.
+- ``kernel_front.n8.analytic``: analytic ``mixed_quadratic_form`` of a
+  3-term mixture of random depth-20 circuits at n = 8 over 1000 angles, a
+  width whose gate replay runs on 64-row chunks.
 - ``gate_construction``: ``adjoint`` of the same depth-20 circuit, which
   builds and validates one ``GateOp`` per gate.
 - ``quadratic_form``: ``schatten2_estimate_from_thetas`` (the analytic
   ``mixed_quadratic_form`` and its mean) of the difference mixture of two
-  n = 6 Haar unitaries over 1000 angles, the reduction a fig2 seed runs.
+  n = 6 Haar unitaries over 1000 angles, and over the 10^4 angles of one
+  fig2 seed at its largest m.
 - ``learn_loss``: one ``loss`` call of the 2-qubit, 4-slot ry/cnot ansatz
   against a target bound from the same ansatz, at 64 angles, which prepares
   the objective and calls it once.
@@ -126,25 +130,32 @@ def layers() -> dict:
     rng = np.random.default_rng(7)
     fixed, angled = ("h", "x", "y", "z", "s", "sdg", "t", "tdg"), ("rx", "ry", "rz", "phase")
 
-    def random_gate():
+    def random_gate(n):
         roll = rng.random()
         if roll < 0.4:
-            return GateOp(str(rng.choice(fixed)), (int(rng.integers(10)),))
+            return GateOp(str(rng.choice(fixed)), (int(rng.integers(n)),))
         if roll < 0.8:
-            return GateOp(str(rng.choice(angled)), (int(rng.integers(10)),), (float(rng.uniform(-np.pi, np.pi)),))
+            return GateOp(str(rng.choice(angled)), (int(rng.integers(n)),), (float(rng.uniform(-np.pi, np.pi)),))
         if roll < 0.9:
-            return GateOp("cnot", tuple(int(q) for q in rng.choice(10, size=2, replace=False)))
+            return GateOp("cnot", tuple(int(q) for q in rng.choice(n, size=2, replace=False)))
         return GateOp("globalphase", (), (float(rng.uniform(-np.pi, np.pi)),))
 
-    terms = MixedOperation(tuple(
-        (coeff, Circuit(10, tuple(random_gate() for _ in range(20)))) for coeff in (0.4, 0.3j, -0.2)
-    ))
+    def random_terms(n):
+        return MixedOperation(tuple(
+            (coeff, Circuit(n, tuple(random_gate(n) for _ in range(20)))) for coeff in (0.4, 0.3j, -0.2)
+        ))
+
+    terms = random_terms(10)
     angles500 = sample_thetas(7, 500)
     cases["operator_application.n10.mixture"] = (lambda: apply_mixture([op for _, op in terms.terms], angles500), 500)
     cases["kernel_front.n10.m500"] = (lambda: mixed_quadratic_form(terms, angles500, shots_per_test=100, seed=7), 500)
+    terms8 = random_terms(8)
+    cases["kernel_front.n8.analytic.m1000"] = (lambda: mixed_quadratic_form(terms8, thetas), 1000)
     cases["gate_construction.n10.depth20"] = (lambda: adjoint(circuit), len(circuit))
     pair = difference_mixture(*(DenseUnitary(6, haar_random_unitary(6, seed)) for seed in (1, 2)))
     cases["quadratic_form.n6.m1000"] = (lambda: schatten2_estimate_from_thetas(pair, thetas), 1000)
+    fig2_angles = sample_thetas(7, 10_000)
+    cases["quadratic_form.n6.m10000"] = (lambda: schatten2_estimate_from_thetas(pair, fig2_angles), 10_000)
     ansatz = Ansatz(Circuit(2, (
         GateOp("ry", (0,), (ParamSlot(0),)),
         GateOp("ry", (1,), (ParamSlot(1),)),

@@ -35,7 +35,6 @@ import numpy as np
 
 from .hadamard import ReductionPlan, probe_chunk, quadratic_form_values, require_shots
 from .qsim import (
-    CHUNK_BYTES,
     GATES,
     STATE_QUBIT_CAP,
     Circuit,
@@ -45,6 +44,7 @@ from .qsim import (
     _number_param,
     apply_operation_amplitudes,
     batch_applier,
+    chunk_rows,
     circuit_from_dict,
     gate_matrix,
     require_int,
@@ -181,10 +181,12 @@ class LearnObjective:
     per pass size B, kept, whose slot gates read (B, 2, 2) stacks ((B, 1,
     1) for globalphase) that each pass refills: the stacks of one gate
     kind are views of one array, filled by one call of that kind's
-    ``GATES`` formula on the (B, gates) array of their angles. One applier
-    holds about 3B + 1 chunks (input, image, spare batch, scratch),
-    whatever the angle count; a learn run keeps at most two, for its passes
-    of 2P + 1 points and their remainder."""
+    ``GATES`` formula on the (B, gates) array of their angles. A pass's B
+    points fill at most one chunk of ``CHUNK_CEILING`` bytes (see
+    :meth:`block`), so one applier holds about 3B + 1 first chunks (input,
+    image, spare batch, scratch), about three ``CHUNK_CEILING`` while a row
+    fits in one, whatever the angle count; a learn run keeps at most two,
+    for its passes of 2P + 1 points and their remainder."""
 
     def __init__(self, ansatz: Ansatz, target: Operation, thetas: np.ndarray, shots: int = 0, seed: int = 0):
         # Every bound U(xi) has the template's register, so the mixture with
@@ -206,10 +208,11 @@ class LearnObjective:
     def block(self, xis: np.ndarray) -> np.ndarray:
         """f at each row of the (B, P) array ``xis``. The points go in passes
         of as many as the first chunk's probe rows, tiled once per point,
-        fit in ``CHUNK_BYTES``. U is applied to a whole pass at once, in
+        fit in one chunk of :func:`qsim.chunk_rows` rows (``CHUNK_CEILING``
+        bytes), and at least one. U is applied to a whole pass at once, in
         every row chunk, and one reduction takes the pass."""
         points = _parameter_values(xis, self.ansatz.num_params, 2)
-        per_pass = max(1, CHUNK_BYTES // self._x.nbytes)
+        per_pass = chunk_rows(self.n) // len(self._x)
         m = self.thetas.size
         costs = []
         for start in range(0, len(points), per_pass):

@@ -37,9 +37,7 @@ import numpy as np
 MATRIX_QUBIT_CAP = 10
 STATE_QUBIT_CAP = 20
 ATOL = 1e-10  # largest |U U^dag - I| entry a DenseUnitary may have
-CHUNK_BYTES = 1 << 16  # a (rows, 2^n) batch holds at least these bytes, see chunk_rows
-WIDE_ROWS = 16  # and at least these rows
-CHUNK_CEILING = 1 << 18  # but no more bytes in any batch array, unless one row is larger
+CHUNK_CEILING = 1 << 18  # bytes of a (rows, 2^n) batch array, unless one row is larger; see chunk_rows
 DENSE_ROWS = 2  # fewest rows of a dense product, see _dense_call
 SHORT_RUN = 4  # longest run of a gate's half that is applied one offset at a time
 LONG_RUN = 64  # run of a gate's half from which one pass over the half is fast, see _gate_calls
@@ -461,14 +459,13 @@ def batch_applier(ops: list, rows: int, n: int, entries: list | None = None) -> 
 
 
 def chunk_rows(n: int) -> int:
-    """Rows per kernel batch of 2^n amplitudes: the more of WIDE_ROWS rows
-    and CHUNK_BYTES, so that each gate call's fixed cost is spread over at
-    least WIDE_ROWS rows, but no more than CHUNK_CEILING bytes, and never
-    less than one row. Each row's values have the same bits at any chunk
-    size (for one BLAS build, see :func:`_dense_call`), so these sizes set
-    throughput alone."""
-    row_bytes = 16 << n
-    return max(1, min(max(WIDE_ROWS, CHUNK_BYTES // row_bytes), CHUNK_CEILING // row_bytes))
+    """Rows per kernel batch of 2^n amplitudes: as many as fit in
+    CHUNK_CEILING bytes, so that each call's fixed cost is spread over as
+    many rows as one cache-sized array holds, and never less than one row:
+    256 rows at 6 qubits, 16 at 10 and one from 14 on. Each row's values
+    have the same bits at any chunk size (for one BLAS build, see
+    :func:`_dense_call`), so these sizes set throughput alone."""
+    return max(1, CHUNK_CEILING // (16 << n))
 
 
 def row_chunks(rows: int, n: int) -> Iterator[slice]:

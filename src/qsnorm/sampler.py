@@ -47,8 +47,9 @@ _POOL_SIZE = 4
 # PCG64's 128-bit LCG multiplier, as high and low 64-bit halves.
 _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 _M32 = 0xFFFFFFFF
-# Keys seeded in one vectorized pass; bounds the pass's scratch arrays.
-KEY_BLOCK = 1024
+# Keys seeded in one vectorized pass, whose lanes are uint32 and uint64
+# arrays of this many entries (16 and 32 KiB); fig2's 10^4 angles take three.
+KEY_BLOCK = 4096
 
 
 class _PCG64State(ctypes.Structure):

@@ -26,6 +26,7 @@ import numpy as np
 
 from .qsim import (
     MATRIX_QUBIT_CAP,
+    STATE_QUBIT_CAP,
     Circuit,
     DenseUnitary,
     GateOp,
@@ -115,7 +116,9 @@ def _haar_amplitudes(
 
 
 def haar_random_state(n: int, rng: np.random.Generator) -> StateVector:
-    """Uniform pure state: normalized vector of complex standard Gaussians."""
+    """Uniform pure state: normalized vector of complex standard Gaussians.
+    ``n`` is checked against STATE_QUBIT_CAP before anything is drawn."""
+    n = require_qubits(n, STATE_QUBIT_CAP, "statevector qubit count")
     with rng.bit_generator.lock:
         return StateVector(n, _haar_amplitudes(n, 1, [rng])[0])
 

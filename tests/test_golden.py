@@ -65,6 +65,27 @@ CASES = {
     ),
 }
 
+
+def wide_cases(n: int, m: int, shot_m: int) -> dict:
+    """estimate and decide, analytic over m angles and in shot mode over
+    shot_m, on the stored depth-20 gate circuits of an n-qubit register."""
+    mixed = ["estimate", "--mixed", f"{{golden}}/mixture_n{n}.json", "--seed", "7"]
+    pair = ["decide", "--u1", f"{{golden}}/u1_n{n}.json", "--u2", f"{{golden}}/u2_n{n}.json", "--epsilon", "1.0",
+            "--delta", "0.2", "--delta-hat", "0.05", "--seed", "3"]
+    return {
+        f"estimate_n{n}": ([*mixed, "--samples", str(m)], {"--out": "json"}),
+        f"estimate_shots_n{n}": ([*mixed, "--samples", str(shot_m), "--shots", "50"], {"--out": "json"}),
+        f"decide_n{n}": ([*pair, "--samples", str(m)], {"--out": "json"}),
+        f"decide_shots_n{n}": ([*pair, "--samples", str(shot_m), "--shots", "40"], {"--out": "json"}),
+    }
+
+
+# Wider registers than the cases above, whose row chunks hold fewer rows;
+# each angle count spans several chunks. Recorded under
+# OPENBLAS_NUM_THREADS=1; two threads give the same bytes.
+CASES.update(wide_cases(7, 300, 200))
+CASES.update(wide_cases(9, 100, 80))
+
 # Inputs of the error cases, written into the working directory of the run
 # and named relative to it, so that stderr holds no absolute path.
 INPUTS = {

@@ -316,12 +316,13 @@ class TestMixedQuadraticForm:
 
     @staticmethod
     def chunking_cases() -> list:
-        """1300 angles on a circuit mixture at n = 3 (default 512-row
-        chunks), and 40 angles on a depth-20 circuit mixture at n = 10 and on
-        a dense mixture at n = 9 (16-row chunks)."""
+        """4099 angles on a circuit mixture at n = 3 (two default 2048-row
+        chunks and a tail), and 40 angles on a depth-20 circuit mixture at
+        n = 10 (16-row chunks) and on a dense mixture at n = 9 (32-row
+        chunks)."""
         rng = np.random.default_rng(74)
         return [
-            (random_mixture(3, 3, np.random.default_rng(72)), sample_thetas(73, 1300)),
+            (random_mixture(3, 3, np.random.default_rng(72)), sample_thetas(73, 4099)),
             (random_mixture(10, 3, rng, depth=20), sample_thetas(75, 40)),
             (_dense_mixture(9), sample_thetas(75, 40)),
         ]
@@ -337,7 +338,7 @@ class TestMixedQuadraticForm:
         cases = self.chunking_cases()
         mixed, thetas = cases[0]
         whole = mixed_quadratic_form(mixed, thetas, shots, seed=6)
-        np.testing.assert_array_equal(mixed_quadratic_form(mixed, thetas[:700], shots, seed=6), whole[:700])
+        np.testing.assert_array_equal(mixed_quadratic_form(mixed, thetas[:2100], shots, seed=6), whole[:2100])
         for mixed, thetas in cases:
             whole = mixed_quadratic_form(mixed, thetas, shots, seed=6)
             for rows in (2, 1):
@@ -348,10 +349,9 @@ class TestMixedQuadraticForm:
 
     @pytest.mark.parametrize("shots", [0, 30])
     def test_rows_do_not_depend_on_the_chunk_ceiling(self, monkeypatch, shots):
-        """chunk_rows gives fewer rows than both WIDE_ROWS and CHUNK_BYTES
-        only under a lower CHUNK_CEILING. There, 3-row chunks ending in a
-        1-row tail, where later chunks reuse the first one's arrays, give
-        the bits of the default chunks on the chunking cases."""
+        """Under a CHUNK_CEILING of three rows' bytes, 3-row chunks ending
+        in a 1-row tail, where later chunks reuse the first one's arrays,
+        give the bits of the default chunks on the chunking cases."""
         for mixed, thetas in self.chunking_cases():
             whole = mixed_quadratic_form(mixed, thetas, shots, seed=6)
             monkeypatch.setattr(qsim, "CHUNK_CEILING", 3 * (16 << mixed.n))
@@ -361,14 +361,14 @@ class TestMixedQuadraticForm:
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_dense_prefix_gives_a_prefix_of_the_values(self, n):
-        """Every prefix of 3073 angles that ends in a one-row chunk (of
-        1024-row chunks at n = 2, 256-row at n = 4) gives a prefix of a
-        dense mixture's values, bit for bit, on three angle sets: a lone
-        row is the first of a two-row product, which rounds as a longer one
-        does, where a one-row matmul would round otherwise."""
+        """Every prefix of three chunks and one angle that ends in a one-row
+        chunk (of 4096-row chunks at n = 2, 1024-row at n = 4) gives a
+        prefix of a dense mixture's values, bit for bit, on three angle
+        sets: a lone row is the first of a two-row product, which rounds as
+        a longer one does, where a one-row matmul would round otherwise."""
         mixed = _dense_mixture(n)
         for seed in (76, 77, 78):
-            thetas = sample_thetas(seed, 3073)
+            thetas = sample_thetas(seed, 3 * qsim.chunk_rows(n) + 1)
             whole = mixed_quadratic_form(mixed, thetas)
             for m in range(1, thetas.size + 1, qsim.chunk_rows(n)):
                 np.testing.assert_array_equal(

@@ -33,6 +33,7 @@ from qsnorm import (
     sample_thetas,
     sampling_circuit,
 )
+from qsnorm import qsim
 from qsnorm.qsim import CHUNK_CEILING, GATES, row_chunks
 
 
@@ -239,10 +240,12 @@ class TestLearnObjective:
     @pytest.mark.parametrize("n", [2, 7])
     @pytest.mark.parametrize("repeat", [1, 2])
     @pytest.mark.parametrize("shots", [0, 20])
-    def test_equals_kernel_on_difference_mixture_bit_for_bit(self, n, repeat, shots):
+    def test_equals_kernel_on_difference_mixture_bit_for_bit(self, n, repeat, shots, monkeypatch):
         """Keeping the first chunk's probe rows and V x across calls changes
-        no bit of the objective; at n = 7, 64 angles make two chunks, so the
-        rebuilt chunk is covered too."""
+        no bit of the objective. Chunks of 64 KiB make 32-row chunks at
+        n = 7, so its 64 angles make two chunks and the rebuilt chunk is
+        covered too."""
+        monkeypatch.setattr(qsim, "CHUNK_CEILING", 1 << 16)
         rng = np.random.default_rng(88 + 10 * n + repeat)
         ansatz, target = random_ansatz(n, 8, rng, repeat), random_circuit(n, 8, rng)
         thetas = sample_thetas(9, 64)
@@ -372,7 +375,7 @@ class TestLearnObjective:
         rx, ry, rz, phase and globalphase on every qubit put diagonal gates
         on runs below and above LONG_RUN. Each block's values have the bits
         of a fresh objective's and of per-point mixed_quadratic_form. At
-        n = 8 the 40 angles make three chunks and each pass one point."""
+        n = 8 the 136 angles make three chunks and each pass one point."""
         rng = np.random.default_rng(91 + n)
         ops, slots = [GateOp("h", (0,))], count()
         for q in range(n):
@@ -380,7 +383,8 @@ class TestLearnObjective:
             ops.append(GateOp("cnot", (q, (q + 1) % n)))
         ops.append(GateOp("globalphase", (), (ParamSlot(next(slots)),)))
         ansatz, target = Ansatz(Circuit(n, tuple(ops))), random_circuit(n, 8, rng)
-        thetas = sample_thetas(9, 64 if n == 2 else 40)
+        thetas = sample_thetas(9, 64 if n == 2 else 136)
+        assert len(list(row_chunks(thetas.size, n))) == (1 if n == 2 else 3)
         objective = LearnObjective(ansatz, target, thetas)
         for size in (1, 9, 16) * 2:
             points = rng.uniform(-math.pi, math.pi, (size, ansatz.num_params))

@@ -545,15 +545,13 @@ class TestApplyCircuit:
         assert callers == {"qsim.batch_applier"}
 
     def test_chunk_rows(self):
-        """Up to 8 qubits a chunk holds CHUNK_BYTES, as it always has, so
-        runs at those widths keep their chunks, bits and memory. From 9
-        qubits on it holds 16 rows, but no array above CHUNK_CEILING unless
-        one row is larger: one row from 14 qubits up to the 20-qubit cap."""
+        """A chunk holds as many rows as fit in CHUNK_CEILING bytes, and one
+        row from 14 qubits up to the 20-qubit cap, where one row is larger."""
         rows = {n: chunk_rows(n) for n in range(1, 21)}
-        assert rows == {1: 2048, 2: 1024, 3: 512, 4: 256, 5: 128, 6: 64, 7: 32, 8: 16,
-                        9: 16, 10: 16, 11: 8, 12: 4, 13: 2, **{n: 1 for n in range(14, 21)}}
-        for n in range(9, 21):
-            assert rows[n] * (16 << n) <= CHUNK_CEILING or rows[n] == 1
+        assert rows == {1: 8192, 2: 4096, 3: 2048, 4: 1024, 5: 512, 6: 256, 7: 128, 8: 64,
+                        9: 32, 10: 16, 11: 8, 12: 4, 13: 2, **{n: 1 for n in range(14, 21)}}
+        for n in range(1, 21):
+            assert rows[n] * (16 << n) == CHUNK_CEILING or rows[n] == 1
         assert [len(range(1000)[chunk]) for chunk in row_chunks(40, 10)] == [16, 16, 8]
 
     def test_dense_unitary_application(self):

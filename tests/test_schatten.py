@@ -99,13 +99,13 @@ class TestQuantumEstimate:
         np.testing.assert_array_equal(short.per_sample_values, long.per_sample_values[:10])
 
     def test_prefixes_of_one_call_equal_calls_on_prefixes(self):
-        """fig2 reduces prefixes of one call's values; at n = 6 (64-row
+        """fig2 reduces prefixes of one call's values; at n = 6 (256-row
         chunks) each prefix gives the estimate of its own call, bit for bit."""
         u1, u2 = (DenseUnitary(6, haar_random_unitary(6, seed)) for seed in (11, 12))
         mixed = difference_mixture(u1, u2)
         thetas = sample_thetas(13, 300)
         values = schatten2_estimate_from_thetas(mixed, thetas).per_sample_values
-        for m in (1, 10, 63, 64, 65, 300):
+        for m in (1, 10, 255, 256, 257, 300):
             own = schatten2_estimate_from_thetas(mixed, thetas[:m])
             reduced = SchattenEstimate.from_values(values[:m])
             assert (reduced.value, reduced.clamped) == (own.value, own.clamped)

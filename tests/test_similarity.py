@@ -65,6 +65,21 @@ class TestHaarRandomState:
             psi = haar_random_state(4, rng)
             assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("n, error, message", [
+        (21, ValueError, r"statevector qubit count 21 outside \[1, 20\]"),
+        (-1, ValueError, r"statevector qubit count -1 outside \[1, 20\]"),
+        (2.0, TypeError, "n must be an integer, got 2.0"),
+    ], ids=["21", "-1", "2.0"])
+    def test_qubit_count_checked_before_drawing(self, n, error, message):
+        """A register past STATE_QUBIT_CAP used to draw 2^22 normals, and
+        n = -1 and n = 2.0 failed inside a shift; each now fails the
+        register check and leaves the generator where it was."""
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        with pytest.raises(error, match=message):
+            haar_random_state(n, rng)
+        assert rng.bit_generator.state == before
+
     def test_overlap_moment_with_basis_state(self):
         """Haar mean of |<0...0|psi>|^2 is 1/N within 3 standard errors."""
         rng = np.random.default_rng(2)
