@@ -17,6 +17,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -32,6 +34,8 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "fig2": (["fig2", "--n", "4", "--seeds", "3", "--m-list", "10,100,500", "--seed", "5"], {"--out": "csv"}),
     "similarity": (["similarity", "--n", "4", "--pairs", "3", "--states", "500", "--seed", "5"], {"--out": "csv"}),
+    # 300 Haar states at n = 6 span two 256-row chunks.
+    "similarity_n6": (["similarity", "--n", "6", "--pairs", "2", "--states", "300", "--seed", "5"], {"--out": "csv"}),
     "estimate": (["estimate", "--mixed", "{golden}/mixture.json", "--samples", "500", "--seed", "7"], {"--out": "json"}),
     "estimate_shots": (
         ["estimate", "--mixed", "{golden}/mixture.json", "--samples", "200", "--shots", "50", "--seed", "7"],
@@ -85,6 +89,15 @@ def wide_cases(n: int, m: int, shot_m: int) -> dict:
 # OPENBLAS_NUM_THREADS=1; two threads give the same bytes.
 CASES.update(wide_cases(7, 300, 200))
 CASES.update(wide_cases(9, 100, 80))
+CASES.update(wide_cases(12, 40, 24))
+
+# Cases whose bytes depend on the BLAS thread count: fig2's Haar unitaries
+# come from np.linalg.qr and its exact distances from np.linalg.norm, whose
+# bits differ between thread counts from n = 7 on. They are recorded and
+# checked in a subprocess under OPENBLAS_NUM_THREADS=1.
+ONE_THREAD_CASES = {
+    "fig2_n7": (["fig2", "--n", "7", "--seeds", "2", "--m-list", "10,100", "--seed", "5"], {"--out": "csv"}),
+}
 
 # Inputs of the error cases, written into the working directory of the run
 # and named relative to it, so that stderr holds no absolute path.
@@ -157,14 +170,22 @@ ERRORS = {
 
 def run_case(name: str, outdir: Path) -> dict[str, Path]:
     """Run one case, writing its outputs into ``outdir``; returns the
-    expected file name of each output mapped to the path written."""
-    argv, outputs = CASES[name]
+    expected file name of each output mapped to the path written. A case
+    of ONE_THREAD_CASES runs ``python -m qsnorm`` in a subprocess under
+    one BLAS thread; the others run in this process."""
+    argv, outputs = {**CASES, **ONE_THREAD_CASES}[name]
     argv = [arg.replace("{golden}", str(GOLDEN)) for arg in argv]
     written = {}
     for flag, suffix in outputs.items():
         written[f"{name}.{suffix}"] = outdir / f"{name}.{suffix}"
         argv += [flag, str(written[f"{name}.{suffix}"])]
-    assert cli.main(argv) == 0
+    if name in CASES:
+        assert cli.main(argv) == 0
+        return written
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(GOLDEN.parent.parent / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "qsnorm", *argv], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
     return written
 
 
@@ -191,14 +212,14 @@ def check_error(name: str, workdir: Path) -> None:
     assert run_error(name, workdir) == json.loads((GOLDEN / "errors.json").read_text())[name]
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(ONE_THREAD_CASES))
 def test_output_bytes_match_recording(name, tmp_path):
     for expected, path in run_case(name, tmp_path).items():
         assert path.read_bytes() == (GOLDEN / expected).read_bytes(), expected
 
 
 if __name__ == "__main__":
-    for case in CASES:
+    for case in [*CASES, *ONE_THREAD_CASES]:
         for expected in run_case(case, GOLDEN):
             print(f"recorded tests/golden/{expected}")
     with tempfile.TemporaryDirectory() as workdir:
