@@ -97,7 +97,7 @@ from qsnorm import (
     schatten2_estimate_from_thetas,
 )
 from qsnorm import hadamard, learn
-from qsnorm.hadamard import mixed_quadratic_form, probe_chunk, quadratic_form_values
+from qsnorm.hadamard import mixed_quadratic_form, quadratic_form_values
 from qsnorm.qsim import apply_operation_amplitudes, batch_applier, chunk_rows, row_chunks
 from qsnorm.sampler import probe_rows
 
@@ -211,7 +211,7 @@ def apply_mixture(ops: list, thetas: np.ndarray, n: int = 10) -> None:
         applier = (probes, lambda count: take_rows(probes[:count]))
     probes, apply = applier
     for chunk in row_chunks(thetas.size, n):
-        apply(len(probe_chunk(thetas, chunk, n, probes)))
+        apply(len(probe_rows(thetas[chunk], n, 1 << n, probes[:chunk.stop - chunk.start])))
 
 
 def minor_faults() -> int:

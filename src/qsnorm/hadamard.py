@@ -69,13 +69,6 @@ def require_shots(shots_per_test) -> int:
     return shots_per_test
 
 
-def probe_chunk(thetas: np.ndarray, chunk: slice, n: int, out: np.ndarray) -> np.ndarray:
-    """The complex probe rows of ``thetas[chunk]``, one kernel batch, built
-    in the leading rows of ``out`` (a complex buffer of 2^n columns whose
-    imaginary part is zero, see :func:`sampler.probe_rows`)."""
-    return probe_rows(thetas[chunk], n, 1 << n, out[:chunk.stop - chunk.start])
-
-
 def mixed_quadratic_form(
     mixed: MixedOperation,
     thetas: np.ndarray,
@@ -95,7 +88,10 @@ def mixed_quadratic_form(
     shots_per_test = require_shots(shots_per_test)
     thetas = check_thetas(thetas)
     probes, apply = batch_applier([op for _, op in mixed.terms], min(chunk_rows(n), thetas.size), n)
-    images = ((chunk, apply(len(probe_chunk(thetas, chunk, n, probes)))) for chunk in row_chunks(thetas.size, n))
+    images = (
+        (chunk, apply(len(probe_rows(thetas[chunk], n, 1 << n, probes[:chunk.stop - chunk.start]))))
+        for chunk in row_chunks(thetas.size, n)
+    )
     plan = ReductionPlan([coeff for coeff, _ in mixed.terms])
     return quadratic_form_values(plan, images, thetas.size, shots_per_test, seed)
 

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hadamard import ReductionPlan, probe_chunk, quadratic_form_values, require_shots
+from .hadamard import ReductionPlan, quadratic_form_values, require_shots
 from .qsim import (
     GATES,
     STATE_QUBIT_CAP,
@@ -51,7 +51,7 @@ from .qsim import (
     require_qubits,
     row_chunks,
 )
-from .sampler import check_thetas, sample_thetas, uniform_angles
+from .sampler import check_thetas, probe_rows, sample_thetas, uniform_angles
 from .schatten import difference_mixture
 
 
@@ -198,7 +198,8 @@ class LearnObjective:
         self.ansatz, self.target, self.seed = ansatz, target, seed
         self._plan = ReductionPlan([coeff for coeff, _ in mixed.terms])
         first = next(row_chunks(self.thetas.size, self.n))
-        self._x = probe_chunk(self.thetas, first, self.n, np.zeros((first.stop, 1 << self.n), dtype=complex))
+        self._x = np.zeros((first.stop, 1 << self.n), dtype=complex)
+        probe_rows(self.thetas[first], self.n, 1 << self.n, self._x)
         self._vx = apply_operation_amplitudes(self._x, target)
         self._appliers = {}
 
@@ -236,7 +237,8 @@ class LearnObjective:
         vx = self._vx
         for chunk in row_chunks(self.thetas.size, self.n):
             if chunk.start:
-                vx = apply_operation_amplitudes(probe_chunk(self.thetas, chunk, self.n, probes), self.target)
+                x = probe_rows(self.thetas[chunk], self.n, 1 << self.n, probes[:chunk.stop - chunk.start])
+                vx = apply_operation_amplitudes(x, self.target)
             ux = apply(chunk.stop - chunk.start)[0]
             if ux.ndim == 2:
                 # A template without slots gives U x no point axis of its own.

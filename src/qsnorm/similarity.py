@@ -16,8 +16,6 @@ confidence slack so the verdict itself holds with probability at least
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -69,58 +67,39 @@ def fidelity(psi1: StateVector, psi2: StateVector) -> float:
     return float(abs(np.vdot(psi1.amplitudes, psi2.amplitudes)) ** 2)
 
 
-@functools.cache
-def _normal_fill():
-    """numpy's exported ``random_standard_normal_fill(bitgen, count, out)``,
-    the C function ``Generator.standard_normal`` fills float64 arrays with,
-    loaded from ``numpy.random._generator`` as numpy's
-    ``random/_examples/cffi/extending.py`` loads it. Called with the GIL
-    held and without the BitGenerator's lock."""
-    fill = ctypes.PyDLL(np.random._generator.__file__).random_standard_normal_fill
-    fill.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)
-    fill.restype = None
-    return fill
-
-
-def _haar_amplitudes(
-    n: int, rows: int, rngs: Iterable[np.random.Generator], out: np.ndarray | None = None
-) -> np.ndarray:
-    """``rows`` Haar states as a (rows, 2^n) array, written to the leading
-    rows of ``out`` (a C-contiguous complex array) when given; row r is
-    drawn from the r-th generator of ``rngs`` before the next one is taken,
-    so the reused generator of :func:`sampler.derived_rngs` may be passed.
-    A generator another thread may draw from must be locked by the caller.
+def _haar_amplitudes(n: int, rngs: Iterable[np.random.Generator], out: np.ndarray) -> np.ndarray:
+    """Haar states drawn into the rows of ``out``, a C-contiguous complex
+    (rows, 2^n) array, which is returned; row r is drawn from the r-th
+    generator of ``rngs`` before the next one is taken, so the reused
+    generator of :func:`sampler.derived_rngs` may be passed.
 
     Row r is the normalized vector of complex standard Gaussians ``a / ||a||``
     with ``a = g.standard_normal(2^n) + 1j * g.standard_normal(2^n)``, bit
-    for bit: numpy fills Gaussians sequentially, so one fill of 2 * 2^n,
-    through :func:`_normal_fill` on the generator's bitgen, is the two
-    draws, and the squared norms are the stacked products of the strided
-    real and imaginary views, which is how ``np.linalg.norm`` sums a
-    complex vector. numpy divides a complex number by a real one as a
-    product with the reciprocal, so scaling the floats by 1 / ||a|| gives
-    the division's bits.
+    for bit: numpy fills Gaussians sequentially, so one
+    ``g.standard_normal(out=...)`` of 2 * 2^n is the two draws, and the
+    squared norms are the stacked products of the strided real and
+    imaginary views, which is how ``np.linalg.norm`` sums a complex vector.
+    numpy divides a complex number by a real one as a product with the
+    reciprocal, so scaling the floats by 1 / ||a|| gives the division's
+    bits.
     """
-    dim, fill = 1 << n, _normal_fill()
-    g = np.empty((rows, 2 * dim))
-    address, stride = g.ctypes.data, g.strides[0]
-    for row, rng in zip(range(rows), rngs):  # range first: stops without taking a generator too many
-        fill(rng.bit_generator.ctypes.bit_generator, 2 * dim, address + row * stride)
-    amps = np.empty((rows, dim), dtype=complex) if out is None else out[:rows]
-    re, im = amps.real, amps.imag
+    dim = 1 << n
+    g = np.empty((len(out), 2 * dim))
+    for row, rng in zip(g, rngs):  # rows first: stops without taking a generator too many
+        rng.standard_normal(out=row)
+    re, im = out.real, out.imag
     re[...], im[...] = g[:, :dim], g[:, dim:]
     sq = (re[:, None, :] @ re[:, :, None])[:, 0, 0] + (im[:, None, :] @ im[:, :, None])[:, 0, 0]
-    floats = amps.view(float)
+    floats = out.view(float)
     floats *= (1.0 / np.sqrt(sq))[:, None]
-    return amps
+    return out
 
 
 def haar_random_state(n: int, rng: np.random.Generator) -> StateVector:
     """Uniform pure state: normalized vector of complex standard Gaussians.
     ``n`` is checked against STATE_QUBIT_CAP before anything is drawn."""
     n = require_qubits(n, STATE_QUBIT_CAP, "statevector qubit count")
-    with rng.bit_generator.lock:
-        return StateVector(n, _haar_amplitudes(n, 1, [rng])[0])
+    return StateVector(n, _haar_amplitudes(n, [rng], np.empty((1, 1 << n), dtype=complex))[0])
 
 
 def similarity_factor(delta: float) -> float:
@@ -187,7 +166,7 @@ def haar_fidelities(u1: Operation, u2: Operation, num_states: int, seed: int = 0
     states, apply = batch_applier((u1, u2), min(chunk_rows(n), num_states), n)
     rngs = derived_rngs(seed, num_states)
     for chunk in row_chunks(num_states, n):
-        first, second = apply(len(_haar_amplitudes(n, chunk.stop - chunk.start, rngs, states)))
+        first, second = apply(len(_haar_amplitudes(n, rngs, states[:chunk.stop - chunk.start])))
         fidelities[chunk] = [abs(z) ** 2 for z in row_overlaps(first, second).tolist()]
     return fidelities
 

@@ -1,6 +1,7 @@
 """Golden outputs: the CLI's output bytes for fixed inputs and seeds.
 
-Each case runs one subcommand in-process on the inputs in ``tests/golden/``
+Each case runs one subcommand in-process (a case of ``ONE_THREAD_CASES`` in
+a subprocess under one BLAS thread) on the inputs in ``tests/golden/``
 and compares every output file with the bytes recorded there, so any change
 to a seeded random stream or to the arithmetic behind an output shows up
 here. Each error case is one failing invocation; the tests of

@@ -5,9 +5,11 @@ below the exactness grid size, so grid averages must equal expectations to
 rounding; every statistical claim is checked against that quadrature.
 """
 
+import ast
 import math
 import re
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,6 +358,29 @@ class TestVectorizedSeeding:
         monkeypatch.setattr(sampler, "_state_words", swapped)
         with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)} "):
             next(derived_rngs(5, 3))
+
+    def test_only_the_sampler_reaches_into_numpy(self):
+        """The PCG64 state write, which its read-back check guards, is the
+        package's one reach past numpy's public API: only sampler imports
+        ctypes, and no module names PyDLL, CDLL or np.random._generator."""
+        importers, reaches = set(), set()
+        for path in sorted(Path(sampler.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{alias.name}" for alias in node.names]
+                elif isinstance(node, (ast.Name, ast.Attribute)):
+                    names = [ast.unparse(node)]
+                else:
+                    continue
+                for name in names:
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) and name.split(".")[0] == "ctypes":
+                        importers.add(path.stem)
+                    if {"PyDLL", "CDLL"} & set(name.split(".")) or "random._generator" in name:
+                        reaches.add(f"{path.stem}: {name}")
+        assert importers == {"sampler"}
+        assert reaches == set()
 
     @pytest.mark.parametrize("count", [1, 4, 7])
     def test_uniform_angles_equal_unkeyed_stream(self, count):

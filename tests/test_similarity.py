@@ -1,6 +1,5 @@
 """Similarity bounds, fidelity statistics, and the decision procedure."""
 
-import ctypes
 import math
 
 import numpy as np
@@ -33,7 +32,7 @@ from qsnorm import (
 )
 from qsnorm import qsim, similarity
 from qsnorm.qsim import MATRIX_QUBIT_CAP, DenseUnitary, apply_operation_amplitudes, row_chunks, row_overlaps
-from qsnorm.sampler import KEY_BLOCK
+from qsnorm.sampler import KEY_BLOCK, derived_rngs
 from qsnorm.schatten import schatten2_estimate_from_thetas
 
 SQRT2_INV = 1 / math.sqrt(2)
@@ -127,19 +126,33 @@ class TestHaarRandomState:
         for op in range(2):
             np.testing.assert_array_equal(np.concatenate([chunk[op] for chunk in images]), expected)
 
-    def test_rows_are_the_generators_normal_draws(self, monkeypatch):
-        """Each Gaussian row haar_fidelities fills through numpy's exported
-        normal fill is ``derived_rng(seed, i).standard_normal(2^(n+1))``,
-        byte for byte, over more states than one KEY_BLOCK of keys."""
+    def test_rows_are_the_generators_normal_draws(self):
+        """Each Gaussian row _haar_amplitudes draws, in haar_fidelities'
+        chunks, is ``derived_rng(seed, i).standard_normal(2^(n+1))``, byte
+        for byte, over more states than one KEY_BLOCK of keys; a chunk of k
+        rows takes exactly k generators from the stream. Each generator is
+        a proxy whose ``standard_normal(out=)`` delegates and then records
+        the row it filled."""
         n, num_states = 3, KEY_BLOCK + 76
-        fill, rows = similarity._normal_fill(), []
+        rows, taken = [], []
 
-        def recording_fill(bitgen, count, address):
-            fill(bitgen, count, address)
-            rows.append(ctypes.string_at(address, 8 * count))
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
 
-        monkeypatch.setattr(similarity, "_normal_fill", lambda: recording_fill)
-        haar_fidelities(Circuit(n), Circuit(n), num_states, seed=14)
+            def standard_normal(self, *, out):
+                self.rng.standard_normal(out=out)
+                rows.append(out.tobytes())
+
+        def stream():
+            for rng in derived_rngs(14, num_states):
+                taken.append(rng)
+                yield Recording(rng)
+
+        proxies, out = stream(), np.empty((qsim.chunk_rows(n), 1 << n), dtype=complex)
+        for chunk in row_chunks(num_states, n):
+            similarity._haar_amplitudes(n, proxies, out[:chunk.stop - chunk.start])
+            assert len(taken) == len(rows) == chunk.stop
         assert len(rows) == num_states
         for i, row in enumerate(rows):
             assert row == derived_rng(14, i).standard_normal(2 << n).tobytes(), i
