@@ -33,9 +33,9 @@ Layers, each through the public function the CLI calls:
   ``mixed_quadratic_form`` and its mean) of the difference mixture of two
   n = 6 Haar unitaries over 1000 angles, and over the 10^4 angles of one
   fig2 seed at its largest m.
-- ``learn_loss``: one ``loss`` call of the 2-qubit, 4-slot ry/cnot ansatz
-  against a target bound from the same ansatz, at 64 angles, which prepares
-  the objective and calls it once.
+- ``learn_loss``: a ``LearnObjective`` of the 2-qubit, 4-slot ry/cnot
+  ansatz against a target bound from the same ansatz, at 64 angles,
+  prepared and called once, the cost of one loss value from scratch.
 - ``learn_objective``: one call of a ``LearnObjective`` prepared for the
   same ansatz, target and angles, as each loss evaluation of a learn run.
 - ``learn_step``: one ``LearnObjective.block`` call on the 2P + 1 = 9
@@ -92,12 +92,11 @@ from qsnorm import (
     difference_mixture,
     haar_fidelities,
     haar_random_unitary,
-    loss,
     sample_thetas,
     schatten2_estimate_from_thetas,
 )
-from qsnorm import hadamard, learn
-from qsnorm.hadamard import mixed_quadratic_form, quadratic_form_values
+from qsnorm import learn
+from qsnorm.hadamard import ReductionPlan, mixed_quadratic_form, quadratic_form_values
 from qsnorm.qsim import apply_operation_amplitudes, batch_applier, chunk_rows, row_chunks
 from qsnorm.sampler import probe_rows
 
@@ -165,7 +164,7 @@ def layers() -> dict:
     )))
     target = ansatz.bind(np.array([0.9, -1.4, 2.2, 0.3]))
     xi, angles = np.array([0.1, 0.5, -0.8, 1.7]), sample_thetas(7, 64)
-    cases["learn_loss.n2.m64"] = (lambda: loss(ansatz, xi, target, angles), 64)
+    cases["learn_loss.n2.m64"] = (lambda: LearnObjective(ansatz, target, angles)(xi), 64)
     objective = LearnObjective(ansatz, target, angles)
     cases["learn_objective.n2.m64"] = (lambda: objective(xi), 64)
     step = np.vstack((xi, xi + 1e-3 * np.eye(4), xi - 1e-3 * np.eye(4)))
@@ -175,8 +174,7 @@ def layers() -> dict:
     vx = apply_operation_amplitudes(x, target)
     ux = np.stack([apply_operation_amplitudes(x, ansatz.bind(point)) for point in step])
     coeffs = [coeff for coeff, _ in difference_mixture(target, ansatz.template).terms]
-    # Before ReductionPlan, the reduction took the coefficient list itself.
-    plan = hadamard.ReductionPlan(coeffs) if hasattr(hadamard, "ReductionPlan") else coeffs
+    plan = ReductionPlan(coeffs)
     cases["reduction.learn_block"] = (
         lambda: quadratic_form_values(plan, [(slice(0, 64), [vx, ux])], 64, 0, 0), ux.shape[0] * 64
     )
@@ -190,26 +188,14 @@ def layers() -> dict:
 def refill_case(objective, points: np.ndarray):
     """A call that refills the slot stacks of ``objective``'s applier for
     ``points``, as one block call does before it replays U."""
-    applier = objective._applier(len(points))
-    if len(applier) == 4:
-        fills = applier[3]
-        return lambda: [learn._refill(*fill, points) for fill in fills]
-    # Older commits kept one stack per slot gate, refilled point by point
-    # from the points as lists.
-    stacks = applier[2]
-    return lambda: [learn._refill(stack, op, points.tolist()) for op, stack in stacks.items()]
+    fills = objective._applier(len(points))[3]
+    return lambda: [learn._refill(*fill, points) for fill in fills]
 
 
 def apply_mixture(ops: list, thetas: np.ndarray, n: int = 10) -> None:
     """Apply each of ``ops`` to every chunk of the probe rows of ``thetas``
     through one ``batch_applier``, building each chunk in its input batch."""
-    applier = batch_applier(ops, chunk_rows(n), n)
-    if callable(applier):
-        # A batch_applier that takes the rows as its argument, as it did
-        # before it owned an input batch, so that older commits can be timed.
-        probes, take_rows = np.zeros((chunk_rows(n), 1 << n), dtype=complex), applier
-        applier = (probes, lambda count: take_rows(probes[:count]))
-    probes, apply = applier
+    probes, apply = batch_applier(ops, chunk_rows(n), n)
     for chunk in row_chunks(thetas.size, n):
         apply(len(probe_rows(thetas[chunk], n, 1 << n, probes[:chunk.stop - chunk.start])))
 

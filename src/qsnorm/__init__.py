@@ -21,7 +21,6 @@ from .learn import (
     ansatz_from_dict,
     finite_diff_gradient,
     learn_circuit,
-    loss,
 )
 from .qsim import (
     Circuit,
@@ -45,12 +44,10 @@ from .sampler import (
     classical_trace_estimate,
     derive_seed,
     derived_rng,
-    exactness_grid,
     frequency_ladder,
     sample_budget_schatten2,
     sample_budget_trace,
     sample_thetas,
-    sqrt_error_propagation_holds,
 )
 from .schatten import (
     SchattenEstimate,
@@ -64,9 +61,7 @@ from .similarity import (
     SimilarityVerdict,
     decide_similarity,
     estimate_tau,
-    fidelity,
     haar_fidelities,
-    haar_random_state,
     rotation_perturbed_pair,
     similarity_bound_mixed,
     similarity_bound_unitary,

@@ -278,19 +278,6 @@ def _refill(stack: np.ndarray, kind: str, slots: np.ndarray, points: np.ndarray)
     stack[...] = GATES[kind].matrix(points[:, slots])
 
 
-def loss(
-    ansatz: Ansatz,
-    xi: np.ndarray,
-    target: Operation,
-    thetas: np.ndarray,
-    shots: int = 0,
-    seed: int = 0,
-) -> float:
-    """Sampled squared-distance objective between U(xi) (with repeats) and
-    V: one call of a :class:`LearnObjective` built for these inputs."""
-    return LearnObjective(ansatz, target, thetas, shots, seed)(xi)
-
-
 def finite_diff_gradient(
     blockfn: Callable[[np.ndarray], np.ndarray],
     xi: np.ndarray,

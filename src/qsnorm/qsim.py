@@ -561,10 +561,6 @@ class MixedOperation:
     def n(self) -> int:
         return self.terms[0][1].n
 
-    @property
-    def num_terms(self) -> int:
-        return len(self.terms)
-
 
 def mixed_operation_matrix(mixed: MixedOperation) -> np.ndarray:
     """Dense matrix of the weighted sum; test/oracle helper."""

@@ -12,7 +12,7 @@ is a nonzero integer, which makes the second moments of x exactly
 E[x_j x_k] = delta_jk / N, so E <x|A|x> = Tr(A)/N. Because the integrands
 are trig polynomials of frequency below 2^(n+2), averaging over
 2^(n+2) + 1 equally spaced angles reproduces the expectations exactly;
-that grid is the quadrature oracle used by the tests.
+that grid, the tests' quadrature oracle, lives in ``tests/helpers.py``.
 
 Randomness is keyed: item i of a run seeded with s draws from the numpy
 generator ``derived_rng(s, i, ...)``, i.e. ``default_rng(SeedSequence([s,
@@ -273,17 +273,6 @@ def uniform_angles(seed: int, count: int) -> np.ndarray:
     return _uniform_outputs(*states)
 
 
-def exactness_grid(n: int) -> np.ndarray:
-    """2^(n+2)+1 equally spaced angles on [-pi, pi).
-
-    Equally spaced averaging integrates e^(i k theta) exactly unless k is a
-    nonzero multiple of the grid size; the probe-vector second moments only
-    involve |k| <= 2^(n+2) - 4, so grid averages equal expectations.
-    """
-    size = (1 << (n + 2)) + 1
-    return np.linspace(-math.pi, math.pi, size, endpoint=False)
-
-
 def check_thetas(thetas) -> np.ndarray:
     """The probe angles as a 1-D float array; ValueError if there are none or
     one is not finite. Estimators check the whole angle set once, up front."""
@@ -397,13 +386,3 @@ def sample_budget_schatten2(epsilon: float, delta: float, norm_hint: float = 0.0
     else:
         factor = min(epsilon**-2, norm_hint**-2)
     return math.ceil(math.log(2.0 / delta) / (2.0 * epsilon**2) * factor)
-
-
-def sqrt_error_propagation_holds(m_hat: float, s: float, epsilon: float) -> bool:
-    """Whether |m_hat - s^2| <= eps * max(eps, s).
-
-    Whenever this holds (with m_hat >= 0), taking the square root keeps the
-    error bounded: |sqrt(m_hat) - s| <= eps. The implication is exercised
-    as a property test.
-    """
-    return abs(m_hat - s * s) <= epsilon * max(epsilon, s)

@@ -30,7 +30,6 @@ from .qsim import (
     GateOp,
     MixedOperation,
     Operation,
-    StateVector,
     batch_applier,
     chunk_rows,
     circuit_matrix,
@@ -61,12 +60,6 @@ class SimilarityVerdict:
     threshold: float
 
 
-def fidelity(psi1: StateVector, psi2: StateVector) -> float:
-    """Squared overlap |<psi1|psi2>|^2 of two states on the same register."""
-    same_register(psi1, psi2)
-    return float(abs(np.vdot(psi1.amplitudes, psi2.amplitudes)) ** 2)
-
-
 def _haar_amplitudes(n: int, rngs: Iterable[np.random.Generator], out: np.ndarray) -> np.ndarray:
     """Haar states drawn into the rows of ``out``, a C-contiguous complex
     (rows, 2^n) array, which is returned; row r is drawn from the r-th
@@ -93,13 +86,6 @@ def _haar_amplitudes(n: int, rngs: Iterable[np.random.Generator], out: np.ndarra
     floats = out.view(float)
     floats *= (1.0 / np.sqrt(sq))[:, None]
     return out
-
-
-def haar_random_state(n: int, rng: np.random.Generator) -> StateVector:
-    """Uniform pure state: normalized vector of complex standard Gaussians.
-    ``n`` is checked against STATE_QUBIT_CAP before anything is drawn."""
-    n = require_qubits(n, STATE_QUBIT_CAP, "statevector qubit count")
-    return StateVector(n, _haar_amplitudes(n, [rng], np.empty((1, 1 << n), dtype=complex))[0])
 
 
 def similarity_factor(delta: float) -> float:
@@ -158,11 +144,13 @@ def haar_fidelities(u1: Operation, u2: Operation, num_states: int, seed: int = 0
     """|<U1 psi_i|U2 psi_i>|^2 for Haar states psi_i drawn from
     ``derived_rng(seed, i)`` (through :func:`sampler.derived_rngs`); each
     chunk of states is drawn into the input batch of one
-    :func:`qsim.batch_applier`, and each operation acts on it at once."""
+    :func:`qsim.batch_applier`, and each operation acts on it at once. The
+    register is checked against STATE_QUBIT_CAP before anything is made."""
     num_states = require_int(num_states, "num_states")
     if num_states < 1:
         raise ValueError(f"need at least one state, got {num_states}")
-    n, fidelities = same_register(u1, u2), np.empty(num_states)
+    n = require_qubits(same_register(u1, u2), STATE_QUBIT_CAP, "statevector qubit count")
+    fidelities = np.empty(num_states)
     states, apply = batch_applier((u1, u2), min(chunk_rows(n), num_states), n)
     rngs = derived_rngs(seed, num_states)
     for chunk in row_chunks(num_states, n):

@@ -1,11 +1,11 @@
-"""Shared randomized constructors and the interference-test oracle for the
-test suite."""
+"""Shared randomized constructors, the interference-test oracle, the
+quadrature grid and the square-root error oracle for the test suite."""
 
 import math
 
 import numpy as np
 
-from qsnorm import Circuit, GateOp, MixedOperation
+from qsnorm import Circuit, GateOp, MixedOperation, StateVector
 from qsnorm.qsim import apply_operation_amplitudes
 
 FIXED_KINDS = ["h", "x", "y", "z", "s", "sdg", "t", "tdg"]
@@ -47,6 +47,36 @@ def formula_angles() -> np.ndarray:
         rng.uniform(-1e6, 1e6, 60_000),
         [sign * edge for edge in edges for sign in (1.0, -1.0)],
     ])
+
+
+def exactness_grid(n: int) -> np.ndarray:
+    """2^(n+2)+1 equally spaced angles on [-pi, pi).
+
+    Equally spaced averaging integrates e^(i k theta) exactly unless k is a
+    nonzero multiple of the grid size; the probe-vector second moments only
+    involve |k| <= 2^(n+2) - 4, so grid averages equal expectations.
+    """
+    size = (1 << (n + 2)) + 1
+    return np.linspace(-math.pi, math.pi, size, endpoint=False)
+
+
+def sqrt_error_propagation_holds(m_hat: float, s: float, epsilon: float) -> bool:
+    """Whether |m_hat - s^2| <= eps * max(eps, s).
+
+    Whenever this holds (with m_hat >= 0), taking the square root keeps the
+    error bounded: |sqrt(m_hat) - s| <= eps. The implication is exercised
+    as a property test.
+    """
+    return abs(m_hat - s * s) <= epsilon * max(epsilon, s)
+
+
+def haar_state(n: int, rng: np.random.Generator) -> StateVector:
+    """A Haar-random state by the literal formula a / ||a||, with a the
+    vector of complex standard Gaussians drawn from ``rng``: the reference
+    the package's batched draw must match bit for bit."""
+    dim = 1 << n
+    a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return StateVector(n, a / np.linalg.norm(a))
 
 
 def random_circuit(n: int, depth: int, rng: np.random.Generator) -> Circuit:

@@ -14,12 +14,20 @@ import time
 import numpy as np
 import pytest
 
-from helpers import circuit_probability, random_circuit, random_mixture
+from helpers import (
+    circuit_probability,
+    exactness_grid,
+    haar_state,
+    random_circuit,
+    random_mixture,
+    sqrt_error_propagation_holds,
+)
 from qsnorm import (
     Ansatz,
     Circuit,
     GateOp,
     LearnConfig,
+    LearnObjective,
     MixedOperation,
     ParamSlot,
     adjoint,
@@ -29,19 +37,14 @@ from qsnorm import (
     derive_seed,
     derived_rng,
     exact_schatten2,
-    exactness_grid,
-    fidelity,
-    haar_random_state,
     haar_random_unitary,
     hadamard_shot_budget,
     learn_circuit,
-    loss,
     mixed_operation_matrix,
     mixed_quadratic_form,
     rotation_perturbed_pair,
     sample_thetas,
     sampling_circuit,
-    sqrt_error_propagation_holds,
 )
 from qsnorm import cli
 from qsnorm.sampler import probe_rows
@@ -164,8 +167,8 @@ def similarity_scan():
         values = np.empty(1000)
         state_seed = derive_seed(606, k, 1)
         for i in range(1000):
-            psi = haar_random_state(6, derived_rng(state_seed, i))
-            values[i] = fidelity(apply_circuit(psi, u1), apply_circuit(psi, u2))
+            psi = haar_state(6, derived_rng(state_seed, i))
+            values[i] = abs(np.vdot(apply_circuit(psi, u1).amplitudes, apply_circuit(psi, u2).amplitudes)) ** 2
         pairs.append((exact, values))
     return {"pairs": pairs, "elapsed": time.perf_counter() - start}
 
@@ -233,7 +236,7 @@ def test_09_learning_convergence():
         config = LearnConfig(m=64, eta=0.1, max_iters=500, tol=1e-3, seed=seed)
         result = learn_circuit(ansatz, target, config)
         wins += result.converged and result.final_cost <= 1e-3
-        grid_loss = loss(ansatz, result.xi, target, exactness_grid(2))
+        grid_loss = LearnObjective(ansatz, target, exactness_grid(2))(result.xi)
         exact = exact_schatten2(circuit_matrix(ansatz.bind(result.xi)) - circuit_matrix(target)) ** 2
         worst_identity = max(worst_identity, abs(grid_loss - exact))
     elapsed = time.perf_counter() - start
@@ -252,9 +255,9 @@ def test_10_square_root_of_phase_gate():
     target_matrix = circuit_matrix(target)
 
     base = Ansatz(template, repeat=1)
-    direct = loss(base, np.array([math.pi / 4, math.pi / 2]), target, exactness_grid(1))
+    direct = LearnObjective(base, target, exactness_grid(1))(np.array([math.pi / 4, math.pi / 2]))
     doubled = Ansatz(template, repeat=2)
-    rooted = loss(doubled, np.array([math.pi / 8, math.pi / 4]), target, exactness_grid(1))
+    rooted = LearnObjective(doubled, target, exactness_grid(1))(np.array([math.pi / 8, math.pi / 4]))
 
     result = learn_circuit(doubled, target, LearnConfig(m=64, eta=0.1, max_iters=1000, tol=1e-6, seed=0))
     learned_distance = exact_schatten2(circuit_matrix(doubled.bind_repeated(result.xi)) - target_matrix)

@@ -9,7 +9,7 @@ from itertools import count
 import numpy as np
 import pytest
 
-from helpers import circuit_probability, random_circuit
+from helpers import circuit_probability, exactness_grid, random_circuit
 from qsnorm import (
     Ansatz,
     Circuit,
@@ -25,10 +25,8 @@ from qsnorm import (
     derived_rng,
     difference_mixture,
     exact_schatten2,
-    exactness_grid,
     finite_diff_gradient,
     learn_circuit,
-    loss,
     mixed_quadratic_form,
     sample_thetas,
     sampling_circuit,
@@ -156,14 +154,14 @@ class TestLoss:
         xi = np.array([0.3, -0.8, 1.2, 0.5])
         target = ansatz.bind(xi)
         thetas = sample_thetas(1, 32)
-        assert abs(loss(ansatz, xi, target, thetas)) <= 1e-12
+        assert abs(LearnObjective(ansatz, target, thetas)(xi)) <= 1e-12
 
     def test_four_at_global_phase_flip(self):
         """Negating the target costs the maximum: 2 - 2(-1) = 4."""
         ansatz = single_ry_ansatz()
         xi = np.array([0.7])
         flipped = Circuit(1, ansatz.bind(xi).ops + (GateOp("globalphase", (), (math.pi,)),))
-        assert loss(ansatz, xi, flipped, sample_thetas(2, 16)) == pytest.approx(4.0, abs=1e-12)
+        assert LearnObjective(ansatz, flipped, sample_thetas(2, 16))(xi) == pytest.approx(4.0, abs=1e-12)
 
     def test_grid_mode_equals_squared_distance(self):
         """On the exactness grid the objective is ||U(xi) - V||^2 exactly."""
@@ -173,7 +171,7 @@ class TestLoss:
             ansatz = random_ansatz(n, 6, rng)
             xi = rng.uniform(-math.pi, math.pi, ansatz.num_params)
             target = random_circuit(n, 6, rng)
-            value = loss(ansatz, xi, target, exactness_grid(n))
+            value = LearnObjective(ansatz, target, exactness_grid(n))(xi)
             exact = exact_schatten2(circuit_matrix(ansatz.bind(xi)) - circuit_matrix(target)) ** 2
             assert abs(value - exact) <= 1e-9
 
@@ -183,7 +181,7 @@ class TestLoss:
         target = random_circuit(2, 5, np.random.default_rng(82))
         thetas = sample_thetas(3, 40)
         shuffled = thetas[np.random.default_rng(83).permutation(40)]
-        assert loss(ansatz, xi, target, thetas) == loss(ansatz, xi, target, shuffled)
+        assert LearnObjective(ansatz, target, thetas)(xi) == LearnObjective(ansatz, target, shuffled)(xi)
 
     def test_matrix_path_matches_interference_path(self):
         """The objective equals the mean of the per-angle values of the
@@ -195,7 +193,7 @@ class TestLoss:
         chain = (ansatz.bind_repeated(xi), adjoint(target))
         per_angle = [1.0 - 2.0 * circuit_probability(sampling_circuit(2, float(t)), chain, "real") for t in thetas]
         direct = 2.0 - 2.0 * math.fsum(per_angle) / len(per_angle)
-        assert abs(loss(ansatz, xi, target, thetas) - direct) <= 1e-12
+        assert abs(LearnObjective(ansatz, target, thetas)(xi) - direct) <= 1e-12
 
     def test_shot_mode_matches_per_angle_shot_tests(self):
         """With shots, angle i's term is the real-part shot estimate with
@@ -208,7 +206,7 @@ class TestLoss:
         p1 = [circuit_probability(sampling_circuit(2, float(t)), chain, "real") for t in thetas]
         per_angle = [1.0 - 2.0 * derived_rng(13, i, 1).binomial(50, p) / 50 for i, p in enumerate(p1)]
         direct = 2.0 - 2.0 * math.fsum(per_angle) / len(per_angle)
-        assert abs(loss(ansatz, xi, target, thetas, shots=50, seed=13) - direct) <= 1e-12
+        assert abs(LearnObjective(ansatz, target, thetas, shots=50, seed=13)(xi) - direct) <= 1e-12
 
     @pytest.mark.parametrize("shots", [0, 20])
     def test_applies_both_circuits_as_given(self, monkeypatch, shots):
@@ -219,21 +217,22 @@ class TestLoss:
 
         ansatz, target = two_qubit_ansatz(), random_circuit(2, 6, np.random.default_rng(86))
         monkeypatch.setattr(GateOp, "dagger", no_dagger)
-        assert 0.0 <= loss(ansatz, np.array([0.3, -0.7, 1.2, 0.4]), target, sample_thetas(6, 8), shots, seed=2) <= 4.0
+        objective = LearnObjective(ansatz, target, sample_thetas(6, 8), shots, seed=2)
+        assert 0.0 <= objective(np.array([0.3, -0.7, 1.2, 0.4])) <= 4.0
 
     def test_register_mismatch(self):
         with pytest.raises(ValueError):
-            loss(single_ry_ansatz(), np.array([0.1]), Circuit(2), sample_thetas(1, 4))
+            LearnObjective(single_ry_ansatz(), Circuit(2), sample_thetas(1, 4))(np.array([0.1]))
 
     def test_empty_angle_list_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            loss(single_ry_ansatz(), np.array([0.1]), Circuit(1), thetas=[])
+            LearnObjective(single_ry_ansatz(), Circuit(1), thetas=[])(np.array([0.1]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_angle_rejected(self, bad):
         """An inf angle used to give a NaN loss."""
         with pytest.raises(ValueError, match="angles must be finite"):
-            loss(single_ry_ansatz(), np.array([0.1]), Circuit(1), thetas=[0.3, bad])
+            LearnObjective(single_ry_ansatz(), Circuit(1), thetas=[0.3, bad])(np.array([0.1]))
 
 
 class TestLearnObjective:
@@ -257,7 +256,7 @@ class TestLearnObjective:
             mixed = difference_mixture(target, ansatz.bind_repeated(xi))
             expected.append(2.0 * math.fsum(mixed_quadratic_form(mixed, thetas, shots, 5)) / 64)
             assert objective(xi) == expected[-1]
-            assert loss(ansatz, xi, target, thetas, shots, 5) == expected[-1]
+            assert LearnObjective(ansatz, target, thetas, shots, 5)(xi) == expected[-1]
         # One block of all 20 points: at n = 2 that is two passes of 16 and
         # 4 points, at n = 7 one pass per point.
         assert objective.block(points).tolist() == expected
@@ -420,9 +419,7 @@ class TestFiniteDiffGradient:
         thetas = sample_thetas(5, 16)
         xi = np.array([0.3])
 
-        def objective(xs):
-            return [loss(ansatz, x, target, thetas) for x in xs]
-
+        objective = LearnObjective(ansatz, target, thetas).block
         coarse = finite_diff_gradient(objective, xi, 1e-3)[0]
         fine = finite_diff_gradient(objective, xi, 1e-4)[0]
         assert abs(coarse - fine) <= 1e-4 * max(1.0, abs(fine))
@@ -434,9 +431,7 @@ class TestFiniteDiffGradient:
         thetas = sample_thetas(6, 16)
         xi = np.array([-0.4])
 
-        def objective(xs):
-            return [loss(ansatz, x, target, thetas) for x in xs]
-
+        objective = LearnObjective(ansatz, target, thetas).block
         h = 1e-4
         coarse = finite_diff_gradient(objective, xi, h)[0]
         finer = finite_diff_gradient(objective, xi, h / 2)[0]
@@ -559,7 +554,7 @@ class TestLearnSquareRoot:
 
     def test_identity_root_is_reachable(self):
         ansatz = Ansatz(Circuit(1, (GateOp("rz", (0,), (ParamSlot(0),)),)), repeat=2)
-        assert abs(loss(ansatz, np.array([0.0]), Circuit(1), sample_thetas(2, 16))) <= 1e-12
+        assert abs(LearnObjective(ansatz, Circuit(1), sample_thetas(2, 16))(np.array([0.0]))) <= 1e-12
 
     def test_phase_rotation_family_contains_s_and_its_root(self):
         """e^(i pi/4) Rz(pi/2) is the phase gate diag(1, i); the half-angle
@@ -567,10 +562,10 @@ class TestLearnSquareRoot:
         template = Circuit(1, (GateOp("globalphase", (), (ParamSlot(0),)), GateOp("rz", (0,), (ParamSlot(1),))))
         s_gate = Circuit(1, (GateOp("s", (0,)),))
         base = Ansatz(template, repeat=1)
-        direct = loss(base, np.array([math.pi / 4, math.pi / 2]), s_gate, exactness_grid(1))
+        direct = LearnObjective(base, s_gate, exactness_grid(1))(np.array([math.pi / 4, math.pi / 2]))
         assert abs(direct) < 1e-12
         doubled = Ansatz(template, repeat=2)
-        rooted = loss(doubled, np.array([math.pi / 8, math.pi / 4]), s_gate, exactness_grid(1))
+        rooted = LearnObjective(doubled, s_gate, exactness_grid(1))(np.array([math.pi / 8, math.pi / 4]))
         assert abs(rooted) < 1e-12
 
 
@@ -583,9 +578,7 @@ class TestShotNoiseGradient:
         target = ansatz.bind(xi_star)
         thetas = sample_thetas(42, 16)
         for shots in (100, 1000, 10_000):
-            def objective(xs, s=shots):
-                return [loss(ansatz, x, target, thetas, shots=s, seed=99) for x in xs]
-
+            objective = LearnObjective(ansatz, target, thetas, shots=shots, seed=99).block
             np.testing.assert_array_equal(finite_diff_gradient(objective, xi_star, 0.5), np.zeros(1))
 
     def test_independent_draws_scale_with_shots(self):
@@ -603,7 +596,7 @@ class TestShotNoiseGradient:
 
                 def call(x, rep=rep, s=shots, calls=calls):
                     calls[0] += 1
-                    return loss(ansatz, x, target, thetas, shots=s, seed=derive_seed(7, rep, calls[0]))
+                    return LearnObjective(ansatz, target, thetas, shots=s, seed=derive_seed(7, rep, calls[0]))(x)
 
                 def objective(xs):
                     return [call(x) for x in xs]

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsnorm
-from helpers import REFERENCE_MATRICES, formula_angles, random_circuit, random_mixture
+from helpers import REFERENCE_MATRICES, formula_angles, haar_state, random_circuit, random_mixture
 from qsnorm import (
     Circuit,
     CircuitFormatError,
@@ -29,9 +29,7 @@ from qsnorm import (
     difference_mixture,
     estimate_tau,
     exact_schatten2,
-    fidelity,
     haar_fidelities,
-    haar_random_state,
     haar_random_unitary,
     mixed_operation_from_dict,
     mixed_operation_matrix,
@@ -46,6 +44,7 @@ from qsnorm.qsim import (
     batch_applier,
     chunk_rows,
     row_chunks,
+    same_register,
 )
 
 SQRT2_INV = 1 / math.sqrt(2)
@@ -264,7 +263,7 @@ class TestApplyCircuit:
         np.testing.assert_allclose(state.amplitudes, [SQRT2_INV, SQRT2_INV], atol=1e-15)
 
     def test_empty_circuit_is_identity(self):
-        psi = haar_random_state(3, np.random.default_rng(5))
+        psi = haar_state(3, np.random.default_rng(5))
         out = apply_circuit(psi, Circuit(3))
         np.testing.assert_array_equal(out.amplitudes, psi.amplitudes)
 
@@ -286,7 +285,7 @@ class TestApplyCircuit:
         for _ in range(1000):
             n = int(rng.integers(1, 7))
             circuit = random_circuit(n, 8, rng)
-            psi = haar_random_state(n, rng)
+            psi = haar_state(n, rng)
             out = apply_circuit(psi, circuit)
             assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-10
 
@@ -295,7 +294,7 @@ class TestApplyCircuit:
         for _ in range(50):
             n = int(rng.integers(1, 7))
             circuit = random_circuit(n, 8, rng)
-            psi = haar_random_state(n, rng)
+            psi = haar_state(n, rng)
             direct = apply_circuit(psi, circuit).amplitudes
             via_matrix = circuit_matrix(circuit) @ psi.amplitudes
             np.testing.assert_allclose(direct, via_matrix, atol=1e-10)
@@ -556,7 +555,7 @@ class TestApplyCircuit:
 
     def test_dense_unitary_application(self):
         mat = haar_random_unitary(2, 3)
-        psi = haar_random_state(2, np.random.default_rng(4))
+        psi = haar_state(2, np.random.default_rng(4))
         out = apply_circuit(psi, DenseUnitary(2, mat))
         np.testing.assert_allclose(out.amplitudes, mat @ psi.amplitudes, atol=1e-14)
 
@@ -790,7 +789,7 @@ class TestValidation:
             lambda: apply_circuit(zero_state(2), Circuit(1)),
             lambda: MixedOperation(((0.5, Circuit(2)), (0.5, Circuit(1)))),
             lambda: difference_mixture(Circuit(2), Circuit(1)),
-            lambda: fidelity(zero_state(2), zero_state(1)),
+            lambda: same_register(zero_state(2), zero_state(1)),
             lambda: haar_fidelities(Circuit(2), Circuit(1), 3),
             lambda: estimate_tau(
                 MixedOperation(((1.0, Circuit(2)),)), MixedOperation(((1.0, Circuit(1)),)), 1

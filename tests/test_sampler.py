@@ -16,18 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import exactness_grid, sqrt_error_propagation_holds
 from qsnorm import (
     classical_schatten2_estimate,
     classical_trace_estimate,
     derive_seed,
     derived_rng,
-    exactness_grid,
     frequency_ladder,
     haar_random_unitary,
     sample_budget_schatten2,
     sample_budget_trace,
     sample_thetas,
-    sqrt_error_propagation_holds,
 )
 from qsnorm import sampler
 from qsnorm.sampler import KEY_BLOCK, check_eps_delta, derived_rngs, probe_rows, uniform_angles

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import binomial_upper_quantile, random_mixture
+from helpers import binomial_upper_quantile, exactness_grid, random_mixture
 from qsnorm import (
     Circuit,
     DenseUnitary,
@@ -17,7 +17,6 @@ from qsnorm import (
     difference_mixture,
     estimate_difference_norm,
     exact_schatten2,
-    exactness_grid,
     haar_random_unitary,
     mixed_operation_matrix,
     quantum_schatten2_estimate,

@@ -5,30 +5,25 @@ import math
 import numpy as np
 import pytest
 
-from helpers import binomial_upper_quantile, random_circuit, random_mixture
+from helpers import binomial_upper_quantile, exactness_grid, haar_state, random_circuit, random_mixture
 from qsnorm import (
     Circuit,
     DenseUnitary,
     GateOp,
     MixedOperation,
-    StateVector,
     apply_circuit,
     decide_similarity,
     derive_seed,
     derived_rng,
     estimate_tau,
     exact_schatten2,
-    exactness_grid,
-    fidelity,
     haar_fidelities,
-    haar_random_state,
     haar_random_unitary,
     mixed_operation_matrix,
     rotation_perturbed_pair,
     similarity_bound_mixed,
     similarity_bound_unitary,
     similarity_slack,
-    zero_state,
 )
 from qsnorm import qsim, similarity
 from qsnorm.qsim import MATRIX_QUBIT_CAP, DenseUnitary, apply_operation_amplitudes, row_chunks, row_overlaps
@@ -38,64 +33,27 @@ from qsnorm.schatten import schatten2_estimate_from_thetas
 SQRT2_INV = 1 / math.sqrt(2)
 
 
-class TestFidelity:
-    def test_self_fidelity(self):
-        psi = haar_random_state(3, np.random.default_rng(0))
-        assert fidelity(psi, psi) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal_states(self):
-        zero = zero_state(1)
-        one = StateVector(1, np.array([0, 1], dtype=complex))
-        assert fidelity(zero, one) == 0.0
-
-    def test_plus_state_against_zero(self):
-        plus = apply_circuit(zero_state(1), Circuit(1, (GateOp("h", (0,)),)))
-        assert fidelity(zero_state(1), plus) == pytest.approx(0.5, abs=1e-12)
-
-    def test_register_mismatch(self):
-        with pytest.raises(ValueError):
-            fidelity(zero_state(1), zero_state(2))
+def haar_rows(n, rngs, count):
+    """``count`` states drawn by the package's one Haar path, state r from
+    the r-th generator of ``rngs``."""
+    return similarity._haar_amplitudes(n, rngs, np.empty((count, 1 << n), dtype=complex))
 
 
 class TestHaarRandomState:
     def test_unit_norm(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            psi = haar_random_state(4, rng)
-            assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-12
-
-    @pytest.mark.parametrize("n, error, message", [
-        (21, ValueError, r"statevector qubit count 21 outside \[1, 20\]"),
-        (-1, ValueError, r"statevector qubit count -1 outside \[1, 20\]"),
-        (2.0, TypeError, "n must be an integer, got 2.0"),
-    ], ids=["21", "-1", "2.0"])
-    def test_qubit_count_checked_before_drawing(self, n, error, message):
-        """A register past STATE_QUBIT_CAP used to draw 2^22 normals, and
-        n = -1 and n = 2.0 failed inside a shift; each now fails the
-        register check and leaves the generator where it was."""
-        rng = np.random.default_rng(5)
-        before = rng.bit_generator.state
-        with pytest.raises(error, match=message):
-            haar_random_state(n, rng)
-        assert rng.bit_generator.state == before
+        states = haar_rows(4, [np.random.default_rng(1)] * 50, 50)
+        assert np.abs(np.linalg.norm(states, axis=1) - 1.0).max() <= 1e-12
 
     def test_overlap_moment_with_basis_state(self):
         """Haar mean of |<0...0|psi>|^2 is 1/N within 3 standard errors."""
-        rng = np.random.default_rng(2)
-        samples = np.array([abs(haar_random_state(3, rng).amplitudes[0]) ** 2 for _ in range(10_000)])
+        samples = np.abs(haar_rows(3, [np.random.default_rng(2)] * 10_000, 10_000)[:, 0]) ** 2
         stderr = samples.std(ddof=1) / math.sqrt(samples.size)
         assert abs(samples.mean() - 1 / 8) <= 3 * stderr
 
     def test_determinism(self):
-        a = haar_random_state(2, np.random.default_rng(3)).amplitudes
-        b = haar_random_state(2, np.random.default_rng(3)).amplitudes
+        a = haar_rows(2, [np.random.default_rng(3)], 1)
+        b = haar_rows(2, [np.random.default_rng(3)], 1)
         np.testing.assert_array_equal(a, b)
-
-    @staticmethod
-    def per_state_formula(n, rng):
-        dim = 1 << n
-        a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        return a / np.linalg.norm(a)
 
     @pytest.mark.parametrize("n, num_states", [(1, 3000), (3, 700), (6, 1000), (10, 10)])
     def test_chunked_states_equal_the_per_state_formula(self, n, num_states, monkeypatch):
@@ -121,7 +79,7 @@ class TestHaarRandomState:
 
         monkeypatch.setattr(similarity, "batch_applier", recording)
         haar_fidelities(Circuit(n), Circuit(n), num_states, seed=11)
-        expected = np.array([self.per_state_formula(n, derived_rng(11, i)) for i in range(num_states)])
+        expected = np.array([haar_state(n, derived_rng(11, i)).amplitudes for i in range(num_states)])
         np.testing.assert_array_equal(np.concatenate(drawn), expected)
         for op in range(2):
             np.testing.assert_array_equal(np.concatenate([chunk[op] for chunk in images]), expected)
@@ -159,9 +117,11 @@ class TestHaarRandomState:
 
     @pytest.mark.parametrize("n", [1, 3, 6, 10])
     def test_single_state_equals_the_per_state_formula(self, n):
+        """A one-row chunk, as a one-state run or a one-row tail draws it,
+        keeps the formula's bits too."""
         for key in range(5):
             np.testing.assert_array_equal(
-                haar_random_state(n, derived_rng(12, key)).amplitudes, self.per_state_formula(n, derived_rng(12, key))
+                haar_rows(n, [derived_rng(12, key)], 1)[0], haar_state(n, derived_rng(12, key)).amplitudes
             )
 
 
@@ -286,18 +246,30 @@ class TestMonteCarloSimilarity:
         with pytest.raises(ValueError, match="registers"):
             haar_fidelities(DenseUnitary(2, np.eye(4)), Circuit(1), 3)
 
+    def test_register_above_state_cap_rejected_before_any_state(self, monkeypatch):
+        """Two empty 21-qubit circuits used to allocate 2^21-amplitude
+        batches, draw a state and give a similarity of 1.0."""
+
+        def no_state(*args):
+            raise AssertionError("a state was drawn")
+
+        monkeypatch.setattr(similarity, "derived_rngs", no_state)
+        monkeypatch.setattr(similarity, "batch_applier", no_state)
+        with pytest.raises(ValueError, match=r"statevector qubit count 21 outside \[1, 20\]"):
+            haar_fidelities(Circuit(21), Circuit(21), 1)
+
     def test_batched_fidelities_match_per_state_loop(self):
         """Each Haar state's fidelity comes from the same derived_rng(seed, i)
-        draw and equals ``fidelity`` bit for bit, for dense and gate
+        draw and equals |<a|b>|^2 from ``np.vdot`` bit for bit, for dense and gate
         operations. The reference applies each operation to the stacked
         states: a dense matrix applied to one state can round differently in
         the last bit, which test_qsim bounds."""
         u1, u2 = rotation_perturbed_pair(3, 0.3, seed=5)
         gates = random_circuit(3, 8, np.random.default_rng(6))
-        states = np.stack([haar_random_state(3, derived_rng(9, i)).amplitudes for i in range(40)])
+        states = np.stack([haar_state(3, derived_rng(9, i)).amplitudes for i in range(40)])
         for first, second in ((u1, u2), (gates, u2)):
             pairs = zip(apply_operation_amplitudes(states, first), apply_operation_amplitudes(states, second))
-            expected = [fidelity(StateVector(3, a), StateVector(3, b)) for a, b in pairs]
+            expected = [float(abs(np.vdot(a, b)) ** 2) for a, b in pairs]
             np.testing.assert_array_equal(haar_fidelities(first, second, 40, seed=9), expected)
 
     def test_reused_arrays_give_the_allocating_path_bits(self):
@@ -308,7 +280,7 @@ class TestMonteCarloSimilarity:
         rng = np.random.default_rng(41)
         u1, u2 = random_circuit(10, 20, rng), random_circuit(10, 20, rng)
         assert [chunk.stop - chunk.start for chunk in row_chunks(33, 10)] == [16, 16, 1]
-        states = np.stack([haar_random_state(10, derived_rng(13, i)).amplitudes for i in range(33)])
+        states = np.stack([haar_state(10, derived_rng(13, i)).amplitudes for i in range(33)])
         overlaps = row_overlaps(apply_operation_amplitudes(states, u1), apply_operation_amplitudes(states, u2))
         expected = [abs(z) ** 2 for z in overlaps.tolist()]
         np.testing.assert_array_equal(haar_fidelities(u1, u2, 33, seed=13), expected)
@@ -421,11 +393,10 @@ class TestFidelityChain:
             u2 = haar_random_unitary(n, 2 * trial + 1)
             _, svals, vh = np.linalg.svd(u1 - u2)
             for _ in range(5):
-                psi = haar_random_state(n, rng)
+                psi = haar_state(n, rng)
                 load = float(np.sum(svals**2 * np.abs(vh @ psi.amplitudes) ** 2))
-                value = fidelity(
-                    apply_circuit(psi, DenseUnitary(n, u1)), apply_circuit(psi, DenseUnitary(n, u2))
-                )
+                out1, out2 = (apply_circuit(psi, DenseUnitary(n, u)).amplitudes for u in (u1, u2))
+                value = abs(np.vdot(out1, out2)) ** 2
                 assert value - (1 - load / 2) ** 2 >= -1e-10
                 assert (1 - load / 2) ** 2 - (1 - load) >= -1e-10
 
@@ -435,8 +406,8 @@ class TestFidelityChain:
         u1, u2 = rotation_perturbed_pair(5, 0.3, seed=4)
         values = np.array(
             [
-                fidelity(apply_circuit(psi, u1), apply_circuit(psi, u2))
-                for psi in (haar_random_state(5, rng) for _ in range(1000))
+                abs(np.vdot(apply_circuit(psi, u1).amplitudes, apply_circuit(psi, u2).amplitudes)) ** 2
+                for psi in (haar_state(5, rng) for _ in range(1000))
             ]
         )
         distance = exact_schatten2(u1.matrix - u2.matrix)
@@ -452,7 +423,7 @@ class TestFidelityChain:
             m1, m2 = mixed_operation_matrix(u1), mixed_operation_matrix(u2)
             _, svals, vh = np.linalg.svd(m1 - m2)
             for _ in range(5):
-                psi = haar_random_state(n, rng).amplitudes
+                psi = haar_state(n, rng).amplitudes
                 out1, out2 = m1 @ psi, m2 @ psi
                 value = abs(np.vdot(out1, out2)) ** 2
                 sizes = (np.vdot(out1, out1) + np.vdot(out2, out2)).real / 2
