@@ -27,6 +27,11 @@ Layers, each through the public function the CLI calls:
 - ``kernel_front.n8.analytic``: analytic ``mixed_quadratic_form`` of a
   3-term mixture of random depth-20 circuits at n = 8 over 1000 angles, a
   width whose gate replay runs on 64-row chunks.
+- ``kernel_front.n18.analytic.m4``: analytic
+  ``schatten2_estimate_from_thetas``, as ``decide`` runs it, of the
+  difference of two depth-20 circuits at n = 18 over 4 angles, the second
+  the first with every angle moved by 0.05: a wide register, whose chunks
+  are one row of 4 MiB.
 - ``gate_construction``: ``adjoint`` of the same depth-20 circuit, which
   builds and validates one ``GateOp`` per gate.
 - ``quadratic_form``: ``schatten2_estimate_from_thetas`` (the analytic
@@ -150,6 +155,10 @@ def layers() -> dict:
     cases["kernel_front.n10.m500"] = (lambda: mixed_quadratic_form(terms, angles500, shots_per_test=100, seed=7), 500)
     terms8 = random_terms(8)
     cases["kernel_front.n8.analytic.m1000"] = (lambda: mixed_quadratic_form(terms8, thetas), 1000)
+    wide = Circuit(18, tuple(random_gate(18) for _ in range(20)))
+    moved = Circuit(18, tuple(GateOp(g.kind, g.qubits, tuple(p + 0.05 for p in g.params)) for g in wide.ops))
+    wide_pair = difference_mixture(wide, moved)
+    cases["kernel_front.n18.analytic.m4"] = (lambda: schatten2_estimate_from_thetas(wide_pair, thetas[:4]), 4)
     cases["gate_construction.n10.depth20"] = (lambda: adjoint(circuit), len(circuit))
     pair = difference_mixture(*(DenseUnitary(6, haar_random_unitary(6, seed)) for seed in (1, 2)))
     cases["quadratic_form.n6.m1000"] = (lambda: schatten2_estimate_from_thetas(pair, thetas), 1000)

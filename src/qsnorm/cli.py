@@ -94,7 +94,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _json_dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    # A non-finite value raises ValueError (exit 1) rather than leaving as non-JSON.
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _csv_dump(header: list[str], rows: list[list]) -> str:

@@ -62,10 +62,13 @@ def measurement_budget_mixed(epsilon: float, delta: float, num_terms: int) -> in
 
 
 def require_shots(shots_per_test) -> int:
-    """``shots_per_test`` as a nonnegative int; 0 selects the analytic mode."""
+    """``shots_per_test`` as a nonnegative int that numpy's binomial draw
+    takes (a C long, at most 2**63 - 1); 0 selects the analytic mode."""
     shots_per_test = require_int(shots_per_test, "shots_per_test")
     if shots_per_test < 0:
         raise ValueError(f"shots must be nonnegative, got {shots_per_test}")
+    if shots_per_test > 2**63 - 1:
+        raise ValueError(f"shots must be at most 2**63 - 1, the binomial draw's range, got {shots_per_test}")
     return shots_per_test
 
 

@@ -183,9 +183,9 @@ class LearnObjective:
     kind are views of one array, filled by one call of that kind's
     ``GATES`` formula on the (B, gates) array of their angles. A pass's B
     points fill at most one chunk of ``CHUNK_CEILING`` bytes (see
-    :meth:`block`), so one applier holds about 3B + 1 first chunks (input,
-    image, spare batch, scratch), about three ``CHUNK_CEILING`` while a row
-    fits in one, whatever the angle count; a learn run keeps at most two,
+    :meth:`block`), so one applier holds about 2.5B + 1 first chunks
+    (input, image, scratch), about 2.5 ``CHUNK_CEILING`` while a row fits
+    in one, whatever the angle count; a learn run keeps at most two,
     for its passes of 2P + 1 points and their remainder."""
 
     def __init__(self, ansatz: Ansatz, target: Operation, thetas: np.ndarray, shots: int = 0, seed: int = 0):

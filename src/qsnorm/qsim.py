@@ -40,7 +40,7 @@ ATOL = 1e-10  # largest |U U^dag - I| entry a DenseUnitary may have
 CHUNK_CEILING = 1 << 18  # bytes of a (rows, 2^n) batch array, unless one row is larger; see chunk_rows
 DENSE_ROWS = 2  # fewest rows of a dense product, see _dense_call
 SHORT_RUN = 4  # longest run of a gate's half that is applied one offset at a time
-LONG_RUN = 64  # run of a gate's half from which one pass over the half is fast, see _gate_calls
+LONG_RUN = 64  # run of a diagonal gate's half from which a column of its entries is fast, see _gate_calls
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -267,15 +267,17 @@ def _gate_calls(
 ) -> list:
     """The calls, as (function, args) pairs run in order, that write ``op``
     applied along the last axis of ``src`` into ``dest``, a C-contiguous
-    array of src's shape apart from it. This is the one place that holds
-    each form's formula; the calls are made once per set of arrays and may
+    array of src's shape apart from it, or that apply it in place when
+    ``src is dest``. This is the one place that holds each form's formula,
+    right in both cases; the calls are made once per set of arrays and may
     be run again whenever src holds new amplitudes.
 
     ``entries`` is the gate's matrix (unused for cnot), or a (B, 2, 2)
     stack ((B, 1, 1) for globalphase) that applies entry b to block member
     ``src[b]`` of (B, rows, 2^n); the calls read it as a view, so they see
-    a stack refilled in place. A dense gate takes its products into
-    ``scratch``, two flat arrays of at least src.size // 2 entries.
+    a stack refilled in place. ``scratch`` is three flat arrays of at least
+    src.size // 2 entries, which the dense, anti-diagonal and cnot forms
+    use.
 
     Every product is one matrix entry times one amplitude, entry first (a
     gate on no qubits: amplitude first), as the dense formula has it:
@@ -286,23 +288,19 @@ def _gate_calls(
     exact zero."""
     form = GATES[op.kind].form
     if form == "cnot":
-        # Copy the control-0 half, or all of src where that half's runs
-        # are shorter than LONG_RUN (one contiguous copy is then faster),
-        # then swap the target's halves within the control-1 half.
+        # Copy src unless in place, then swap the target's halves within the
+        # control-1 half through two scratch quarters: a copy between two
+        # views of one array would go through a hidden temporary.
         control, target = op.qubits
-        shape = src.shape[:-1] + (2,) * n
-        view, out = src.reshape(shape), dest.reshape(shape)
+        out = dest.reshape(dest.shape[:-1] + (2,) * n)
         index = [slice(None)] * n
         index[control], index[target] = 1, 0
-        i10 = (Ellipsis, *index)
+        q10 = out[(Ellipsis, *index)]
         index[target] = 1
-        i11 = (Ellipsis, *index)
-        first = (dest, src)
-        if 1 << (n - control - 1) >= LONG_RUN:
-            index[control], index[target] = 0, slice(None)
-            i0 = (Ellipsis, *index)
-            first = (out[i0], view[i0])
-        return [(np.copyto, first), (np.copyto, (out[i10], view[i11])), (np.copyto, (out[i11], view[i10]))]
+        q11 = out[(Ellipsis, *index)]
+        s0, s1 = (part[:q10.size].reshape(q10.shape) for part in scratch[:2])
+        calls = [] if src is dest else [(np.copyto, (dest, src))]
+        return calls + [(np.copyto, (s0, q10)), (np.copyto, (s1, q11)), (np.copyto, (q10, s1)), (np.copyto, (q11, s0))]
     block = entries.shape[:-2]
     if not op.qubits:
         scale = entries[..., 0, 0].reshape(block + (1, 1)) if block else entries[0, 0]
@@ -341,22 +339,20 @@ def _gate_calls(
         mat = mat[..., 0] if block else mat
     else:
         offsets, shape = [slice(None)], halves.shape[:-2] + (run,)
-    calls = []
-    if form == "anti-diagonal":
-        m01, m10 = mat[0, 1], mat[1, 0]
-        for j in offsets:
-            calls.append((np.multiply, (m01, halves[..., 1, j], dest[..., 0, j])))
-            calls.append((np.multiply, (m10, halves[..., 0, j], dest[..., 1, j])))
-        return calls
     size = math.prod(shape)
-    first, second = scratch[0, :size].reshape(shape), scratch[1, :size].reshape(shape)
-    by_row = (mat[0, 0], mat[0, 1]), (mat[1, 0], mat[1, 1])
+    s0, s1, s2 = (part[:size].reshape(shape) for part in scratch)
+    (m00, m01), (m10, m11) = mat[0], mat[1]
+    calls = []
     for j in offsets:
-        low, high = halves[..., 0, j], halves[..., 1, j]
-        for r, (m0, m1) in enumerate(by_row):
-            calls.append((np.multiply, (m0, low, first)))
-            calls.append((np.multiply, (m1, high, second)))
-            calls.append((np.add, (first, second, dest[..., r, j])))
+        # Each half is read before it is written, so the calls may run in place.
+        low, high, low_out, high_out = halves[..., 0, j], halves[..., 1, j], dest[..., 0, j], dest[..., 1, j]
+        if form == "anti-diagonal":
+            calls += [(np.multiply, (m01, high, s0)), (np.multiply, (m10, low, high_out)), (np.copyto, (low_out, s0))]
+        else:
+            calls += [
+                (np.multiply, (m00, low, s0)), (np.multiply, (m01, high, s1)), (np.multiply, (m10, low, s2)),
+                (np.add, (s0, s1, low_out)), (np.multiply, (m11, high, s0)), (np.add, (s2, s0, high_out)),
+            ]
     return calls
 
 
@@ -407,20 +403,20 @@ def batch_applier(ops: list, rows: int, n: int, entries: list | None = None) -> 
     are broadcast to the block. The calls read the entries themselves, so
     a caller may refill a stack in place between batches.
 
-    The input, the images, a spare batch and two half-batch scratch arrays
-    are made once, here. The calls that apply all of ``ops`` to views of
-    them, from :func:`_gate_calls`, are made once per row count (a full
-    batch, and a shorter last one) and replayed for every batch of that
-    count: a circuit's last gate writes its image, the one before it the
-    spare batch, and so on back. A dense unitary is the one call of
-    :func:`_dense_call`."""
+    The input, the images and three half-batch scratch arrays are made
+    once, here. The calls that apply all of ``ops`` to views of them, from
+    :func:`_gate_calls`, are made once per row count (a full batch, and a
+    shorter last one) and replayed for every batch of that count: a
+    circuit's first gate writes the input's image into the circuit's
+    image, and every later gate works there in place, so no call writes
+    the input. A dense unitary is the one call of :func:`_dense_call`."""
     if any(isinstance(op, DenseUnitary) for op in ops):
         rows = max(rows, DENSE_ROWS)
     entries = [gate_matrices(op) for op in ops] if entries is None else entries
     blocks = [np.broadcast_shapes(*(e.shape[:-2] for e in mats)) for mats in entries]
     sizes = [math.prod(block) * rows << n for block in blocks]
-    batch, spare = np.zeros((rows, 1 << n), dtype=complex), np.empty(max(sizes), dtype=complex)
-    images, scratch = [np.empty(size, dtype=complex) for size in sizes], np.empty((2, max(sizes) // 2), dtype=complex)
+    batch, scratch = np.zeros((rows, 1 << n), dtype=complex), np.empty((3, max(sizes) // 2), dtype=complex)
+    images = [np.empty(size, dtype=complex) for size in sizes]
     compiled = {}
 
     def compile_calls(count: int) -> tuple[list, list]:
@@ -436,15 +432,13 @@ def batch_applier(ops: list, rows: int, n: int, entries: list | None = None) -> 
             if not op.ops:
                 calls.append((np.copyto, (out, src)))
                 continue
-            targets = (out, spare[:out.size].reshape(shape))
-            for i, (gate, mat) in enumerate(zip(op.ops, mats)):
+            for gate, mat in zip(op.ops, mats):
                 if mat.shape[:-2] != block:
                     # A stride-0 view keeps the block axis apart, so no
                     # reshape of the broadcast input copies it.
                     mat = np.broadcast_to(mat, block + mat.shape[-2:])
-                dest = targets[(len(op.ops) - 1 - i) % 2]
-                calls += _gate_calls(gate, n, mat, src, dest, scratch)
-                src = dest
+                calls += _gate_calls(gate, n, mat, src, out, scratch)
+                src = out
         return calls, outs
 
     def apply(count: int) -> list:

@@ -93,7 +93,10 @@ def similarity_factor(delta: float) -> float:
     unitaries are (epsilon, delta)-similar."""
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return 1.0 + math.sqrt(2.0 * (1.0 / delta - 1.0))
+    if 1.0 / delta < math.inf:
+        return 1.0 + math.sqrt(2.0 * (1.0 / delta - 1.0))
+    # 1/delta overflows for a subnormal delta: the same root, taken apart.
+    return 1.0 + math.sqrt(2.0 * (1.0 - delta)) / math.sqrt(delta)
 
 
 def similarity_bound_unitary(epsilon: float, delta: float) -> float:
@@ -172,7 +175,10 @@ def similarity_slack(m: int, delta_hat: float, estimate: float) -> float:
         raise ValueError(f"need at least one sample, got m={m}")
     if not 0 < delta_hat < 1:
         raise ValueError(f"delta_hat must lie in (0, 1), got {delta_hat}")
-    base = 2.0 * math.log(2.0 / delta_hat) / m
+    ratio = 2.0 / delta_hat
+    # 2/delta_hat overflows for a subnormal delta_hat: the same log, taken apart.
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(2.0) - math.log(delta_hat)
+    base = 2.0 * log_ratio / m
     return min(base**0.25, math.sqrt(base) / max(estimate, ESTIMATE_FLOOR))
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -85,6 +86,23 @@ class TestEstimate:
 
     def test_register_above_state_cap_exits_1(self, tmp_path):
         check_error("estimate_above_state_cap", tmp_path)
+
+    @pytest.mark.parametrize("command", ["estimate", "decide", "learn"])
+    def test_shots_beyond_a_c_long_exits_1(self, tmp_path, command):
+        """--shots 2**63 used to replay a chunk and then end in a raw
+        OverflowError traceback from numpy's binomial draw."""
+        circuit = write_json(tmp_path / "c.json", {"n": 1, "ops": [{"gate": "h", "qubits": [0]}]})
+        files = {
+            "estimate": ("--mixed", write_json(tmp_path / "m.json", IDENTITY_MIXTURE)),
+            "decide": ("--u1", circuit, "--u2", circuit, "--epsilon", 0.1, "--delta", 0.2, "--delta-hat", 0.05),
+            "learn": ("--ansatz", write_json(tmp_path / "a.json", RY_ANSATZ), "--target", circuit),
+        }
+        result = run_cli(command, *files[command], "--shots", 2**63)
+        assert result.returncode == 1 and result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert result.stderr.splitlines() == [
+            "error: shots must be at most 2**63 - 1, the binomial draw's range, got 9223372036854775808"
+        ]
 
 
 class TestConfigFile:
@@ -175,6 +193,29 @@ class TestDecide:
     def test_nan_epsilon_exits_2(self, tmp_path):
         """A NaN epsilon used to exit 0 with "threshold": NaN."""
         check_error("decide_nan_epsilon", tmp_path)
+
+    @pytest.mark.parametrize("delta, delta_hat", [(0.2, 5e-324), (5e-324, 0.05)], ids=["delta_hat", "delta"])
+    def test_subnormal_probability_writes_strict_json(self, tmp_path, delta, delta_hat):
+        """A subnormal delta_hat used to write "slack_term": Infinity, and a
+        subnormal delta "threshold": 0.0."""
+        circuit = write_json(tmp_path / "c.json", {"n": 1, "ops": [{"gate": "h", "qubits": [0]}]})
+        result = run_cli(
+            "decide", "--u1", circuit, "--u2", circuit, "--epsilon", 0.1, "--delta", delta,
+            "--delta-hat", delta_hat, "--samples", 10,
+        )
+        assert result.returncode == 0, result.stderr
+
+        def reject(constant):
+            raise ValueError(f"non-finite constant {constant}")
+
+        verdict = json.loads(result.stdout, parse_constant=reject)
+        assert math.isfinite(verdict["slack_term"]) and verdict["threshold"] > 0.0
+
+    def test_non_finite_value_is_not_written(self):
+        """Output is strict JSON: a non-finite value raises, so the CLI
+        exits 1 with one error line rather than writing Infinity or NaN."""
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._json_dump({"value": math.inf})
 
 
 class TestLearn:

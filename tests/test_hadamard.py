@@ -29,7 +29,7 @@ from qsnorm import (
     sampling_circuit,
 )
 from qsnorm import qsim
-from qsnorm.hadamard import ReductionPlan, quadratic_form_values
+from qsnorm.hadamard import ReductionPlan, quadratic_form_values, require_shots
 from qsnorm.sampler import probe_rows
 
 SQRT2_INV = 1 / math.sqrt(2)
@@ -429,6 +429,13 @@ class TestMixedQuadraticForm:
     def test_negative_shots_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             mixed_quadratic_form(random_mixture(1, 2, np.random.default_rng(2)), [0.1], shots_per_test=-1)
+
+    def test_shots_beyond_a_c_long_rejected(self):
+        """numpy's binomial draw takes a C long: 2**63 shots used to reach
+        it and end in a raw OverflowError."""
+        assert require_shots(2**63 - 1) == 2**63 - 1
+        with pytest.raises(ValueError, match=r"at most 2\*\*63 - 1"):
+            require_shots(2**63)
 
 
 def per_row_fsum(coeffs, images):

@@ -410,6 +410,43 @@ class TestApplyCircuit:
                             got.view(np.uint64), want.view(np.uint64), err_msg=f"n={n} q={q} prefix={bool(prefix[0])}"
                         )
 
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_replay_writes_only_the_images(self, n):
+        """Gates run in place on a circuit's image, so a replay never writes
+        its input batch. For each gate form, a circuit that starts with that
+        form (so its first gate reads the input) and then holds every form
+        on every qubit (cnot on both orders of neighbours) leaves the
+        input's bytes as they were, on a full batch and a shorter one. Each
+        image equals the product with circuit_matrix, and has the bits of
+        applying its gates one at a time, where no gate runs in place."""
+        rng = np.random.default_rng(24)
+        kinds = {"dense": "ry", "anti-diagonal": "y", "diagonal": "rz", "cnot": "cnot", "globalphase": "globalphase"}
+        assert set(kinds) == {row.form for row in GATES.values()} | {"globalphase"}
+
+        def gate(kind, q):
+            qubits = (q, (q + 1) % n) if kind == "cnot" else (q,)[:GATES[kind].qubits]
+            return GateOp(kind, qubits, tuple(rng.uniform(-4, 4, GATES[kind].params)))
+
+        body = [gate(kind, q) for q in range(n) for kind in kinds.values()]
+        body += [GateOp("cnot", ((q + 1) % n, q)) for q in range(n)]
+        firsts = [gate(kind, n // 2) for kind in kinds.values()]
+        ops = [Circuit(n, (first, *body)) for first in firsts]
+        later = circuit_matrix(Circuit(n, body))
+        matrices = [later @ circuit_matrix(Circuit(n, (first,))) for first in firsts]
+        batch, apply = batch_applier(ops, 8, n)
+        for count in (8, 3):
+            batch[...] = rng.standard_normal(batch.shape) + 1j * rng.standard_normal(batch.shape)
+            before = batch.tobytes()
+            images = apply(count)
+            assert batch.tobytes() == before
+            rows = batch[:count]
+            for op, matrix, image in zip(ops, matrices, images):
+                np.testing.assert_allclose(image, rows @ matrix.T, atol=1e-12)
+                want = rows
+                for g in op.ops:
+                    want = apply_operation_amplitudes(want, Circuit(n, (g,)))
+                np.testing.assert_array_equal(image.view(np.uint64), want.view(np.uint64))
+
     def test_buffered_operation_has_the_bits_of_gate_by_gate_application(self):
         """Circuits of odd, even and zero depth, and a dense unitary, applied
         through one batch_applier, whose arrays every batch reuses, give the

@@ -143,6 +143,15 @@ class TestSimilarityBoundUnitary:
         values = [similarity_bound_unitary(0.2, float(d)) for d in delta_grid]
         assert all(a < b for a, b in zip(values, values[1:]))
 
+    def test_subnormal_delta_gives_a_positive_threshold(self):
+        """1/delta overflows at delta = 5e-324, which used to give a factor
+        of inf and a threshold of 0.0. The threshold is
+        0.1 / (1 + sqrt(2 (1 - delta) / delta)), about 1.57e-163."""
+        threshold = similarity_bound_unitary(0.1, 5e-324)
+        assert math.isclose(threshold, 0.1 * math.sqrt(5e-324) / math.sqrt(2.0), rel_tol=1e-12, abs_tol=0.0)
+        assert threshold == pytest.approx(1.5717e-163, rel=1e-4, abs=0.0)
+        assert similarity.similarity_factor(1e-300) == 1.0 + math.sqrt(2.0 * (1.0 / 1e-300 - 1.0))
+
     def test_domain(self):
         with pytest.raises(ValueError):
             similarity_bound_unitary(0.0, 0.5)
@@ -291,6 +300,15 @@ class TestSimilaritySlack:
         """Quartic branch at zero estimate: (2 ln 40 / m)^(1/4)."""
         assert similarity_slack(100_000, 0.05, 0.0) == pytest.approx(0.0926789521247125, abs=1e-12)
         assert similarity_slack(1_000_000, 0.05, 0.0) == pytest.approx(0.05211720475506375, abs=1e-12)
+
+    def test_subnormal_delta_hat_gives_a_finite_slack(self):
+        """2/delta_hat overflows at delta_hat = 5e-324, which used to give
+        an infinite slack; ln(2 / 5e-324) is about 745.13."""
+        m = 1_000_000
+        log_ratio = math.log(2.0) - math.log(5e-324)
+        assert log_ratio == pytest.approx(745.13, abs=0.01)
+        assert similarity_slack(m, 5e-324, 0.0) == (2.0 * log_ratio / m) ** 0.25
+        assert similarity_slack(m, 1e-300, 0.0) == (2.0 * math.log(2.0 / 1e-300) / m) ** 0.25
 
     def test_monotone_decreasing_in_m(self):
         values = [similarity_slack(m, 0.05, 0.3) for m in (10, 100, 1000, 10_000, 100_000)]
