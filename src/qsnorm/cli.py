@@ -73,6 +73,12 @@ def int_list(text: str) -> list[int]:
     return sorted(int(v) for v in text.split(","))
 
 
+# The largest count a request may ask for: angles (--samples, --m-list),
+# seeds, pairs and Haar states. Each is checked before anything of its size
+# is made; 2^24 float64 values are 128 MiB.
+COUNT_CAP = 1 << 24
+
+
 # The JSON type a config value needs, per setting type. A JSON boolean
 # counts as a bool setting's value only, although Python's bool is an int.
 JSON_TYPES = {int: int, finite: (int, float), str: str, bool: bool, int_list: str}
@@ -127,6 +133,14 @@ def _merge_settings(args: argparse.Namespace, rows: tuple) -> dict:
                 raise CircuitFormatError(f"{args.config}: bad value for {key!r}: {value!r} ({exc})") from exc
     settings.update((name, getattr(args, name)) for name in kinds if getattr(args, name) is not None)
     return settings
+
+
+def _check_counts(settings: dict) -> None:
+    for name in ("samples", "m_list", "seeds", "pairs", "states"):
+        value = settings.get(name)
+        largest = max(value) if isinstance(value, list) else value
+        if largest is not None and largest > COUNT_CAP:
+            raise ValueError(f"--{name.replace('_', '-')} {largest} is above the count cap {COUNT_CAP}")
 
 
 def _require(settings: dict, *keys: str) -> None:
@@ -332,7 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(_merge_settings(args, args.settings))
+        settings = _merge_settings(args, args.settings)
+        _check_counts(settings)
+        return args.handler(settings)
     except (CircuitFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -362,21 +362,16 @@ def gate_matrices(op: Operation) -> list:
     return [] if isinstance(op, DenseUnitary) else [gate_matrix(gate) for gate in op.ops]
 
 
-def _dense_call(matrix: np.ndarray, batch: np.ndarray, image: np.ndarray, count: int) -> tuple:
-    """The call that writes a dense unitary's image of the first ``count``
-    rows of a (rows, 2^n) ``batch`` into the leading rows of the flat
-    ``image``, both of at least DENSE_ROWS rows: the one formula of a dense
-    unitary. It multiplies at least DENSE_ROWS rows, so a one-row batch is
-    the first row of two and the next row's image is ignored. numpy's
+def _dense_call(matrix: np.ndarray, batch: np.ndarray, image: np.ndarray) -> tuple:
+    """The call that writes a dense unitary's image of every row of a
+    (rows, 2^n) ``batch`` into ``image``: the one formula of a dense
+    unitary. A batch has at least DENSE_ROWS rows, because numpy's
     ``matmul`` hands a one-row operand to BLAS's matrix-vector product
     (gemv), which rounds otherwise than the matrix-matrix product (gemm)
-    that the same row meets among two or more rows; with OpenBLAS 0.3.31,
+    that the same row meets among two or more rows. With OpenBLAS 0.3.31,
     under one and two threads, gemm gave each row the same bits for every
-    row count tried, and the same bits under either thread count. So, with
-    that build, a row's image depends neither on how the rows are chunked
-    nor on the BLAS thread count."""
-    wide = max(count, DENSE_ROWS)
-    return np.matmul, (batch[:wide], matrix.T, image[:wide * batch.shape[1]].reshape(wide, -1))
+    row count tried, and under either thread count."""
+    return np.matmul, (batch, matrix.T, image)
 
 
 def apply_operation_amplitudes(amps: np.ndarray, op: Operation) -> np.ndarray:
@@ -392,62 +387,49 @@ def apply_operation_amplitudes(amps: np.ndarray, op: Operation) -> np.ndarray:
 def batch_applier(ops: list, rows: int, n: int, entries: list | None = None) -> tuple[np.ndarray, Callable[[int], list]]:
     """A (rows, 2^n) input batch of zeros (at least DENSE_ROWS rows if an
     operation is a dense unitary) and a function that applies each of
-    ``ops`` to its first ``count`` rows and returns the list of their
-    images. A caller writes each batch into the input and is done with one
-    batch's images before it applies the next.
+    ``ops`` to the batch and returns the list of their images' first
+    ``count`` rows. A caller writes each batch into the input's leading
+    rows and is done with one batch's images before it applies the next.
+    Rows past ``count`` are applied too: they hold zeros or an earlier
+    batch's rows, so their images are finite and unread.
 
     ``entries`` holds each operation's gate entries (default:
     :func:`gate_matrices`). An operation whose entries include (B, 2, 2)
-    stacks ((B, 1, 1) for globalphase) gets a (B, count, 2^n) image, entry b
+    stacks ((B, 1, 1) for globalphase) gets a (B, rows, 2^n) image, entry b
     acting on member b of the input broadcast over B; its other matrices
     are broadcast to the block. The calls read the entries themselves, so
     a caller may refill a stack in place between batches.
 
-    The input, the images and three half-batch scratch arrays are made
-    once, here. The calls that apply all of ``ops`` to views of them, from
-    :func:`_gate_calls`, are made once per row count (a full batch, and a
-    shorter last one) and replayed for every batch of that count: a
-    circuit's first gate writes the input's image into the circuit's
-    image, and every later gate works there in place, so no call writes
-    the input. A dense unitary is the one call of :func:`_dense_call`."""
+    The input, the images, three half-image scratch arrays and the calls of
+    :func:`_gate_calls` and :func:`_dense_call` that apply ``ops`` to them
+    are made once, here, and replayed for every batch. A circuit's first
+    gate writes the input's image into the circuit's image, and every
+    later gate works there in place."""
     if any(isinstance(op, DenseUnitary) for op in ops):
         rows = max(rows, DENSE_ROWS)
     entries = [gate_matrices(op) for op in ops] if entries is None else entries
+    batch = np.zeros((rows, 1 << n), dtype=complex)
     blocks = [np.broadcast_shapes(*(e.shape[:-2] for e in mats)) for mats in entries]
-    sizes = [math.prod(block) * rows << n for block in blocks]
-    batch, scratch = np.zeros((rows, 1 << n), dtype=complex), np.empty((3, max(sizes) // 2), dtype=complex)
-    images = [np.empty(size, dtype=complex) for size in sizes]
-    compiled = {}
-
-    def compile_calls(count: int) -> tuple[list, list]:
-        calls, outs = [], []
-        for op, mats, block, image in zip(ops, entries, blocks, images):
-            # Leading views of the flat arrays, C-contiguous at every count.
-            shape = block + (count, 1 << n)
-            out, src = image[:math.prod(shape)].reshape(shape), np.broadcast_to(batch[:count], shape)
-            outs.append(out)
-            if isinstance(op, DenseUnitary):
-                calls.append(_dense_call(op.matrix, batch, image, count))
-                continue
-            if not op.ops:
-                calls.append((np.copyto, (out, src)))
-                continue
-            for gate, mat in zip(op.ops, mats):
-                if mat.shape[:-2] != block:
-                    # A stride-0 view keeps the block axis apart, so no
-                    # reshape of the broadcast input copies it.
-                    mat = np.broadcast_to(mat, block + mat.shape[-2:])
-                calls += _gate_calls(gate, n, mat, src, out, scratch)
-                src = out
-        return calls, outs
+    images = [np.empty(block + batch.shape, dtype=complex) for block in blocks]
+    scratch = np.empty((3, max(image.size for image in images) // 2), dtype=complex)
+    calls = []
+    for op, mats, image in zip(ops, entries, images):
+        if isinstance(op, DenseUnitary):
+            calls.append(_dense_call(op.matrix, batch, image))
+            continue
+        src = np.broadcast_to(batch, image.shape)
+        if not op.ops:
+            calls.append((np.copyto, (image, src)))
+        for gate, mat in zip(op.ops, mats):
+            # A stride-0 view keeps the block axis apart, so no reshape of
+            # the broadcast input copies it.
+            calls += _gate_calls(gate, n, np.broadcast_to(mat, image.shape[:-2] + mat.shape[-2:]), src, image, scratch)
+            src = image
 
     def apply(count: int) -> list:
-        if count not in compiled:
-            compiled[count] = compile_calls(count)
-        calls, outs = compiled[count]
         for function, args in calls:
             function(*args)
-        return outs
+        return [image[..., :count, :] for image in images]
 
     return batch, apply
 

@@ -117,11 +117,20 @@ def similarity_bound_mixed(epsilon: float, delta: float, tau: float) -> float | 
     check_eps_delta(epsilon, delta)
     if not 0 < tau <= 1:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
-    spread = 1.0 / delta - 1.0
-    numerator = epsilon**2 - spread * (tau - tau**4)
+    if 1.0 / delta < math.inf:
+        spread = 1.0 / delta - 1.0
+        numerator = epsilon**2 - spread * (tau - tau**4)
+        if numerator < 0:
+            return None
+        return math.sqrt(numerator / (2.0 * tau * (epsilon + spread * tau**2)))
+    # 1/delta overflows for a subnormal delta: the same root with delta
+    # taken out of the spread, and each factor rooted apart, so that no
+    # part overflows or underflows.
+    numerator = epsilon**2 - (tau - tau**4) * (1.0 - delta) / delta
     if numerator < 0:
         return None
-    return math.sqrt(numerator / (2.0 * tau * (epsilon + spread * tau**2)))
+    ratio = math.sqrt(delta) / math.sqrt(2.0 * tau)
+    return math.sqrt(numerator) * ratio / math.sqrt(epsilon * delta + (1.0 - delta) * tau**2)
 
 
 def estimate_tau(

@@ -2,6 +2,7 @@
 quadrature grid and the square-root error oracle for the test suite."""
 
 import math
+import resource
 
 import numpy as np
 
@@ -132,3 +133,17 @@ def circuit_probability(prep, chain, part: str) -> float:
         rows[1] = apply_operation_amplitudes(rows[1], op)
     rows = np.stack((rows[0] + rows[1], rows[0] - rows[1])) / math.sqrt(2)
     return float(np.linalg.norm(rows[1]) ** 2)
+
+
+def limit_address_space(headroom: int = 1 << 30) -> tuple:
+    """Lower this process's soft address-space limit to its present size
+    (read from /proc/self/statm) plus ``headroom`` bytes, and return the
+    limit it replaced. A request that allocates a count-sized array then
+    raises MemoryError at once instead of filling the host's memory."""
+    with open("/proc/self/statm") as statm:
+        size = int(statm.read().split()[0]) * resource.getpagesize()
+    limit = resource.getrlimit(resource.RLIMIT_AS)
+    hard = limit[1]
+    soft = size + headroom if hard == resource.RLIM_INFINITY else min(size + headroom, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    return limit

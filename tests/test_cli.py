@@ -1,15 +1,22 @@
 """Command-line interface tests: file handling, exit codes, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import math
+import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import limit_address_space
 from qsnorm import cli
-from qsnorm.cli import COMMANDS, COMMON
+from qsnorm.cli import COMMANDS, COMMON, COUNT_CAP
 from test_golden import check_error
 
 IDENTITY_MIXTURE = {"terms": [{"coeff": [1.0, 0.0], "circuit": {"n": 1, "ops": []}}]}
@@ -27,6 +34,30 @@ def run_cli(*args):
 def write_json(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def request_files(workdir):
+    """Each command's required settings as flags, over small documents in
+    ``workdir``: a 1-qubit identity mixture, an h circuit for both decide
+    operands, and a repeat-2 ry ansatz, so that --sqrt may be given too."""
+    circuit = write_json(workdir / "c.json", {"n": 1, "ops": [{"gate": "h", "qubits": [0]}]})
+    return {
+        "estimate": ("--mixed", write_json(workdir / "m.json", IDENTITY_MIXTURE)),
+        "fig2": (),
+        "similarity": (),
+        "learn": ("--ansatz", write_json(workdir / "a.json", {**RY_ANSATZ, "repeat": 2}), "--target", circuit),
+        "decide": ("--u1", circuit, "--u2", circuit, "--epsilon", 0.1, "--delta", 0.2, "--delta-hat", 0.05),
+    }
+
+
+@contextlib.contextmanager
+def address_space_limit():
+    """This process under :func:`helpers.limit_address_space`, restored on exit."""
+    limit = limit_address_space()
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, limit)
 
 
 class TestEstimate:
@@ -91,13 +122,7 @@ class TestEstimate:
     def test_shots_beyond_a_c_long_exits_1(self, tmp_path, command):
         """--shots 2**63 used to replay a chunk and then end in a raw
         OverflowError traceback from numpy's binomial draw."""
-        circuit = write_json(tmp_path / "c.json", {"n": 1, "ops": [{"gate": "h", "qubits": [0]}]})
-        files = {
-            "estimate": ("--mixed", write_json(tmp_path / "m.json", IDENTITY_MIXTURE)),
-            "decide": ("--u1", circuit, "--u2", circuit, "--epsilon", 0.1, "--delta", 0.2, "--delta-hat", 0.05),
-            "learn": ("--ansatz", write_json(tmp_path / "a.json", RY_ANSATZ), "--target", circuit),
-        }
-        result = run_cli(command, *files[command], "--shots", 2**63)
+        result = run_cli(command, *request_files(tmp_path)[command], "--shots", 2**63)
         assert result.returncode == 1 and result.stdout == ""
         assert "Traceback" not in result.stderr
         assert result.stderr.splitlines() == [
@@ -371,6 +396,129 @@ class TestSimilarityCommand:
 
         monkeypatch.setattr(cli, "rotation_perturbed_pair", no_pair)
         check_error(case, tmp_path)
+
+
+class TestCountCap:
+    @pytest.mark.parametrize("command, flag, value", [
+        ("estimate", "--samples", 2**31),
+        ("decide", "--samples", 2**31),
+        ("learn", "--samples", 2**31),
+        ("fig2", "--m-list", 2**31),
+        ("fig2", "--seeds", 2**31),
+        ("similarity", "--pairs", 2**31),
+        ("similarity", "--states", 2**31),
+        ("similarity", "--pairs", 2**63 - 1),
+    ])
+    def test_count_above_the_cap_exits_1_before_allocating(self, tmp_path, command, flag, value):
+        """Each of these used to end in numpy's _ArrayMemoryError traceback
+        after trying to allocate 16-32 GiB, and --pairs 2**63 - 1 in an
+        IndexError from np.linspace. Each runs in a child whose address
+        space is limited to its size after import plus 1 GiB, so a request
+        that allocates before the check fails at once."""
+        code = (
+            f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+            "from helpers import limit_address_space; limit_address_space(); "
+            "from qsnorm.cli import main; raise SystemExit(main(sys.argv[1:]))"
+        )
+        argv = [command, *request_files(tmp_path)[command], flag, value, "--out", tmp_path / "out"]
+        result = subprocess.run([sys.executable, "-c", code, *map(str, argv)], capture_output=True, text=True)
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr.splitlines() == [f"error: {flag} {value} is above the count cap {COUNT_CAP}"]
+        assert not (tmp_path / "out").exists()
+
+    def test_count_at_the_cap_is_accepted(self):
+        """The cap itself passes the check; one more does not."""
+        cli._check_counts({"samples": COUNT_CAP, "m_list": [1, COUNT_CAP], "seed": 2**63})
+        with pytest.raises(ValueError, match="count cap"):
+            cli._check_counts({"m_list": [1, COUNT_CAP + 1]})
+
+
+EDGE_INTS = [0, 1, 2, -1, 2**31 - 1, 2**31, 2**31 + 1, -(2**31), 2**63 - 1, 2**63, 2**63 + 1, -(2**63)]
+EDGE_FLOATS = ["nan", "inf", "-inf", "5e-324", "1e300", "-0.0"]
+# Settings that set how much work an accepted request does, drawn small.
+SMALL_INTS = {"max_iters": [0, 1, 2, -1]}
+# Small work for the settings a draw leaves out; later flags override these.
+SMALL_WORK = {
+    "estimate": ("--samples", 16),
+    "fig2": ("--n", 2, "--seeds", 2, "--m-list", "4,16"),
+    "similarity": ("--n", 2, "--pairs", 2, "--states", 8),
+    "learn": ("--samples", 8, "--max-iters", 2),
+    "decide": ("--samples", 16),
+}
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-finite constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def finite_csv(text):
+    """The rows of a CSV output whose rows all have the header's width and
+    whose fields past the header are finite numbers."""
+    rows = list(csv.reader(text.splitlines()))
+    assert all(len(row) == len(rows[0]) for row in rows)
+    assert all(math.isfinite(float(field)) for row in rows[1:] for field in row)
+    return rows
+
+
+@st.composite
+def requests(draw):
+    """A command and edge values for a drawn subset of its settings; the
+    path settings keep the files of request_files."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    _, _, own = COMMANDS[command]
+    flags = []
+    for name, kind, _, _ in own + COMMON + (("threads", int, 1, ""),):
+        if kind is str or not draw(st.booleans()):
+            continue
+        flag = "--" + name.replace("_", "-")
+        if kind is bool:
+            flags.append(flag)
+        elif kind is int:
+            flags += [flag, draw(st.sampled_from(SMALL_INTS.get(name, EDGE_INTS)))]
+        elif kind is cli.int_list:
+            values = draw(st.lists(st.sampled_from(EDGE_INTS), min_size=1, max_size=3))
+            flags += [flag, ",".join(map(str, values))]
+        else:
+            flags += [flag, draw(st.sampled_from(EDGE_FLOATS))]
+    return command, flags
+
+
+class TestEveryRequest:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(request=requests())
+    def test_exit_code_and_strict_outputs(self, tmp_path_factory, request):
+        """Every request with edge values (ints near 0, 2^31 and 2^63;
+        nan, infinities, a subnormal, 1e300 and -0.0) exits 0, 1 or 2 with
+        no escaping exception. An exit 1 ends in its one error line, and an
+        exit 0 writes strict JSON or CSV of finite numbers. The requests
+        run in this process under an address-space limit, so one that
+        allocates a count-sized array fails at once."""
+        command, flags = request
+        workdir = tmp_path_factory.mktemp(command)
+        out, history = workdir / "out", workdir / "history.csv"
+        argv = [command, *request_files(workdir)[command], *SMALL_WORK[command], *flags, "--out", out]
+        if command == "learn":
+            argv += ["--history-out", history]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), address_space_limit():
+            try:
+                code = cli.main([str(arg) for arg in argv])
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        lines = stderr.getvalue().splitlines()
+        assert code in (0, 1, 2), (argv, lines)
+        if code == 1:
+            assert [line for line in lines if line.startswith("error:")] == lines[-1:], (argv, lines)
+        if code == 0:
+            if command in ("fig2", "similarity"):
+                finite_csv(out.read_text())
+            else:
+                strict_json(out.read_text())
+            if command == "learn":
+                finite_csv(history.read_text())
 
 
 class TestUsage:

@@ -474,6 +474,35 @@ class TestApplyCircuit:
                 got = apply_operation_amplitudes(rows, op)
                 np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    def test_gate_calls_are_compiled_once_per_applier(self, monkeypatch):
+        """A batch_applier compiles each gate once, when it is made, however
+        many row counts it then applies: a full count and a shorter one make
+        one _gate_calls call per gate of a depth-20 circuit at n = 10. The
+        shorter count's images have the bits of a fresh applier made for
+        that many rows, although the applier also replays its stale rows."""
+        from qsnorm import qsim
+
+        n = 10
+        rng = np.random.default_rng(25)
+        op = random_circuit(n, 20, rng)
+        compiled = []
+
+        def counting(gate, *args):
+            compiled.append(gate)
+            return _gate_calls(gate, *args)
+
+        monkeypatch.setattr(qsim, "_gate_calls", counting)
+        batch, apply = batch_applier([op], 16, n)
+        for count in (16, 5):
+            batch[:count] = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
+            short, = apply(count)
+        assert compiled == list(op.ops)
+        fresh, apply_fresh = batch_applier([op], 5, n)
+        fresh[...] = batch[:5]
+        want, = apply_fresh(5)
+        assert short.shape == want.shape == (5, 1 << n)
+        np.testing.assert_array_equal(short.view(np.uint64), want.view(np.uint64))
+
     @pytest.mark.parametrize("n", [2, 6, 10])
     def test_dense_state_has_the_bits_of_its_row_in_a_chunk(self, n):
         """apply_circuit of one state through a DenseUnitary gives the bits

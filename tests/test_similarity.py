@@ -175,6 +175,23 @@ class TestSimilarityBoundMixed:
         value = similarity_bound_mixed(eps, 1 - 1e-12, tau)
         assert value == pytest.approx(math.sqrt(eps / (2 * tau)), rel=1e-5)
 
+    def test_subnormal_delta_gives_a_finite_bound(self):
+        """1/delta overflows at delta = 5e-324, and at tau = 1 the spread
+        used to meet tau - tau^4 = 0 as inf * 0, giving nan. The bound
+        matches the formula evaluated at 50 digits, and at tau = 0.9 and
+        0.5 there is still no guarantee."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            eps, delta, tau = mpmath.mpf(0.1), mpmath.mpf(5e-324), mpmath.mpf(1)
+            spread = 1 / delta - 1
+            want = mpmath.sqrt((eps**2 - spread * (tau - tau**4)) / (2 * tau * (eps + spread * tau**2)))
+        value = similarity_bound_mixed(0.1, 5e-324, 1.0)
+        assert math.isfinite(value)
+        assert math.isclose(value, float(want), rel_tol=1e-12, abs_tol=0.0)
+        assert value == pytest.approx(1.5717e-163, rel=1e-4, abs=0.0)
+        assert similarity_bound_mixed(0.1, 5e-324, 0.9) is None
+        assert similarity_bound_mixed(0.1, 5e-324, 0.5) is None
+
     def test_domain(self):
         with pytest.raises(ValueError):
             similarity_bound_mixed(0.1, 0.2, 0.0)
