@@ -9,17 +9,18 @@ Layers, each through the public function the CLI calls:
 - ``probe_construction``: ``probe_rows`` for 1000 angles at n = 6, the
   probe rows of a fig2 run.
 - ``operator_application``: ``apply_operation_amplitudes`` of a depth-20
-  gate circuit on one kernel chunk of probe rows at n = 10 (``row_chunks``
+  gate circuit on one kernel chunk of probe rows at n = 10 (``chunk_rows``
   gives 16 rows of 2^10 amplitudes), through one ``batch_applier`` made
-  for the call and run once:
+  for the call, whose walk is one chunk:
   ``depth20`` alternates ry (a dense gate) and cnot, ``structured`` cycles
   through rz, t, s, z (diagonal gates), x and y (anti-diagonal gates),
   and ``last_qubits`` applies ry, rz and y (one gate of each form) on each
   of qubits 7, 8 and 9, whose halves are runs of 4, 2 and 1 amplitudes.
 - ``operator_application.n10.mixture``: the three depth-20 circuits of
   the ``kernel_front`` mixture applied to the probe rows of 500 angles,
-  chunk by chunk through one ``batch_applier``, as the kernel applies
-  them, without the reduction or shots; a key is one angle.
+  chunk by chunk through one ``batch_applier`` whose fill builds each
+  chunk's probe rows, as the kernel applies them, without the reduction or
+  shots; a key is one angle.
 - ``kernel_front``: shot-mode ``mixed_quadratic_form`` (100 shots per test)
   of a 3-term mixture of random depth-20 circuits at n = 10 over 500
   angles, the shape of the end-to-end estimate-shots workload, where the
@@ -102,7 +103,7 @@ from qsnorm import (
 )
 from qsnorm import learn
 from qsnorm.hadamard import ReductionPlan, mixed_quadratic_form, quadratic_form_values
-from qsnorm.qsim import apply_operation_amplitudes, batch_applier, chunk_rows, row_chunks
+from qsnorm.qsim import apply_operation_amplitudes, batch_applier, chunk_rows
 from qsnorm.sampler import probe_rows
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -114,8 +115,7 @@ def layers() -> dict:
     cases = {f"sample_thetas.m{m}": (lambda m=m: sample_thetas(7, m), m) for m in (100, 1000, 10000)}
     thetas = sample_thetas(7, 1000)
     cases["probe_construction.n6.m1000"] = (lambda: probe_rows(thetas, 6, 1 << 6), 1000)
-    chunk = next(row_chunks(thetas.size, 10))
-    rows = probe_rows(thetas[chunk], 10, 1 << 10).astype(complex)
+    rows = probe_rows(thetas[:chunk_rows(10)], 10, 1 << 10).astype(complex)
     circuit = Circuit(10, tuple(
         GateOp("ry", (k % 10,), (0.1 * k,)) if k % 2 else GateOp("cnot", (k % 10, (k + 1) % 10)) for k in range(20)
     ))
@@ -185,7 +185,7 @@ def layers() -> dict:
     coeffs = [coeff for coeff, _ in difference_mixture(target, ansatz.template).terms]
     plan = ReductionPlan(coeffs)
     cases["reduction.learn_block"] = (
-        lambda: quadratic_form_values(plan, [(slice(0, 64), [vx, ux])], 64, 0, 0), ux.shape[0] * 64
+        lambda: quadratic_form_values(plan, [(slice(0, 64), x, [vx, ux])], 64, 0, 0), ux.shape[0] * 64
     )
     cases["haar_states.n6.states1000"] = (lambda: haar_fidelities(Circuit(6), Circuit(6), 1000, seed=7), 1000)
     mixture = MixedOperation(((0.5, Circuit(1)), (0.5j, Circuit(1))))
@@ -197,16 +197,16 @@ def layers() -> dict:
 def refill_case(objective, points: np.ndarray):
     """A call that refills the slot stacks of ``objective``'s applier for
     ``points``, as one block call does before it replays U."""
-    fills = objective._applier(len(points))[3]
-    return lambda: [learn._refill(*fill, points) for fill in fills]
+    refills = objective._applier(len(points))[2]
+    return lambda: [learn._refill(*refill, points) for refill in refills]
 
 
 def apply_mixture(ops: list, thetas: np.ndarray, n: int = 10) -> None:
     """Apply each of ``ops`` to every chunk of the probe rows of ``thetas``
-    through one ``batch_applier``, building each chunk in its input batch."""
-    probes, apply = batch_applier(ops, chunk_rows(n), n)
-    for chunk in row_chunks(thetas.size, n):
-        apply(len(probe_rows(thetas[chunk], n, 1 << n, probes[:chunk.stop - chunk.start])))
+    through one ``batch_applier``, whose fill builds each chunk in its input
+    batch."""
+    for _ in batch_applier(ops, thetas.size, n, lambda chunk, x: probe_rows(thetas[chunk], n, 1 << n, x))():
+        pass
 
 
 def minor_faults() -> int:

@@ -29,10 +29,8 @@ from .qsim import (
     MixedOperation,
     STATE_QUBIT_CAP,
     batch_applier,
-    chunk_rows,
     require_int,
     require_qubits,
-    row_chunks,
     row_overlaps,
 )
 from .sampler import check_eps_delta, check_thetas, derived_rngs, probe_rows
@@ -80,23 +78,18 @@ def mixed_quadratic_form(
 ) -> np.ndarray:
     """||W x(theta_i)||^2 per angle, for W = sum_k a_k U_k applied as given.
 
-    Each chunk of probe rows gets every U_k in one batched apply, and
-    :func:`quadratic_form_values` reduces the images; it documents the
-    analytic and the shot mode. The arrays of :func:`qsim.batch_applier`
-    are made once per call: each chunk's probe rows are built in its input
-    batch, and the reduction is done with a chunk's images before the next
-    chunk is built.
+    One :func:`qsim.batch_applier` builds each chunk's probe rows in its
+    input batch and applies every U_k to them at once, and
+    :func:`quadratic_form_values` reduces each chunk's images before the
+    next chunk is built; it documents the analytic and the shot mode.
     """
     n = require_qubits(mixed.n, STATE_QUBIT_CAP, "statevector qubit count")
     shots_per_test = require_shots(shots_per_test)
     thetas = check_thetas(thetas)
-    probes, apply = batch_applier([op for _, op in mixed.terms], min(chunk_rows(n), thetas.size), n)
-    images = (
-        (chunk, apply(len(probe_rows(thetas[chunk], n, 1 << n, probes[:chunk.stop - chunk.start]))))
-        for chunk in row_chunks(thetas.size, n)
-    )
+    ops = [op for _, op in mixed.terms]
+    run = batch_applier(ops, thetas.size, n, lambda chunk, x: probe_rows(thetas[chunk], n, 1 << n, x))
     plan = ReductionPlan([coeff for coeff, _ in mixed.terms])
-    return quadratic_form_values(plan, images, thetas.size, shots_per_test, seed)
+    return quadratic_form_values(plan, run(), thetas.size, shots_per_test, seed)
 
 
 class ReductionPlan:
@@ -115,14 +108,15 @@ class ReductionPlan:
 
 def quadratic_form_values(
     plan: ReductionPlan,
-    images: Iterable[tuple[slice, list[np.ndarray]]],
+    images: Iterable[tuple[slice, np.ndarray, list[np.ndarray]]],
     m: int,
     shots_per_test: int,
     seed: int,
 ) -> np.ndarray:
     """The values ||sum_k a_k U_k x_i||^2, for the coefficients ``plan``
-    was made from, from ``(chunk, [U_k x for x in the chunk's probe rows])``
-    pairs that cover range(m) in order.
+    was made from, from the ``(chunk, x, [U_k x])`` triples of a
+    :func:`qsim.batch_applier` walk (``x`` the chunk's probe rows, which
+    the reduction does not read), whose chunks cover range(m) in order.
 
     An image is a (rows, 2^n) batch or a (B, rows, 2^n) block that holds
     the batches of B points; a chunk's images broadcast against each other
@@ -147,7 +141,7 @@ def quadratic_form_values(
     """
     squares, pairs, weights, total = plan.squares, plan.pairs, plan.weights, plan.total
     values = None
-    for chunk, chunk_images in images:
+    for chunk, _, chunk_images in images:
         if values is None:
             values = np.empty(np.broadcast_shapes(*(image.shape[:-2] for image in chunk_images)) + (m,))
             flat = values.reshape(-1, m)

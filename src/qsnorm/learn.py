@@ -49,7 +49,6 @@ from .qsim import (
     gate_matrix,
     require_int,
     require_qubits,
-    row_chunks,
 )
 from .sampler import check_thetas, probe_rows, sample_thetas, uniform_angles
 from .schatten import difference_mixture
@@ -164,8 +163,10 @@ class LearnObjective:
     Building it checks that U and V share a register under
     ``STATE_QUBIT_CAP``, the shot count and the angles. It keeps the probe
     rows of the first row chunk and their images V x, at most
-    ``CHUNK_CEILING`` each; any later chunk is rebuilt for each pass of
-    points. V x comes from :func:`qsim.apply_operation_amplitudes`, whose
+    ``CHUNK_CEILING`` each. Each pass of points walks the row chunks
+    through one :func:`qsim.batch_applier`, whose fill copies the kept rows
+    into the first chunk and builds a later chunk's rows in place; a later
+    chunk's V x comes from :func:`qsim.apply_operation_amplitudes`, whose
     rows, a dense V's included, have the bits of the same rows in any
     chunk, so the values do not depend on the chunking. Each term
     2 - 2 Re<V x|U x> = ||(V - U) x||^2 is twice the value
@@ -177,9 +178,9 @@ class LearnObjective:
     an empty angle list raises ValueError. The reduction's coefficient-only
     parts (:class:`hadamard.ReductionPlan`) are derived once, here.
     :meth:`block` evaluates many points in one batched pass; a call on one
-    xi is a one-row block. U is applied by one :func:`qsim.batch_applier`
-    per pass size B, kept, whose slot gates read (B, 2, 2) stacks ((B, 1,
-    1) for globalphase) that each pass refills: the stacks of one gate
+    xi is a one-row block. U is applied by one applier per pass size B,
+    kept, whose slot gates read (B, 2, 2) stacks ((B, 1, 1) for
+    globalphase) that each pass refills: the stacks of one gate
     kind are views of one array, filled by one call of that kind's
     ``GATES`` formula on the (B, gates) array of their angles. A pass's B
     points fill at most one chunk of ``CHUNK_CEILING`` bytes (see
@@ -197,9 +198,8 @@ class LearnObjective:
         self.thetas = check_thetas(thetas)
         self.ansatz, self.target, self.seed = ansatz, target, seed
         self._plan = ReductionPlan([coeff for coeff, _ in mixed.terms])
-        first = next(row_chunks(self.thetas.size, self.n))
-        self._x = np.zeros((first.stop, 1 << self.n), dtype=complex)
-        probe_rows(self.thetas[first], self.n, 1 << self.n, self._x)
+        self._x = np.zeros((min(chunk_rows(self.n), self.thetas.size), 1 << self.n), dtype=complex)
+        probe_rows(self.thetas[:len(self._x)], self.n, 1 << self.n, self._x)
         self._vx = apply_operation_amplitudes(self._x, target)
         self._appliers = {}
 
@@ -224,48 +224,50 @@ class LearnObjective:
         return np.array(costs)
 
     def _chunk_images(self, points: np.ndarray):
-        """(chunk, [V x, the (len(points), rows, 2^n) block of U(xi) x]) for
-        each row chunk, from the applier for len(points) points with its
-        stacks refilled from the (B, P) array ``points``; the first chunk's
-        probe rows and V x are kept."""
+        """(chunk, x, [V x, the (len(points), rows, 2^n) block of U(xi) x])
+        for each row chunk, from the applier for len(points) points with its
+        stacks refilled from the (B, P) array ``points``."""
         points = np.asarray(points, dtype=float)
-        probes, apply, _, fills = self._applier(len(points))
-        for fill in fills:
-            _refill(*fill, points)
-        # A later chunk overwrites the input, so each pass puts the kept rows back.
-        probes[...] = self._x
-        vx = self._vx
-        for chunk in row_chunks(self.thetas.size, self.n):
-            if chunk.start:
-                x = probe_rows(self.thetas[chunk], self.n, 1 << self.n, probes[:chunk.stop - chunk.start])
-                vx = apply_operation_amplitudes(x, self.target)
-            ux = apply(chunk.stop - chunk.start)[0]
+        run, _, refills = self._applier(len(points))
+        for refill in refills:
+            _refill(*refill, points)
+        for chunk, x, (ux,) in run():
+            vx = apply_operation_amplitudes(x, self.target) if chunk.start else self._vx
             if ux.ndim == 2:
                 # A template without slots gives U x no point axis of its own.
                 ux = np.broadcast_to(ux, (len(points),) + ux.shape)
-            yield chunk, [vx, ux]
+            yield chunk, x, [vx, ux]
+
+    def _fill(self, chunk: slice, x: np.ndarray) -> None:
+        """The probe rows of ``chunk`` into ``x``: the kept first chunk's, or a
+        later chunk's built in place."""
+        if chunk.start:
+            probe_rows(self.thetas[chunk], self.n, 1 << self.n, x)
+        else:
+            x[...] = self._x
 
     def _applier(self, points: int) -> tuple:
-        """The input, apply function, {slot gate: (points, 2, 2) stack} and
-        refills of the applier of U for ``points`` points, made on first
-        use. The stacks of one kind's slot gates are views of one
-        (points, gates, 2, 2) array, refilled together: a refill is that
-        array, the kind and the gates' slot indices."""
+        """The run function, {slot gate: (points, 2, 2) stack} and refills
+        of the applier of U for ``points`` points, made on first use. The
+        stacks of one kind's slot gates are views of one (points, gates, 2,
+        2) array, refilled together: a refill is that array, the kind and
+        the gates' slot indices."""
         if points not in self._appliers:
             ops = self.ansatz.template.ops
             kinds = {}
             # Every angled kind takes one angle, so a gate with a slot has only that slot.
             for op in dict.fromkeys(op for op in ops if op.params and isinstance(op.params[0], ParamSlot)):
                 kinds.setdefault(op.kind, []).append(op)
-            stacks, fills = {}, []
+            stacks, refills = {}, []
             for kind, group in kinds.items():
                 size = 1 << GATES[kind].qubits
                 stack = np.empty((points, len(group), size, size), dtype=complex)
                 stacks.update((op, stack[:, s]) for s, op in enumerate(group))
-                fills.append((stack, kind, np.array([op.params[0].index for op in group])))
+                refills.append((stack, kind, np.array([op.params[0].index for op in group])))
             entries = [stacks[op] if op in stacks else gate_matrix(op) for op in ops] * self.ansatz.repeat
-            probes, apply = batch_applier([Circuit(self.n, ops * self.ansatz.repeat)], len(self._x), self.n, [entries])
-            self._appliers[points] = probes, apply, stacks, fills
+            circuit = Circuit(self.n, ops * self.ansatz.repeat)
+            run = batch_applier([circuit], self.thetas.size, self.n, self._fill, [entries])
+            self._appliers[points] = run, stacks, refills
         return self._appliers[points]
 
 

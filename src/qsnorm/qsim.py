@@ -376,35 +376,43 @@ def _dense_call(matrix: np.ndarray, batch: np.ndarray, image: np.ndarray) -> tup
 
 def apply_operation_amplitudes(amps: np.ndarray, op: Operation) -> np.ndarray:
     """Apply a circuit or dense unitary along the last axis of an amplitude
-    array, so a ``(rows, 2^n)`` stack is transformed row by row: one
-    :func:`batch_applier` over all the rows, run once."""
+    array, so a ``(rows, 2^n)`` stack is transformed row by row: the rows
+    go through one :func:`batch_applier` chunk by chunk, and each chunk's
+    image is copied into a fresh output, so that the call holds the output
+    and one chunk's arrays."""
     rows = np.reshape(amps, (-1, 1 << op.n))
-    batch, apply = batch_applier([op], len(rows), op.n)
-    batch[...] = rows
-    return apply(len(rows))[0].reshape(np.shape(amps))
+    out = np.empty(rows.shape, dtype=complex)
+    for chunk, _, (image,) in batch_applier([op], len(rows), op.n, lambda chunk, x: np.copyto(x, rows[chunk]))():
+        out[chunk] = image
+    return out.reshape(np.shape(amps))
 
 
-def batch_applier(ops: list, rows: int, n: int, entries: list | None = None) -> tuple[np.ndarray, Callable[[int], list]]:
-    """A (rows, 2^n) input batch of zeros (at least DENSE_ROWS rows if an
-    operation is a dense unitary) and a function that applies each of
-    ``ops`` to the batch and returns the list of their images' first
-    ``count`` rows. A caller writes each batch into the input's leading
-    rows and is done with one batch's images before it applies the next.
-    Rows past ``count`` are applied too: they hold zeros or an earlier
-    batch's rows, so their images are finite and unread.
+def batch_applier(ops: list, count: int, n: int, fill: Callable, entries: list | None = None) -> Callable[[], Iterator]:
+    """A function ``run`` that walks ``range(count)`` in slices of
+    :func:`chunk_rows` rows of 2^n amplitudes. For each slice ``chunk``, in
+    order, it calls ``fill(chunk, x)``, which writes the chunk's rows into
+    ``x``, the leading rows of one input batch; applies each of ``ops``; and
+    yields ``(chunk, x, images)``, each operation's image of those rows. A
+    caller is done with one chunk's images before it asks for the next, and
+    may call ``run`` again. The batch has ``min(chunk_rows(n), count)`` rows
+    (at least DENSE_ROWS if an operation is a dense unitary); a shorter last
+    chunk replays the rows past ``x`` too, which hold zeros or an earlier
+    chunk's rows, so their images are finite and unread.
 
     ``entries`` holds each operation's gate entries (default:
     :func:`gate_matrices`). An operation whose entries include (B, 2, 2)
     stacks ((B, 1, 1) for globalphase) gets a (B, rows, 2^n) image, entry b
     acting on member b of the input broadcast over B; its other matrices
     are broadcast to the block. The calls read the entries themselves, so
-    a caller may refill a stack in place between batches.
+    a caller may refill a stack in place between walks.
 
     The input, the images, three half-image scratch arrays and the calls of
     :func:`_gate_calls` and :func:`_dense_call` that apply ``ops`` to them
-    are made once, here, and replayed for every batch. A circuit's first
+    are made once, here, and replayed for every chunk. A circuit's first
     gate writes the input's image into the circuit's image, and every
     later gate works there in place."""
+    step = chunk_rows(n)
+    rows = min(step, count)
     if any(isinstance(op, DenseUnitary) for op in ops):
         rows = max(rows, DENSE_ROWS)
     entries = [gate_matrices(op) for op in ops] if entries is None else entries
@@ -426,12 +434,16 @@ def batch_applier(ops: list, rows: int, n: int, entries: list | None = None) -> 
             calls += _gate_calls(gate, n, np.broadcast_to(mat, image.shape[:-2] + mat.shape[-2:]), src, image, scratch)
             src = image
 
-    def apply(count: int) -> list:
-        for function, args in calls:
-            function(*args)
-        return [image[..., :count, :] for image in images]
+    def run() -> Iterator[tuple[slice, np.ndarray, list]]:
+        for start in range(0, count, step):
+            chunk = slice(start, min(start + step, count))
+            x = batch[:chunk.stop - start]
+            fill(chunk, x)
+            for function, args in calls:
+                function(*args)
+            yield chunk, x, [image[..., :len(x), :] for image in images]
 
-    return batch, apply
+    return run
 
 
 def chunk_rows(n: int) -> int:
@@ -442,12 +454,6 @@ def chunk_rows(n: int) -> int:
     have the same bits at any chunk size (for one BLAS build, see
     :func:`_dense_call`), so these sizes set throughput alone."""
     return max(1, CHUNK_CEILING // (16 << n))
-
-
-def row_chunks(rows: int, n: int) -> Iterator[slice]:
-    """Slices of ``range(rows)`` of :func:`chunk_rows` rows each, the last one shorter."""
-    step = chunk_rows(n)
-    return (slice(start, min(start + step, rows)) for start in range(0, rows, step))
 
 
 def row_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -31,12 +31,10 @@ from .qsim import (
     MixedOperation,
     Operation,
     batch_applier,
-    chunk_rows,
     circuit_matrix,
     haar_random_unitary,
     require_int,
     require_qubits,
-    row_chunks,
     row_overlaps,
     same_register,
 )
@@ -117,20 +115,27 @@ def similarity_bound_mixed(epsilon: float, delta: float, tau: float) -> float | 
     check_eps_delta(epsilon, delta)
     if not 0 < tau <= 1:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
+    try:
+        square, scale = epsilon**2, 1.0
+    except OverflowError:
+        # epsilon**2 overflows for epsilon above about 1.3e154: the same root
+        # with its numerator and denominator divided by epsilon. Dividing
+        # by 1.0 is exact, so every other input keeps its bits.
+        square, scale = epsilon, epsilon
     if 1.0 / delta < math.inf:
         spread = 1.0 / delta - 1.0
-        numerator = epsilon**2 - spread * (tau - tau**4)
+        numerator = square - spread * (tau - tau**4) / scale
         if numerator < 0:
             return None
-        return math.sqrt(numerator / (2.0 * tau * (epsilon + spread * tau**2)))
+        return math.sqrt(numerator / (2.0 * tau * (epsilon / scale + spread * tau**2 / scale)))
     # 1/delta overflows for a subnormal delta: the same root with delta
     # taken out of the spread, and each factor rooted apart, so that no
     # part overflows or underflows.
-    numerator = epsilon**2 - (tau - tau**4) * (1.0 - delta) / delta
+    numerator = square - (tau - tau**4) * (1.0 - delta) / scale / delta
     if numerator < 0:
         return None
     ratio = math.sqrt(delta) / math.sqrt(2.0 * tau)
-    return math.sqrt(numerator) * ratio / math.sqrt(epsilon * delta + (1.0 - delta) * tau**2)
+    return math.sqrt(numerator) * ratio / math.sqrt(epsilon * delta / scale + (1.0 - delta) * tau**2 / scale)
 
 
 def estimate_tau(
@@ -154,19 +159,18 @@ def estimate_tau(
 
 def haar_fidelities(u1: Operation, u2: Operation, num_states: int, seed: int = 0) -> np.ndarray:
     """|<U1 psi_i|U2 psi_i>|^2 for Haar states psi_i drawn from
-    ``derived_rng(seed, i)`` (through :func:`sampler.derived_rngs`); each
-    chunk of states is drawn into the input batch of one
-    :func:`qsim.batch_applier`, and each operation acts on it at once. The
+    ``derived_rng(seed, i)`` (through :func:`sampler.derived_rngs`): the
+    fill of one :func:`qsim.batch_applier` draws each chunk of states into
+    its input batch, and each operation acts on it at once. The
     register is checked against STATE_QUBIT_CAP before anything is made."""
     num_states = require_int(num_states, "num_states")
     if num_states < 1:
         raise ValueError(f"need at least one state, got {num_states}")
     n = require_qubits(same_register(u1, u2), STATE_QUBIT_CAP, "statevector qubit count")
     fidelities = np.empty(num_states)
-    states, apply = batch_applier((u1, u2), min(chunk_rows(n), num_states), n)
     rngs = derived_rngs(seed, num_states)
-    for chunk in row_chunks(num_states, n):
-        first, second = apply(len(_haar_amplitudes(n, rngs, states[:chunk.stop - chunk.start])))
+    run = batch_applier((u1, u2), num_states, n, lambda chunk, x: _haar_amplitudes(n, rngs, x))
+    for chunk, _, (first, second) in run():
         fidelities[chunk] = [abs(z) ** 2 for z in row_overlaps(first, second).tolist()]
     return fidelities
 

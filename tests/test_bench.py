@@ -1,6 +1,7 @@
 """Smoke tests of the benchmark scripts, which are not part of the package:
-the layer timing script and the paired comparison run, and every package
-name the end-to-end benchmark (``perfbench/``) reads still exists."""
+the layer timing script, the paired comparison run and the code line
+counter, and every package name the end-to-end benchmark (``perfbench/``)
+reads still exists."""
 
 import ast
 import importlib
@@ -21,11 +22,15 @@ PAIRS_SCRIPT = ROOT / "bench" / "pairs.py"
 PERFBENCH = ROOT / "perfbench"
 
 
-def load_layers_script():
-    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS_SCRIPT)
+def load_script(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_layers_script():
+    return load_script(LAYERS_SCRIPT, "bench_layers")
 
 
 def test_every_layer_case_runs_once():
@@ -106,3 +111,42 @@ def test_pairs_runs_the_checkout_against_itself():
         assert row["gap_exceeds_spread"] is (gap > spread)
     assert proc.stdout.count("claim rule: 9/10 lower ") == 3
     assert sorted(PERFBENCH.rglob("*")) == before
+
+
+def test_loc_counts_code_lines_only(tmp_path):
+    """The counter skips blank lines, comment lines and the docstrings of a
+    module, class and function, and counts every line a token of code
+    spans: the import, the class and def lines, the three lines of the
+    tuple, the two lines of the string assigned to ``text``, the return
+    and the string statement that is no docstring, 10 lines. Run on a
+    file, it prints that count and the total."""
+    snippet = '''"""A module docstring
+over two lines."""
+
+import math  # a comment
+
+
+class Shape:
+    """A class docstring."""
+
+    sides = (
+        4,
+    )
+
+    def area(self):
+        """A function docstring."""
+        # a comment line
+        text = """a string that is
+        not a docstring"""
+        return math.pi
+
+
+"a module-level string after the first statement"
+'''
+    script = ROOT / "bench" / "loc.py"
+    assert load_script(script, "bench_loc").code_lines(snippet) == 10
+    path = tmp_path / "snippet.py"
+    path.write_text(snippet)
+    proc = subprocess.run([sys.executable, str(script), str(path)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["10", str(path), "10", "total"]

@@ -494,7 +494,7 @@ class TestReductionSum:
                 ux[..., 0] = delta * rng.choice([-1.0, 1.0], size=(points, rows))
                 ux[..., 1] += 1.0
         coeffs = [a0, a0 * turn]
-        values = quadratic_form_values(ReductionPlan(coeffs), [(slice(0, rows), [vx, ux])], rows, 0, 0)
+        values = quadratic_form_values(ReductionPlan(coeffs), [(slice(0, rows), None, [vx, ux])], rows, 0, 0)
         assert values.shape == (points, rows)
         assert values.tolist() == per_row_fsum(coeffs, [vx, ux])
         if case == "cancel":
@@ -508,7 +508,7 @@ class TestReductionSum:
         rng = np.random.default_rng(31)
         vx, ux = complex_normal(rng, 64, 4), complex_normal(rng, 9, 64, 4)
         images = [vx, ux, complex_normal(rng, 64, 4)][:len(coeffs)]
-        chunks = [(slice(0, 32), [i[..., :32, :] for i in images]), (slice(32, 64), [i[..., 32:, :] for i in images])]
+        chunks = [(part, None, [i[..., part, :] for i in images]) for part in (slice(0, 32), slice(32, 64))]
         values = quadratic_form_values(ReductionPlan(coeffs), chunks, 64, 0, 0)
         assert values.tolist() == per_row_fsum(coeffs, images)
         squares = [abs(c) ** 2 for c in coeffs]
@@ -527,7 +527,7 @@ class TestReductionSum:
         vx, ux = complex_normal(rng, 40, 8), complex_normal(rng, 5, 40, 8)
 
         def chunks(block):
-            return [(slice(0, 25), [vx[:25], block[..., :25, :]]), (slice(25, 40), [vx[25:], block[..., 25:, :]])]
+            return [(part, None, [vx[part], block[..., part, :]]) for part in (slice(0, 25), slice(25, 40))]
 
         values = quadratic_form_values(ReductionPlan(coeffs), chunks(ux), 40, shots, 7)
         assert values.shape == (5, 40)

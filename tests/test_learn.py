@@ -32,7 +32,7 @@ from qsnorm import (
     sampling_circuit,
 )
 from qsnorm import qsim
-from qsnorm.qsim import CHUNK_CEILING, GATES, row_chunks
+from qsnorm.qsim import CHUNK_CEILING, GATES, chunk_rows
 
 
 def two_qubit_ansatz() -> Ansatz:
@@ -248,7 +248,7 @@ class TestLearnObjective:
         rng = np.random.default_rng(88 + 10 * n + repeat)
         ansatz, target = random_ansatz(n, 8, rng, repeat), random_circuit(n, 8, rng)
         thetas = sample_thetas(9, 64)
-        assert len(list(row_chunks(64, n))) == (1 if n == 2 else 2)
+        assert math.ceil(64 / chunk_rows(n)) == (1 if n == 2 else 2)
         objective = LearnObjective(ansatz, target, thetas, shots, seed=5)
         points = rng.uniform(-math.pi, math.pi, (20, ansatz.num_params))
         expected = []
@@ -312,10 +312,11 @@ class TestLearnObjective:
         arrays = [v for v in vars(objective).values() if isinstance(v, np.ndarray)]
         assert arrays and max(a.nbytes for a in arrays) <= CHUNK_CEILING
         sizes = []
-        for probes, apply, _, fills in objective._appliers.values():
-            sizes += [probes.nbytes, *(image.nbytes for image in apply(len(probes)))]
-            # Each kind's stacks are views of one array, which the fill holds.
-            sizes += [stack.nbytes for stack, _, _ in fills]
+        for run, _, refills in objective._appliers.values():
+            _, probes, images = next(run())
+            sizes += [probes.nbytes, *(image.nbytes for image in images)]
+            # Each kind's stacks are views of one array, which the refill holds.
+            sizes += [stack.nbytes for stack, _, _ in refills]
         assert sizes and max(sizes) <= CHUNK_CEILING
 
     def test_signed_zero_angles_keep_their_own_matrices(self):
@@ -332,13 +333,13 @@ class TestLearnObjective:
         )))
         objective = LearnObjective(ansatz, Circuit(2, (GateOp("h", (1,)),)), sample_thetas(3, 64))
         points = [[0.0, 0.3], [-0.0, 0.3], [0.0, -0.3], [-0.0, -0.3]]
-        (_, (_, block)), = objective._chunk_images(points)
-        stack = objective._appliers[4][2][ansatz.template.ops[1]]
+        (_, _, (_, block)), = objective._chunk_images(points)
+        stack = objective._appliers[4][1][ansatz.template.ops[1]]
         for entry, (angle, _) in zip(stack, points):
             np.testing.assert_array_equal(entry.view(np.uint64), GATES["rx"].matrix(angle).view(np.uint64))
         assert (stack[0].view(np.uint64) != stack[1].view(np.uint64)).any()
         for xi, images in zip(points, block):
-            (_, (_, alone)), = objective._chunk_images([xi])
+            (_, _, (_, alone)), = objective._chunk_images([xi])
             np.testing.assert_array_equal(images.view(np.uint64), alone[0].view(np.uint64))
         values = objective.block(np.array(points))
         assert values.tolist() == [objective(np.array(xi)) for xi in points]
@@ -384,7 +385,7 @@ class TestLearnObjective:
         ops.append(GateOp("globalphase", (), (ParamSlot(next(slots)),)))
         ansatz, target = Ansatz(Circuit(n, tuple(ops))), random_circuit(n, 8, rng)
         thetas = sample_thetas(9, 64 if n == 2 else 136)
-        assert len(list(row_chunks(thetas.size, n))) == (1 if n == 2 else 3)
+        assert math.ceil(thetas.size / chunk_rows(n)) == (1 if n == 2 else 3)
         objective = LearnObjective(ansatz, target, thetas)
         for size in (1, 9, 16) * 2:
             points = rng.uniform(-math.pi, math.pi, (size, ansatz.num_params))

@@ -1,6 +1,7 @@
 """Simulator tests: gate algebra, circuit application, oracles, documents."""
 
 import ast
+import itertools
 import math
 import re
 import tracemalloc
@@ -35,6 +36,7 @@ from qsnorm import (
     mixed_operation_matrix,
     zero_state,
 )
+from qsnorm import qsim
 from qsnorm.qsim import (
     CHUNK_CEILING,
     GATES,
@@ -43,12 +45,27 @@ from qsnorm.qsim import (
     apply_operation_amplitudes,
     batch_applier,
     chunk_rows,
-    row_chunks,
     same_register,
 )
 
 SQRT2_INV = 1 / math.sqrt(2)
 ONE_QUBIT_KINDS = sorted(kind for kind, row in GATES.items() if row.qubits == 1)
+
+
+def copying(rows: np.ndarray):
+    """A batch_applier fill that copies each chunk's rows of ``rows``."""
+    return lambda chunk, x: np.copyto(x, rows[chunk])
+
+
+def drawing(rng: np.random.Generator):
+    """A batch_applier fill that draws complex normal rows into each chunk."""
+    return lambda chunk, x: np.copyto(x, rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
+
+
+def chunk_of(monkeypatch, rows: int, n: int) -> None:
+    """Set CHUNK_CEILING so that a chunk of 2^n amplitudes holds ``rows`` rows."""
+    monkeypatch.setattr(qsim, "CHUNK_CEILING", rows * (16 << n))
+    assert chunk_rows(n) == rows
 
 
 def dense_formula(entries: np.ndarray, block: np.ndarray, n: int, q: int) -> np.ndarray:
@@ -358,9 +375,8 @@ class TestApplyCircuit:
                     template = GateOp(kind, (q,), (ParamSlot(0),) * row.params)
                     ry = GateOp("ry", (int(rng.integers(n)),), (ParamSlot(1),))
                     ops = [Circuit(n, (template,)), Circuit(n, (ry,)), Circuit(n, (ry, template))]
-                    batch, apply = batch_applier(ops, count, n, [[entries], [spread], [spread, entries]])
-                    batch[...] = rows
-                    on_input, block, after = apply(count)
+                    run = batch_applier(ops, count, n, copying(rows), [[entries], [spread], [spread, entries]])
+                    (_, _, (on_input, block, after)), = run()
                     assert len({member.tobytes() for member in block}) == 4
                     for got, src in ((on_input, np.broadcast_to(rows, block.shape)), (after, block)):
                         want = dense_formula(entries, src, n, q) + 0.0
@@ -369,12 +385,13 @@ class TestApplyCircuit:
                         )
 
     @pytest.mark.parametrize("kind", ONE_QUBIT_KINDS + ["globalphase"])
-    def test_per_row_entries_have_the_bits_of_scalar_applications(self, kind):
+    def test_per_row_entries_have_the_bits_of_scalar_applications(self, kind, monkeypatch):
         """A (B, 2, 2) stack of entries ((B, 1, 1) for globalphase), refilled
-        in place before each replay of one batch_applier, gives bit for bit
-        B applications of the scalar gates at the new angles, at every qubit
-        of n = 1..4, on full batches and a shorter one. A fixed gate of the
-        same kind goes first, and meets either the input broadcast over the
+        in place by the fill before each chunk's replay of one
+        batch_applier, gives bit for bit B applications of the scalar gates
+        at the new angles, at every qubit of n = 1..4, on 3-row chunks and a
+        shorter one, walked twice. A fixed gate of the same kind goes
+        first, and meets either the input broadcast over the
         block or, after an ry stack at random angles refilled alike, a block
         whose members differ. Calls compiled on a copy of a stack or of the
         input would replay the first angles or rows, and a call that read
@@ -393,15 +410,20 @@ class TestApplyCircuit:
                 ry = GateOp("ry", (int(rng.integers(n)),), (ParamSlot(1),))
                 ops = [Circuit(n, (fixed, template)), Circuit(n, (ry, fixed, template))]
                 mats = [[gate_matrix(fixed), entries], [spread, gate_matrix(fixed), entries]]
-                batch, apply = batch_applier(ops, 3, n, mats)
-                for count in (3, 3, 2, 2):
-                    angles = rng.uniform(-4, 4, (5, row.params)).tolist()
-                    turns = rng.uniform(-4, 4, 5).tolist()
+                angles, turns = [], []
+
+                def refill(chunk, rows):
+                    angles[:] = rng.uniform(-4, 4, (5, row.params)).tolist()
+                    turns[:] = rng.uniform(-4, 4, 5).tolist()
                     entries[...] = [row.matrix(*a) for a in angles]
                     spread[...] = [GATES["ry"].matrix(t) for t in turns]
-                    rows = batch[:count]
-                    rows[...] = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
-                    for got, prefix in zip(apply(count), ([()] * 5, [(GateOp("ry", ry.qubits, (t,)),) for t in turns])):
+                    rows[...] = rng.standard_normal(rows.shape) + 1j * rng.standard_normal(rows.shape)
+
+                chunk_of(monkeypatch, 3, n)
+                run, sizes = batch_applier(ops, 5, n, refill, mats), []
+                for _, rows, images in itertools.chain(run(), run()):
+                    sizes.append(len(rows))
+                    for got, prefix in zip(images, ([()] * 5, [(GateOp("ry", ry.qubits, (t,)),) for t in turns])):
                         want = np.stack([
                             apply_operation_amplitudes(rows, Circuit(n, (*first, fixed, GateOp(kind, qubits, tuple(a)))))
                             for first, a in zip(prefix, angles)
@@ -409,16 +431,18 @@ class TestApplyCircuit:
                         np.testing.assert_array_equal(
                             got.view(np.uint64), want.view(np.uint64), err_msg=f"n={n} q={q} prefix={bool(prefix[0])}"
                         )
+                assert sizes == [3, 2, 3, 2]
 
     @pytest.mark.parametrize("n", [3, 10])
-    def test_replay_writes_only_the_images(self, n):
+    def test_replay_writes_only_the_images(self, n, monkeypatch):
         """Gates run in place on a circuit's image, so a replay never writes
         its input batch. For each gate form, a circuit that starts with that
         form (so its first gate reads the input) and then holds every form
         on every qubit (cnot on both orders of neighbours) leaves the
-        input's bytes as they were, on a full batch and a shorter one. Each
-        image equals the product with circuit_matrix, and has the bits of
-        applying its gates one at a time, where no gate runs in place."""
+        input's bytes as they were, on a full 8-row chunk and a shorter
+        one. Each image equals the product with circuit_matrix, and has the
+        bits of applying its gates one at a time, where no gate runs in
+        place."""
         rng = np.random.default_rng(24)
         kinds = {"dense": "ry", "anti-diagonal": "y", "diagonal": "rz", "cnot": "cnot", "globalphase": "globalphase"}
         assert set(kinds) == {row.form for row in GATES.values()} | {"globalphase"}
@@ -433,37 +457,41 @@ class TestApplyCircuit:
         ops = [Circuit(n, (first, *body)) for first in firsts]
         later = circuit_matrix(Circuit(n, body))
         matrices = [later @ circuit_matrix(Circuit(n, (first,))) for first in firsts]
-        batch, apply = batch_applier(ops, 8, n)
-        for count in (8, 3):
+        before = []
+
+        def fill(chunk, rows):
+            batch = rows.base
             batch[...] = rng.standard_normal(batch.shape) + 1j * rng.standard_normal(batch.shape)
-            before = batch.tobytes()
-            images = apply(count)
-            assert batch.tobytes() == before
-            rows = batch[:count]
+            before.append(batch.tobytes())
+
+        chunk_of(monkeypatch, 8, n)
+        for chunk, rows, images in batch_applier(ops, 11, n, fill)():
+            assert rows.base.shape == (8, 1 << n) and rows.base.tobytes() == before[-1]
             for op, matrix, image in zip(ops, matrices, images):
                 np.testing.assert_allclose(image, rows @ matrix.T, atol=1e-12)
                 want = rows
                 for g in op.ops:
                     want = apply_operation_amplitudes(want, Circuit(n, (g,)))
                 np.testing.assert_array_equal(image.view(np.uint64), want.view(np.uint64))
+        assert len(before) == 2
 
     def test_buffered_operation_has_the_bits_of_gate_by_gate_application(self):
         """Circuits of odd, even and zero depth, and a dense unitary, applied
         through one batch_applier, whose arrays every batch reuses, give the
         bits of applying their gates one at a time (and of the plain
         product, of 16 rows: a one-row matmul rounds otherwise), on full
-        chunks and on a 1-row tail, and so does apply_operation_amplitudes.
-        Each batch's images are spoilt with NaN once checked, so a replay
-        that skips an amplitude would show."""
+        chunks and on a 1-row tail of 17 rows walked twice, and so does
+        apply_operation_amplitudes. Each chunk's images are spoilt with NaN
+        once checked, so a replay that skips an amplitude would show."""
         n = 10
         rng = np.random.default_rng(19)
         ops = [random_circuit(n, depth, rng) for depth in (0, 1, 2, 7, 20)]
         ops.append(DenseUnitary(n, haar_random_unitary(n, 20)))
-        batch, apply = batch_applier(ops, 16, n)
-        for count in (16, 1, 16):
-            rows = batch[:count]
-            rows[...] = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
-            for op, got in zip(ops, apply(count)):
+        run, sizes = batch_applier(ops, 17, n, drawing(rng)), []
+        for _, rows, images in itertools.chain(run(), run()):
+            count = len(rows)
+            sizes.append(count)
+            for op, got in zip(ops, images):
                 want = rows
                 if isinstance(op, DenseUnitary):
                     want = (np.concatenate((rows, np.ones((16 - count, 1 << n)))) @ op.matrix.T)[:count]
@@ -473,61 +501,94 @@ class TestApplyCircuit:
                 got.fill(np.nan)
                 got = apply_operation_amplitudes(rows, op)
                 np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert sizes == [16, 1, 16, 1]
 
     def test_gate_calls_are_compiled_once_per_applier(self, monkeypatch):
         """A batch_applier compiles each gate once, when it is made, however
-        many row counts it then applies: a full count and a shorter one make
-        one _gate_calls call per gate of a depth-20 circuit at n = 10. The
-        shorter count's images have the bits of a fresh applier made for
-        that many rows, although the applier also replays its stale rows."""
-        from qsnorm import qsim
-
+        many chunks it then walks: with chunks of 3 rows, a walk over 7 rows
+        of a depth-20 circuit at n = 10 makes one _gate_calls call per gate.
+        The fill sees the chunks [0:3], [3:6] and [6:7] in order, each time
+        with a view of one input batch that has the chunk's row count. Each
+        chunk's images have the bits of a fresh applier made for that many
+        rows, although the short last chunk also replays its stale rows."""
         n = 10
         rng = np.random.default_rng(25)
         op = random_circuit(n, 20, rng)
-        compiled = []
+        compiled, seen = [], []
 
         def counting(gate, *args):
             compiled.append(gate)
             return _gate_calls(gate, *args)
 
+        def recording(chunk, x):
+            seen.append((chunk, x))
+            x[...] = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+
         monkeypatch.setattr(qsim, "_gate_calls", counting)
-        batch, apply = batch_applier([op], 16, n)
-        for count in (16, 5):
-            batch[:count] = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
-            short, = apply(count)
+        chunk_of(monkeypatch, 3, n)
+        walk = [(chunk, x.copy(), image.copy()) for chunk, x, (image,) in batch_applier([op], 7, n, recording)()]
         assert compiled == list(op.ops)
-        fresh, apply_fresh = batch_applier([op], 5, n)
-        fresh[...] = batch[:5]
-        want, = apply_fresh(5)
-        assert short.shape == want.shape == (5, 1 << n)
-        np.testing.assert_array_equal(short.view(np.uint64), want.view(np.uint64))
+        chunks = [slice(0, 3), slice(3, 6), slice(6, 7)]
+        assert [chunk for chunk, _ in seen] == [chunk for chunk, _, _ in walk] == chunks
+        batch = seen[0][1].base
+        assert batch.shape == (3, 1 << n)
+        for chunk, x in seen:
+            assert x.base is batch and x.shape == (chunk.stop - chunk.start, 1 << n)
+        for _, rows, short in walk:
+            (_, _, (want,)), = batch_applier([op], len(rows), n, copying(rows))()
+            assert short.shape == want.shape == rows.shape
+            np.testing.assert_array_equal(short.view(np.uint64), want.view(np.uint64))
+
+    def test_one_shot_memory_is_the_output_and_one_chunk(self):
+        """apply_operation_amplitudes walks its rows in chunks and copies each
+        chunk's image out, so on 1024 rows at n = 10 through a depth-20
+        circuit it holds the output and one chunk's arrays (input, image,
+        three half-chunk scratch arrays and a half-chunk temporary that an
+        in-place product of interleaved halves makes), not an applier
+        sized to all the rows: tracemalloc's peak is at most the rows'
+        bytes, four chunks and a quarter chunk of small change. The rows
+        have the bits of applying the circuit to each 16-row chunk alone."""
+        rng = np.random.default_rng(26)
+        op = random_circuit(10, 20, rng)
+        rows = rng.standard_normal((1024, 1 << 10)) + 1j * rng.standard_normal((1024, 1 << 10))
+        tracemalloc.start()
+        try:
+            out = apply_operation_amplitudes(rows, op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= rows.nbytes + 4 * CHUNK_CEILING + CHUNK_CEILING // 4
+        for start in (0, 496, 1008):
+            alone = apply_operation_amplitudes(rows[start:start + 16], op)
+            np.testing.assert_array_equal(out[start:start + 16].view(np.uint64), alone.view(np.uint64))
 
     @pytest.mark.parametrize("n", [2, 6, 10])
-    def test_dense_state_has_the_bits_of_its_row_in_a_chunk(self, n):
+    def test_dense_state_has_the_bits_of_its_row_in_a_chunk(self, n, monkeypatch):
         """apply_circuit of one state through a DenseUnitary gives the bits
         of that state's row inside a 16-row chunk of a batch_applier, and
-        so does a 1-row tail of the same applier: a lone row is the first
-        of a two-row product, which rounds as a longer one does."""
+        so does a 1-row tail of the same applier that holds row 5 again: a
+        lone row is the first of a two-row product, which rounds as a longer
+        one does."""
         op = DenseUnitary(n, haar_random_unitary(n, 22))
         rng = np.random.default_rng(23)
-        batch, apply = batch_applier([op], 16, n)
-        batch[...] = rng.standard_normal(batch.shape) + 1j * rng.standard_normal(batch.shape)
-        chunk = apply(16)[0].copy()
+        rows = rng.standard_normal((17, 1 << n)) + 1j * rng.standard_normal((17, 1 << n))
+        rows[16] = rows[5]
+        chunk_of(monkeypatch, 16, n)
+        walk = batch_applier([op], 17, n, copying(rows))()
+        chunk = next(walk)[2][0].copy()
+        tail = next(walk)[2][0]
         for i in (0, 5, 15):
-            got = apply_circuit(StateVector(n, batch[i]), op).amplitudes
+            got = apply_circuit(StateVector(n, rows[i]), op).amplitudes
             np.testing.assert_array_equal(got.view(np.uint64), chunk[i].view(np.uint64), err_msg=f"row {i}")
-        batch[0] = batch[5]
-        tail, = apply(1)
         np.testing.assert_array_equal(tail[0].view(np.uint64), chunk[5].view(np.uint64))
 
     @pytest.mark.parametrize("kind", sorted(GATES))
     def test_buffered_gate_has_the_bits_of_the_allocating_one(self, kind):
         """A gate replayed on a batch_applier's arrays has the bits of
-        apply_operation_amplitudes, which allocates its own arrays and runs
-        once, for every kind on every qubit (every ordered pair for cnot) at
-        n = 10, on a 16-row chunk and a 1-row tail that reuse the same dirty
-        arrays."""
+        apply_operation_amplitudes, which allocates its own arrays, for
+        every kind on every qubit (every ordered pair for cnot) at n = 10,
+        on a 16-row chunk and a 1-row tail that reuse the same dirty arrays:
+        the walk's first chunk leaves NaN in every array."""
         n, row = 10, GATES[kind]
         rng = np.random.default_rng(18)
         placements = [(q, t) for q in range(n) for t in range(n) if q != t] if row.qubits == 2 else (
@@ -535,23 +596,21 @@ class TestApplyCircuit:
         )
         for qubits in placements:
             op = Circuit(n, (GateOp(kind, qubits, tuple(rng.uniform(-4, 4, row.params))),))
-            batch, apply = batch_applier([op], 16, n)
-            batch[...] = np.nan + 1j * np.nan
-            apply(16)  # leaves NaN in every array that the replays below reuse
-            for count in (16, 1):
-                rows = batch[:count]
-                rows[...] = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
-                want = apply_operation_amplitudes(rows, op)
-                got, = apply(count)
-                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=f"{qubits} {count}")
+            rows = rng.standard_normal((33, 1 << n)) + 1j * rng.standard_normal((33, 1 << n))
+            rows[:16] = np.nan + 1j * np.nan
+            for chunk, x, (got,) in batch_applier([op], 33, n, copying(rows))():
+                if chunk.start:
+                    want = apply_operation_amplitudes(x, op)
+                    where = f"{qubits} {chunk}"
+                    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=where)
 
     @pytest.mark.parametrize("kind", sorted(GATES))
-    def test_replayed_gates_have_the_bits_of_the_allocating_ones(self, kind):
+    def test_replayed_gates_have_the_bits_of_the_allocating_ones(self, kind, monkeypatch):
         """One batch_applier over a one-gate circuit per placement (every
         qubit, every ordered pair for cnot) replays, on full 8-row chunks
-        and 3-row tails that reuse the same dirty arrays, the bits of
-        applying each gate with apply_operation_amplitudes, which allocates
-        its own arrays, at n = 2, 6 and 10. Both share the compiled
+        and 3-row tails of two walks that reuse the same dirty arrays, the
+        bits of applying each gate with apply_operation_amplitudes, which
+        allocates its own arrays, at n = 2, 6 and 10. Both share the compiled
         formulas, so the images are also checked against reference_gate,
         which does not: after ``+ 0.0`` (skipped zero entries may flip the
         sign of an exact zero) they have its bits."""
@@ -561,12 +620,11 @@ class TestApplyCircuit:
                 [(q,) for q in range(n)] if row.qubits else [()]
             )
             ops = [Circuit(n, (GateOp(kind, qubits, tuple(rng.uniform(-4, 4, row.params))),)) for qubits in placements]
-            batch, apply = batch_applier(ops, 8, n)
-            for count in (8, 3, 8, 3):
-                rows = batch[:count]
-                rows[...] = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
-                for op, got in zip(ops, apply(count)):
-                    gate, where = op.ops[0], f"n={n} {op.ops[0].qubits} {count}"
+            chunk_of(monkeypatch, 8, n)
+            run = batch_applier(ops, 11, n, drawing(rng))
+            for _, rows, images in itertools.chain(run(), run()):
+                for op, got in zip(ops, images):
+                    gate, where = op.ops[0], f"n={n} {op.ops[0].qubits} {len(rows)}"
                     want = apply_operation_amplitudes(rows, op)
                     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=where)
                     reference = reference_gate(rows, gate, n) + 0.0
@@ -617,7 +675,8 @@ class TestApplyCircuit:
                         9: 32, 10: 16, 11: 8, 12: 4, 13: 2, **{n: 1 for n in range(14, 21)}}
         for n in range(1, 21):
             assert rows[n] * (16 << n) == CHUNK_CEILING or rows[n] == 1
-        assert [len(range(1000)[chunk]) for chunk in row_chunks(40, 10)] == [16, 16, 8]
+        walk = batch_applier([Circuit(10)], 40, 10, lambda chunk, x: None)()
+        assert [chunk for chunk, _, _ in walk] == [slice(0, 16), slice(16, 32), slice(32, 40)]
 
     def test_dense_unitary_application(self):
         mat = haar_random_unitary(2, 3)

@@ -26,7 +26,7 @@ from qsnorm import (
     similarity_slack,
 )
 from qsnorm import qsim, similarity
-from qsnorm.qsim import MATRIX_QUBIT_CAP, DenseUnitary, apply_operation_amplitudes, row_chunks, row_overlaps
+from qsnorm.qsim import MATRIX_QUBIT_CAP, DenseUnitary, apply_operation_amplitudes, row_overlaps
 from qsnorm.sampler import KEY_BLOCK, derived_rngs
 from qsnorm.schatten import schatten2_estimate_from_thetas
 
@@ -66,16 +66,19 @@ class TestHaarRandomState:
         two empty circuits' images of it are that chunk again."""
         drawn, images = [], []
 
-        def recording(ops, rows, n):
-            states, apply = qsim.batch_applier(ops, rows, n)
+        def recording(ops, count, n, fill):
+            def record(chunk, x):
+                fill(chunk, x)
+                drawn.append(x.copy())
 
-            def record(count):
-                drawn.append(states[:count].copy())
-                result = apply(count)
-                images.append([image.copy() for image in result])
-                return result
+            run = qsim.batch_applier(ops, count, n, record)
 
-            return states, record
+            def walk():
+                for chunk, x, result in run():
+                    images.append([image.copy() for image in result])
+                    yield chunk, x, result
+
+            return walk
 
         monkeypatch.setattr(similarity, "batch_applier", recording)
         haar_fidelities(Circuit(n), Circuit(n), num_states, seed=11)
@@ -107,10 +110,14 @@ class TestHaarRandomState:
                 taken.append(rng)
                 yield Recording(rng)
 
-        proxies, out = stream(), np.empty((qsim.chunk_rows(n), 1 << n), dtype=complex)
-        for chunk in row_chunks(num_states, n):
-            similarity._haar_amplitudes(n, proxies, out[:chunk.stop - chunk.start])
+        proxies = stream()
+
+        def fill(chunk, x):
+            similarity._haar_amplitudes(n, proxies, x)
             assert len(taken) == len(rows) == chunk.stop
+
+        for _ in qsim.batch_applier([Circuit(n)], num_states, n, fill)():
+            pass
         assert len(rows) == num_states
         for i, row in enumerate(rows):
             assert row == derived_rng(14, i).standard_normal(2 << n).tobytes(), i
@@ -191,6 +198,27 @@ class TestSimilarityBoundMixed:
         assert value == pytest.approx(1.5717e-163, rel=1e-4, abs=0.0)
         assert similarity_bound_mixed(0.1, 5e-324, 0.9) is None
         assert similarity_bound_mixed(0.1, 5e-324, 0.5) is None
+
+    @pytest.mark.parametrize("epsilon, delta, tau", [
+        (1e300, 0.2, 1.0), (1e300, 0.2, 0.5), (1e300, 5e-324, 1.0), (1e300, 5e-324, 0.5),
+        (1.4e154, 0.2, 1.0), (1.4e154, 5e-324, 0.5),
+    ])
+    def test_huge_epsilon_gives_the_bound(self, epsilon, delta, tau):
+        """epsilon**2 overflows above about 1.3e154 and used to raise
+        OverflowError. The bound matches the formula evaluated at 50 digits,
+        or is None where its radicand is negative, for an ordinary and a
+        subnormal delta."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            eps, d, t = mpmath.mpf(epsilon), mpmath.mpf(delta), mpmath.mpf(tau)
+            spread = 1 / d - 1
+            numerator = eps**2 - spread * (t - t**4)
+            want = None if numerator < 0 else float(mpmath.sqrt(numerator / (2 * t * (eps + spread * t**2))))
+        value = similarity_bound_mixed(epsilon, delta, tau)
+        if want is None:
+            assert value is None
+        else:
+            assert math.isclose(value, want, rel_tol=1e-12, abs_tol=0.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -305,7 +333,7 @@ class TestMonteCarloSimilarity:
         allocating gate path, which makes fresh arrays for every gate."""
         rng = np.random.default_rng(41)
         u1, u2 = random_circuit(10, 20, rng), random_circuit(10, 20, rng)
-        assert [chunk.stop - chunk.start for chunk in row_chunks(33, 10)] == [16, 16, 1]
+        assert qsim.chunk_rows(10) == 16 and 33 == 2 * 16 + 1
         states = np.stack([haar_state(10, derived_rng(13, i)).amplitudes for i in range(33)])
         overlaps = row_overlaps(apply_operation_amplitudes(states, u1), apply_operation_amplitudes(states, u2))
         expected = [abs(z) ** 2 for z in overlaps.tolist()]
